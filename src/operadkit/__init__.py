@@ -116,7 +116,6 @@ from .operads import (
     action_is_bijection,
     all_factorizations,
     braided_action_from_quasisymmetric,
-    braided_from_symmetric,
     check_operad_axioms,
     desymmetrise,
     endomorphism_symmetric_operad,
@@ -124,11 +123,11 @@ from .operads import (
     induced_action,
     is_locally_constant,
     is_quasisymmetric,
-    mixed2_from_symmetric,
     non_quasisymmetric_operad,
     operad_from_json,
     operad_to_json,
     orders_operad,
+    reflavor,
     terminal_operad,
     validate_collection,
 )

@@ -33,6 +33,7 @@ from .operads import (
     N_OPERAD,
     SYMMETRIC,
     check_operad_axioms,
+    decode,
     desymmetrise,
     endomorphism_symmetric_operad,
     operad_from_json,
@@ -328,11 +329,13 @@ def _flavor_from(args, doc=None):
             raise UsageError(
                 {"error": "BAD_INPUT", "message": "flavor 'n' needs --n"}
             )
-        return N_OPERAD(n)
+        return N_OPERAD(decode(n, int, "n"))
     raise UsageError({"error": "BAD_INPUT", "message": f"unknown flavor {name!r}"})
 
 
 def _load_operad(doc, args):
+    if isinstance(doc, dict) and "command" in doc and "payload" in doc:
+        doc = doc["payload"]  # the run report of an earlier command
     if not isinstance(doc, dict):
         raise UsageError(
             {"error": "BAD_INPUT", "message": "expected an operad object"}
@@ -341,10 +344,12 @@ def _load_operad(doc, args):
         return operad_from_json(doc)
     name = doc["builtin"]
     bound = doc.get("bound", getattr(args, "bound", None))
+    bound = None if bound is None else decode(bound, int, "bound")
     if name == "terminal":
         return terminal_operad(_flavor_from(args, doc), 3 if bound is None else bound)
     if name == "endomorphism":
-        values = tuple(doc.get("set", [0, 1]))
+        values = decode(doc.get("set", [0, 1]), list, "set")
+        values = tuple(decode(v, (int, float, str), "set element") for v in values)
         return endomorphism_symmetric_operad(values, 2 if bound is None else bound)
     if name == "orders":
         return orders_operad(3 if bound is None else bound)

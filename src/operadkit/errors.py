@@ -121,6 +121,10 @@ class NotBlockDecomposable(WorkbenchError):
     code = "NOT_BLOCK_DECOMPOSABLE"
 
 
+class BadDocument(WorkbenchError):
+    code = "BAD_DOCUMENT"
+
+
 class MissingTable(WorkbenchError):
     code = "MISSING_TABLE"
 

@@ -2,12 +2,14 @@
 
 Carriers are finite sets indexed by arity (symmetric, braided and mixed
 flavors) or by n-ordinals (the n-operad flavor).  Multiplication tables are
-stored per order-preserving surjection, group actions by generator images,
-and everything else (whole-group actions, quasibijection actions, arbitrary
-multiplications) is derived by word evaluation or factorization.  All axiom
-checks instantiate the identities over every morphism, square and element
-tuple within an explicit arity bound, so a passing report is a finite proof
-and a failing one carries a concrete witness.
+kept per surjection and reached only through ``FiniteOperad.table``; group
+actions are kept by generator images, and everything else (whole-group
+actions, quasibijection actions, arbitrary multiplications) is derived by
+word evaluation or factorization.  All axiom checks require a table at
+every surjection within an explicit arity bound and instantiate the
+identities over every morphism, square and element tuple within it, so a
+passing report is a finite proof and a failing one carries a concrete
+witness.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .braids import (
     q_section,
 )
 from .errors import (
+    BadDocument,
     BoundExceeded,
     InvariantBroken,
     MissingTable,
@@ -254,10 +257,15 @@ def validate_collection(c: FiniteCollection) -> None:
 class FiniteOperad:
     """A finite collection with a unit and multiplication tables.
 
-    ``tables`` maps a morphism to an argument dict sending (a, f_0, ..,
-    f_k) to an element; ``supplier`` lazily provides tables for morphisms
-    it covers.  Nothing is validated at construction, the check_* functions
-    do that, which keeps fault injection possible.
+    ``table(sigma)`` is the one way to reach a multiplication table, an
+    argument dict sending (a, f_0, .., f_k) to an element: it returns the
+    table stored in ``tables``, or else the one ``supplier`` builds, which it
+    then stores, or else None.  The supplier is asked only for surjections
+    within the bound.  ``mult`` is ``table`` that raises
+    MissingTable instead of returning None.  ``quasi_actor``, when set,
+    gives induced quasibijection actions without building their tables.
+    Nothing is validated at construction, the check_* functions do that,
+    which keeps fault injection possible.
     """
 
     collection: FiniteCollection
@@ -274,27 +282,22 @@ class FiniteOperad:
     def carrier_of(self, a: NOrdinal) -> tuple:
         return self.collection.elements(_carrier_key(self.flavor, a))
 
-    def covers(self, sigma: OrdinalMap) -> bool:
-        if sigma in self.tables:
-            return True
-        if self.supplier is None:
-            return False
-        table = self.supplier(sigma)
-        if table is None:
-            return False
-        self.tables[sigma] = table
-        return True
+    def table(self, sigma: OrdinalMap) -> dict | None:
+        found = self.tables.get(sigma)
+        if found is None and self.supplier is not None and sigma.is_surjective:
+            found = self.supplier(sigma) if sigma.source.arity <= self.bound else None
+            if found is not None:
+                self.tables[sigma] = found
+        return found
 
     def mult(self, sigma: OrdinalMap) -> dict:
-        if sigma not in self.tables:
-            table = self.supplier(sigma) if self.supplier is not None else None
-            if table is None:
-                raise MissingTable(
-                    "no multiplication table for this morphism",
-                    morphism=morphism_key(sigma),
-                )
-            self.tables[sigma] = table
-        return self.tables[sigma]
+        found = self.table(sigma)
+        if found is None:
+            raise MissingTable(
+                "no multiplication table for this morphism",
+                morphism=morphism_key(sigma),
+            )
+        return found
 
     def index_ordinals(self, bound: int | None = None) -> list[NOrdinal]:
         return _index_ordinals(self.flavor, self.bound if bound is None else bound)
@@ -314,25 +317,30 @@ def _argument_space(op: FiniteOperad, sigma: OrdinalMap) -> Iterator[tuple]:
     return itertools.product(tops, *fibs)
 
 
-def covered_surjections(
-    op: FiniteOperad, source: NOrdinal, target: NOrdinal
-) -> list[OrdinalMap]:
-    """Surjective maps source -> target whose multiplication is available.
+Surjections = dict[tuple[NOrdinal, NOrdinal], list[OrdinalMap]]
 
-    With a supplier present this enumerates every valid surjection; with
-    explicit tables only, it lists the stored morphisms.
+
+def required_surjections(flavor: Flavor, bound: int) -> Surjections:
+    """Every surjection source -> target within bound, keyed by the pair.
+
+    These are the morphisms whose tables the axioms quantify over.  Pairs
+    come in lex order of the index objects, source first.
     """
-    if op.supplier is None:
-        return [
-            s
-            for s in op.tables
-            if s.source == source and s.target == target and s.is_surjective
-        ]
-    out = []
-    for s in enumerate_maps(source, target, kind="all"):
-        if s.is_surjective and op.covers(s):
-            out.append(s)
-    return out
+    objs = _index_ordinals(flavor, bound)
+    return {
+        (t, s): [m for m in enumerate_maps(t, s, kind="all") if m.is_surjective]
+        for t in objs
+        for s in objs
+        if s.arity <= t.arity
+    }
+
+
+def covered_surjections(op: FiniteOperad, required: Surjections) -> Surjections:
+    """The required surjections that have a multiplication table."""
+    return {
+        pair: [s for s in maps if op.table(s) is not None]
+        for pair, maps in required.items()
+    }
 
 
 # -- axiom reports -----------------------------------------------------------
@@ -388,31 +396,43 @@ def _report(failures: list[AxiomFailure], checked: int) -> AxiomReport:
 def check_operad_axioms(op: FiniteOperad, bound: int | None = None) -> AxiomReport:
     """Exhaustively instantiate every axiom of the operad's flavor.
 
-    Associativity and both unit laws run for all flavors.  The symmetric
-    flavor adds the two equivariance identities in both presentations
-    (whole-group reindexing and commuting squares with bijective
-    verticals); the braided flavor checks equivariance on Artin generator
-    words with cabled output braids; the mixed flavor checks the two
-    square conditions over genuine 2-ordinal squares with quasibijection
-    verticals.  Generator images are validated first and raise on failure.
+    Every required surjection within bound must have a table; each one
+    without is a ``coverage`` failure, and the instances that need it are
+    skipped.  Associativity and both unit laws run for all flavors.  The
+    symmetric flavor adds the two equivariance identities in both
+    presentations (whole-group reindexing and commuting squares with
+    bijective verticals); the braided flavor checks equivariance on Artin
+    generator words with cabled output braids; the mixed flavor checks the
+    two square conditions over genuine 2-ordinal squares with
+    quasibijection verticals.  Generator images are validated first and
+    raise on failure.
     """
     bound = op.bound if bound is None else bound
+    if bound < 1:
+        raise OutOfRange("bound must be at least 1", bound=bound)
     if bound > op.bound:
         raise BoundExceeded("check bound exceeds the operad bound", bound=bound)
     validate_collection(op.collection)
     point_key = _carrier_key(op.flavor, _point(op.flavor))
     if op.unit not in set(op.collection.elements(point_key)):
         raise InvariantBroken("unit element is not in the arity-one carrier")
-    failures: list[AxiomFailure] = []
+    required = required_surjections(op.flavor, bound)
+    covered = covered_surjections(op, required)
+    failures = [
+        AxiomFailure("coverage", morphism_key(s), ())
+        for maps in required.values()
+        for s in maps
+        if op.table(s) is None
+    ]
     checked = 0
     checked += _check_units(op, bound, failures)
-    checked += _check_associativity(op, bound, failures)
+    checked += _check_associativity(op, covered, failures)
     if op.flavor.kind == "symmetric":
-        checked += _check_symmetric_reindexing(op, bound, failures)
+        checked += _check_reindexing(op, covered, failures)
         checked += _check_square_eq1(op, bound, failures, braided=False)
         checked += _check_square_eq2(op, bound, failures, braided=False)
     elif op.flavor.kind == "braided":
-        checked += _check_braided_generators(op, bound, failures)
+        checked += _check_reindexing(op, covered, failures)
     elif op.flavor.kind == "mixed2":
         checked += _check_square_eq1(op, bound, failures, braided=True)
         checked += _check_square_eq2(op, bound, failures, braided=True)
@@ -424,8 +444,8 @@ def _check_units(op: FiniteOperad, bound: int, failures: list[AxiomFailure]) -> 
     pt = _point(op.flavor)
     for t in op.index_ordinals(bound):
         ident = identity_map(t)
-        if op.covers(ident):
-            table = op.mult(ident)
+        table = op.table(ident)
+        if table is not None:
             units = (op.unit,) * t.arity
             for a in op.carrier_of(t):
                 checked += 1
@@ -438,8 +458,8 @@ def _check_units(op: FiniteOperad, bound: int, failures: list[AxiomFailure]) -> 
                     )
         if t.arity >= 1:
             const = OrdinalMap(t, pt, (0,) * t.arity)
-            if op.covers(const):
-                table = op.mult(const)
+            table = op.table(const)
+            if table is not None:
                 for f in op.carrier_of(t):
                     checked += 1
                     got = table[(op.unit, f)]
@@ -485,16 +505,13 @@ def _associativity_instance(
             t for t in range(sigma.source.arity) if sigma.table[t] in set(tgt_positions)
         ]
         restrictions.append(restrict_map(sigma, src_positions, tgt_positions))
-    needed = [composite, *restrictions]
-    if not all(op.covers(m) for m in needed):
-        raise MissingTable(
-            "derived morphism of an associativity instance is not covered",
-            morphism=morphism_key(next(m for m in needed if not op.covers(m))),
-        )
-    mu_parts = [op.mult(r) for r in restrictions]
+    mu_parts = [op.table(r) for r in restrictions]
+    mu_comp = op.table(composite)
+    if mu_comp is None or None in mu_parts:
+        return 0
     sigma_rows = _rows(op.mult(sigma), rows_cache)
     omega_rows = _rows(op.mult(omega), rows_cache)
-    comp_rows = _rows(op.mult(composite), rows_cache)
+    comp_rows = _rows(mu_comp, rows_cache)
     omega_fibers = [fiber(omega, i)[1] for i in range(omega.target.arity)]
     nfib = omega.target.arity
     tops = op.carrier_of(omega.target)
@@ -530,27 +547,23 @@ def _associativity_instance(
 
 
 def _check_associativity(
-    op: FiniteOperad, bound: int, failures: list[AxiomFailure]
+    op: FiniteOperad, covered: Surjections, failures: list[AxiomFailure]
 ) -> int:
+    by_source: dict[NOrdinal, list[OrdinalMap]] = {}
+    for (source, _), maps in covered.items():
+        by_source.setdefault(source, []).extend(maps)
     checked = 0
-    objs = op.index_ordinals(bound)
     rows_cache: dict = {}
-    for t in objs:
-        for s in objs:
-            if s.arity > t.arity:
-                continue
-            for sigma in covered_surjections(op, t, s):
-                for r in objs:
-                    if r.arity > s.arity:
-                        continue
-                    for omega in covered_surjections(op, s, r):
-                        checked += _associativity_instance(
-                            op, sigma, omega, failures, rows_cache
-                        )
+    for sigmas in by_source.values():
+        for sigma in sigmas:
+            for omega in by_source[sigma.target]:
+                checked += _associativity_instance(
+                    op, sigma, omega, failures, rows_cache
+                )
     return checked
 
 
-# -- symmetric equivariance, whole-group reindexing form ---------------------
+# -- equivariance by reindexing, symmetric and braided ----------------------
 
 
 def _block_sizes(sigma: OrdinalMap) -> tuple[int, ...]:
@@ -566,157 +579,87 @@ def _line_map_with_fibers(sizes: Sequence[int]) -> OrdinalMap:
     return OrdinalMap(_line(sum(sizes)), _line(len(sizes)), tuple(table))
 
 
-def _check_symmetric_reindexing(
-    op: FiniteOperad, bound: int, failures: list[AxiomFailure]
-) -> int:
-    """Equivariance via carrier reindexing along a permutation.
-
-    First identity: permuting the top element and the argument slots
-    matches the block permutation acting on the output.  Second identity:
-    acting on each argument matches the block-diagonal sum acting on the
-    output.
-    """
-    checked = 0
-    coll = op.collection
-    for total in range(1, bound + 1):
-        for k in range(1, total + 1):
-            source, target = _line(total), _line(k)
-            for sigma in covered_surjections(op, source, target):
-                sizes = _block_sizes(sigma)
-                mu = op.mult(sigma)
-                f_space = [coll.elements(m - 1) for m in sizes]
-                tops = coll.elements(k - 1)
-                for rho in itertools.permutations(range(k)):
-                    perm = Permutation(rho)
-                    inv = perm.inverse()
-                    shuffled = _line_map_with_fibers(
-                        tuple(sizes[inv(j)] for j in range(k))
-                    )
-                    if not op.covers(shuffled):
-                        raise MissingTable(
-                            "reindexed morphism is not covered",
-                            morphism=morphism_key(shuffled),
-                        )
-                    mu_s = op.mult(shuffled)
-                    act_top = coll.action_of_permutation(k - 1, perm)
-                    act_out = coll.action_of_permutation(
-                        total - 1, block_permutation(perm, sizes)
-                    )
-                    instance = f"{morphism_key(sigma)} rho={list(rho)}"
-                    for a in tops:
-                        for fs in itertools.product(*f_space):
-                            checked += 1
-                            lhs = mu_s[
-                                (act_top[a], *[fs[inv(j)] for j in range(k)])
-                            ]
-                            rhs = act_out[mu[(a, *fs)]]
-                            if lhs != rhs:
-                                failures.append(
-                                    AxiomFailure(
-                                        "equivariance-1", instance, (a, *fs)
-                                    )
-                                )
-                offsets = [sum(sizes[:j]) for j in range(k)]
-                for rhos in itertools.product(
-                    *[itertools.permutations(range(m)) for m in sizes]
-                ):
-                    if all(r == tuple(range(len(r))) for r in rhos):
-                        continue
-                    image = []
-                    for j, r in enumerate(rhos):
-                        image.extend(offsets[j] + v for v in r)
-                    act_out = coll.action_of_permutation(
-                        total - 1, Permutation(tuple(image))
-                    )
-                    acts = [
-                        coll.action_of_permutation(sizes[j] - 1, Permutation(rhos[j]))
-                        for j in range(k)
-                    ]
-                    instance = f"{morphism_key(sigma)} rhos={[list(r) for r in rhos]}"
-                    for a in tops:
-                        for fs in itertools.product(*f_space):
-                            checked += 1
-                            lhs = mu[(a, *[acts[j][fs[j]] for j in range(k)])]
-                            rhs = act_out[mu[(a, *fs)]]
-                            if lhs != rhs:
-                                failures.append(
-                                    AxiomFailure(
-                                        "equivariance-2", instance, (a, *fs)
-                                    )
-                                )
-    return checked
+def _symmetric_moves(sizes: tuple[int, ...]) -> Iterator[tuple]:
+    """Every permutation of the slots, lifted by block permutation, then
+    every nontrivial tuple of permutations inside the slots."""
+    k = len(sizes)
+    for rho in itertools.permutations(range(k)):
+        perm = Permutation(rho)
+        out = q_section(block_permutation(perm, sizes)).word
+        yield "equivariance-1", f"rho={list(rho)}", q_section(perm).word, ((),) * k, out
+    offsets = [sum(sizes[:j]) for j in range(k)]
+    for rhos in itertools.product(*[itertools.permutations(range(m)) for m in sizes]):
+        if all(r == tuple(range(len(r))) for r in rhos):
+            continue
+        words = tuple(q_section(Permutation(r)).word for r in rhos)
+        image = tuple(offsets[j] + v for j, r in enumerate(rhos) for v in r)
+        out = q_section(Permutation(image)).word
+        yield "equivariance-2", f"rhos={[list(r) for r in rhos]}", (), words, out
 
 
-# -- braided equivariance on generator words ---------------------------------
-
-
-def _check_braided_generators(
-    op: FiniteOperad, bound: int, failures: list[AxiomFailure]
-) -> int:
-    """Both equivariance identities for single positive Artin generators.
+def _braided_moves(sizes: tuple[int, ...]) -> Iterator[tuple]:
+    """Each positive Artin letter on the slots, lifted by cabling, then each
+    letter inside one slot.
 
     The action of an arbitrary braid is the word evaluation of the
     generator images, so checking the generating letters decides the
     identities for all words, provided every order-preserving surjection
     within bound is quantified, which it is.
     """
+    k = len(sizes)
+    for i in range(1, k):
+        out = cable(BraidWord(k, (i,)), sizes).word
+        yield "equivariance-1", f"letter={i}", (i,), ((),) * k, out
+    offset = 0
+    for j, m in enumerate(sizes):
+        for i in range(1, m):
+            words = tuple((i,) if l == j else () for l in range(k))
+            yield "equivariance-2", f"slot={j} letter={i}", (), words, (offset + i,)
+        offset += m
+
+
+def _check_reindexing(
+    op: FiniteOperad, covered: Surjections, failures: list[AxiomFailure]
+) -> int:
+    """Both equivariance identities via carrier reindexing, one move at a time.
+
+    A move acts on the top element by a word, which reorders the argument
+    slots by its permutation, acts on each argument by a word, and
+    multiplies along the reordered morphism; the result must equal the
+    output word acting on the product.  The first identity moves the top
+    element and the slots; the second moves the arguments in place.  The
+    flavor picks the moves: every permutation lifted by block permutation
+    (symmetric), or each Artin letter lifted by cabling (braided).
+    """
+    moves = _braided_moves if op.flavor.kind == "braided" else _symmetric_moves
     checked = 0
     coll = op.collection
-    for total in range(1, bound + 1):
-        for k in range(1, total + 1):
-            source, target = _line(total), _line(k)
-            for sigma in covered_surjections(op, source, target):
-                sizes = _block_sizes(sigma)
-                mu = op.mult(sigma)
-                f_space = [coll.elements(m - 1) for m in sizes]
-                tops = coll.elements(k - 1)
-                for i in range(1, k):
-                    beta = BraidWord(k, (i,))
-                    perm = beta.permutation()
-                    inv = perm.inverse()
-                    shuffled = _line_map_with_fibers(
-                        tuple(sizes[inv(j)] for j in range(k))
-                    )
-                    mu_s = op.mult(shuffled)
-                    act_top = coll.action_of_word(k - 1, beta.word)
-                    act_out = coll.action_of_word(
-                        total - 1, cable(beta, sizes).word
-                    )
-                    instance = f"{morphism_key(sigma)} letter={i}"
-                    for a in tops:
-                        for fs in itertools.product(*f_space):
-                            checked += 1
-                            lhs = mu_s[
-                                (act_top[a], *[fs[inv(j)] for j in range(k)])
-                            ]
-                            rhs = act_out[mu[(a, *fs)]]
-                            if lhs != rhs:
-                                failures.append(
-                                    AxiomFailure(
-                                        "equivariance-1", instance, (a, *fs)
-                                    )
-                                )
-                offsets = [sum(sizes[:j]) for j in range(k)]
-                for j in range(k):
-                    for i in range(1, sizes[j]):
-                        act_slot = coll.action_of_word(sizes[j] - 1, (i,))
-                        act_out = coll.action_of_word(
-                            total - 1, (offsets[j] + i,)
-                        )
-                        instance = f"{morphism_key(sigma)} slot={j} letter={i}"
-                        for a in tops:
-                            for fs in itertools.product(*f_space):
-                                checked += 1
-                                args = list(fs)
-                                args[j] = act_slot[fs[j]]
-                                lhs = mu[(a, *args)]
-                                rhs = act_out[mu[(a, *fs)]]
-                                if lhs != rhs:
-                                    failures.append(
-                                        AxiomFailure(
-                                            "equivariance-2", instance, (a, *fs)
-                                        )
-                                    )
+    for (source, target), sigmas in covered.items():
+        total, k = source.arity, target.arity
+        tops = coll.elements(k - 1)
+        for sigma in sigmas:
+            sizes = _block_sizes(sigma)
+            mu = op.mult(sigma)
+            f_space = [coll.elements(m - 1) for m in sizes]
+            for axiom, label, top_word, slot_words, out_word in moves(sizes):
+                order = BraidWord(k, top_word).permutation().inverse().image
+                mu_s = op.table(_line_map_with_fibers([sizes[j] for j in order]))
+                if mu_s is None:
+                    continue
+                act_top = coll.action_of_word(k - 1, top_word)
+                acts = [
+                    (coll.action_of_word(sizes[j] - 1, slot_words[j]), j)
+                    for j in order
+                ]
+                act_out = coll.action_of_word(total - 1, out_word)
+                instance = f"{morphism_key(sigma)} {label}"
+                for a in tops:
+                    moved = act_top[a]
+                    for fs in itertools.product(*f_space):
+                        checked += 1
+                        lhs = mu_s[(moved, *[act[fs[j]] for act, j in acts])]
+                        if lhs != act_out[mu[(a, *fs)]]:
+                            failures.append(AxiomFailure(axiom, instance, (a, *fs)))
     return checked
 
 
@@ -803,7 +746,7 @@ def _as_line_map(sigma: OrdinalMap) -> OrdinalMap:
 
 
 def _square_verticals(
-    op: FiniteOperad, source: NOrdinal, target: NOrdinal, braided: bool
+    source: NOrdinal, target: NOrdinal, braided: bool
 ) -> list[tuple[int, ...]]:
     if braided:
         return [m.table for m in enumerate_maps(source, target, kind="quasi")]
@@ -812,13 +755,11 @@ def _square_verticals(
     return []
 
 
-def _square_objects(op: FiniteOperad, bound: int, braided: bool) -> list[NOrdinal]:
+def _square_objects(bound: int, braided: bool) -> dict[int, list[NOrdinal]]:
+    """Square corners by arity: 2-ordinals (mixed flavor) or lines."""
     if braided:
-        out = []
-        for k in range(1, bound + 1):
-            out.extend(enumerate_ordinals(2, k))
-        return out
-    return [_line(k) for k in range(1, bound + 1)]
+        return {k: list(enumerate_ordinals(2, k)) for k in range(1, bound + 1)}
+    return {k: [_line(k)] for k in range(1, bound + 1)}
 
 
 def _check_square_eq1(
@@ -835,21 +776,19 @@ def _check_square_eq1(
     the symmetric flavor), and the square must commute on tables.
     """
     checked = 0
-    objs = _square_objects(op, bound, braided)
-    by_arity: dict[int, list[NOrdinal]] = {}
-    for o in objs:
-        by_arity.setdefault(o.arity, []).append(o)
+    by_arity = _square_objects(bound, braided)
+    objs = [o for group in by_arity.values() for o in group]
     for t in objs:
         for s in objs:
             if s.arity > t.arity:
                 continue
             for sigma in _op_surjections(t, s):
-                if not op.covers(_as_line_map(sigma)):
+                if op.table(_as_line_map(sigma)) is None:
                     continue
                 for t2 in by_arity[t.arity]:
-                    for p_table in _square_verticals(op, t2, t, braided):
+                    for p_table in _square_verticals(t2, t, braided):
                         for s2 in by_arity[s.arity]:
-                            for r_table in _square_verticals(op, s2, s, braided):
+                            for r_table in _square_verticals(s2, s, braided):
                                 r_inv = [0] * len(r_table)
                                 for l, v in enumerate(r_table):
                                     r_inv[v] = l
@@ -865,7 +804,7 @@ def _check_square_eq1(
                                 if morphism_violation(t2, s2, table2) is not None:
                                     continue
                                 sigma2 = OrdinalMap(t2, s2, table2)
-                                if not op.covers(_as_line_map(sigma2)):
+                                if op.table(_as_line_map(sigma2)) is None:
                                     continue
                                 instance = (
                                     f"{morphism_key(sigma)} p={list(p_table)} "
@@ -946,19 +885,16 @@ def _check_square_eq2(
     produce the same transported multiplication.
     """
     checked = 0
-    objs = _square_objects(op, bound, braided)
-    by_arity: dict[int, list[NOrdinal]] = {}
-    for o in objs:
-        by_arity.setdefault(o.arity, []).append(o)
-    for t in objs:
+    by_arity = _square_objects(bound, braided)
+    for t in [o for group in by_arity.values() for o in group]:
         total = t.arity
         routes: dict[tuple, list] = {}
         for mid in by_arity[total]:
-            for q_table in _square_verticals(op, t, mid, braided):
+            for q_table in _square_verticals(t, mid, braided):
                 for k in range(1, total + 1):
                     for s in by_arity[k]:
                         for eta in _op_surjections(mid, s):
-                            if not op.covers(_as_line_map(eta)):
+                            if op.table(_as_line_map(eta)) is None:
                                 continue
                             omega_table = tuple(
                                 eta.table[q_table[u]] for u in range(total)
@@ -989,10 +925,6 @@ def _check_square_eq2(
 # -- constructors ------------------------------------------------------------
 
 
-def _surjective_valid(sigma: OrdinalMap) -> bool:
-    return sigma.is_surjective
-
-
 def terminal_operad(flavor: Flavor, bound: int) -> FiniteOperad:
     """All carriers are singletons, so every axiom holds on the nose."""
     if bound < 1:
@@ -1005,13 +937,8 @@ def terminal_operad(flavor: Flavor, bound: int) -> FiniteOperad:
             for i in range(1, a.arity):
                 actions[(a.arity - 1, i)] = {"*": "*"}
 
-    def supplier(sigma: OrdinalMap) -> dict | None:
-        if sigma.source.arity > bound or sigma.target.arity > bound:
-            return None
-        if not _surjective_valid(sigma):
-            return None
-        length = sigma.target.arity + 1
-        return {("*",) * length: "*"}
+    def supplier(sigma: OrdinalMap) -> dict:
+        return {("*",) * (sigma.target.arity + 1): "*"}
 
     coll = FiniteCollection(flavor, carrier, actions)
     return FiniteOperad(coll, "*", bound, supplier=supplier)
@@ -1021,14 +948,6 @@ def _function_tuples(x: tuple, arity: int) -> tuple:
     """All functions X^arity -> X as output tuples over lex-ordered inputs."""
     count = len(x) ** arity
     return tuple(itertools.product(x, repeat=count))
-
-
-def _input_index(x: tuple, args: tuple) -> int:
-    idx = 0
-    lookup = {v: i for i, v in enumerate(x)}
-    for v in args:
-        idx = idx * len(x) + lookup[v]
-    return idx
 
 
 def endomorphism_symmetric_operad(x: Sequence, bound: int = 2) -> FiniteOperad:
@@ -1062,10 +981,8 @@ def endomorphism_symmetric_operad(x: Sequence, bound: int = 2) -> FiniteOperad:
                 table[f] = tuple(out)
             actions[(k - 1, i)] = table
 
-    def supplier(sigma: OrdinalMap) -> dict | None:
+    def supplier(sigma: OrdinalMap) -> dict:
         total, k = sigma.source.arity, sigma.target.arity
-        if total > bound or k > bound or not _surjective_valid(sigma):
-            return None
         blocks = [
             [t for t in range(total) if sigma.table[t] == j] for j in range(k)
         ]
@@ -1110,10 +1027,8 @@ def orders_operad(bound: int = 3) -> FiniteOperad:
                 table[a] = tuple(swapped)
             actions[(k - 1, i)] = table
 
-    def supplier(sigma: OrdinalMap) -> dict | None:
+    def supplier(sigma: OrdinalMap) -> dict:
         total, k = sigma.source.arity, sigma.target.arity
-        if total > bound or k > bound or not _surjective_valid(sigma):
-            return None
         blocks = [
             [t for t in range(total) if sigma.table[t] == j] for j in range(k)
         ]
@@ -1134,23 +1049,19 @@ def orders_operad(bound: int = 3) -> FiniteOperad:
     return FiniteOperad(coll, (0,), bound, supplier=supplier)
 
 
-def braided_from_symmetric(op: FiniteOperad) -> FiniteOperad:
-    """Pull a symmetric operad back to a braided one.
+def reflavor(op: FiniteOperad, flavor: Flavor) -> FiniteOperad:
+    """Pull a symmetric operad back to a flavor with arity keys.
 
-    Transposition images serve as Artin generator images; they satisfy the
-    braid relations because the symmetric group does.
+    Transposition images serve as Artin generator images for the braided
+    and mixed flavors; they satisfy the braid relations because the
+    symmetric group does.  Carriers, stored tables and the supplier carry
+    over unchanged.
     """
     if op.flavor.kind != "symmetric":
         raise OutOfRange("expected a symmetric operad", flavor=str(op.flavor))
-    coll = FiniteCollection(BRAIDED, dict(op.collection.carrier), dict(op.collection.actions))
-    return FiniteOperad(coll, op.unit, op.bound, dict(op.tables), op.supplier)
-
-
-def mixed2_from_symmetric(op: FiniteOperad) -> FiniteOperad:
-    """Pull a symmetric operad back to a mixed 2-operad."""
-    if op.flavor.kind != "symmetric":
-        raise OutOfRange("expected a symmetric operad", flavor=str(op.flavor))
-    coll = FiniteCollection(MIXED2, dict(op.collection.carrier), dict(op.collection.actions))
+    if not flavor.uses_arity_keys:
+        raise OutOfRange("expected a flavor with arity keys", flavor=str(flavor))
+    coll = FiniteCollection(flavor, dict(op.collection.carrier), dict(op.collection.actions))
     return FiniteOperad(coll, op.unit, op.bound, dict(op.tables), op.supplier)
 
 
@@ -1173,24 +1084,20 @@ def desymmetrise(sym: FiniteOperad, n: int, bound: int | None = None) -> FiniteO
     ordinals = _index_ordinals(flavor, bound)
     carrier = {a: sym.collection.elements(a.arity - 1) for a in ordinals}
 
+    def unsort(sigma: OrdinalMap) -> dict:
+        # the sorting permutation lists source positions stably by image
+        total = sigma.source.arity
+        order = sorted(range(total), key=lambda p: (sigma.table[p], p))
+        return sym.collection.action_of_permutation(
+            total - 1, Permutation(tuple(order))
+        )
+
     def supplier(sigma: OrdinalMap) -> dict | None:
-        total, k = sigma.source.arity, sigma.target.arity
-        if total > bound or k > bound or not _surjective_valid(sigma):
-            return None
         if sigma.source.domain.n != n:
             return None
-        order = sorted(range(total), key=lambda p: (sigma.table[p], p))
-        rank = [0] * total
-        for r, p in enumerate(order):
-            rank[p] = r
-        sorted_map = OrdinalMap(
-            _line(total), _line(k), tuple(sigma.table[p] for p in order)
-        )
-        base = sym.mult(sorted_map)
-        unsort = sym.collection.action_of_permutation(
-            total - 1, Permutation(tuple(rank)).inverse()
-        )
-        return {args: unsort[base[args]] for args in base}
+        base = sym.mult(_line_map_with_fibers(_block_sizes(sigma)))
+        action = unsort(sigma)
+        return {args: action[base[args]] for args in base}
 
     def quasi_actor(sigma: OrdinalMap) -> dict:
         # A quasibijection sorts to the identity line map, and inserting
@@ -1198,19 +1105,12 @@ def desymmetrise(sym: FiniteOperad, n: int, bound: int | None = None) -> FiniteO
         # action is exactly the symmetric action of the sorting
         # permutation.  This avoids materialising the full table, whose
         # size grows with the arity-one carrier raised to the arity.
-        total = sigma.source.arity
-        if total > bound or sigma.source.domain.n != n:
+        if sigma.source.arity > bound or sigma.source.domain.n != n:
             raise MissingTable(
                 "no multiplication table for this morphism",
                 morphism=morphism_key(sigma),
             )
-        order = sorted(range(total), key=lambda p: (sigma.table[p], p))
-        rank = [0] * total
-        for r, p in enumerate(order):
-            rank[p] = r
-        return sym.collection.action_of_permutation(
-            total - 1, Permutation(tuple(rank)).inverse()
-        )
+        return unsort(sigma)
 
     coll = FiniteCollection(flavor, carrier, {})
     return FiniteOperad(coll, sym.unit, bound, supplier=supplier, quasi_actor=quasi_actor)
@@ -1450,26 +1350,29 @@ def _thaw(x):
 def _freeze(x):
     if isinstance(x, list):
         return tuple(_freeze(v) for v in x)
+    if isinstance(x, dict):
+        raise BadDocument("carrier elements are scalars or lists", got=repr(x)[:80])
     return x
 
 
-def _covered_morphisms(op: FiniteOperad) -> list[OrdinalMap]:
-    if op.supplier is None:
-        return sorted(op.tables, key=morphism_key)
-    objs = op.index_ordinals()
-    out = []
-    for t in objs:
-        for s in objs:
-            if s.arity > t.arity:
-                continue
-            for m in enumerate_maps(t, s, kind="all"):
-                if m.is_surjective and op.covers(m):
-                    out.append(m)
-    return sorted(out, key=morphism_key)
+def decode(value, kind, what: str, size: int | None = None):
+    """Return a value read from a JSON document if it has the expected shape.
+
+    ``kind`` is a type or tuple of types; an int must not be a bool.  With
+    ``size``, an int must be an index below it and a list must have exactly
+    that length.  Anything else, a missing field (None) included, raises
+    BadDocument naming ``what``.
+    """
+    ok = isinstance(value, kind) and not (kind is int and isinstance(value, bool))
+    if ok and size is not None:
+        ok = len(value) == size if isinstance(value, list) else 0 <= value < size
+    if not ok:
+        raise BadDocument(f"bad {what}", field=what, got=repr(value)[:80])
+    return value
 
 
 def operad_to_json(op: FiniteOperad) -> dict:
-    """Serialize carriers, actions and all covered multiplication tables.
+    """Serialize carriers, actions and every table at a required surjection.
 
     Elements are referenced by index into their carrier list; tables are
     nested index arrays, outermost dimension the target carrier.
@@ -1492,7 +1395,8 @@ def operad_to_json(op: FiniteOperad) -> dict:
         elems = op.collection.elements(key)
         actions[f"{keys[key]}|{i}"] = [index[key][table[x]] for x in elems]
     mult = {}
-    for sigma in _covered_morphisms(op):
+    covered = covered_surjections(op, required_surjections(flavor, op.bound))
+    for sigma in sorted(itertools.chain(*covered.values()), key=morphism_key):
         table = op.mult(sigma)
         tgt_key = _carrier_key(flavor, sigma.target)
         fib_keys = _fiber_keys(flavor, sigma)
@@ -1517,60 +1421,78 @@ def operad_to_json(op: FiniteOperad) -> dict:
     }
 
 
+def _key_ints(text: str, key: str) -> tuple[int, ...]:
+    """The comma-separated naturals in one part of a key."""
+    parts = text.split(",") if text else []
+    if not all(p.isdecimal() for p in parts):
+        raise BadDocument("bad key", field=key)
+    return tuple(int(p) for p in parts)
+
+
 def _ordinal_from_key(flavor: Flavor, key: str) -> NOrdinal:
     arity_text, _, levels_text = key.partition(":")
-    arity = int(arity_text)
-    levels = tuple(int(v) for v in levels_text.split(",")) if levels_text else ()
+    if not arity_text.isdecimal():
+        raise BadDocument("bad key", field=key)
     n = 1 if flavor.uses_arity_keys else flavor.n
-    return make_ordinal(n, levels, arity=arity)
+    return make_ordinal(n, _key_ints(levels_text, key), arity=int(arity_text))
 
 
 def operad_from_json(obj: dict) -> FiniteOperad:
+    """Read an operad bundle; malformed fields raise BadDocument."""
     if not isinstance(obj, dict) or "flavor" not in obj:
         raise OutOfRange("operad bundle needs a 'flavor' field")
-    flavor = Flavor(obj["flavor"], obj.get("n"))
-    bound = int(obj["bound"])
+    n = obj.get("n")
+    flavor = Flavor(obj["flavor"], None if n is None else decode(n, int, "n"))
+    bound = decode(obj.get("bound"), int, "bound")
     carrier = {}
-    elements = {}
-    for key_text, elems in obj["carriers"].items():
-        a = _ordinal_from_key(flavor, key_text)
-        key = _carrier_key(flavor, a)
+    for key_text, elems in decode(obj.get("carriers"), dict, "carriers").items():
+        key = _carrier_key(flavor, _ordinal_from_key(flavor, key_text))
+        elems = decode(elems, list, f"carrier {key_text}")
         carrier[key] = tuple(_freeze(x) for x in elems)
-        elements[key_text] = carrier[key]
+
+    def elements_at(a: NOrdinal) -> tuple:
+        found = carrier.get(_carrier_key(flavor, a))
+        return decode(found, tuple, f"carrier {ordinal_key(a)}")
+
     actions = {}
-    for key_text, arr in obj.get("actions", {}).items():
+    for key_text, arr in decode(obj.get("actions", {}), dict, "actions").items():
         ordinal_text, _, gen_text = key_text.rpartition("|")
         a = _ordinal_from_key(flavor, ordinal_text)
-        key = _carrier_key(flavor, a)
-        elems = carrier[key]
-        actions[(key, int(gen_text))] = {
-            elems[i]: elems[v] for i, v in enumerate(arr)
+        elems = elements_at(a)
+        if not gen_text.isdecimal():
+            raise BadDocument("bad key", field=key_text)
+        decode(arr, list, f"action {key_text}", len(elems))
+        actions[(_carrier_key(flavor, a), int(gen_text))] = {
+            elems[i]: elems[decode(v, int, f"action {key_text}", len(elems))]
+            for i, v in enumerate(arr)
         }
     tables = {}
-    for m_key, nested in obj.get("mult", {}).items():
+    for m_key, nested in decode(obj.get("mult", {}), dict, "mult").items():
         src_text, _, rest = m_key.partition(">")
         tgt_text, _, table_text = rest.partition("|")
         source = _ordinal_from_key(flavor, src_text)
         target = _ordinal_from_key(flavor, tgt_text)
-        table = tuple(int(v) for v in table_text.split(",")) if table_text else ()
-        sigma = OrdinalMap(source, target, table)
-        src_elems = carrier[_carrier_key(flavor, source)]
-        dims = [
-            carrier[k]
-            for k in (_carrier_key(flavor, target), *_fiber_keys(flavor, sigma))
+        sigma = OrdinalMap(source, target, _key_ints(table_text, m_key))
+        by_index = dict(enumerate(elements_at(source)))
+        dims = [elements_at(target)] + [
+            elements_at(fiber(sigma, t)[0]) for t in range(target.arity)
         ]
         entries = {}
 
         def fill(prefix: tuple, node, depth: int):
             if depth == len(dims):
-                entries[prefix] = src_elems[node]
+                entries[prefix] = by_index[node]
                 return
+            decode(node, list, m_key, len(dims[depth]))
             for x, child in zip(dims[depth], node):
                 fill(prefix + (x,), child, depth + 1)
 
-        fill((), nested, 0)
+        try:
+            fill((), nested, 0)
+        except (KeyError, TypeError):  # a leaf that is no index of the carrier
+            raise BadDocument(f"bad {m_key}", field=m_key) from None
         tables[sigma] = entries
-    pt = _point(flavor)
-    unit = carrier[_carrier_key(flavor, pt)][int(obj["unit"])]
+    units = elements_at(_point(flavor))
+    unit = units[decode(obj.get("unit"), int, "unit", len(units))]
     coll = FiniteCollection(flavor, carrier, actions)
     return FiniteOperad(coll, unit, bound, tables)

@@ -7,7 +7,11 @@ import sys
 import pytest
 
 from operadkit.cli import main
-from operadkit.operads import operad_to_json, orders_operad
+from operadkit.operads import (
+    endomorphism_symmetric_operad,
+    operad_to_json,
+    orders_operad,
+)
 from operadkit.ordinal_maps import OrdinalMap
 from operadkit.ordinals import make_ordinal
 from operadkit.zigzags import ZigZag
@@ -285,11 +289,97 @@ def test_desymmetrise_emits_checkable_operad(capsys, monkeypatch, tmp_path):
     assert payload["flavor"] == "n-operad"
     assert payload["n"] == 2
 
+    # the whole run report chains: operad-check reads its payload
     path = tmp_path / "desym.json"
-    path.write_text(json.dumps(payload))
+    path.write_text(out)
     code, out, _ = run_cli(["operad-check", str(path)], capsys)
     assert code == 0
     assert report_of(out)["payload"]["passed"] is True
+
+
+def _end_bundle() -> dict:
+    return operad_to_json(endomorphism_symmetric_operad((0, 1), 2))
+
+
+def _drop_tables(keep):
+    def edit(doc):
+        keys = sorted(doc["mult"])
+        doc["mult"] = {k: doc["mult"][k] for k in keys[:keep(len(keys))]}
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, missing",
+    [(_drop_tables(lambda n: 0), 3), (_drop_tables(lambda n: n // 2), 2)],
+    ids=["no tables", "half the tables"],
+)
+def test_operad_check_reports_missing_tables(capsys, tmp_path, edit, missing):
+    doc = _end_bundle()
+    edit(doc)
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(["operad-check", str(path)], capsys)
+    assert code == 1
+    payload = report_of(out)["payload"]
+    coverage = [f for f in payload["failures"] if f["axiom"] == "coverage"]
+    assert len(coverage) == missing
+    assert all(f["witness"] == [] for f in coverage)
+    assert not {f["instance"] for f in coverage} & set(doc["mult"])
+    assert payload["passed"] is False
+
+
+def _set(path, value):
+    def edit(doc):
+        *inner, last = path
+        node = doc
+        for key in inner:
+            node = node[key]
+        if value is None:
+            del node[last]
+        else:
+            node[last] = value(node[last]) if callable(value) else value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _set(["carriers"], None),
+        _set(["bound"], None),
+        _set(["unit"], 99),
+        _set(["actions", "2:0|1", 0], 99),
+        _set(["mult", "2:0>1:|0,0", 0, 0], -1),
+        _set(["mult", "2:0>1:|0,0"], lambda rows: rows[:-1]),
+        _set(["mult", "1:>1:|0", 0, 0], [0]),
+        lambda doc: doc.clear() or doc.update(builtin="endomorphism", set=[[0], [1]]),
+        lambda doc: doc.clear() or doc.update(builtin="orders", bound="x"),
+    ],
+    ids=[
+        "no carriers",
+        "no bound",
+        "unit index",
+        "action index",
+        "table index",
+        "table rows",
+        "table depth",
+        "set of lists",
+        "builtin bound",
+    ],
+)
+def test_malformed_operad_documents_are_bad_input(capsys, monkeypatch, edit):
+    doc = _end_bundle()
+    edit(doc)
+    for command in ("operad-check", "desymmetrise"):
+        code, out, err = run_cli(
+            [command], capsys, monkeypatch, stdin_text=json.dumps(doc)
+        )
+        assert code == 2, command
+        rep = report_of(out)
+        assert rep["outcome"] == "ERROR"
+        assert rep["payload"]["error"] == "BAD_DOCUMENT"
+        assert "Traceback" not in err
 
 
 def test_classify_and_sample_round_trip(capsys, monkeypatch):

@@ -24,7 +24,6 @@ from operadkit.operads import (
     action_is_bijection,
     all_factorizations,
     braided_action_from_quasisymmetric,
-    braided_from_symmetric,
     check_operad_axioms,
     desymmetrise,
     endomorphism_symmetric_operad,
@@ -32,11 +31,11 @@ from operadkit.operads import (
     induced_action,
     is_locally_constant,
     is_quasisymmetric,
-    mixed2_from_symmetric,
     non_quasisymmetric_operad,
     operad_from_json,
     operad_to_json,
     orders_operad,
+    reflavor,
     terminal_operad,
 )
 from operadkit.ordinal_maps import OrdinalMap, compose, enumerate_maps, identity_map
@@ -128,13 +127,13 @@ def test_symmetric_axioms_pass_arity_four():
 
 
 def test_braided_and_mixed_pullbacks_pass():
-    assert check_operad_axioms(braided_from_symmetric(orders_operad(3))).passed
-    assert check_operad_axioms(mixed2_from_symmetric(orders_operad(3))).passed
+    assert check_operad_axioms(reflavor(orders_operad(3), BRAIDED)).passed
+    assert check_operad_axioms(reflavor(orders_operad(3), MIXED2)).passed
     end = endomorphism_symmetric_operad((0, 1), 2)
-    assert check_operad_axioms(braided_from_symmetric(end)).passed
-    assert check_operad_axioms(mixed2_from_symmetric(end)).passed
+    assert check_operad_axioms(reflavor(end, BRAIDED)).passed
+    assert check_operad_axioms(reflavor(end, MIXED2)).passed
     with pytest.raises(OutOfRange):
-        braided_from_symmetric(terminal_operad(BRAIDED, 2))
+        reflavor(terminal_operad(BRAIDED, 2), BRAIDED)
 
 
 def test_square_orientation_is_rigid():
@@ -142,7 +141,7 @@ def test_square_orientation_is_rigid():
     from operadkit.operads import _check_square_eq1, _check_square_eq2
 
     op = orders_operad(3)
-    mixed = mixed2_from_symmetric(orders_operad(3))
+    mixed = reflavor(orders_operad(3), MIXED2)
     for signs in itertools.product([True, False], repeat=3):
         plain, twisted = [], []
         _check_square_eq1(op, 3, plain, braided=False, signs=signs)
@@ -423,7 +422,7 @@ def test_braided_action_argument_errors():
 def test_json_round_trip():
     ops = [
         orders_operad(3),
-        braided_from_symmetric(orders_operad(2)),
+        reflavor(orders_operad(2), BRAIDED),
         desymmetrise(endomorphism_symmetric_operad((0, 1), 2), 2),
         non_quasisymmetric_operad(),
     ]
@@ -450,5 +449,7 @@ def test_check_bound_exceeded():
     op = orders_operad(2)
     with pytest.raises(BoundExceeded):
         check_operad_axioms(op, bound=3)
+    with pytest.raises(OutOfRange):
+        check_operad_axioms(op, bound=0)
     report = check_operad_axioms(op, bound=1)
     assert report.passed

@@ -18,6 +18,7 @@ from .errors import (
     OutOfRange,
     ResourceLimit,
     StrandMismatch,
+    decode,
 )
 
 
@@ -137,7 +138,9 @@ class BraidWord:
 def braid_from_json(obj: dict) -> BraidWord:
     if not isinstance(obj, dict) or not {"strands", "word"} <= set(obj):
         raise OutOfRange("braid object needs 'strands' and 'word' fields", got=obj)
-    return BraidWord(obj["strands"], tuple(obj["word"]))
+    return BraidWord(
+        decode(obj["strands"], int, "strands"), tuple(decode(obj["word"], list, "word"))
+    )
 
 
 def identity_braid(strands: int) -> BraidWord:

@@ -25,6 +25,7 @@ from .errors import (
     InvariantBroken,
     NotBlockDecomposable,
     WorkbenchError,
+    decode,
 )
 from .homology import homology
 from .operads import (
@@ -33,7 +34,6 @@ from .operads import (
     N_OPERAD,
     SYMMETRIC,
     check_operad_axioms,
-    decode,
     desymmetrise,
     endomorphism_symmetric_operad,
     operad_from_json,

@@ -1,9 +1,11 @@
-"""Integral simplicial homology via Smith normal form.
+"""Integral simplicial homology via sparse elimination and Smith normal form.
 
-Chain complexes are built from explicit cell lists and a face rule; the
-constructor checks that the boundary of a boundary vanishes.  Homology
-groups come out as a free rank plus invariant-factor torsion, computed by
-exact integer pivoting.
+Chain complexes are built from explicit cell lists and a face rule; each
+boundary is stored as sparse columns, and the constructor checks that the
+boundary of a boundary vanishes.  Homology groups come out as a free rank
+plus invariant-factor torsion.  Invariant factors are computed by
+eliminating the +-1 pivots first, each worth a factor 1, and running exact
+integer Smith normal form only on the small residue that is left.
 """
 
 from __future__ import annotations
@@ -113,14 +115,62 @@ def smith_normal_form(matrix) -> tuple[list[list[int]], list[list[int]], list[li
     return d, u, v
 
 
+def _sparse_factors(columns) -> tuple[int, ...]:
+    """Invariant factors of the matrix with these sparse columns.
+
+    Each +-1 entry is a pivot: column operations clear the rest of its row,
+    after which its row and column split off with a factor 1.  Sweeps visit
+    columns by ascending nonzero count and take the unit whose row is
+    shortest, which keeps fill-in low; the remainder goes through _snf.
+    """
+    cols = {j: dict(col) for j, col in enumerate(columns) if col}
+    rows: dict = {}  # row -> columns with a nonzero there
+    for j, col in cols.items():
+        for r in col:
+            rows.setdefault(r, set()).add(j)
+    units = 0
+    swept = True
+    while swept:
+        swept = False
+        for j in sorted(cols, key=lambda j: len(cols[j])):
+            col = cols.get(j)
+            pivots = [r for r, v in col.items() if v in (1, -1)] if col else ()
+            if not pivots:
+                continue
+            p = min(pivots, key=lambda r: len(rows[r]))
+            del cols[j]
+            for r in col:
+                rows[r].discard(j)
+            for k in rows.pop(p):
+                other = cols[k]
+                q = other.pop(p) * col[p]
+                for r, v in col.items():
+                    if r == p:
+                        continue
+                    new = other.get(r, 0) - q * v
+                    if new:
+                        other[r] = new
+                        rows[r].add(k)
+                    else:
+                        del other[r]
+                        rows[r].discard(k)
+                if not other:
+                    del cols[k]
+            units += 1
+            swept = True
+    live = sorted(r for r, js in rows.items() if js)
+    residue = [[cols[j].get(r, 0) for j in sorted(cols)] for r in live]
+    d, _, _ = _snf(residue, transforms=False)
+    diagonal = (row[i] for i, row in enumerate(d[: len(cols)]))
+    return (1,) * units + tuple(x for x in diagonal if x)
+
+
 def invariant_factors(matrix) -> tuple[int, ...]:
     """Non-zero diagonal of the Smith normal form."""
-    d, _, _ = _snf(matrix, transforms=False)
-    out = []
-    for i in range(min(len(d), len(d[0]) if d else 0)):
-        if d[i][i]:
-            out.append(d[i][i])
-    return tuple(out)
+    width = len(matrix[0]) if matrix else 0
+    return _sparse_factors(
+        [{i: row[j] for i, row in enumerate(matrix) if row[j]} for j in range(width)]
+    )
 
 
 def matrix_rank(matrix) -> int:
@@ -132,7 +182,7 @@ class ChainComplex:
     """Finite chain complex of free abelian groups with chosen cell bases."""
 
     cells: tuple[tuple, ...]
-    boundaries: tuple  # boundaries[d]: matrix of shape (#cells[d-1], #cells[d])
+    boundaries: tuple  # boundaries[d][j]: {row: nonzero coeff}, sparse column j of ∂_d
 
     @classmethod
     def from_cells(cls, cells: Sequence[Sequence], face_list: Callable) -> "ChainComplex":
@@ -144,16 +194,20 @@ class ChainComplex:
         ]
         boundaries = [None]
         for d in range(1, len(cells)):
-            rows = len(cells[d - 1])
-            mat = [[0] * len(cells[d]) for _ in range(rows)]
-            for j, cell in enumerate(cells[d]):
+            rows, cols = index[d - 1], []
+            for cell in cells[d]:
+                col: dict = {}
                 for coeff, face in face_list(d, cell):
-                    if face not in index[d - 1]:
+                    row = rows.get(face)
+                    if row is None:
                         raise InvariantBroken(
                             "face of a cell is missing from the complex", dim=d
                         )
-                    mat[index[d - 1][face]][j] += coeff
-            boundaries.append(mat)
+                    col[row] = col.get(row, 0) + coeff
+                if not all(col.values()):
+                    col = {r: v for r, v in col.items() if v}
+                cols.append(col)
+            boundaries.append(cols)
         for d in range(2, len(cells)):
             _assert_zero_product(boundaries[d - 1], boundaries[d], d)
         return cls(cells, tuple(boundaries))
@@ -170,15 +224,17 @@ class ChainComplex:
 
 
 def _assert_zero_product(outer, inner, d):
-    # outer: C_{d-1} -> C_{d-2}, inner: C_d -> C_{d-1}
-    for j in range(len(inner[0]) if inner else 0):
-        col = [inner[i][j] for i in range(len(inner))]
-        for r in range(len(outer)):
-            s = sum(outer[r][i] * col[i] for i in range(len(col)) if col[i])
-            if s != 0:
-                raise InvariantBroken(
-                    "boundary of a boundary does not vanish", dim=d, row=r, col=j
-                )
+    # outer: C_{d-1} -> C_{d-2}, inner: C_d -> C_{d-1}, both sparse columns
+    for j, col in enumerate(inner):
+        total: dict = {}
+        for i, c in col.items():
+            for r, v in outer[i].items():
+                total[r] = total.get(r, 0) + c * v
+        bad = [r for r, v in total.items() if v]
+        if bad:
+            raise InvariantBroken(
+                "boundary of a boundary does not vanish", dim=d, row=min(bad), col=j
+            )
 
 
 @dataclass(frozen=True)
@@ -214,7 +270,7 @@ def homology(complex_: ChainComplex, up_to: int | None = None) -> HomologyResult
 
     factors = {}
     for d in range(1, top + 1):
-        factors[d] = invariant_factors(complex_.boundaries[d])
+        factors[d] = _sparse_factors(complex_.boundaries[d])
 
     groups = []
     for d in range(0, up_to + 1):
@@ -247,9 +303,8 @@ def connected_components(complex_: ChainComplex) -> int:
         return x
 
     if complex_.dimension >= 1:
-        mat = complex_.boundaries[1]
-        for j in range(complex_.size(1)):
-            ends = [i for i in range(n) if mat[i][j]]
+        for col in complex_.boundaries[1]:
+            ends = list(col)
             for a, b in zip(ends, ends[1:]):
                 ra, rb = find(a), find(b)
                 if ra != rb:

@@ -35,6 +35,7 @@ from .errors import (
     OutOfRange,
     RelationFailed,
     ResourceLimit,
+    decode,
 )
 from .ordinal_maps import (
     OrdinalMap,
@@ -200,7 +201,7 @@ def validate_collection(c: FiniteCollection) -> None:
         return
     for key, elems in c.carrier.items():
         k = key + 1
-        gens = {}
+        gens = []
         for i in range(1, k):
             g = c.generator_action(key, i)
             if set(g) != set(elems):
@@ -211,8 +212,8 @@ def validate_collection(c: FiniteCollection) -> None:
                 raise InvariantBroken(
                     "action leaves the carrier", key=key, generator=i
                 )
-            gens[i] = g
-        for i, g in gens.items():
+            gens.append(g)
+        for i, g in enumerate(gens, 1):
             if c.flavor.kind == "symmetric":
                 bad = next((x for x in elems if g[g[x]] != x), None)
                 if bad is not None:
@@ -224,30 +225,42 @@ def validate_collection(c: FiniteCollection) -> None:
                     )
             else:
                 _invert_action(g, key, i)
-        for i, j in itertools.combinations(sorted(gens), 2):
-            if j - i >= 2:
-                gi, gj = gens[i], gens[j]
-                bad = next((x for x in elems if gi[gj[x]] != gj[gi[x]]), None)
-                if bad is not None:
-                    raise InvariantBroken(
-                        "far commutation fails",
-                        key=key,
-                        generators=[i, j],
-                        witness=bad,
-                    )
-        for i in sorted(gens):
-            if i + 1 in gens:
-                a, b = gens[i], gens[i + 1]
-                bad = next(
-                    (x for x in elems if a[b[a[x]]] != b[a[b[x]]]), None
-                )
-                if bad is not None:
-                    raise InvariantBroken(
-                        "braid relation fails",
-                        key=key,
-                        generators=[i, i + 1],
-                        witness=bad,
-                    )
+        broken = _broken_relation(gens, elems)
+        if broken is not None:
+            relation, pair, witness = broken
+            raise InvariantBroken(
+                f"{_RELATION_TEXT[relation]} fails",
+                key=key,
+                generators=list(pair),
+                witness=witness,
+            )
+
+
+_RELATION_TEXT = {"far-commutation": "far commutation", "braid": "braid relation"}
+
+
+def _artin_relations(k: int) -> Iterator[tuple[str, int, int]]:
+    """Far-commutation pairs, then braid-relation pairs, of generators 1..k-1."""
+    for i, j in itertools.combinations(range(1, k), 2):
+        if j - i >= 2:
+            yield "far-commutation", i, j
+    for i in range(1, k - 1):
+        yield "braid", i, i + 1
+
+
+def _broken_relation(gens: Sequence[dict], elems):
+    """First (relation, (i, j), witness) that the images gens[i - 1] of the
+    Artin generators break on an element of elems, or None."""
+    for relation, i, j in _artin_relations(len(gens) + 1):
+        a, b = gens[i - 1], gens[j - 1]
+        for x in elems:
+            if relation == "braid":
+                holds = a[b[a[x]]] == b[a[b[x]]]
+            else:
+                holds = a[b[x]] == b[a[x]]
+            if not holds:
+                return relation, (i, j), x
+    return None
 
 
 # -- operads ----------------------------------------------------------------
@@ -1319,22 +1332,11 @@ def braided_action_from_quasisymmetric(op: FiniteOperad, k: int) -> BraidedActio
             )
         back_inv = {v: x for x, v in backward.items()}
         actions.append({x: forward[back_inv[x]] for x in elems})
-    relations = []
-    for i, j in itertools.combinations(range(1, k), 2):
-        if j - i >= 2:
-            name = f"far-commutation({i},{j})"
-            a, b = actions[i - 1], actions[j - 1]
-            for x in elems:
-                if a[b[x]] != b[a[x]]:
-                    raise RelationFailed(name, strands=k, witness=_thaw(x))
-            relations.append(name)
-    for i in range(1, k - 1):
-        name = f"braid({i},{i + 1})"
-        a, b = actions[i - 1], actions[i]
-        for x in elems:
-            if a[b[a[x]]] != b[a[b[x]]]:
-                raise RelationFailed(name, strands=k, witness=_thaw(x))
-        relations.append(name)
+    broken = _broken_relation(actions, elems)
+    if broken is not None:
+        relation, (i, j), witness = broken
+        raise RelationFailed(f"{relation}({i},{j})", strands=k, witness=_thaw(witness))
+    relations = [f"{relation}({i},{j})" for relation, i, j in _artin_relations(k)]
     return BraidedActions(k, tuple(elems), tuple(actions), tuple(relations))
 
 
@@ -1353,22 +1355,6 @@ def _freeze(x):
     if isinstance(x, dict):
         raise BadDocument("carrier elements are scalars or lists", got=repr(x)[:80])
     return x
-
-
-def decode(value, kind, what: str, size: int | None = None):
-    """Return a value read from a JSON document if it has the expected shape.
-
-    ``kind`` is a type or tuple of types; an int must not be a bool.  With
-    ``size``, an int must be an index below it and a list must have exactly
-    that length.  Anything else, a missing field (None) included, raises
-    BadDocument naming ``what``.
-    """
-    ok = isinstance(value, kind) and not (kind is int and isinstance(value, bool))
-    if ok and size is not None:
-        ok = len(value) == size if isinstance(value, list) else 0 <= value < size
-    if not ok:
-        raise BadDocument(f"bad {what}", field=what, got=repr(value)[:80])
-    return value
 
 
 def operad_to_json(op: FiniteOperad) -> dict:

@@ -25,6 +25,7 @@ from .errors import (
     NotAMorphism,
     NotQuasibijection,
     OutOfRange,
+    decode,
 )
 from .ordinals import LevelDomain, NOrdinal, ordinal_from_json
 
@@ -128,7 +129,9 @@ def map_from_json(obj: dict) -> OrdinalMap:
     if not isinstance(obj, dict) or not {"source", "target", "f"} <= set(obj):
         raise OutOfRange("map object needs 'source', 'target' and 'f' fields", got=obj)
     return OrdinalMap(
-        ordinal_from_json(obj["source"]), ordinal_from_json(obj["target"]), tuple(obj["f"])
+        ordinal_from_json(obj["source"]),
+        ordinal_from_json(obj["target"]),
+        tuple(decode(obj["f"], list, "f")),
     )
 
 

@@ -25,6 +25,7 @@ from .errors import (
     OutOfRange,
     SameElement,
     TargetTooSmall,
+    decode,
 )
 
 
@@ -170,7 +171,7 @@ def ordinal_from_json(obj: dict) -> NOrdinal:
     if not isinstance(obj, dict) or "n" not in obj or "levels" not in obj:
         raise OutOfRange("ordinal object needs 'n' and 'levels' fields", got=obj)
     arity = obj.get("k")
-    return make_ordinal(obj["n"], obj["levels"], arity=arity)
+    return make_ordinal(obj["n"], decode(obj["levels"], list, "levels"), arity=arity)
 
 
 # -- construction from an explicit relation table -----------------------

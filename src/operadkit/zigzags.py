@@ -32,6 +32,7 @@ from .errors import (
     NotBlockDecomposable,
     NotQuasibijection,
     OutOfRange,
+    decode,
 )
 from .ordinal_maps import (
     OrdinalMap,
@@ -108,9 +109,12 @@ class ZigZag:
 def zigzag_from_json(obj: dict) -> ZigZag:
     if not isinstance(obj, dict) or "legs" not in obj:
         raise OutOfRange("zigzag object needs a 'legs' field", got=obj)
-    return ZigZag(
-        tuple((leg["dir"], map_from_json(leg["map"])) for leg in obj["legs"])
-    )
+    legs = []
+    for leg in decode(obj["legs"], list, "legs"):
+        leg = decode(leg, dict, "leg")
+        direction = decode(leg.get("dir"), str, "leg dir")
+        legs.append((direction, map_from_json(decode(leg.get("map"), dict, "leg map"))))
+    return ZigZag(tuple(legs))
 
 
 def braid_of_quasibijection(sigma: OrdinalMap) -> BraidWord:

@@ -111,3 +111,26 @@ def burau3(word):
 def burau3_is_identity(word):
     m = burau3(word)
     return m[0][0] == _ONE and m[1][1] == _ONE and m[0][1] == _ZERO and m[1][0] == _ZERO
+
+
+# -- closed-form homology of configuration spaces --------------------------
+
+
+def cohen_betti(n, k):
+    """Betti numbers of Conf_k(R^n), the coefficients of F. Cohen's Poincare
+    polynomial prod_{j=1}^{k-1} (1 + j t^(n-1)), by degree."""
+    poly = {0: 1}
+    for j in range(1, k):
+        nxt = dict(poly)
+        for deg, c in poly.items():
+            nxt[deg + n - 1] = nxt.get(deg + n - 1, 0) + j * c
+        poly = nxt
+    return [poly.get(deg, 0) for deg in range(max(poly) + 1)]
+
+
+def unordered_rational_betti(n, k):
+    """Rational Betti numbers of Conf_k(R^n)/S_k: 1 in degree 0, plus 1 in
+    degree n-1 when n is even and k >= 2."""
+    if k >= 2 and n % 2 == 0:
+        return [1] + [0] * (n - 2) + [1]
+    return [1]

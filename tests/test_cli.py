@@ -382,6 +382,43 @@ def test_malformed_operad_documents_are_bad_input(capsys, monkeypatch, edit):
         assert "Traceback" not in err
 
 
+_SWAP = {
+    "source": {"n": 2, "levels": [0]},
+    "target": {"n": 2, "levels": [0]},
+    "f": [1, 0],
+}
+_FLAT_LEVELS = {"n": 2, "levels": 0}
+
+
+@pytest.mark.parametrize(
+    "command, doc, field",
+    [
+        ("braid", {"strands": "3", "word": [1]}, "strands"),
+        ("braid", {"strands": True, "word": [1]}, "strands"),
+        ("braid", {"strands": 3, "word": 1}, "word"),
+        ("zigzag", {"legs": 3}, "legs"),
+        ("zigzag", {"legs": [3]}, "leg"),
+        ("zigzag", {"legs": [{"dir": "fwd"}]}, "leg map"),
+        ("zigzag", {"legs": [{"map": _SWAP}]}, "leg dir"),
+        ("zigzag", {"legs": [{"dir": "fwd", "map": {**_SWAP, "f": 5}}]}, "f"),
+        ("zigzag", {"legs": [{"dir": "fwd", "map": {**_SWAP, "source": _FLAT_LEVELS}}]},
+         "levels"),
+    ],
+    ids=["strands string", "strands bool", "word int", "legs int", "leg int",
+         "leg without map", "leg without dir", "map f int", "ordinal levels int"],
+)
+def test_malformed_braid_and_zigzag_documents_are_bad_input(
+    capsys, monkeypatch, command, doc, field
+):
+    code, out, err = run_cli([command], capsys, monkeypatch, stdin_text=json.dumps(doc))
+    assert code == 2
+    rep = report_of(out)
+    assert rep["outcome"] == "ERROR"
+    assert rep["payload"]["error"] == "BAD_DOCUMENT"
+    assert rep["payload"]["diagnostic"]["field"] == field
+    assert "Traceback" not in err
+
+
 def test_classify_and_sample_round_trip(capsys, monkeypatch):
     label = {"ordinal": {"n": 2, "levels": [0, 1]}, "labels": [2, 0, 1]}
     code, out, _ = run_cli(

@@ -1,5 +1,6 @@
 """Smith normal form and simplicial homology on known spaces."""
 
+import importlib
 import random
 
 import pytest
@@ -7,12 +8,15 @@ import pytest
 from operadkit.errors import InvariantBroken
 from operadkit.homology import (
     ChainComplex,
+    _sparse_factors,
     connected_components,
     homology,
     invariant_factors,
     matrix_rank,
     smith_normal_form,
 )
+from operadkit.quasicat import build_j, build_q, nerve, order_complex
+from oracles import cohen_betti, unordered_rational_betti
 
 
 def det(m):
@@ -187,3 +191,88 @@ def test_zero_dimensional_complex():
     c = ChainComplex.from_cells([["p", "q", "r"]], lambda d, cell: [])
     assert homology(c).groups == ((3, ()),)
     assert connected_components(c) == 3
+
+
+# -- the sparse engine against the dense SNF and closed forms ----------------
+
+
+def _complex(category, n, k):
+    return nerve(build_q(n, k)) if category == "Q" else order_complex(build_j(n, k))
+
+
+def _ranks_are(groups, betti):
+    ranks = [rank for rank, _ in groups]
+    width = max(len(ranks), len(betti))
+    return ranks + [0] * (width - len(ranks)) == betti + [0] * (width - len(betti))
+
+
+def _snf_diagonal(m):
+    d, _, _ = smith_normal_form(m)
+    return tuple(x for x in (d[i][i] for i in range(min(len(d), len(d[0])))) if x)
+
+
+@pytest.mark.parametrize(
+    "category, n, k", [("Q", 3, 2), ("Q", 2, 3), ("J", 2, 3), ("J", 4, 2)]
+)
+def test_sparse_factors_match_snf_of_dense_boundaries(category, n, k):
+    cx = _complex(category, n, k)
+    for d in range(1, cx.dimension + 1):
+        dense = [[0] * cx.size(d) for _ in range(cx.size(d - 1))]
+        for j, col in enumerate(cx.boundaries[d]):
+            for r, v in col.items():
+                dense[r][j] = v
+        assert _sparse_factors(cx.boundaries[d]) == _snf_diagonal(dense)
+
+
+def test_sparse_factors_match_snf_on_random_sparse_matrices(monkeypatch):
+    homology_module = importlib.import_module("operadkit.homology")
+    residues = []
+    snf = homology_module._snf
+
+    def recording_snf(matrix, transforms):
+        if matrix:
+            residues.append(len(matrix))
+        return snf(matrix, transforms)
+
+    monkeypatch.setattr(homology_module, "_snf", recording_snf)
+    rng = random.Random(20261018)
+    for _ in range(60):
+        nr, nc = rng.randint(1, 9), rng.randint(1, 9)
+        m = [
+            [rng.choice((1, -1, 1, -1, 2, -2, 3, -3)) if rng.random() < 0.3 else 0
+             for _ in range(nc)]
+            for _ in range(nr)
+        ]
+        assert invariant_factors(m) == _snf_diagonal(m)
+    assert len(residues) >= 10  # planted non-units leave a residue for _snf
+
+
+@pytest.mark.parametrize(
+    "n, k", [(n, 2) for n in range(1, 7)] + [(2, 3), (3, 3), (2, 4)]
+)
+def test_milgram_poset_homology_is_cohen_polynomial(n, k):
+    groups = homology(_complex("J", n, k)).groups
+    assert all(not torsion for _, torsion in groups)
+    assert _ranks_are(groups, cohen_betti(n, k))
+
+
+# the Q sizes of the benchmark's complexes workload
+Q_SWEEP = [(n, k) for n in range(1, 7) for k in (1, 2)] + [
+    (1, 3), (2, 3), (3, 3), (1, 4), (2, 4)
+]
+
+
+@pytest.mark.parametrize("n, k", Q_SWEEP)
+def test_quasibijection_nerve_has_unordered_configuration_betti(n, k):
+    groups = homology(_complex("Q", n, k)).groups
+    assert _ranks_are(groups, unordered_rational_betti(n, k))
+
+
+def test_quasibijection_nerve_torsion_is_frozen():
+    assert homology(_complex("Q", 3, 3)).groups == (
+        (1, ()), (0, (2,)), (0, ()), (0, (3,)), (0, ())
+    )
+    # H_2(Br_4; Z) = Z/2
+    assert homology(_complex("Q", 2, 4)).groups == (
+        (1, ()), (1, ()), (0, (2,)), (0, ())
+    )

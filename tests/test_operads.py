@@ -37,6 +37,7 @@ from operadkit.operads import (
     orders_operad,
     reflavor,
     terminal_operad,
+    validate_collection,
 )
 from operadkit.ordinal_maps import OrdinalMap, compose, enumerate_maps, identity_map
 from operadkit.ordinals import enumerate_ordinals, make_ordinal
@@ -453,3 +454,22 @@ def test_check_bound_exceeded():
         check_operad_axioms(op, bound=0)
     report = check_operad_axioms(op, bound=1)
     assert report.passed
+
+
+@pytest.mark.parametrize(
+    "g3, message, generators",
+    [
+        ((0, 2, 1), "far commutation fails", [1, 3]),
+        ((0, 1, 2), "braid relation fails", [1, 2]),
+    ],
+    ids=["far commutation", "braid relation"],
+)
+def test_validate_collection_names_the_broken_relation(g3, message, generators):
+    # 4 strands on {0, 1, 2}: s1 swaps 0 and 1, s2 is the identity
+    images = {1: (1, 0, 2), 2: (0, 1, 2), 3: g3}
+    actions = {(3, i): dict(enumerate(image)) for i, image in images.items()}
+    coll = FiniteCollection(BRAIDED, {3: (0, 1, 2)}, actions)
+    with pytest.raises(InvariantBroken) as info:
+        validate_collection(coll)
+    assert info.value.message == message
+    assert info.value.payload == {"key": 3, "generators": generators, "witness": 0}

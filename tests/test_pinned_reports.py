@@ -4,6 +4,9 @@ The digests are sha256 of CLI stdout, and of the JSON of axiom reports of
 operads with corrupted tables.  They were taken before the multiplication
 tables and the equivariance checks were given one code path each, so any
 change to a report, a witness or an instance string shows here.  The
+``nerve`` and ``homology`` digests, and the position at which a boundary
+with one flipped sign is rejected, were taken from the dense homology
+engine that the sparse one replaced.  The
 corrupted reports together name every failure-instance form: associativity,
 both unit laws, rho= and rhos= (symmetric reindexing), letter= and slot=
 (braided generators), and both square conditions.
@@ -17,6 +20,8 @@ import sys
 import pytest
 
 from operadkit.cli import main
+from operadkit.errors import InvariantBroken
+from operadkit.homology import ChainComplex
 from operadkit.operads import (
     BRAIDED,
     MIXED2,
@@ -27,6 +32,7 @@ from operadkit.operads import (
 )
 from operadkit.ordinal_maps import OrdinalMap
 from operadkit.ordinals import make_ordinal
+from operadkit.quasicat import build_j, order_complex
 
 END = {"builtin": "endomorphism", "set": [0, 1], "bound": 2}
 
@@ -57,6 +63,54 @@ def test_cli_stdout_is_pinned(capsys, monkeypatch, argv, doc, digest):
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
     assert main(list(argv)) == 0
     assert _sha(capsys.readouterr().out) == digest
+
+
+@pytest.mark.parametrize(
+    "category, n, k, nerve_digest, homology_digest",
+    [
+        ("Q", 3, 2, "f2380fed983942c1b5c96aa7a8c751dfd50321fad5d037368b660f57c0b29b3b",
+         "a1a70b3fff04c6400a907d8fd414272c8e1a90cc958fcd19713360773e88d527"),
+        ("Q", 2, 4, "79b95c1318ac4026fe40b1ba158cf9c730b5831b966ee3bf0f2f10c518fd2556",
+         "0954bbefd5b4cb2195e87005c9b9b7a85149fe7a1ce01ac992664d9c6cb42408"),
+        ("Q", 3, 3, "962c735ff6cb4ae00a2c148473924731ff44394a4c50956fa4c3c3a0ac20705b",
+         "60fc10b8f64fd1bd23b5227a4462552a24ba55ef84ef2236754133fb5f076893"),
+        ("J", 2, 3, "3aef10d86f075f034619fa8dfbf6c2cd28ff5236c03a153d9c76db666ced2543",
+         "d7fd711edcfae342b93352c6209317fca4d4e417c9a683a24ccf689ec749458c"),
+        ("J", 6, 2, "1154c2798469a13dc4d46036c99705faf214a05c7dea32d8126402f168ec46b6",
+         "59506a0c58c6699450c4063dda4d410889516338fcc0054842c46847209fb32d"),
+    ],
+    ids=["Q(3,2)", "Q(2,4)", "Q(3,3)", "J(2,3)", "J(6,2)"],
+)
+def test_complex_stdout_is_pinned(capsys, category, n, k, nerve_digest, homology_digest):
+    for command, digest in (("nerve", nerve_digest), ("homology", homology_digest)):
+        argv = [command, "--n", str(n), "--k", str(k), "--category", category]
+        assert main(argv) == 0
+        assert _sha(capsys.readouterr().out) == digest, command
+
+
+@pytest.mark.parametrize(
+    "dim, col, drop, row, failing_dim, failing_col",
+    [(1, 30, 0, 6, 2, 10), (2, 100, 1, 2, 2, 100), (3, 150, 3, 13, 3, 150),
+     (4, 170, 2, 89, 4, 170), (5, 40, 4, 86, 5, 40)],
+)
+def test_flipped_face_sign_is_located(dim, col, drop, row, failing_dim, failing_col):
+    """The order complex of J(6,2) with the sign of one face of one cell
+    flipped: the first offending column, then its lowest offending row."""
+    cells = order_complex(build_j(6, 2)).cells
+    flipped = cells[dim][col]
+
+    def face_list(d, cell):
+        if d == 0:
+            return []
+        faces = cell[::-1] if d == 1 else [cell[:i] + cell[i + 1 :] for i in range(d + 1)]
+        return [
+            (-((-1) ** i) if (cell == flipped and i == drop) else (-1) ** i, face)
+            for i, face in enumerate(faces)
+        ]
+
+    with pytest.raises(InvariantBroken) as info:
+        ChainComplex.from_cells(cells, face_list)
+    assert info.value.payload == {"dim": failing_dim, "row": row, "col": failing_col}
 
 
 def _line(k):

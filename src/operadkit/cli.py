@@ -178,7 +178,7 @@ def _parse_map_fields(doc) -> tuple:
     return (
         ordinal_from_json(doc["source"]),
         ordinal_from_json(doc["target"]),
-        tuple(doc["f"]),
+        tuple(decode(doc["f"], list, "f")),
     )
 
 
@@ -269,6 +269,8 @@ def _cmd_split(args, doc):
     blocks = None
     if isinstance(doc, dict) and "zigzag" in doc:
         blocks = doc.get("blocks")
+        if blocks is not None:
+            blocks = [decode(b, int, "block size") for b in decode(blocks, list, "blocks")]
         doc = doc["zigzag"]
     z = zigzag_from_json(doc)
     try:

@@ -1,13 +1,19 @@
 """Finite-set operads of four flavors with exhaustive bounded axiom checks.
 
 Carriers are finite sets indexed by arity (symmetric, braided and mixed
-flavors) or by n-ordinals (the n-operad flavor).  Multiplication tables are
-kept per surjection and reached only through ``FiniteOperad.table``; group
-actions are kept by generator images, and everything else (whole-group
-actions, quasibijection actions, arbitrary multiplications) is derived by
-word evaluation or factorization.  All axiom checks require a table at
-every surjection within an explicit arity bound and instantiate the
-identities over every morphism, square and element tuple within it, so a
+flavors) or by n-ordinals (the n-operad flavor).  Each carrier is the index
+range ``range(size)`` plus one decode tuple that names its elements; the
+decode tuple is read only at the edges: JSON in and out, failure witnesses
+and ``BraidedActions.to_json``.  Multiplication tables are kept per
+surjection as flat lists of source indices in mixed radix, the target
+element outermost and then the fiber elements in order (the order of the
+nested JSON arrays), and reached only through ``FiniteOperad.table``;
+group actions are kept by generator images as index lists, and everything
+else (whole-group actions, quasibijection actions, arbitrary
+multiplications) is derived by word evaluation or factorization.  All
+axiom checks require a table at every surjection within an explicit arity
+bound and instantiate the identities, by offset arithmetic and list
+gathers, over every morphism, square and element tuple within it, so a
 passing report is a finite proof and a failing one carries a concrete
 witness.
 """
@@ -15,8 +21,10 @@ witness.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, Sequence
+from operator import add
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .braids import (
     BraidWord,
@@ -126,6 +134,46 @@ def morphism_key(sigma: OrdinalMap) -> str:
     return f"{ordinal_key(sigma.source)}>{ordinal_key(sigma.target)}|{table}"
 
 
+# -- mixed-radix arithmetic ---------------------------------------------------
+
+
+def _sums(terms: Iterable[Sequence[int]]) -> list[int]:
+    """Every sum of one entry from each list, in itertools.product order."""
+    out = [0]
+    for options in terms:
+        out = [o + v for o in out for v in options]
+    return out
+
+
+def _strides(radix: Sequence[int]) -> list[int]:
+    """Place values of a mixed radix, most significant digit first."""
+    out = [1] * len(radix)
+    for i in range(len(radix) - 2, -1, -1):
+        out[i] = out[i + 1] * radix[i + 1]
+    return out
+
+
+def _chunks(flat: Sequence, width: int) -> list:
+    """A flat list cut into consecutive rows of the given width."""
+    return [flat[i : i + width] for i in range(0, len(flat), width)]
+
+
+def _moved(table: list[int], tops, sizes: Sequence[int], slots, acts) -> list[int]:
+    """A flat table read at moved arguments, for every argument tuple.
+
+    For each (a, f_0, .., f_k) in product order, with ``sizes`` the radix
+    of the f_j, the entry read is the one at top element tops[a] whose
+    fiber p holds acts[p] of f_slots[p]; ``slots`` is a permutation.
+    """
+    strides = _strides([sizes[j] for j in slots])
+    terms: list = [None] * len(sizes)
+    for p, j in enumerate(slots):
+        terms[j] = [v * strides[p] for v in acts[p]]
+    rows = _chunks(table, math.prod(sizes))
+    offsets = _sums(terms)
+    return [row[o] for row in [rows[t] for t in tops] for o in offsets]
+
+
 # -- collections ------------------------------------------------------------
 
 
@@ -134,11 +182,13 @@ class FiniteCollection:
     """Finite carriers plus generator images of the acting groups.
 
     ``carrier`` maps an index key (int arity index, or NOrdinal for the
-    n-operad flavor) to a tuple of elements.  ``actions`` maps (key, i) to
-    the image of the i-th adjacent transposition (symmetric flavor) or the
-    i-th Artin generator (braided and mixed flavors) as an element dict.
-    The n-operad flavor has no stored actions; its quasibijection actions
-    are induced from multiplication by unit insertion.
+    n-operad flavor) to the carrier's decode tuple: the elements are the
+    indices ``range(size)``, and entry i names element i at the edges.
+    ``actions`` maps (key, i) to the image list of the i-th adjacent
+    transposition (symmetric flavor) or the i-th Artin generator (braided
+    and mixed flavors): entry x is the index of the image of x.  The
+    n-operad flavor has no stored actions; its quasibijection actions are
+    induced from multiplication by unit insertion.
     """
 
     flavor: Flavor
@@ -146,17 +196,21 @@ class FiniteCollection:
     actions: Mapping
     _act_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def elements(self, key) -> tuple:
+    def decoding(self, key) -> tuple:
+        """The decode tuple of the carrier at key."""
         if key not in self.carrier:
             raise BoundExceeded("no carrier at this index", key=str(key))
         return self.carrier[key]
 
-    def generator_action(self, key, i: int) -> dict:
+    def size(self, key) -> int:
+        return len(self.decoding(key))
+
+    def generator_action(self, key, i: int) -> list[int]:
         if (key, i) not in self.actions:
             raise MissingTable("no generator action stored", key=str(key), generator=i)
         return self.actions[(key, i)]
 
-    def action_of_word(self, key, letters: Sequence[int]) -> dict:
+    def action_of_word(self, key, letters: Sequence[int]) -> list[int]:
         """Composite action of a word in the generators, first letter first.
 
         Negative letters act by the inverse image, which must exist.
@@ -165,26 +219,33 @@ class FiniteCollection:
         cached = self._act_cache.get((key, letters))
         if cached is not None:
             return cached
-        table = {x: x for x in self.elements(key)}
+        table = list(range(self.size(key)))
         for letter in letters:
             g = self.generator_action(key, abs(letter))
             if letter < 0:
-                g = _invert_action(g, key, abs(letter))
-            table = {x: g[v] for x, v in table.items()}
+                g = _inverse(g, len(g))
+                if g is None:
+                    raise _not_invertible(key, abs(letter))
+            table = [g[v] for v in table]
         self._act_cache[(key, letters)] = table
         return table
 
-    def action_of_permutation(self, key, rho: Permutation) -> dict:
+    def action_of_permutation(self, key, rho: Permutation) -> list[int]:
         return self.action_of_word(key, q_section(rho).word)
 
 
-def _invert_action(g: dict, key, i: int) -> dict:
-    inv = {v: x for x, v in g.items()}
-    if len(inv) != len(g):
-        raise InvariantBroken(
-            "generator action is not invertible", key=str(key), generator=i
-        )
+def _inverse(action: Sequence[int], size: int) -> list[int] | None:
+    """The inverse of a bijection onto range(size), else None."""
+    if sorted(action) != list(range(size)):
+        return None
+    inv = [0] * size
+    for x, v in enumerate(action):
+        inv[v] = x
     return inv
+
+
+def _not_invertible(key, i: int) -> InvariantBroken:
+    return InvariantBroken("generator action is not invertible", key=str(key), generator=i)
 
 
 def validate_collection(c: FiniteCollection) -> None:
@@ -193,7 +254,8 @@ def validate_collection(c: FiniteCollection) -> None:
     Symmetric actions must satisfy the full Coxeter relations; braided and
     mixed actions must be bijections satisfying far commutation and the
     braid relation, with no involution requirement.  Violations raise
-    InvariantBroken, because word evaluation is meaningless without them.
+    InvariantBroken with a decoded witness, because word evaluation is
+    meaningless without them.
     """
     if not c.flavor.uses_arity_keys:
         if c.actions:
@@ -204,35 +266,35 @@ def validate_collection(c: FiniteCollection) -> None:
         gens = []
         for i in range(1, k):
             g = c.generator_action(key, i)
-            if set(g) != set(elems):
+            if len(g) != len(elems):
                 raise InvariantBroken(
                     "action domain differs from the carrier", key=key, generator=i
                 )
-            if any(v not in set(elems) for v in g.values()):
+            if any(not 0 <= v < len(elems) for v in g):
                 raise InvariantBroken(
                     "action leaves the carrier", key=key, generator=i
                 )
             gens.append(g)
         for i, g in enumerate(gens, 1):
             if c.flavor.kind == "symmetric":
-                bad = next((x for x in elems if g[g[x]] != x), None)
+                bad = next((x for x in range(len(g)) if g[g[x]] != x), None)
                 if bad is not None:
                     raise InvariantBroken(
                         "transposition image is not an involution",
                         key=key,
                         generator=i,
-                        witness=bad,
+                        witness=elems[bad],
                     )
-            else:
-                _invert_action(g, key, i)
-        broken = _broken_relation(gens, elems)
+            elif _inverse(g, len(g)) is None:
+                raise _not_invertible(key, i)
+        broken = _broken_relation(gens, len(elems))
         if broken is not None:
             relation, pair, witness = broken
             raise InvariantBroken(
                 f"{_RELATION_TEXT[relation]} fails",
                 key=key,
                 generators=list(pair),
-                witness=witness,
+                witness=elems[witness],
             )
 
 
@@ -248,12 +310,12 @@ def _artin_relations(k: int) -> Iterator[tuple[str, int, int]]:
         yield "braid", i, i + 1
 
 
-def _broken_relation(gens: Sequence[dict], elems):
-    """First (relation, (i, j), witness) that the images gens[i - 1] of the
-    Artin generators break on an element of elems, or None."""
+def _broken_relation(gens: Sequence[Sequence[int]], size: int):
+    """First (relation, (i, j), x) such that the images gens[i - 1] of the
+    Artin generators break the relation on element index x, or None."""
     for relation, i, j in _artin_relations(len(gens) + 1):
         a, b = gens[i - 1], gens[j - 1]
-        for x in elems:
+        for x in range(size):
             if relation == "braid":
                 holds = a[b[a[x]]] == b[a[b[x]]]
             else:
@@ -270,11 +332,15 @@ def _broken_relation(gens: Sequence[dict], elems):
 class FiniteOperad:
     """A finite collection with a unit and multiplication tables.
 
-    ``table(sigma)`` is the one way to reach a multiplication table, an
-    argument dict sending (a, f_0, .., f_k) to an element: it returns the
-    table stored in ``tables``, or else the one ``supplier`` builds, which it
-    then stores, or else None.  The supplier is asked only for surjections
-    within the bound.  ``mult`` is ``table`` that raises
+    Elements are carrier indices.  ``unit`` indexes the arity-one carrier,
+    and the table at sigma is a flat list of indices into the source
+    carrier, in mixed radix over the carriers of the target and then of
+    each fiber: the entry for (a, f_0, .., f_k) sits at offset
+    ((a * |F_0| + f_0) * |F_1| + f_1) .., the order of the nested JSON
+    arrays.  ``table(sigma)`` is the one way to reach a table: it returns
+    the table stored in ``tables``, or else the one ``supplier`` builds,
+    which it then stores, or else None.  The supplier is asked only for
+    surjections within the bound.  ``mult`` is ``table`` that raises
     MissingTable instead of returning None.  ``quasi_actor``, when set,
     gives induced quasibijection actions without building their tables.
     Nothing is validated at construction, the check_* functions do that,
@@ -282,20 +348,20 @@ class FiniteOperad:
     """
 
     collection: FiniteCollection
-    unit: object
+    unit: int
     bound: int
     tables: dict = field(default_factory=dict)
-    supplier: Callable[[OrdinalMap], dict | None] | None = None
-    quasi_actor: Callable[[OrdinalMap], dict] | None = None
+    supplier: Callable[[OrdinalMap], list | None] | None = None
+    quasi_actor: Callable[[OrdinalMap], list] | None = None
 
     @property
     def flavor(self) -> Flavor:
         return self.collection.flavor
 
-    def carrier_of(self, a: NOrdinal) -> tuple:
-        return self.collection.elements(_carrier_key(self.flavor, a))
+    def carrier_of(self, a: NOrdinal) -> range:
+        return range(self.collection.size(_carrier_key(self.flavor, a)))
 
-    def table(self, sigma: OrdinalMap) -> dict | None:
+    def table(self, sigma: OrdinalMap) -> list[int] | None:
         found = self.tables.get(sigma)
         if found is None and self.supplier is not None and sigma.is_surjective:
             found = self.supplier(sigma) if sigma.source.arity <= self.bound else None
@@ -303,7 +369,7 @@ class FiniteOperad:
                 self.tables[sigma] = found
         return found
 
-    def mult(self, sigma: OrdinalMap) -> dict:
+    def mult(self, sigma: OrdinalMap) -> list[int]:
         found = self.table(sigma)
         if found is None:
             raise MissingTable(
@@ -321,13 +387,6 @@ def _fiber_keys(flavor: Flavor, sigma: OrdinalMap) -> list:
         _carrier_key(flavor, fiber(sigma, t)[0])
         for t in range(sigma.target.arity)
     ]
-
-
-def _argument_space(op: FiniteOperad, sigma: OrdinalMap) -> Iterator[tuple]:
-    """All (a, f_0, .., f_k) argument tuples of the multiplication at sigma."""
-    tops = op.collection.elements(_carrier_key(op.flavor, sigma.target))
-    fibs = [op.collection.elements(key) for key in _fiber_keys(op.flavor, sigma)]
-    return itertools.product(tops, *fibs)
 
 
 Surjections = dict[tuple[NOrdinal, NOrdinal], list[OrdinalMap]]
@@ -403,6 +462,18 @@ def _report(failures: list[AxiomFailure], checked: int) -> AxiomReport:
     return AxiomReport(not ordered, ordered, checked)
 
 
+def _mismatches(coll: FiniteCollection, keys, lhs, rhs, axiom, instance, failures) -> int:
+    """Compare two flat lists over the argument tuples of the carriers at
+    keys, in product order; each differing entry is one failure, with the
+    decoded argument tuple as witness.  Returns the instance count."""
+    if lhs != rhs:
+        decodings = [coll.decoding(key) for key in keys]
+        for args, left, right in zip(itertools.product(*decodings), lhs, rhs):
+            if left != right:
+                failures.append(AxiomFailure(axiom, instance, args))
+    return len(lhs)
+
+
 # -- the axiom checker -------------------------------------------------------
 
 
@@ -426,8 +497,7 @@ def check_operad_axioms(op: FiniteOperad, bound: int | None = None) -> AxiomRepo
     if bound > op.bound:
         raise BoundExceeded("check bound exceeds the operad bound", bound=bound)
     validate_collection(op.collection)
-    point_key = _carrier_key(op.flavor, _point(op.flavor))
-    if op.unit not in set(op.collection.elements(point_key)):
+    if op.unit not in op.carrier_of(_point(op.flavor)):
         raise InvariantBroken("unit element is not in the arity-one carrier")
     required = required_surjections(op.flavor, bound)
     covered = covered_surjections(op, required)
@@ -452,111 +522,87 @@ def check_operad_axioms(op: FiniteOperad, bound: int | None = None) -> AxiomRepo
     return _report(failures, checked)
 
 
+def _unit_entries(op: FiniteOperad, arity: int) -> slice:
+    """The entries (a, unit, .., unit), for every a, of a table whose
+    fibers are all points."""
+    points = op.collection.size(_carrier_key(op.flavor, _point(op.flavor)))
+    return slice(op.unit * sum(points**j for j in range(arity)), None, points**arity)
+
+
 def _check_units(op: FiniteOperad, bound: int, failures: list[AxiomFailure]) -> int:
     checked = 0
     pt = _point(op.flavor)
     for t in op.index_ordinals(bound):
-        ident = identity_map(t)
-        table = op.table(ident)
-        if table is not None:
-            units = (op.unit,) * t.arity
-            for a in op.carrier_of(t):
-                checked += 1
-                got = table[(a, *units)]
-                if got != a:
-                    failures.append(
-                        AxiomFailure(
-                            "unit-right", morphism_key(ident), (a, got)
-                        )
-                    )
-        if t.arity >= 1:
-            const = OrdinalMap(t, pt, (0,) * t.arity)
-            table = op.table(const)
+        elems = op.collection.decoding(_carrier_key(op.flavor, t))
+        size = len(elems)
+        # unit-right reads a at (a, unit, .., unit), unit-left reads f at (unit, f)
+        left = slice(op.unit * size, (op.unit + 1) * size)
+        for axiom, sigma, entries in (
+            ("unit-right", identity_map(t), _unit_entries(op, t.arity)),
+            ("unit-left", OrdinalMap(t, pt, (0,) * t.arity), left),
+        ):
+            table = op.table(sigma)
             if table is not None:
-                for f in op.carrier_of(t):
-                    checked += 1
-                    got = table[(op.unit, f)]
-                    if got != f:
-                        failures.append(
-                            AxiomFailure(
-                                "unit-left", morphism_key(const), (f, got)
-                            )
-                        )
+                checked += size
+                for x, got in enumerate(table[entries]):
+                    if got != x:
+                        witness = (elems[x], elems[got])
+                        failures.append(AxiomFailure(axiom, morphism_key(sigma), witness))
     return checked
 
 
-def _rows(table: dict, cache: dict) -> dict:
-    """Regroup a multiplication table by its leading key component.
-
-    The residual keys are the argument tuples itertools.product yields, so
-    hot loops can index rows without rebuilding tuples.
-    """
-    rows = cache.get(id(table))
-    if rows is None:
-        rows = {}
-        for key, val in table.items():
-            rows.setdefault(key[0], {})[key[1:]] = val
-        cache[id(table)] = rows
-    return rows
-
-
 def _associativity_instance(
-    op: FiniteOperad,
-    sigma: OrdinalMap,
-    omega: OrdinalMap,
-    failures: list[AxiomFailure],
-    rows_cache: dict | None = None,
+    op: FiniteOperad, sigma: OrdinalMap, omega: OrdinalMap, failures: list[AxiomFailure]
 ) -> int:
-    """mu_sigma . mu_omega against mu_{omega . sigma} with fiber restrictions."""
-    if rows_cache is None:
-        rows_cache = {}
+    """mu_sigma . mu_omega against mu_{omega . sigma} with fiber restrictions.
+
+    Both sides are flat lists over (a, b_0, .., f_0, ..): the left side
+    puts the sigma row of each omega entry in place, the right side
+    gathers each composite row at offsets that substitute the fiber
+    arguments into the restricted tables, which do not depend on a.
+    """
     composite = compose(omega, sigma)
+    omega_fibers = [fiber(omega, i) for i in range(omega.target.arity)]
     restrictions = []
-    for i in range(omega.target.arity):
-        _, tgt_positions = fiber(omega, i)
+    for _, tgt_positions in omega_fibers:
         src_positions = [
             t for t in range(sigma.source.arity) if sigma.table[t] in set(tgt_positions)
         ]
         restrictions.append(restrict_map(sigma, src_positions, tgt_positions))
     mu_parts = [op.table(r) for r in restrictions]
     mu_comp = op.table(composite)
-    if mu_comp is None or None in mu_parts:
+    if mu_comp is None or any(part is None for part in mu_parts):
         return 0
-    sigma_rows = _rows(op.mult(sigma), rows_cache)
-    omega_rows = _rows(op.mult(omega), rows_cache)
-    comp_rows = _rows(mu_comp, rows_cache)
-    omega_fibers = [fiber(omega, i)[1] for i in range(omega.target.arity)]
-    nfib = omega.target.arity
-    tops = op.carrier_of(omega.target)
-    b_space = [op.carrier_of(fiber(omega, i)[0]) for i in range(omega.target.arity)]
-    f_space = [
-        op.carrier_of(fiber(sigma, j)[0]) for j in range(sigma.target.arity)
-    ]
-    fs_list = list(itertools.product(*f_space))
-    checked = 0
-    instance = f"{morphism_key(sigma)} ; {morphism_key(omega)}"
-    for bs in itertools.product(*b_space):
-        # substituting into the arguments is independent of the top element
-        inn_list = [
-            tuple(
-                mu_parts[i][(bs[i], *[fs[j] for j in omega_fibers[i]])]
-                for i in range(nfib)
-            )
-            for fs in fs_list
+    coll, flavor = op.collection, op.flavor
+    f_keys = _fiber_keys(flavor, sigma)
+    f_sizes = [coll.size(key) for key in f_keys]
+    width = math.prod(f_sizes)
+    comp_sizes = [coll.size(_carrier_key(flavor, r.source)) for r in restrictions]
+    comp_strides = _strides(comp_sizes)
+    # per (b_0, ..) in product order, the composite-row offset of
+    # (mu_r0(b_0; fs on fiber 0), mu_r1(b_1; ..), ..) for every fs
+    by_b = [[0] * width]
+    for i, (_, positions) in enumerate(omega_fibers):
+        part_sizes = [f_sizes[j] for j in positions]
+        terms = [[0] * m for m in f_sizes]
+        for j, stride in zip(positions, _strides(part_sizes)):
+            terms[j] = [x * stride for x in range(f_sizes[j])]
+        picks = _sums(terms)
+        scaled = [
+            [comp_strides[i] * row[o] for o in picks]
+            for row in _chunks(mu_parts[i], math.prod(part_sizes))
         ]
-        for a in tops:
-            lhs_row = sigma_rows[omega_rows[a][bs]]
-            rhs_row = comp_rows[a]
-            checked += len(fs_list)
-            lhs_vals = list(map(lhs_row.__getitem__, fs_list))
-            rhs_vals = list(map(rhs_row.__getitem__, inn_list))
-            if lhs_vals != rhs_vals:
-                for fs, lv, rv in zip(fs_list, lhs_vals, rhs_vals):
-                    if lv != rv:
-                        failures.append(
-                            AxiomFailure("associativity", instance, (a, *bs, *fs))
-                        )
-    return checked
+        by_b = [list(map(add, head, tail)) for head in by_b for tail in scaled]
+    offsets = [o for offs in by_b for o in offs]
+    rhs = [row[o] for row in _chunks(mu_comp, math.prod(comp_sizes)) for o in offsets]
+    sigma_rows = _chunks(op.mult(sigma), width)
+    lhs: list[int] = []
+    for b in op.mult(omega):
+        lhs += sigma_rows[b]
+    b_keys = [_carrier_key(flavor, b) for b, _ in omega_fibers]
+    keys = [_carrier_key(flavor, omega.target), *b_keys, *f_keys]
+    instance = f"{morphism_key(sigma)} ; {morphism_key(omega)}"
+    return _mismatches(coll, keys, lhs, rhs, "associativity", instance, failures)
 
 
 def _check_associativity(
@@ -566,13 +612,10 @@ def _check_associativity(
     for (source, _), maps in covered.items():
         by_source.setdefault(source, []).extend(maps)
     checked = 0
-    rows_cache: dict = {}
     for sigmas in by_source.values():
         for sigma in sigmas:
             for omega in by_source[sigma.target]:
-                checked += _associativity_instance(
-                    op, sigma, omega, failures, rows_cache
-                )
+                checked += _associativity_instance(op, sigma, omega, failures)
     return checked
 
 
@@ -649,30 +692,23 @@ def _check_reindexing(
     coll = op.collection
     for (source, target), sigmas in covered.items():
         total, k = source.arity, target.arity
-        tops = coll.elements(k - 1)
         for sigma in sigmas:
             sizes = _block_sizes(sigma)
             mu = op.mult(sigma)
-            f_space = [coll.elements(m - 1) for m in sizes]
+            keys = [k - 1, *[m - 1 for m in sizes]]
+            f_sizes = [coll.size(key) for key in keys[1:]]
             for axiom, label, top_word, slot_words, out_word in moves(sizes):
                 order = BraidWord(k, top_word).permutation().inverse().image
                 mu_s = op.table(_line_map_with_fibers([sizes[j] for j in order]))
                 if mu_s is None:
                     continue
                 act_top = coll.action_of_word(k - 1, top_word)
-                acts = [
-                    (coll.action_of_word(sizes[j] - 1, slot_words[j]), j)
-                    for j in order
-                ]
+                acts = [coll.action_of_word(sizes[j] - 1, slot_words[j]) for j in order]
                 act_out = coll.action_of_word(total - 1, out_word)
+                lhs = _moved(mu_s, act_top, f_sizes, order, acts)
+                rhs = [act_out[v] for v in mu]
                 instance = f"{morphism_key(sigma)} {label}"
-                for a in tops:
-                    moved = act_top[a]
-                    for fs in itertools.product(*f_space):
-                        checked += 1
-                        lhs = mu_s[(moved, *[act[fs[j]] for act, j in acts])]
-                        if lhs != act_out[mu[(a, *fs)]]:
-                            failures.append(AxiomFailure(axiom, instance, (a, *fs)))
+                checked += _mismatches(coll, keys, lhs, rhs, axiom, instance, failures)
     return checked
 
 
@@ -681,7 +717,7 @@ def _check_reindexing(
 
 def _lift_action(
     op, key: int, table: Sequence[int], braided: bool, inverse: bool
-) -> dict:
+) -> list[int]:
     """Action of a vertical map's lift on one carrier, or its inverse.
 
     For the symmetric flavor the lift is the permutation itself; for the
@@ -717,7 +753,6 @@ def _square_eq1_instance(
     The default signs invert every vertical: the lifts transport elements
     against the direction of the maps.
     """
-    coll = op.collection
     total, k = sigma.source.arity, sigma.target.arity
     mu = op.mult(_as_line_map(sigma))
     mu2 = op.mult(_as_line_map(sigma2))
@@ -734,20 +769,11 @@ def _square_eq1_instance(
         fiber_acts.append(
             _lift_action(op, len(local) - 1, local, braided, inverse=signs[1])
         )
-    tops = coll.elements(k - 1)
-    f_space = [coll.elements(m - 1) for m in sizes]
-    checked = 0
-    for a in tops:
-        for fs in itertools.product(*f_space):
-            checked += 1
-            args = tuple(
-                fiber_acts[l][fs[r_table[l]]] for l in range(k)
-            )
-            lhs = mu2[(act_top[a], *args)]
-            rhs = act_out[mu[(a, *fs)]]
-            if lhs != rhs:
-                failures.append(AxiomFailure("equivariance-1", instance, (a, *fs)))
-    return checked
+    coll = op.collection
+    keys = [k - 1, *[m - 1 for m in sizes]]
+    lhs = _moved(mu2, act_top, [coll.size(key) for key in keys[1:]], r_table, fiber_acts)
+    rhs = [act_out[v] for v in mu]
+    return _mismatches(coll, keys, lhs, rhs, "equivariance-1", instance, failures)
 
 
 def _as_line_map(sigma: OrdinalMap) -> OrdinalMap:
@@ -850,7 +876,7 @@ def _route_value(
     omega_table: tuple[int, ...],
     braided: bool,
     signs: tuple[bool, bool] = (True, False),
-) -> dict:
+) -> list[int]:
     """Transport of mu_eta along a quasibijection onto the composite's fibers.
 
     The route value at (a, h_0, .., h_k) applies the forward fiber actions
@@ -872,16 +898,9 @@ def _route_value(
         forward_locals.append(
             _lift_action(op, len(local) - 1, local, braided, inverse=signs[1])
         )
-    tops = coll.elements(k - 1)
-    h_space = [
-        coll.elements(sum(1 for v in omega_table if v == i) - 1) for i in range(k)
-    ]
-    out = {}
-    for a in tops:
-        for hs in itertools.product(*h_space):
-            args = tuple(forward_locals[i][hs[i]] for i in range(k))
-            out[(a, *hs)] = inverse_whole[mu[(a, *args)]]
-    return out
+    sizes = [len(act) for act in forward_locals]
+    tops = range(coll.size(k - 1))
+    return [inverse_whole[v] for v in _moved(mu, tops, sizes, range(k), forward_locals)]
 
 
 def _check_square_eq2(
@@ -918,6 +937,8 @@ def _check_square_eq2(
             if len(rs) < 2:
                 continue
             omega_table = key[1]
+            k = max(omega_table) + 1
+            keys = [k - 1, *[omega_table.count(i) - 1 for i in range(k)]]
             base_q, base_eta = rs[0]
             base = _route_value(op, base_eta, base_q, omega_table, braided, signs)
             base_name = f"q={list(base_q)} ; {morphism_key(base_eta)}"
@@ -926,12 +947,9 @@ def _check_square_eq2(
                 instance = (
                     f"{base_name} versus q={list(q_table)} ; {morphism_key(eta)}"
                 )
-                for args in base:
-                    checked += 1
-                    if base[args] != value[args]:
-                        failures.append(
-                            AxiomFailure("equivariance-2", instance, args)
-                        )
+                checked += _mismatches(
+                    op.collection, keys, base, value, "equivariance-2", instance, failures
+                )
     return checked
 
 
@@ -948,72 +966,79 @@ def terminal_operad(flavor: Flavor, bound: int) -> FiniteOperad:
     if flavor.uses_arity_keys:
         for a in ordinals:
             for i in range(1, a.arity):
-                actions[(a.arity - 1, i)] = {"*": "*"}
+                actions[(a.arity - 1, i)] = [0]
 
-    def supplier(sigma: OrdinalMap) -> dict:
-        return {("*",) * (sigma.target.arity + 1): "*"}
+    def supplier(sigma: OrdinalMap) -> list[int]:
+        return [0]
 
     coll = FiniteCollection(flavor, carrier, actions)
-    return FiniteOperad(coll, "*", bound, supplier=supplier)
-
-
-def _function_tuples(x: tuple, arity: int) -> tuple:
-    """All functions X^arity -> X as output tuples over lex-ordered inputs."""
-    count = len(x) ** arity
-    return tuple(itertools.product(x, repeat=count))
+    return FiniteOperad(coll, 0, bound, supplier=supplier)
 
 
 def endomorphism_symmetric_operad(x: Sequence, bound: int = 2) -> FiniteOperad:
     """The symmetric operad of all functions X^k -> X under substitution.
 
-    Carrier sizes grow doubly exponentially, so the bound is guarded.
+    A function of arity k is its output tuple over the lex-ordered inputs
+    X^k, and its index is that tuple's positions in X read as base-|X|
+    digits, first input most significant; tables and actions are computed
+    on those digits.  Carrier sizes grow doubly exponentially, so the
+    bound is guarded.
     """
     x = tuple(x)
     if len(x) < 1 or len(set(x)) != len(x):
         raise OutOfRange("need a nonempty set of distinct values")
     if bound < 1:
         raise OutOfRange("bound must be at least 1", bound=bound)
-    if len(x) ** (len(x) ** bound) > CARRIER_CAP:
+    q = len(x)
+    if q ** (q**bound) > CARRIER_CAP:
         raise ResourceLimit(
             "endomorphism carrier would be too large",
-            size=len(x), bound=bound, cap=CARRIER_CAP,
+            size=q, bound=bound, cap=CARRIER_CAP,
         )
-    inputs = {k: list(itertools.product(x, repeat=k)) for k in range(1, bound + 1)}
-    index = {k: {t: i for i, t in enumerate(inputs[k])} for k in inputs}
-    carrier = {k - 1: _function_tuples(x, k) for k in range(1, bound + 1)}
+    inputs = {k: list(itertools.product(range(q), repeat=k)) for k in range(1, bound + 1)}
+    carrier = {
+        k - 1: tuple(itertools.product(x, repeat=q**k)) for k in range(1, bound + 1)
+    }
+
+    def index_of(values: Iterable[int]) -> int:
+        out = 0
+        for d in values:
+            out = out * q + d
+        return out
+
     actions = {}
     for k in range(2, bound + 1):
+        place = _strides([q] * q**k)
         for i in range(1, k):
-            table = {}
-            for f in carrier[k - 1]:
-                out = []
-                for args in inputs[k]:
-                    swapped = list(args)
-                    swapped[i - 1], swapped[i] = swapped[i], swapped[i - 1]
-                    out.append(f[index[k][tuple(swapped)]])
-                table[f] = tuple(out)
-            actions[(k - 1, i)] = table
+            # f . swap moves the digit of f at input v to the place of swap(v)
+            swap = [index_of((*v[: i - 1], v[i], v[i - 1], *v[i + 1 :])) for v in inputs[k]]
+            actions[(k - 1, i)] = _sums([d * place[u] for d in range(q)] for u in swap)
 
-    def supplier(sigma: OrdinalMap) -> dict:
+    def supplier(sigma: OrdinalMap) -> list[int]:
         total, k = sigma.source.arity, sigma.target.arity
         blocks = [
             [t for t in range(total) if sigma.table[t] == j] for j in range(k)
         ]
-        table = {}
-        f_space = [carrier[len(b) - 1] for b in blocks]
-        for a in carrier[k - 1]:
-            for fs in itertools.product(*f_space):
-                out = []
-                for args in inputs[total]:
-                    mids = tuple(
-                        fs[j][index[len(blocks[j])][tuple(args[t] for t in blocks[j])]]
-                        for j in range(k)
-                    )
-                    out.append(a[index[k][mids]])
-                table[(a, *fs)] = tuple(out)
+        restricted = [
+            [index_of(args[t] for t in block) for args in inputs[total]]
+            for block in blocks
+        ]
+        mid_place = _strides([q] * k)
+        out_place = _strides([q] * q**total)
+        f_digits = [itertools.product(range(q), repeat=q ** len(b)) for b in blocks]
+        width = q ** sum(q ** len(b) for b in blocks)
+        table = [0] * (q ** (q**k) * width)
+        for offset, fs in enumerate(itertools.product(*f_digits)):
+            # output digit u of the product is digit mid(u) of the top
+            # element, so top digit v carries the places of all u with mid v
+            weights = [0] * q**k
+            for u, place in enumerate(out_place):
+                mid = sum(fs[j][restricted[j][u]] * mid_place[j] for j in range(k))
+                weights[mid] += place
+            table[offset::width] = _sums([d * w for d in range(q)] for w in weights)
         return table
 
-    unit = tuple(x)
+    unit = index_of(range(q))
     coll = FiniteCollection(SYMMETRIC, carrier, actions)
     return FiniteOperad(coll, unit, bound, supplier=supplier)
 
@@ -1030,23 +1055,24 @@ def orders_operad(bound: int = 3) -> FiniteOperad:
         k - 1: tuple(sorted(itertools.permutations(range(k))))
         for k in range(1, bound + 1)
     }
+    rank = {key: {a: i for i, a in enumerate(elems)} for key, elems in carrier.items()}
     actions = {}
     for k in range(2, bound + 1):
         for i in range(1, k):
-            table = {}
+            images = []
             for a in carrier[k - 1]:
                 swapped = list(a)
                 swapped[i - 1], swapped[i] = swapped[i], swapped[i - 1]
-                table[a] = tuple(swapped)
-            actions[(k - 1, i)] = table
+                images.append(rank[k - 1][tuple(swapped)])
+            actions[(k - 1, i)] = images
 
-    def supplier(sigma: OrdinalMap) -> dict:
+    def supplier(sigma: OrdinalMap) -> list[int]:
         total, k = sigma.source.arity, sigma.target.arity
         blocks = [
             [t for t in range(total) if sigma.table[t] == j] for j in range(k)
         ]
         sizes = [len(b) for b in blocks]
-        table = {}
+        table = []
         f_space = [carrier[m - 1] for m in sizes]
         for a in carrier[k - 1]:
             bands = [sum(sizes[l] for l in range(k) if a[l] < a[j]) for j in range(k)]
@@ -1055,11 +1081,11 @@ def orders_operad(bound: int = 3) -> FiniteOperad:
                 for j in range(k):
                     for u, t in enumerate(blocks[j]):
                         out[t] = bands[j] + fs[j][u]
-                table[(a, *fs)] = tuple(out)
+                table.append(rank[total - 1][tuple(out)])
         return table
 
     coll = FiniteCollection(SYMMETRIC, carrier, actions)
-    return FiniteOperad(coll, (0,), bound, supplier=supplier)
+    return FiniteOperad(coll, 0, bound, supplier=supplier)
 
 
 def reflavor(op: FiniteOperad, flavor: Flavor) -> FiniteOperad:
@@ -1095,9 +1121,9 @@ def desymmetrise(sym: FiniteOperad, n: int, bound: int | None = None) -> FiniteO
         )
     flavor = N_OPERAD(n)
     ordinals = _index_ordinals(flavor, bound)
-    carrier = {a: sym.collection.elements(a.arity - 1) for a in ordinals}
+    carrier = {a: sym.collection.decoding(a.arity - 1) for a in ordinals}
 
-    def unsort(sigma: OrdinalMap) -> dict:
+    def unsort(sigma: OrdinalMap) -> list[int]:
         # the sorting permutation lists source positions stably by image
         total = sigma.source.arity
         order = sorted(range(total), key=lambda p: (sigma.table[p], p))
@@ -1105,14 +1131,14 @@ def desymmetrise(sym: FiniteOperad, n: int, bound: int | None = None) -> FiniteO
             total - 1, Permutation(tuple(order))
         )
 
-    def supplier(sigma: OrdinalMap) -> dict | None:
+    def supplier(sigma: OrdinalMap) -> list[int] | None:
         if sigma.source.domain.n != n:
             return None
         base = sym.mult(_line_map_with_fibers(_block_sizes(sigma)))
         action = unsort(sigma)
-        return {args: action[base[args]] for args in base}
+        return [action[v] for v in base]
 
-    def quasi_actor(sigma: OrdinalMap) -> dict:
+    def quasi_actor(sigma: OrdinalMap) -> list[int]:
         # A quasibijection sorts to the identity line map, and inserting
         # units along it returns the element unchanged, so the induced
         # action is exactly the symmetric action of the sorting
@@ -1141,27 +1167,26 @@ def non_quasisymmetric_operad() -> FiniteOperad:
     flat = make_ordinal(2, (0,))
     sharp = make_ordinal(2, (1,))
     carrier = {pt: ("e",), flat: (0,), sharp: (0, 1)}
-    tables: dict[OrdinalMap, dict] = {}
-    tables[identity_map(pt)] = {("e", "e"): "e"}
+    tables: dict[OrdinalMap, list[int]] = {identity_map(pt): [0]}
     for t in (flat, sharp):
-        const = OrdinalMap(t, pt, (0, 0))
-        tables[const] = {("e", f): f for f in carrier[t]}
-        ident = identity_map(t)
-        tables[ident] = {
-            (a, "e", "e"): a for a in carrier[t]
-        }
+        # the fibers are points, so a row holds one entry
+        tables[OrdinalMap(t, pt, (0, 0))] = list(range(len(carrier[t])))
+        tables[identity_map(t)] = list(range(len(carrier[t])))
     for table in ((0, 1), (1, 0)):
-        m = OrdinalMap(flat, sharp, table)
-        tables[m] = {(a, "e", "e"): 0 for a in carrier[sharp]}
+        tables[OrdinalMap(flat, sharp, table)] = [0] * len(carrier[sharp])
     coll = FiniteCollection(flavor, carrier, {})
-    return FiniteOperad(coll, "e", 2, tables)
+    return FiniteOperad(coll, 0, 2, tables)
 
 
 # -- induced actions and quasisymmetry ----------------------------------------
 
 
-def induced_action(op: FiniteOperad, sigma: OrdinalMap) -> dict:
-    """Action of a quasibijection by unit insertion, target to source."""
+def induced_action(op: FiniteOperad, sigma: OrdinalMap) -> list[int]:
+    """Action of a quasibijection by unit insertion, target to source.
+
+    Entry a is the index in the source carrier of the image of target
+    element a.
+    """
     if not sigma.is_quasibijection:
         raise NotQuasibijection("induced actions exist for quasibijections only")
     if sigma.source.arity > op.bound:
@@ -1169,10 +1194,8 @@ def induced_action(op: FiniteOperad, sigma: OrdinalMap) -> dict:
             "quasibijection lies outside the operad bound", arity=sigma.source.arity
         )
     if op.quasi_actor is not None:
-        return dict(op.quasi_actor(sigma))
-    table = op.mult(sigma)
-    units = (op.unit,) * sigma.source.arity
-    return {a: table[(a, *units)] for a in op.carrier_of(sigma.target)}
+        return list(op.quasi_actor(sigma))
+    return op.mult(sigma)[_unit_entries(op, sigma.source.arity)]
 
 
 def _quasibijections(op: FiniteOperad, bound: int) -> Iterator[OrdinalMap]:
@@ -1185,12 +1208,13 @@ def _quasibijections(op: FiniteOperad, bound: int) -> Iterator[OrdinalMap]:
 
 
 def is_locally_constant(
-    op: FiniteOperad, we_predicate: Callable[[dict], bool], bound: int | None = None
+    op: FiniteOperad, we_predicate: Callable[[list], bool], bound: int | None = None
 ) -> bool:
     """Whether every induced quasibijection action is a weak equivalence.
 
-    The predicate receives the action as an element dict.  With the
-    bijection predicate this is exactly quasisymmetry.
+    The predicate receives the action as an index list, as
+    ``induced_action`` returns it.  With the bijection predicate this is
+    exactly quasisymmetry.
     """
     bound = op.bound if bound is None else bound
     if bound > op.bound:
@@ -1201,8 +1225,8 @@ def is_locally_constant(
     return True
 
 
-def action_is_bijection(action: dict) -> bool:
-    return len(set(action.values())) == len(action)
+def action_is_bijection(action: Sequence[int]) -> bool:
+    return len(set(action)) == len(action)
 
 
 def is_quasisymmetric(op: FiniteOperad, bound: int | None = None) -> bool:
@@ -1236,14 +1260,15 @@ def extend_multiplication(
     op: FiniteOperad,
     sigma: OrdinalMap,
     route: tuple[OrdinalMap, OrdinalMap] | None = None,
-) -> dict:
+) -> list[int]:
     """Multiplication table at an arbitrary surjection of n-ordinals.
 
     Splits sigma as an order-preserving surjection after a quasibijection,
     pushes every argument forward along the inverse fiber actions,
     multiplies along the order-preserving part, and acts by the whole
     quasibijection on the result.  Quasisymmetry makes the fiber actions
-    invertible; a non-invertible one raises NotQuasisymmetric.
+    invertible; a non-invertible one raises NotQuasisymmetric.  The table
+    is flat, laid out like a stored one.
     """
     if op.flavor.uses_arity_keys:
         raise OutOfRange("extension applies to n-operads", flavor=str(op.flavor))
@@ -1265,19 +1290,15 @@ def extend_multiplication(
         src_positions = [t for t in range(sigma.source.arity) if sigma.table[t] == j]
         mid_positions = [r for r in range(nu.source.arity) if nu.table[r] == j]
         local = restrict_map(pi, src_positions, mid_positions)
-        act = induced_action(op, local)
-        if not action_is_bijection(act):
+        pull = _inverse(induced_action(op, local), len(op.carrier_of(local.source)))
+        if pull is None:
             raise NotQuasisymmetric(
                 "fiber action is not invertible", morphism=morphism_key(local)
             )
-        fiber_pulls.append({v: x for x, v in act.items()})
-    mu = op.mult(nu)
-    out = {}
-    for args in _argument_space(op, sigma):
-        a, fs = args[0], args[1:]
-        pushed = tuple(fiber_pulls[j][fs[j]] for j in range(k))
-        out[args] = alpha[mu[(a, *pushed)]]
-    return out
+        fiber_pulls.append(pull)
+    sizes = [len(pull) for pull in fiber_pulls]
+    tops = op.carrier_of(sigma.target)
+    return [alpha[v] for v in _moved(op.mult(nu), tops, sizes, range(k), fiber_pulls)]
 
 
 # -- braided actions from a quasisymmetric 2-operad ---------------------------
@@ -1285,22 +1306,20 @@ def extend_multiplication(
 
 @dataclass(frozen=True)
 class BraidedActions:
-    """Artin generator actions on the top homogeneous carrier, with the
-    relation names that were verified."""
+    """Artin generator actions on the top homogeneous carrier, as index
+    lists over its decode tuple, with the relation names that were
+    verified."""
 
     strands: int
     carrier: tuple
-    actions: tuple[dict, ...]
+    actions: tuple[list[int], ...]
     relations: tuple[str, ...]
 
     def to_json(self) -> dict:
-        index = {x: i for i, x in enumerate(self.carrier)}
         return {
             "strands": self.strands,
             "carrier": [_thaw(x) for x in self.carrier],
-            "actions": [
-                [index[a[x]] for x in self.carrier] for a in self.actions
-            ],
+            "actions": [list(a) for a in self.actions],
             "relations": list(self.relations),
         }
 
@@ -1320,24 +1339,25 @@ def braided_action_from_quasisymmetric(op: FiniteOperad, k: int) -> BraidedActio
     if k < 1:
         raise OutOfRange("need at least one strand", strands=k)
     flat = make_ordinal(2, (0,) * (k - 1))
-    elems = op.carrier_of(flat)
+    elems = op.collection.decoding(flat)
     actions = []
     for i in range(1, k):
         legs = generator_span(k, i).legs
         forward = induced_action(op, legs[0][1])
-        backward = induced_action(op, legs[1][1])
-        if not (action_is_bijection(forward) and action_is_bijection(backward)):
+        back_inv = _inverse(induced_action(op, legs[1][1]), len(elems))
+        if back_inv is None or not action_is_bijection(forward):
             raise NotQuasisymmetric(
                 "span leg action is not invertible", strands=k, generator=i
             )
-        back_inv = {v: x for x, v in backward.items()}
-        actions.append({x: forward[back_inv[x]] for x in elems})
-    broken = _broken_relation(actions, elems)
+        actions.append([forward[v] for v in back_inv])
+    broken = _broken_relation(actions, len(elems))
     if broken is not None:
         relation, (i, j), witness = broken
-        raise RelationFailed(f"{relation}({i},{j})", strands=k, witness=_thaw(witness))
+        raise RelationFailed(
+            f"{relation}({i},{j})", strands=k, witness=_thaw(elems[witness])
+        )
     relations = [f"{relation}({i},{j})" for relation, i, j in _artin_relations(k)]
-    return BraidedActions(k, tuple(elems), tuple(actions), tuple(relations))
+    return BraidedActions(k, elems, tuple(actions), tuple(relations))
 
 
 # -- JSON bundles -------------------------------------------------------------
@@ -1360,47 +1380,32 @@ def _freeze(x):
 def operad_to_json(op: FiniteOperad) -> dict:
     """Serialize carriers, actions and every table at a required surjection.
 
-    Elements are referenced by index into their carrier list; tables are
-    nested index arrays, outermost dimension the target carrier.
+    Carriers are their decode tuples; actions are their index lists;
+    tables are their flat lists nested by the mixed radix, outermost
+    dimension the target carrier.
     """
     flavor = op.flavor
+    coll = op.collection
     keys = {
         _carrier_key(flavor, a): ordinal_key(a) for a in op.index_ordinals()
     }
-    index = {
-        key: {x: i for i, x in enumerate(op.collection.elements(key))}
-        for key in keys
+    carriers = {keys[key]: [_thaw(x) for x in coll.decoding(key)] for key in keys}
+    actions = {
+        f"{keys[key]}|{i}": list(image)
+        for (key, i), image in sorted(coll.actions.items(), key=lambda kv: kv[0])
     }
-    carriers = {
-        keys[key]: [_thaw(x) for x in op.collection.elements(key)] for key in keys
-    }
-    actions = {}
-    for (key, i), table in sorted(
-        op.collection.actions.items(), key=lambda kv: (kv[0][0], kv[0][1])
-    ):
-        elems = op.collection.elements(key)
-        actions[f"{keys[key]}|{i}"] = [index[key][table[x]] for x in elems]
     mult = {}
     covered = covered_surjections(op, required_surjections(flavor, op.bound))
     for sigma in sorted(itertools.chain(*covered.values()), key=morphism_key):
-        table = op.mult(sigma)
-        tgt_key = _carrier_key(flavor, sigma.target)
-        fib_keys = _fiber_keys(flavor, sigma)
-        src_key = _carrier_key(flavor, sigma.source)
-        dims = [op.collection.elements(k) for k in (tgt_key, *fib_keys)]
-
-        def build(prefix: tuple, depth: int):
-            if depth == len(dims):
-                return index[src_key][table[prefix]]
-            return [build(prefix + (x,), depth + 1) for x in dims[depth]]
-
-        mult[morphism_key(sigma)] = build((), 0)
-    pt_key = _carrier_key(flavor, _point(flavor))
+        nested = op.mult(sigma)
+        for key in reversed(_fiber_keys(flavor, sigma)):
+            nested = _chunks(nested, coll.size(key))
+        mult[morphism_key(sigma)] = nested
     return {
         "flavor": flavor.kind,
         "n": flavor.n,
         "bound": op.bound,
-        "unit": index[pt_key][op.unit],
+        "unit": op.unit,
         "carriers": carriers,
         "actions": actions,
         "mult": mult,
@@ -1424,7 +1429,12 @@ def _ordinal_from_key(flavor: Flavor, key: str) -> NOrdinal:
 
 
 def operad_from_json(obj: dict) -> FiniteOperad:
-    """Read an operad bundle; malformed fields raise BadDocument."""
+    """Read an operad bundle; malformed fields raise BadDocument.
+
+    Each carrier list becomes a decode tuple and must not name an element
+    twice; actions and table leaves must be indices into their carriers,
+    and tables are flattened level by level into their mixed radix.
+    """
     if not isinstance(obj, dict) or "flavor" not in obj:
         raise OutOfRange("operad bundle needs a 'flavor' field")
     n = obj.get("n")
@@ -1433,25 +1443,27 @@ def operad_from_json(obj: dict) -> FiniteOperad:
     carrier = {}
     for key_text, elems in decode(obj.get("carriers"), dict, "carriers").items():
         key = _carrier_key(flavor, _ordinal_from_key(flavor, key_text))
-        elems = decode(elems, list, f"carrier {key_text}")
-        carrier[key] = tuple(_freeze(x) for x in elems)
+        what = f"carrier {key_text}"
+        elems = tuple(_freeze(x) for x in decode(elems, list, what))
+        if len(set(elems)) != len(elems):
+            raise BadDocument(f"{what} lists an element twice", field=what)
+        carrier[key] = elems
 
-    def elements_at(a: NOrdinal) -> tuple:
+    def size_at(a: NOrdinal) -> int:
         found = carrier.get(_carrier_key(flavor, a))
-        return decode(found, tuple, f"carrier {ordinal_key(a)}")
+        return len(decode(found, tuple, f"carrier {ordinal_key(a)}"))
 
     actions = {}
     for key_text, arr in decode(obj.get("actions", {}), dict, "actions").items():
         ordinal_text, _, gen_text = key_text.rpartition("|")
         a = _ordinal_from_key(flavor, ordinal_text)
-        elems = elements_at(a)
+        size = size_at(a)
         if not gen_text.isdecimal():
             raise BadDocument("bad key", field=key_text)
-        decode(arr, list, f"action {key_text}", len(elems))
-        actions[(_carrier_key(flavor, a), int(gen_text))] = {
-            elems[i]: elems[decode(v, int, f"action {key_text}", len(elems))]
-            for i, v in enumerate(arr)
-        }
+        what = f"action {key_text}"
+        actions[(_carrier_key(flavor, a), int(gen_text))] = [
+            decode(v, int, what, size) for v in decode(arr, list, what, size)
+        ]
     tables = {}
     for m_key, nested in decode(obj.get("mult", {}), dict, "mult").items():
         src_text, _, rest = m_key.partition(">")
@@ -1459,26 +1471,12 @@ def operad_from_json(obj: dict) -> FiniteOperad:
         source = _ordinal_from_key(flavor, src_text)
         target = _ordinal_from_key(flavor, tgt_text)
         sigma = OrdinalMap(source, target, _key_ints(table_text, m_key))
-        by_index = dict(enumerate(elements_at(source)))
-        dims = [elements_at(target)] + [
-            elements_at(fiber(sigma, t)[0]) for t in range(target.arity)
-        ]
-        entries = {}
-
-        def fill(prefix: tuple, node, depth: int):
-            if depth == len(dims):
-                entries[prefix] = by_index[node]
-                return
-            decode(node, list, m_key, len(dims[depth]))
-            for x, child in zip(dims[depth], node):
-                fill(prefix + (x,), child, depth + 1)
-
-        try:
-            fill((), nested, 0)
-        except (KeyError, TypeError):  # a leaf that is no index of the carrier
-            raise BadDocument(f"bad {m_key}", field=m_key) from None
-        tables[sigma] = entries
-    units = elements_at(_point(flavor))
-    unit = units[decode(obj.get("unit"), int, "unit", len(units))]
+        level = [nested]
+        for a in (target, *[fiber(sigma, t)[0] for t in range(target.arity)]):
+            size = size_at(a)
+            level = [x for node in level for x in decode(node, list, m_key, size)]
+        size = size_at(source)
+        tables[sigma] = [decode(leaf, int, m_key, size) for leaf in level]
+    unit = decode(obj.get("unit"), int, "unit", size_at(_point(flavor)))
     coll = FiniteCollection(flavor, carrier, actions)
     return FiniteOperad(coll, unit, bound, tables)

@@ -17,10 +17,12 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import (
+    BadDocument,
     DimensionMismatch,
     EqualPoints,
     OutOfRange,
     ResourceLimit,
+    decode,
 )
 from .ordinals import NOrdinal, count_ordinals, from_relations, ordinal_from_json
 
@@ -68,10 +70,23 @@ class Configuration:
         }
 
 
+def _coordinate(value) -> Fraction:
+    """A coordinate read from a document: an integer or a 'p/q' string."""
+    decode(value, (int, str), "coordinate")
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise BadDocument("bad coordinate", field="coordinate", got=repr(value)[:80]) from None
+
+
 def configuration_from_json(obj: dict) -> Configuration:
     if not isinstance(obj, dict) or "dim" not in obj or "points" not in obj:
         raise OutOfRange("configuration needs 'dim' and 'points' fields", got=obj)
-    return Configuration(obj["dim"], tuple(tuple(p) for p in obj["points"]))
+    points = decode(obj["points"], list, "points")
+    return Configuration(
+        decode(obj["dim"], int, "dim"),
+        tuple(tuple(_coordinate(c) for c in decode(p, list, "point")) for p in points),
+    )
 
 
 @dataclass(frozen=True)
@@ -100,7 +115,10 @@ class StratumLabel:
 def stratum_from_json(obj: dict) -> StratumLabel:
     if not isinstance(obj, dict) or "ordinal" not in obj or "labels" not in obj:
         raise OutOfRange("stratum needs 'ordinal' and 'labels' fields", got=obj)
-    return StratumLabel(ordinal_from_json(obj["ordinal"]), tuple(obj["labels"]))
+    labels = decode(obj["labels"], list, "labels")
+    return StratumLabel(
+        ordinal_from_json(obj["ordinal"]), tuple(decode(v, int, "label") for v in labels)
+    )
 
 
 def direction_class(x: Sequence, y: Sequence) -> tuple[int, int]:

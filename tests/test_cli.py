@@ -343,6 +343,15 @@ def _set(path, value):
     return edit
 
 
+def _duplicate_carrier_element(doc):
+    # orders(2) with its arity-2 carrier listing one order twice, and the
+    # table that the duplicate would let pass
+    doc.clear()
+    doc.update(operad_to_json(orders_operad(2)))
+    doc["carriers"]["2:0"] = [[0, 1], [0, 1]]
+    doc["mult"]["2:0>2:0|0,1"] = [[[0]], [[0]]]
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -355,6 +364,9 @@ def _set(path, value):
         _set(["mult", "1:>1:|0", 0, 0], [0]),
         lambda doc: doc.clear() or doc.update(builtin="endomorphism", set=[[0], [1]]),
         lambda doc: doc.clear() or doc.update(builtin="orders", bound="x"),
+        _duplicate_carrier_element,
+        _set(["mult", "1:>1:|0", 1, 1], True),
+        _set(["mult", "1:>1:|0", 1, 1], 1.0),
     ],
     ids=[
         "no carriers",
@@ -366,6 +378,9 @@ def _set(path, value):
         "table depth",
         "set of lists",
         "builtin bound",
+        "duplicate carrier element",
+        "table leaf true",
+        "table leaf float",
     ],
 )
 def test_malformed_operad_documents_are_bad_input(capsys, monkeypatch, edit):
@@ -403,9 +418,17 @@ _FLAT_LEVELS = {"n": 2, "levels": 0}
         ("zigzag", {"legs": [{"dir": "fwd", "map": {**_SWAP, "f": 5}}]}, "f"),
         ("zigzag", {"legs": [{"dir": "fwd", "map": {**_SWAP, "source": _FLAT_LEVELS}}]},
          "levels"),
+        ("check-map", {**_SWAP, "f": None}, "f"),
+        ("split", {"zigzag": {"legs": []}, "blocks": [[2]]}, "block size"),
+        ("classify", {"dim": 2, "points": [[0, "a"], [1, 2]]}, "coordinate"),
+        ("classify", {"dim": 2, "points": [[0, "1/0"], [1, 2]]}, "coordinate"),
+        ("sample", {"ordinal": {"n": 2, "k": 2, "levels": [0]}, "labels": ["a", 1]},
+         "label"),
     ],
     ids=["strands string", "strands bool", "word int", "legs int", "leg int",
-         "leg without map", "leg without dir", "map f int", "ordinal levels int"],
+         "leg without map", "leg without dir", "map f int", "ordinal levels int",
+         "map f null", "split block list", "coordinate text", "coordinate 1/0",
+         "label text"],
 )
 def test_malformed_braid_and_zigzag_documents_are_bad_input(
     capsys, monkeypatch, command, doc, field

@@ -39,7 +39,8 @@ from operadkit.operads import (
     terminal_operad,
     validate_collection,
 )
-from operadkit.ordinal_maps import OrdinalMap, compose, enumerate_maps, identity_map
+from operadkit.operads import _carrier_key
+from operadkit.ordinal_maps import OrdinalMap, compose, enumerate_maps, fiber, identity_map
 from operadkit.ordinals import enumerate_ordinals, make_ordinal
 from operadkit.zigzags import generator_span
 
@@ -58,6 +59,26 @@ def flat2():
 
 def sharp2():
     return make_ordinal(2, [1])
+
+
+def decoding(op, a):
+    """The decode tuple of the carrier at an index ordinal."""
+    return op.collection.decoding(_carrier_key(op.flavor, a))
+
+
+def offset(op, sigma, args):
+    """Offset in sigma's flat table of the decoded arguments (a, f_0, ..)."""
+    objs = [sigma.target] + [fiber(sigma, t)[0] for t in range(sigma.target.arity)]
+    out = 0
+    for obj, x in zip(objs, args):
+        elems = decoding(op, obj)
+        out = out * len(elems) + elems.index(x)
+    return out
+
+
+def product(op, sigma, args):
+    """The decoded product of decoded arguments."""
+    return decoding(op, sigma.source)[op.mult(sigma)[offset(op, sigma, args)]]
 
 
 def test_flavor_validation():
@@ -94,9 +115,42 @@ def test_endomorphism_substitution_instance():
     op = endomorphism_symmetric_operad((0, 1), 2)
     negation = (1, 0)
     xor = (0, 1, 1, 0)
-    mu = op.mult(OrdinalMap(line(2), line(1), (0, 0)))
-    assert mu[(negation, xor)] == (1, 0, 0, 1)
-    assert op.unit == (0, 1)
+    sigma = OrdinalMap(line(2), line(1), (0, 0))
+    assert product(op, sigma, (negation, xor)) == (1, 0, 0, 1)
+    assert decoding(op, line(1))[op.unit] == (0, 1)
+
+
+@pytest.mark.parametrize(
+    "values, bound, tables",
+    [
+        ((0, 1), 3, [(0, 0, 0), (0, 0, 1), (0, 1, 1), (0, 1, 2), (0, 0)]),
+        (("a", "b", "c"), 1, [(0,)]),
+    ],
+)
+def test_endomorphism_tables_are_substitution(values, bound, tables):
+    # every entry against composing the decoded functions directly
+    op = endomorphism_symmetric_operad(values, bound)
+    for table in tables:
+        k = max(table) + 1
+        sigma = OrdinalMap(line(len(table)), line(k), table)
+        inputs = list(itertools.product(values, repeat=len(table)))
+        position = {v: i for i, v in enumerate(values)}
+
+        def call(f, args):
+            i = 0
+            for v in args:
+                i = i * len(values) + position[v]
+            return f[i]
+
+        objs = [sigma.target] + [fiber(sigma, t)[0] for t in range(k)]
+        args_space = itertools.product(*[decoding(op, o) for o in objs])
+        for got, (a, *fs) in zip(op.mult(sigma), args_space, strict=True):
+            blocks = [[t for t, v in enumerate(table) if v == j] for j in range(k)]
+            expected = tuple(
+                call(a, [call(fs[j], [x[t] for t in block]) for j, block in enumerate(blocks)])
+                for x in inputs
+            )
+            assert decoding(op, sigma.source)[got] == expected
 
 
 def test_endomorphism_resource_limit():
@@ -108,10 +162,10 @@ def test_endomorphism_resource_limit():
 def test_orders_substitution_instance():
     # top order (1, 0) nests the second argument's order below the first
     op = orders_operad(3)
-    mu = op.mult(OrdinalMap(line(3), line(2), (0, 0, 1)))
-    assert mu[((1, 0), (0, 1), (0,))] == (1, 2, 0)
-    assert mu[((0, 1), (1, 0), (0,))] == (1, 0, 2)
-    assert op.unit == (0,)
+    sigma = OrdinalMap(line(3), line(2), (0, 0, 1))
+    assert product(op, sigma, ((1, 0), (0, 1), (0,))) == (1, 2, 0)
+    assert product(op, sigma, ((0, 1), (1, 0), (0,))) == (1, 0, 2)
+    assert decoding(op, line(1))[op.unit] == (0,)
 
 
 def test_symmetric_axioms_pass():
@@ -163,10 +217,10 @@ def test_fault_injection_breaks_associativity():
     def corrupted():
         op = endomorphism_symmetric_operad((0, 1), 2)
         ident = identity_map(line(2))
-        table = dict(op.mult(ident))
+        table = list(op.mult(ident))
         xor, negation = (0, 1, 1, 0), (1, 0)
-        key = (xor, negation, op.unit)
-        table[key] = (0, 0, 0, 0)
+        key = offset(op, ident, (xor, negation, decoding(op, line(1))[op.unit]))
+        table[key] = decoding(op, line(2)).index((0, 0, 0, 0))
         assert op.mult(ident)[key] != table[key]
         return FiniteOperad(op.collection, op.unit, op.bound, {ident: table}, op.supplier)
 
@@ -185,8 +239,8 @@ def test_fault_injection_breaks_associativity():
 def test_fault_injection_breaks_unit_law():
     op = orders_operad(2)
     const = OrdinalMap(line(2), line(1), (0, 0))
-    table = dict(op.mult(const))
-    table[((0,), (0, 1))] = (1, 0)
+    table = list(op.mult(const))
+    table[offset(op, const, ((0,), (0, 1)))] = decoding(op, line(2)).index((1, 0))
     broken = FiniteOperad(op.collection, op.unit, op.bound, {const: table}, op.supplier)
     report = check_operad_axioms(broken)
     assert not report.passed
@@ -197,10 +251,11 @@ def test_fault_injection_breaks_unit_law():
 def test_corrupt_action_raises_invariant_broken():
     op = orders_operad(2)
     actions = dict(op.collection.actions)
-    actions[(1, 1)] = {(0, 1): (1, 0), (1, 0): (0, 1)}
+    assert decoding(op, line(2)) == ((0, 1), (1, 0))
+    actions[(1, 1)] = [1, 0]
     ok = FiniteCollection(SYMMETRIC, op.collection.carrier, actions)
     check_operad_axioms(FiniteOperad(ok, op.unit, 2, {}, op.supplier))
-    actions[(1, 1)] = {(0, 1): (1, 0), (1, 0): (1, 0)}
+    actions[(1, 1)] = [1, 1]
     bad = FiniteCollection(SYMMETRIC, op.collection.carrier, actions)
     with pytest.raises(InvariantBroken):
         check_operad_axioms(FiniteOperad(bad, op.unit, 2, {}, op.supplier))
@@ -238,8 +293,8 @@ def test_induced_action_is_input_transposition():
     action = induced_action(op, swap)
     inputs = list(itertools.product((0, 1), repeat=2))
     index = {t: i for i, t in enumerate(inputs)}
-    for a in op.carrier_of(sharp2()):
-        assert action[a] == tuple(a[index[(v, u)]] for (u, v) in inputs)
+    for x, a in enumerate(decoding(op, sharp2())):
+        assert decoding(op, flat2())[action[x]] == tuple(a[index[(v, u)]] for (u, v) in inputs)
     assert action_is_bijection(action)
     ident = induced_action(op, OrdinalMap(flat2(), sharp2(), (0, 1)))
     assert all(ident[a] == a for a in op.carrier_of(sharp2()))
@@ -256,7 +311,7 @@ def test_induced_action_contravariant():
                 left = induced_action(op, compose(second, first))
                 af = induced_action(op, first)
                 before = induced_action(op, second)
-                assert left == {x: af[before[x]] for x in before}
+                assert left == [af[v] for v in before]
 
 
 def test_induced_action_errors():
@@ -274,7 +329,7 @@ def test_counterexample_fails_quasisymmetry_only():
     assert check_operad_axioms(op).passed
     assert not is_quasisymmetric(op)
     witness = induced_action(op, OrdinalMap(flat2(), sharp2(), (1, 0)))
-    assert len(set(witness.values())) == 1
+    assert len(set(witness)) == 1
 
 
 def test_locally_constant_matches_quasisymmetry():
@@ -330,8 +385,8 @@ def test_extension_of_quasibijection_matches_induced_action():
             continue
         for sigma in enumerate_maps(a, b, kind="quasi"):
             table = extend_multiplication(op, sigma)
-            units = (op.unit,) * sigma.source.arity
-            derived = {x: table[(x, *units)] for x in op.carrier_of(b)}
+            units = (decoding(op, point2())[op.unit],) * sigma.source.arity
+            derived = [table[offset(op, sigma, (x, *units))] for x in decoding(op, b)]
             assert derived == induced_action(op, sigma)
 
 
@@ -368,13 +423,13 @@ def test_braided_action_is_input_swap():
     index = {t: i for i, t in enumerate(inputs)}
     for g in (1, 2):
         action = result.actions[g - 1]
-        for f in result.carrier:
+        for x, f in enumerate(result.carrier):
             swapped = []
             for args in inputs:
                 moved = list(args)
                 moved[g - 1], moved[g] = moved[g], moved[g - 1]
                 swapped.append(f[index[tuple(moved)]])
-            assert action[f] == tuple(swapped)
+            assert result.carrier[action[x]] == tuple(swapped)
     bundle = result.to_json()
     assert bundle["strands"] == 3 and len(bundle["actions"]) == 2
     assert sorted(bundle["actions"][0]) == list(range(len(result.carrier)))
@@ -398,11 +453,12 @@ def test_braided_action_relation_failure():
     for g in (1, 2):
         forward, backward = (leg for _, leg in generator_span(3, g).legs)
         carrier[forward.target] = (0, 1)
-        tables[backward] = {(a, "e", "e", "e"): a for a in (0, 1)}
+        # the fibers are points: one entry per top element
+        tables[backward] = [0, 1]
         flip = g == 1
-        tables[forward] = {(a, "e", "e", "e"): 1 - a if flip else a for a in (0, 1)}
+        tables[forward] = [1, 0] if flip else [0, 1]
     coll = FiniteCollection(N_OPERAD(2), carrier, {})
-    op = FiniteOperad(coll, "e", 3, tables)
+    op = FiniteOperad(coll, 0, 3, tables)
     with pytest.raises(RelationFailed) as info:
         braided_action_from_quasisymmetric(op, 3)
     assert info.value.code == "RELATION_FAILED"
@@ -467,7 +523,7 @@ def test_check_bound_exceeded():
 def test_validate_collection_names_the_broken_relation(g3, message, generators):
     # 4 strands on {0, 1, 2}: s1 swaps 0 and 1, s2 is the identity
     images = {1: (1, 0, 2), 2: (0, 1, 2), 3: g3}
-    actions = {(3, i): dict(enumerate(image)) for i, image in images.items()}
+    actions = {(3, i): list(image) for i, image in images.items()}
     coll = FiniteCollection(BRAIDED, {3: (0, 1, 2)}, actions)
     with pytest.raises(InvariantBroken) as info:
         validate_collection(coll)

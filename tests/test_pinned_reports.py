@@ -3,7 +3,11 @@
 The digests are sha256 of CLI stdout, and of the JSON of axiom reports of
 operads with corrupted tables.  They were taken before the multiplication
 tables and the equivariance checks were given one code path each, so any
-change to a report, a witness or an instance string shows here.  The
+change to a report, a witness or an instance string shows here.  The End{0,1} digests (``desymmetrise`` at bound 3,
+the check of the desymmetrised n=8 bundle and the corrupted End{0,1}
+bundles) were taken while carriers were still element tuples and tables
+dicts keyed by tuples of them, so they pin the decoding of witnesses at
+the edge and their sort order.  The
 ``nerve`` and ``homology`` digests, and the position at which a boundary
 with one flipped sign is rejected, were taken from the dense homology
 engine that the sparse one replaced.  The
@@ -27,6 +31,9 @@ from operadkit.operads import (
     MIXED2,
     SYMMETRIC,
     check_operad_axioms,
+    desymmetrise,
+    endomorphism_symmetric_operad,
+    operad_to_json,
     orders_operad,
     reflavor,
 )
@@ -56,8 +63,11 @@ def _sha(text: str) -> str:
          "d8d83a8aafa6c0173a915a2f863447b04bde0e51e984520ad66c254e72e944f5"),
         (["desymmetrise", "--n", "3", "--bound", "2"], END,
          "1ccb44b997f5959a90b839f0603b736e9c11c2c2dee992950ff113be58c31153"),
+        (["desymmetrise", "--n", "2", "--bound", "3"], {**END, "bound": 3},
+         "b9bcaa4afd5298c83a1126ae0c56445c38d5dda86f5867e358bc35c3d518e835"),
     ],
-    ids=["orders", "End{0,1}", "braided", "mixed2", "n=2", "desymmetrise"],
+    ids=["orders", "End{0,1}", "braided", "mixed2", "n=2", "desymmetrise",
+         "desymmetrise bound 3"],
 )
 def test_cli_stdout_is_pinned(capsys, monkeypatch, argv, doc, digest):
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
@@ -120,13 +130,18 @@ def _line(k):
 def _corrupted_orders():
     """orders_operad(3) with one entry reversed in three stored tables."""
     op = orders_operad(3)
+    orders = [op.collection.decoding(k) for k in range(3)]
     for sigma, key in [
         (OrdinalMap(_line(2), _line(2), (0, 1)), ((1, 0), (0,), (0,))),
         (OrdinalMap(_line(2), _line(1), (0, 0)), ((0,), (1, 0))),
         (OrdinalMap(_line(3), _line(2), (0, 0, 1)), ((0, 1), (1, 0), (0,))),
     ]:
-        table = dict(op.mult(sigma))
-        table[key] = tuple(reversed(table[key]))
+        table = list(op.mult(sigma))
+        at = 0
+        for order in key:
+            at = at * len(orders[len(order) - 1]) + orders[len(order) - 1].index(order)
+        source = orders[sigma.source.arity - 1]
+        table[at] = source.index(tuple(reversed(source[table[at]])))
         op.tables[sigma] = table
     return op
 
@@ -147,3 +162,40 @@ def test_corrupted_table_reports_are_pinned(flavor, checked, failures, digest):
     report = check_operad_axioms(reflavor(_corrupted_orders(), flavor)).to_json()
     assert (report["checked"], len(report["failures"])) == (checked, failures)
     assert _sha(json.dumps(report, sort_keys=True)) == digest
+
+
+def _end_bundle_with(edits):
+    """The End{0,1} bundle at bound 2 with some entries set to new indices."""
+    doc = operad_to_json(endomorphism_symmetric_operad((0, 1), 2))
+    for path, value in edits:
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc, code, digest",
+    [
+        (lambda: operad_to_json(
+            desymmetrise(endomorphism_symmetric_operad((0, 1), 2), 8, 2)), 0,
+         "109d0c1374665b5647163b7ff6095a3faba2a957762a89f093493f35dee1e30d"),
+        # two mult entries, and two fixed points of the swap action
+        # exchanged, which leaves the action an involution
+        (lambda: _end_bundle_with([
+            (("mult", "2:0>1:|0,0", 1, 5), 3),
+            (("mult", "2:0>2:0|0,1", 3, 1, 2), 7),
+            (("actions", "2:0|1", 6), 9),
+            (("actions", "2:0|1", 9), 6),
+        ]), 1, "6d648f2ade1d659fce969d7e04be0326f8740739d904df6add05a871557e0db7"),
+        # an action entry that is no involution: rejected before any instance
+        (lambda: _end_bundle_with([(("actions", "2:0|1", 5), 2)]), 1,
+         "3c42b9826fdc57a66d92e27c1d2b82448547f4e11f7cd0c1fcde5477f8a47e91"),
+    ],
+    ids=["desymmetrised n=8", "corrupted End{0,1}", "corrupted End{0,1} action"],
+)
+def test_operad_check_of_end_bundles_is_pinned(capsys, monkeypatch, doc, code, digest):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc())))
+    assert main(["operad-check"]) == code
+    assert _sha(capsys.readouterr().out) == digest

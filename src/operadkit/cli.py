@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import sys
 import time
@@ -24,6 +25,7 @@ from .errors import (
     DiagramBroken,
     InvariantBroken,
     NotBlockDecomposable,
+    OutOfRange,
     WorkbenchError,
     decode,
 )
@@ -42,7 +44,7 @@ from .operads import (
     terminal_operad,
 )
 from .ordinal_maps import OrdinalMap, compose, factorize
-from .ordinals import enumerate_ordinals, ordinal_from_json
+from .ordinals import count_ordinals, enumerate_ordinals, ordinal_from_json
 from .quasicat import build_j, build_q, nerve, order_complex
 from .strata import (
     StratumLabel,
@@ -149,9 +151,13 @@ def _dot_poset(p) -> str:
 
 
 def _cmd_enumerate(args, doc):
-    ordinals = list(enumerate_ordinals(args.n, args.k))
+    count = count_ordinals(args.n, args.k)
+    if args.offset < 0 or (args.limit is not None and args.limit < 0):
+        raise OutOfRange(
+            "offset and limit must be non-negative", offset=args.offset, limit=args.limit
+        )
     stop = None if args.limit is None else args.offset + args.limit
-    window = ordinals[args.offset : stop]
+    window = list(itertools.islice(enumerate_ordinals(args.n, args.k), args.offset, stop))
     if args.tree:
         lines = [
             f"{args.offset + pos}: levels={list(t.levels)}  {_bracket_tree(t)}"
@@ -161,7 +167,7 @@ def _cmd_enumerate(args, doc):
     return {
         "n": args.n,
         "k": args.k,
-        "count": len(ordinals),
+        "count": count,
         "offset": args.offset,
         "ordinals": [t.to_json() for t in window],
     }
@@ -513,7 +519,11 @@ def _read_doc(args):
     if path is None:
         return None
     try:
-        text = sys.stdin.read() if path == "-" else open(path).read()
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path) as f:
+                text = f.read()
     except OSError as e:
         raise UsageError({"error": "NO_SUCH_FILE", "path": path, "message": str(e)})
     try:

@@ -20,6 +20,7 @@ witness.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -59,6 +60,9 @@ from .ordinals import LevelDomain, NOrdinal, enumerate_ordinals, make_ordinal
 from .zigzags import generator_span
 
 CARRIER_CAP = 100_000
+# Longest flat list an axiom check builds: a multiplication table, or one
+# side of an associativity instance.  End{0,1} at bound 3 needs 2**20.
+LIST_CAP = 2**24
 
 
 # -- flavors and index plumbing --------------------------------------------
@@ -482,14 +486,16 @@ def check_operad_axioms(op: FiniteOperad, bound: int | None = None) -> AxiomRepo
 
     Every required surjection within bound must have a table; each one
     without is a ``coverage`` failure, and the instances that need it are
-    skipped.  Associativity and both unit laws run for all flavors.  The
-    symmetric flavor adds the two equivariance identities in both
-    presentations (whole-group reindexing and commuting squares with
-    bijective verticals); the braided flavor checks equivariance on Artin
-    generator words with cabled output braids; the mixed flavor checks the
-    two square conditions over genuine 2-ordinal squares with
-    quasibijection verticals.  Generator images are validated first and
-    raise on failure.
+    skipped.  Before any table is built, the longest list the check would
+    build is predicted from the carrier sizes; past LIST_CAP entries the
+    check raises ResourceLimit.  Associativity and both unit laws run for
+    all flavors.  The symmetric flavor adds the two equivariance
+    identities in both presentations (whole-group reindexing and commuting
+    squares with bijective verticals); the braided flavor checks
+    equivariance on Artin generator words with cabled output braids; the
+    mixed flavor checks the two square conditions over genuine 2-ordinal
+    squares with quasibijection verticals.  Generator images are
+    validated first and raise on failure.
     """
     bound = op.bound if bound is None else bound
     if bound < 1:
@@ -500,6 +506,12 @@ def check_operad_axioms(op: FiniteOperad, bound: int | None = None) -> AxiomRepo
     if op.unit not in op.carrier_of(_point(op.flavor)):
         raise InvariantBroken("unit element is not in the arity-one carrier")
     required = required_surjections(op.flavor, bound)
+    longest = _longest_list(op, required)
+    if longest > LIST_CAP:
+        raise ResourceLimit(
+            "an axiom check would build too long a list",
+            predicted=longest, cap=LIST_CAP,
+        )
     covered = covered_surjections(op, required)
     failures = [
         AxiomFailure("coverage", morphism_key(s), ())
@@ -520,6 +532,26 @@ def check_operad_axioms(op: FiniteOperad, bound: int | None = None) -> AxiomRepo
         checked += _check_square_eq1(op, bound, failures, braided=True)
         checked += _check_square_eq2(op, bound, failures, braided=True)
     return _report(failures, checked)
+
+
+def _longest_list(op: FiniteOperad, required: Surjections) -> int:
+    """The length of the longest list a check builds, from carrier sizes
+    alone; a missing carrier counts as empty.
+
+    The table at sigma has |target| times the product of its fiber sizes
+    entries, and both sides of the associativity instance (sigma, omega)
+    have the table length of omega times that product of sigma.  Every
+    identity is required, so the longest side is at least every table.
+    """
+    size = {key: len(elems) for key, elems in op.collection.carrier.items()}
+    tables_from, fibers_into = {}, {}
+    for (source, target), maps in required.items():
+        for sigma in maps:
+            fibers = math.prod(size.get(key, 0) for key in _fiber_keys(op.flavor, sigma))
+            table = size.get(_carrier_key(op.flavor, target), 0) * fibers
+            tables_from[source] = max(tables_from.get(source, 0), table)
+            fibers_into[target] = max(fibers_into.get(target, 0), fibers)
+    return max((tables_from[b] * fibers for b, fibers in fibers_into.items()), default=0)
 
 
 def _unit_entries(op: FiniteOperad, arity: int) -> slice:
@@ -715,90 +747,100 @@ def _check_reindexing(
 # -- square-style equivariance ----------------------------------------------
 
 
-def _lift_action(
-    op, key: int, table: Sequence[int], braided: bool, inverse: bool
-) -> list[int]:
-    """Action of a vertical map's lift on one carrier, or its inverse.
+@functools.cache
+def _lift_word(table: tuple[int, ...], braided: bool, inverse: bool) -> tuple[int, ...]:
+    """The word of a vertical map's lift, or of its inverse.
 
     For the symmetric flavor the lift is the permutation itself; for the
     mixed flavor it is the positive braid word of the quasibijection, and
     the inverse is the reversed negative word, which need not act like the
     positive lift of the inverse permutation.
     """
-    coll = op.collection
+    rho = Permutation(table)
     if braided:
-        lift = BraidWord(len(table), q_section(Permutation(table)).word)
-        if inverse:
-            lift = lift.inverse()
-        return coll.action_of_word(key, lift.word)
-    rho = Permutation(tuple(table))
-    if inverse:
-        rho = rho.inverse()
-    return coll.action_of_permutation(key, rho)
+        lift = BraidWord(len(table), q_section(rho).word)
+        return lift.inverse().word if inverse else lift.word
+    return q_section(rho.inverse() if inverse else rho).word
+
+
+def _fiber_lifts(
+    coll: FiniteCollection, lower, upper, vertical, slots, braided: bool, inverse: bool
+) -> list[list[int]]:
+    """Per slot l, the lift action of the vertical restricted to fibers: it
+    maps the fiber of ``lower`` over l onto the fiber of ``upper`` over
+    slots[l]."""
+    acts = []
+    for l, slot in enumerate(slots):
+        above = [t for t, v in enumerate(upper) if v == slot]
+        local = tuple(above.index(vertical[u]) for u, v in enumerate(lower) if v == l)
+        acts.append(coll.action_of_word(len(local) - 1, _lift_word(local, braided, inverse)))
+    return acts
 
 
 def _square_eq1_instance(
     op: FiniteOperad,
     sigma: OrdinalMap,
+    mu: list[int],
     sigma2: OrdinalMap,
+    mu2: list[int],
     p_table: tuple[int, ...],
     r_table: tuple[int, ...],
     braided: bool,
     failures: list[AxiomFailure],
-    instance: str,
     signs: tuple[bool, bool, bool] = (True, True, True),
 ) -> int:
-    """One commuting square sigma . p = r . sigma2 of the first condition.
+    """One commuting square sigma . p = r . sigma2 of the first condition,
+    with mu and mu2 the tables of sigma and sigma2.
 
     The default signs invert every vertical: the lifts transport elements
     against the direction of the maps.
     """
-    total, k = sigma.source.arity, sigma.target.arity
-    mu = op.mult(_as_line_map(sigma))
-    mu2 = op.mult(_as_line_map(sigma2))
-    sizes = _block_sizes(sigma)
-    act_top = _lift_action(op, k - 1, r_table, braided, inverse=signs[0])
-    act_out = _lift_action(op, total - 1, p_table, braided, inverse=signs[2])
-    fiber_acts = []
-    for l in range(k):
-        u_positions = [t for t in range(total) if sigma2.table[t] == l]
-        b_positions = [t for t in range(total) if sigma.table[t] == r_table[l]]
-        local = tuple(
-            b_positions.index(p_table[u]) for u in u_positions
-        )
-        fiber_acts.append(
-            _lift_action(op, len(local) - 1, local, braided, inverse=signs[1])
-        )
     coll = op.collection
-    keys = [k - 1, *[m - 1 for m in sizes]]
+    total, k = sigma.source.arity, sigma.target.arity
+    act_top = coll.action_of_word(k - 1, _lift_word(r_table, braided, signs[0]))
+    act_out = coll.action_of_word(total - 1, _lift_word(p_table, braided, signs[2]))
+    fiber_acts = _fiber_lifts(
+        coll, sigma2.table, sigma.table, p_table, r_table, braided, signs[1]
+    )
+    keys = [k - 1, *[m - 1 for m in _block_sizes(sigma)]]
     lhs = _moved(mu2, act_top, [coll.size(key) for key in keys[1:]], r_table, fiber_acts)
     rhs = [act_out[v] for v in mu]
+    instance = (
+        f"{morphism_key(sigma)} p={list(p_table)} "
+        f"r={list(r_table)} via={morphism_key(sigma2)}"
+    )
     return _mismatches(coll, keys, lhs, rhs, "equivariance-1", instance, failures)
 
 
-def _as_line_map(sigma: OrdinalMap) -> OrdinalMap:
-    if sigma.source.domain.n == 1:
-        return sigma
-    return OrdinalMap(
-        _line(sigma.source.arity), _line(sigma.target.arity), sigma.table
-    )
+def _squares(op: FiniteOperad, bound: int, braided: bool):
+    """Everything a square condition quantifies over, enumerated once.
 
-
-def _square_verticals(
-    source: NOrdinal, target: NOrdinal, braided: bool
-) -> list[tuple[int, ...]]:
-    if braided:
-        return [m.table for m in enumerate_maps(source, target, kind="quasi")]
-    if source == target:
-        return [t for t in itertools.permutations(range(source.arity))]
-    return []
-
-
-def _square_objects(bound: int, braided: bool) -> dict[int, list[NOrdinal]]:
-    """Square corners by arity: 2-ordinals (mixed flavor) or lines."""
-    if braided:
-        return {k: list(enumerate_ordinals(2, k)) for k in range(1, bound + 1)}
-    return {k: [_line(k)] for k in range(1, bound + 1)}
+    Corners are 2-ordinals (mixed flavor) or lines (1-ordinals), by
+    arity.  ``verticals`` maps each same-arity corner pair (a, b) to the
+    tables of the vertical maps a -> b: quasibijections, or every
+    permutation between lines.  ``horizontals`` maps a corner a to a dict
+    that maps each corner b of no larger arity to the order-preserving
+    surjections a -> b that have a multiplication table, keyed by their
+    table and carrying (map, table).
+    """
+    n = 2 if braided else 1
+    by_arity = {k: list(enumerate_ordinals(n, k)) for k in range(1, bound + 1)}
+    verticals = {
+        (a, b): [m.table for m in enumerate_maps(a, b, kind="quasi")]
+        if braided
+        else list(itertools.permutations(range(a.arity)))
+        for group in by_arity.values()
+        for a, b in itertools.product(group, repeat=2)
+    }
+    objs = [o for group in by_arity.values() for o in group]
+    horizontals = {a: {b: {} for b in objs if b.arity <= a.arity} for a in objs}
+    for a, targets in horizontals.items():
+        for b, found in targets.items():
+            for m in enumerate_maps(a, b, kind="order"):
+                line = OrdinalMap(_line(a.arity), _line(b.arity), m.table)
+                if m.is_surjective and (mu := op.table(line)) is not None:
+                    found[m.table] = (m, mu)
+    return by_arity, verticals, horizontals
 
 
 def _check_square_eq1(
@@ -812,95 +854,58 @@ def _check_square_eq1(
 
     Horizontals are order-preserving surjections (of 2-ordinals in the
     mixed flavor), verticals are quasibijections (arbitrary bijections in
-    the symmetric flavor), and the square must commute on tables.
+    the symmetric flavor), and the square must commute on tables.  Given
+    sigma and the verticals p and r, the second horizontal is forced to be
+    r^-1 . sigma . p, and the square exists when that is one of the
+    horizontals.
     """
     checked = 0
-    by_arity = _square_objects(bound, braided)
-    objs = [o for group in by_arity.values() for o in group]
-    for t in objs:
-        for s in objs:
-            if s.arity > t.arity:
-                continue
-            for sigma in _op_surjections(t, s):
-                if op.table(_as_line_map(sigma)) is None:
-                    continue
+    by_arity, verticals, horizontals = _squares(op, bound, braided)
+    for t, targets in horizontals.items():
+        for s, found in targets.items():
+            for sigma, mu in found.values():
                 for t2 in by_arity[t.arity]:
-                    for p_table in _square_verticals(t2, t, braided):
+                    for p_table in verticals[(t2, t)]:
+                        moved = [sigma.table[u] for u in p_table]
                         for s2 in by_arity[s.arity]:
-                            for r_table in _square_verticals(s2, s, braided):
-                                r_inv = [0] * len(r_table)
-                                for l, v in enumerate(r_table):
-                                    r_inv[v] = l
-                                table2 = tuple(
-                                    r_inv[sigma.table[p_table[u]]]
-                                    for u in range(t.arity)
-                                )
-                                if any(
-                                    table2[u] > table2[u + 1]
-                                    for u in range(len(table2) - 1)
-                                ):
-                                    continue
-                                if morphism_violation(t2, s2, table2) is not None:
-                                    continue
-                                sigma2 = OrdinalMap(t2, s2, table2)
-                                if op.table(_as_line_map(sigma2)) is None:
-                                    continue
-                                instance = (
-                                    f"{morphism_key(sigma)} p={list(p_table)} "
-                                    f"r={list(r_table)} via={morphism_key(sigma2)}"
-                                )
-                                checked += _square_eq1_instance(
-                                    op,
-                                    sigma,
-                                    sigma2,
-                                    p_table,
-                                    r_table,
-                                    braided,
-                                    failures,
-                                    instance,
-                                    signs,
-                                )
+                            candidates = horizontals[t2][s2]
+                            for r_table in verticals[(s2, s)]:
+                                hit = candidates.get(tuple(r_table.index(v) for v in moved))
+                                if hit is not None:
+                                    checked += _square_eq1_instance(
+                                        op, sigma, mu, *hit, p_table, r_table,
+                                        braided, failures, signs,
+                                    )
     return checked
-
-
-def _op_surjections(source: NOrdinal, target: NOrdinal) -> list[OrdinalMap]:
-    return [
-        m for m in enumerate_maps(source, target, kind="order") if m.is_surjective
-    ]
 
 
 def _route_value(
     op: FiniteOperad,
     eta: OrdinalMap,
+    mu: list[int],
     q_table: tuple[int, ...],
     omega_table: tuple[int, ...],
     braided: bool,
     signs: tuple[bool, bool] = (True, False),
 ) -> list[int]:
-    """Transport of mu_eta along a quasibijection onto the composite's fibers.
+    """Transport of mu, the table of eta, along a quasibijection onto the
+    composite's fibers.
 
     The route value at (a, h_0, .., h_k) applies the forward fiber actions
     to the arguments, multiplies along eta, and pulls the result back with
     the inverse action of the whole quasibijection.
     """
     coll = op.collection
-    total = len(q_table)
     k = eta.target.arity
-    mu = op.mult(_as_line_map(eta))
-    inverse_whole = _lift_action(op, total - 1, q_table, braided, inverse=signs[0])
-    forward_locals = []
-    for i in range(k):
-        omega_positions = [t for t in range(total) if omega_table[t] == i]
-        eta_positions = [t for t in range(total) if eta.table[t] == i]
-        local = tuple(
-            eta_positions.index(q_table[t]) for t in omega_positions
-        )
-        forward_locals.append(
-            _lift_action(op, len(local) - 1, local, braided, inverse=signs[1])
-        )
-    sizes = [len(act) for act in forward_locals]
+    inverse_whole = coll.action_of_word(
+        len(q_table) - 1, _lift_word(q_table, braided, signs[0])
+    )
+    forward = _fiber_lifts(
+        coll, omega_table, eta.table, q_table, range(k), braided, signs[1]
+    )
+    sizes = [len(act) for act in forward]
     tops = range(coll.size(k - 1))
-    return [inverse_whole[v] for v in _moved(mu, tops, sizes, range(k), forward_locals)]
+    return [inverse_whole[v] for v in _moved(mu, tops, sizes, range(k), forward)]
 
 
 def _check_square_eq2(
@@ -917,33 +922,27 @@ def _check_square_eq2(
     produce the same transported multiplication.
     """
     checked = 0
-    by_arity = _square_objects(bound, braided)
-    for t in [o for group in by_arity.values() for o in group]:
-        total = t.arity
+    by_arity, verticals, horizontals = _squares(op, bound, braided)
+    for t in horizontals:
         routes: dict[tuple, list] = {}
-        for mid in by_arity[total]:
-            for q_table in _square_verticals(t, mid, braided):
-                for k in range(1, total + 1):
-                    for s in by_arity[k]:
-                        for eta in _op_surjections(mid, s):
-                            if op.table(_as_line_map(eta)) is None:
-                                continue
-                            omega_table = tuple(
-                                eta.table[q_table[u]] for u in range(total)
-                            )
-                            key = (str(s), omega_table)
-                            routes.setdefault(key, []).append((q_table, eta))
-        for key, rs in sorted(routes.items()):
+        for mid in by_arity[t.arity]:
+            for q_table in verticals[(t, mid)]:
+                for s, found in horizontals[mid].items():
+                    for eta, mu in found.values():
+                        omega_table = tuple(eta.table[v] for v in q_table)
+                        routes.setdefault((str(s), omega_table), []).append(
+                            (q_table, eta, mu)
+                        )
+        for (_, omega_table), rs in sorted(routes.items()):
             if len(rs) < 2:
                 continue
-            omega_table = key[1]
             k = max(omega_table) + 1
             keys = [k - 1, *[omega_table.count(i) - 1 for i in range(k)]]
-            base_q, base_eta = rs[0]
-            base = _route_value(op, base_eta, base_q, omega_table, braided, signs)
+            base_q, base_eta, base_mu = rs[0]
+            base = _route_value(op, base_eta, base_mu, base_q, omega_table, braided, signs)
             base_name = f"q={list(base_q)} ; {morphism_key(base_eta)}"
-            for q_table, eta in rs[1:]:
-                value = _route_value(op, eta, q_table, omega_table, braided, signs)
+            for q_table, eta, mu in rs[1:]:
+                value = _route_value(op, eta, mu, q_table, omega_table, braided, signs)
                 instance = (
                     f"{base_name} versus q={list(q_table)} ; {morphism_key(eta)}"
                 )

@@ -306,6 +306,11 @@ def enumerate_ordinals(n: int, k: int) -> Iterator[NOrdinal]:
 
 
 def count_ordinals(n: int, k: int) -> int:
+    """The number of n-ordinals of arity k, for the n and k that
+    enumerate_ordinals accepts; others raise OutOfRange."""
+    LevelDomain.finite(n)
+    if not isinstance(k, int) or k < 0:
+        raise OutOfRange("arity must be a non-negative integer", arity=k)
     if k <= 1:
         return 1
     return n ** (k - 1)

@@ -3,6 +3,7 @@
 import io
 import json
 import sys
+import time
 
 import pytest
 
@@ -50,6 +51,32 @@ def test_enumerate_pagination(capsys):
     payload = report_of(out)["payload"]
     assert payload["count"] == 8
     assert [o["levels"] for o in payload["ordinals"]] == [[0, 1, 0], [0, 1, 1]]
+
+    # the window is streamed and the count comes from the formula, so a
+    # page of 9^11 ordinals is as quick as a page of 8
+    started = time.perf_counter()
+    code, out, _ = run_cli(["enumerate", "--n", "9", "--k", "12", "--limit", "1"], capsys)
+    assert time.perf_counter() - started < 1.0
+    assert code == 0
+    payload = report_of(out)["payload"]
+    assert payload["count"] == 31381059609
+    assert [o["levels"] for o in payload["ordinals"]] == [[0] * 11]
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--n", "2", "--k", "3", "--limit", "-1"],
+        ["--n", "2", "--k", "3", "--offset", "-2", "--tree"],
+        ["--n", "2", "--k", "-1"],
+        ["--n", "2", "--k", "-1", "--limit", "0"],
+        ["--n", "-1", "--k", "2", "--limit", "0"],
+    ],
+)
+def test_enumerate_rejects_negative_inputs(capsys, flags):
+    code, out, _ = run_cli(["enumerate", *flags], capsys)
+    assert code == 2
+    assert report_of(out)["payload"]["error"] == "OUT_OF_RANGE"
 
 
 def test_enumerate_tree_mode_is_text(capsys):
@@ -277,6 +304,21 @@ def test_operad_check_catches_corruption(capsys, tmp_path):
     assert rep["payload"]["failures"]
     first = rep["payload"]["failures"][0]
     assert {"axiom", "instance", "witness"} <= set(first)
+
+
+def test_operad_check_refuses_lists_past_the_cap(capsys, monkeypatch):
+    # End{0,1,2} at bound 2: an associativity side would have 3^21 entries
+    doc = {"builtin": "endomorphism", "set": [0, 1, 2], "bound": 2}
+    started = time.perf_counter()
+    code, out, _ = run_cli(
+        ["operad-check", "-"], capsys, monkeypatch, stdin_text=json.dumps(doc)
+    )
+    assert time.perf_counter() - started < 2.0
+    assert code == 2
+    payload = report_of(out)["payload"]
+    assert payload["error"] == "RESOURCE_LIMIT"
+    assert payload["diagnostic"]["predicted"] == 3**21
+    assert payload["diagnostic"]["cap"] == 2**24
 
 
 def test_desymmetrise_emits_checkable_operad(capsys, monkeypatch, tmp_path):

@@ -191,6 +191,35 @@ def test_braided_and_mixed_pullbacks_pass():
         reflavor(terminal_operad(BRAIDED, 2), BRAIDED)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: endomorphism_symmetric_operad((0, 1), 2),
+        lambda: reflavor(endomorphism_symmetric_operad((0, 1), 2), MIXED2),
+        lambda: desymmetrise(endomorphism_symmetric_operad((0, 1), 2), 2),
+        lambda: orders_operad(4),
+    ],
+    ids=["End{0,1}", "End{0,1} mixed2", "desymmetrised End{0,1}", "orders"],
+)
+def test_longest_list_is_predicted_exactly(monkeypatch, make):
+    # the prediction behind LIST_CAP equals the longest table or compared
+    # list that the check then builds
+    from operadkit import operads
+
+    op = make()
+    predicted = operads._longest_list(op, operads.required_surjections(op.flavor, op.bound))
+    compared = []
+    real = operads._mismatches
+
+    def recording(coll, keys, lhs, rhs, *rest):
+        compared.extend((len(lhs), len(rhs)))
+        return real(coll, keys, lhs, rhs, *rest)
+
+    monkeypatch.setattr(operads, "_mismatches", recording)
+    assert check_operad_axioms(op).passed
+    assert predicted == max(*compared, *map(len, op.tables.values()))
+
+
 def test_square_orientation_is_rigid():
     # flipping any sign in the square identities breaks real instances
     from operadkit.operads import _check_square_eq1, _check_square_eq2

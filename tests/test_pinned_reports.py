@@ -13,7 +13,9 @@ with one flipped sign is rejected, were taken from the dense homology
 engine that the sparse one replaced.  The
 corrupted reports together name every failure-instance form: associativity,
 both unit laws, rho= and rhos= (symmetric reindexing), letter= and slot=
-(braided generators), and both square conditions.
+(braided generators), and both square conditions.  The reports at bounds 4
+and 5 were taken while each square check still enumerated the verticals and
+the second horizontal of every candidate square inside its loops.
 """
 
 import hashlib
@@ -36,6 +38,7 @@ from operadkit.operads import (
     operad_to_json,
     orders_operad,
     reflavor,
+    terminal_operad,
 )
 from operadkit.ordinal_maps import OrdinalMap
 from operadkit.ordinals import make_ordinal
@@ -127,9 +130,9 @@ def _line(k):
     return make_ordinal(1, [0] * (k - 1), arity=k)
 
 
-def _corrupted_orders():
-    """orders_operad(3) with one entry reversed in three stored tables."""
-    op = orders_operad(3)
+def _corrupted_orders(bound=3):
+    """orders_operad(bound) with one entry reversed in three stored tables."""
+    op = orders_operad(bound)
     orders = [op.collection.decoding(k) for k in range(3)]
     for sigma, key in [
         (OrdinalMap(_line(2), _line(2), (0, 1)), ((1, 0), (0,), (0,))),
@@ -160,6 +163,31 @@ def _corrupted_orders():
 )
 def test_corrupted_table_reports_are_pinned(flavor, checked, failures, digest):
     report = check_operad_axioms(reflavor(_corrupted_orders(), flavor)).to_json()
+    assert (report["checked"], len(report["failures"])) == (checked, failures)
+    assert _sha(json.dumps(report, sort_keys=True)) == digest
+
+
+@pytest.mark.parametrize(
+    "operad, checked, failures, digest",
+    [
+        (lambda: terminal_operad(MIXED2, 4), 2647, 0,
+         "7db5c0873779e34ebc0866273f9f89330998ce17025bd2c131703f240cc11604"),
+        (lambda: orders_operad(5), 156053, 0,
+         "5d62d8fe95f4eb76f7d59b3d669b43444dcd6088b9b29a11b811ebc749fa5716"),
+        (lambda: reflavor(orders_operad(4), MIXED2), 38688, 0,
+         "d4f8970bf596f16b68e8d2dafa833b9b28bd3538295f38a8547f392c1dfa5f0d"),
+        (lambda: reflavor(_corrupted_orders(4), SYMMETRIC), 5869, 139,
+         "2ac300fc8f83731c0dc916b334aeccb35743acca26aff72bec344d916d905e13"),
+        (lambda: reflavor(_corrupted_orders(4), MIXED2), 38688, 151,
+         "12ee3f1c6dc9945696310e437207cac6c732bcc41fb06cfc7ae2350132be1576"),
+    ],
+    ids=["terminal mixed2", "orders", "orders mixed2", "corrupted symmetric",
+         "corrupted mixed2"],
+)
+def test_square_checks_at_bound_4_and_5_are_pinned(operad, checked, failures, digest):
+    """Square conditions on corners of arity 4 (2-ordinals in the mixed
+    flavor) and 5 (lines), where the bound-3 reports above never reach."""
+    report = check_operad_axioms(operad()).to_json()
     assert (report["checked"], len(report["failures"])) == (checked, failures)
     assert _sha(json.dumps(report, sort_keys=True)) == digest
 

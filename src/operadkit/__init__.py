@@ -23,6 +23,7 @@ from .ordinals import (
     suspend_infinite,
     suspend_vertical,
     to_tree,
+    unrank,
 )
 from .ordinal_maps import (
     Factorization,

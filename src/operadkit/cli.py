@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import itertools
 import json
 import sys
 import time
@@ -44,7 +43,7 @@ from .operads import (
     terminal_operad,
 )
 from .ordinal_maps import OrdinalMap, compose, factorize
-from .ordinals import count_ordinals, enumerate_ordinals, ordinal_from_json
+from .ordinals import count_ordinals, ordinal_from_json, unrank
 from .quasicat import build_j, build_q, nerve, order_complex
 from .strata import (
     StratumLabel,
@@ -156,8 +155,8 @@ def _cmd_enumerate(args, doc):
         raise OutOfRange(
             "offset and limit must be non-negative", offset=args.offset, limit=args.limit
         )
-    stop = None if args.limit is None else args.offset + args.limit
-    window = list(itertools.islice(enumerate_ordinals(args.n, args.k), args.offset, stop))
+    stop = count if args.limit is None else min(args.offset + args.limit, count)
+    window = [unrank(args.n, args.k, r) for r in range(args.offset, stop)]
     if args.tree:
         lines = [
             f"{args.offset + pos}: levels={list(t.levels)}  {_bracket_tree(t)}"

@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import add
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -53,6 +53,7 @@ from .ordinal_maps import (
     factorize,
     fiber,
     identity_map,
+    induced,
     morphism_violation,
     restrict_map,
 )
@@ -60,8 +61,9 @@ from .ordinals import LevelDomain, NOrdinal, enumerate_ordinals, make_ordinal
 from .zigzags import generator_span
 
 CARRIER_CAP = 100_000
-# Longest flat list an axiom check builds: a multiplication table, or one
-# side of an associativity instance.  End{0,1} at bound 3 needs 2**20.
+# Longest flat list an axiom check builds (a multiplication table, or one
+# side of an associativity instance), and the most table entries an operad
+# document holds.  End{0,1} at bound 3 needs 2**20.
 LIST_CAP = 2**24
 
 
@@ -386,36 +388,53 @@ class FiniteOperad:
         return _index_ordinals(self.flavor, self.bound if bound is None else bound)
 
 
-def _fiber_keys(flavor: Flavor, sigma: OrdinalMap) -> list:
-    return [
-        _carrier_key(flavor, fiber(sigma, t)[0])
-        for t in range(sigma.target.arity)
-    ]
+@dataclass(frozen=True)
+class _Surjection:
+    """A required surjection with its source positions and induced
+    ordinal over each target position, the carrier keys and sizes (0 when
+    missing) of its target and fibers, and its table once looked up."""
+
+    morphism: OrdinalMap
+    name: str
+    blocks: tuple[tuple[int, ...], ...]
+    fibers: tuple[NOrdinal, ...]
+    keys: tuple
+    sizes: tuple[int, ...]
+    table: list[int] | None = None
 
 
-Surjections = dict[tuple[NOrdinal, NOrdinal], list[OrdinalMap]]
+def _key(source: NOrdinal, target: NOrdinal, table: tuple[int, ...]) -> tuple:
+    """The key of a surjection among those of one flavor."""
+    return source.levels, target.arity, target.levels, table
 
 
-def required_surjections(flavor: Flavor, bound: int) -> Surjections:
-    """Every surjection source -> target within bound, keyed by the pair.
+def _surjections(op: FiniteOperad, bound: int) -> dict[tuple, _Surjection]:
+    """Every surjection between index ordinals within bound, by key: the
+    morphisms whose tables the axioms quantify over, each derived once."""
+    size = {key: len(elems) for key, elems in op.collection.carrier.items()}
+    objs = _index_ordinals(op.flavor, bound)
+    out = {}
+    for t, s in itertools.product(objs, repeat=2):
+        for sigma in enumerate_maps(t, s) if s.arity <= t.arity else ():
+            if not sigma.is_surjective:
+                continue
+            blocks = tuple(
+                tuple(i for i, v in enumerate(sigma.table) if v == j) for j in range(s.arity)
+            )
+            fibers = tuple(induced(t, block) for block in blocks)
+            keys = tuple(_carrier_key(op.flavor, a) for a in (s, *fibers))
+            sizes = tuple(size.get(key, 0) for key in keys)
+            rec = _Surjection(sigma, morphism_key(sigma), blocks, fibers, keys, sizes)
+            out[_key(t, s, sigma.table)] = rec
+    return out
 
-    These are the morphisms whose tables the axioms quantify over.  Pairs
-    come in lex order of the index objects, source first.
-    """
-    objs = _index_ordinals(flavor, bound)
+
+def _covered(op: FiniteOperad, records: dict) -> dict[tuple, _Surjection]:
+    """The records that have a multiplication table, with it filled in."""
     return {
-        (t, s): [m for m in enumerate_maps(t, s, kind="all") if m.is_surjective]
-        for t in objs
-        for s in objs
-        if s.arity <= t.arity
-    }
-
-
-def covered_surjections(op: FiniteOperad, required: Surjections) -> Surjections:
-    """The required surjections that have a multiplication table."""
-    return {
-        pair: [s for s in maps if op.table(s) is not None]
-        for pair, maps in required.items()
+        key: replace(rec, table=table)
+        for key, rec in records.items()
+        if (table := op.table(rec.morphism)) is not None
     }
 
 
@@ -495,7 +514,8 @@ def check_operad_axioms(op: FiniteOperad, bound: int | None = None) -> AxiomRepo
     equivariance on Artin generator words with cabled output braids; the
     mixed flavor checks the two square conditions over genuine 2-ordinal
     squares with quasibijection verticals.  Generator images are
-    validated first and raise on failure.
+    validated first and raise on failure.  Each surjection is keyed once
+    per check, and the instances find composites and restrictions by key.
     """
     bound = op.bound if bound is None else bound
     if bound < 1:
@@ -505,53 +525,56 @@ def check_operad_axioms(op: FiniteOperad, bound: int | None = None) -> AxiomRepo
     validate_collection(op.collection)
     if op.unit not in op.carrier_of(_point(op.flavor)):
         raise InvariantBroken("unit element is not in the arity-one carrier")
-    required = required_surjections(op.flavor, bound)
-    longest = _longest_list(op, required)
+    records = _surjections(op, bound)
+    longest = _longest_list(records.values())
     if longest > LIST_CAP:
         raise ResourceLimit(
             "an axiom check would build too long a list",
             predicted=longest, cap=LIST_CAP,
         )
-    covered = covered_surjections(op, required)
+    covered = _covered(op, records)
     failures = [
-        AxiomFailure("coverage", morphism_key(s), ())
-        for maps in required.values()
-        for s in maps
-        if op.table(s) is None
+        AxiomFailure("coverage", rec.name, ())
+        for key, rec in records.items()
+        if key not in covered
     ]
     checked = 0
-    checked += _check_units(op, bound, failures)
+    checked += _check_units(op, covered, bound, failures)
     checked += _check_associativity(op, covered, failures)
     if op.flavor.kind == "symmetric":
         checked += _check_reindexing(op, covered, failures)
-        checked += _check_square_eq1(op, bound, failures, braided=False)
-        checked += _check_square_eq2(op, bound, failures, braided=False)
+        checked += _check_square_eq1(op, covered, bound, failures, braided=False)
+        checked += _check_square_eq2(op, covered, bound, failures, braided=False)
     elif op.flavor.kind == "braided":
         checked += _check_reindexing(op, covered, failures)
     elif op.flavor.kind == "mixed2":
-        checked += _check_square_eq1(op, bound, failures, braided=True)
-        checked += _check_square_eq2(op, bound, failures, braided=True)
+        checked += _check_square_eq1(op, covered, bound, failures, braided=True)
+        checked += _check_square_eq2(op, covered, bound, failures, braided=True)
     return _report(failures, checked)
 
 
-def _longest_list(op: FiniteOperad, required: Surjections) -> int:
+def _longest_list(records: Iterable[_Surjection]) -> int:
     """The length of the longest list a check builds, from carrier sizes
-    alone; a missing carrier counts as empty.
+    alone.
 
     The table at sigma has |target| times the product of its fiber sizes
     entries, and both sides of the associativity instance (sigma, omega)
     have the table length of omega times that product of sigma.  Every
     identity is required, so the longest side is at least every table.
     """
-    size = {key: len(elems) for key, elems in op.collection.carrier.items()}
     tables_from, fibers_into = {}, {}
-    for (source, target), maps in required.items():
-        for sigma in maps:
-            fibers = math.prod(size.get(key, 0) for key in _fiber_keys(op.flavor, sigma))
-            table = size.get(_carrier_key(op.flavor, target), 0) * fibers
-            tables_from[source] = max(tables_from.get(source, 0), table)
-            fibers_into[target] = max(fibers_into.get(target, 0), fibers)
+    for rec in records:
+        source, target = rec.morphism.source, rec.morphism.target
+        fibers = math.prod(rec.sizes[1:])
+        tables_from[source] = max(tables_from.get(source, 0), rec.sizes[0] * fibers)
+        fibers_into[target] = max(fibers_into.get(target, 0), fibers)
     return max((tables_from[b] * fibers for b, fibers in fibers_into.items()), default=0)
+
+
+def _payload_entries(records: Iterable[_Surjection]) -> int:
+    """The number of table entries over these surjections, from carrier
+    sizes alone."""
+    return sum(math.prod(rec.sizes) for rec in records)
 
 
 def _unit_entries(op: FiniteOperad, arity: int) -> slice:
@@ -561,7 +584,7 @@ def _unit_entries(op: FiniteOperad, arity: int) -> slice:
     return slice(op.unit * sum(points**j for j in range(arity)), None, points**arity)
 
 
-def _check_units(op: FiniteOperad, bound: int, failures: list[AxiomFailure]) -> int:
+def _check_units(op: FiniteOperad, covered: dict, bound: int, failures: list) -> int:
     checked = 0
     pt = _point(op.flavor)
     for t in op.index_ordinals(bound):
@@ -569,52 +592,53 @@ def _check_units(op: FiniteOperad, bound: int, failures: list[AxiomFailure]) -> 
         size = len(elems)
         # unit-right reads a at (a, unit, .., unit), unit-left reads f at (unit, f)
         left = slice(op.unit * size, (op.unit + 1) * size)
-        for axiom, sigma, entries in (
-            ("unit-right", identity_map(t), _unit_entries(op, t.arity)),
-            ("unit-left", OrdinalMap(t, pt, (0,) * t.arity), left),
+        for axiom, key, entries in (
+            ("unit-right", _key(t, t, tuple(range(t.arity))), _unit_entries(op, t.arity)),
+            ("unit-left", _key(t, pt, (0,) * t.arity), left),
         ):
-            table = op.table(sigma)
-            if table is not None:
+            if (rec := covered.get(key)) is not None:
                 checked += size
-                for x, got in enumerate(table[entries]):
+                for x, got in enumerate(rec.table[entries]):
                     if got != x:
                         witness = (elems[x], elems[got])
-                        failures.append(AxiomFailure(axiom, morphism_key(sigma), witness))
+                        failures.append(AxiomFailure(axiom, rec.name, witness))
     return checked
 
 
 def _associativity_instance(
-    op: FiniteOperad, sigma: OrdinalMap, omega: OrdinalMap, failures: list[AxiomFailure]
+    op: FiniteOperad, covered: dict, sigma: _Surjection, omega: _Surjection, failures: list
 ) -> int:
     """mu_sigma . mu_omega against mu_{omega . sigma} with fiber restrictions.
 
-    Both sides are flat lists over (a, b_0, .., f_0, ..): the left side
-    puts the sigma row of each omega entry in place, the right side
-    gathers each composite row at offsets that substitute the fiber
-    arguments into the restricted tables, which do not depend on a.
+    The composite and the restrictions of sigma, whose sources are the
+    composite's fibers, are looked up by key; the instance is skipped if
+    one has no table.  Both sides are flat lists over (a, b_0, .., f_0, ..):
+    the left side puts the sigma row of each omega entry in place, the
+    right side gathers each composite row at offsets that substitute the
+    fiber arguments into the restricted tables, which do not depend on a.
     """
-    composite = compose(omega, sigma)
-    omega_fibers = [fiber(omega, i) for i in range(omega.target.arity)]
-    restrictions = []
-    for _, tgt_positions in omega_fibers:
-        src_positions = [
-            t for t in range(sigma.source.arity) if sigma.table[t] in set(tgt_positions)
-        ]
-        restrictions.append(restrict_map(sigma, src_positions, tgt_positions))
-    mu_parts = [op.table(r) for r in restrictions]
-    mu_comp = op.table(composite)
-    if mu_comp is None or any(part is None for part in mu_parts):
+    image = sigma.morphism.table
+    joined = tuple(omega.morphism.table[v] for v in image)
+    composite = covered.get(_key(sigma.morphism.source, omega.morphism.target, joined))
+    if composite is None:
         return 0
-    coll, flavor = op.collection, op.flavor
-    f_keys = _fiber_keys(flavor, sigma)
-    f_sizes = [coll.size(key) for key in f_keys]
+    mu_parts = []
+    for sources, positions, source, target in zip(
+        composite.blocks, omega.blocks, composite.fibers, omega.fibers
+    ):
+        local = tuple(positions.index(image[t]) for t in sources)
+        part = covered.get(_key(source, target, local))
+        if part is None:
+            return 0
+        mu_parts.append(part.table)
+    f_sizes = sigma.sizes[1:]
     width = math.prod(f_sizes)
-    comp_sizes = [coll.size(_carrier_key(flavor, r.source)) for r in restrictions]
+    comp_sizes = composite.sizes[1:]
     comp_strides = _strides(comp_sizes)
     # per (b_0, ..) in product order, the composite-row offset of
     # (mu_r0(b_0; fs on fiber 0), mu_r1(b_1; ..), ..) for every fs
     by_b = [[0] * width]
-    for i, (_, positions) in enumerate(omega_fibers):
+    for i, positions in enumerate(omega.blocks):
         part_sizes = [f_sizes[j] for j in positions]
         terms = [[0] * m for m in f_sizes]
         for j, stride in zip(positions, _strides(part_sizes)):
@@ -626,45 +650,29 @@ def _associativity_instance(
         ]
         by_b = [list(map(add, head, tail)) for head in by_b for tail in scaled]
     offsets = [o for offs in by_b for o in offs]
-    rhs = [row[o] for row in _chunks(mu_comp, math.prod(comp_sizes)) for o in offsets]
-    sigma_rows = _chunks(op.mult(sigma), width)
+    comp_rows = _chunks(composite.table, math.prod(comp_sizes))
+    rhs = [row[o] for row in comp_rows for o in offsets]
+    sigma_rows = _chunks(sigma.table, width)
     lhs: list[int] = []
-    for b in op.mult(omega):
+    for b in omega.table:
         lhs += sigma_rows[b]
-    b_keys = [_carrier_key(flavor, b) for b, _ in omega_fibers]
-    keys = [_carrier_key(flavor, omega.target), *b_keys, *f_keys]
-    instance = f"{morphism_key(sigma)} ; {morphism_key(omega)}"
-    return _mismatches(coll, keys, lhs, rhs, "associativity", instance, failures)
+    keys = [*omega.keys, *sigma.keys[1:]]
+    instance = f"{sigma.name} ; {omega.name}"
+    return _mismatches(op.collection, keys, lhs, rhs, "associativity", instance, failures)
 
 
-def _check_associativity(
-    op: FiniteOperad, covered: Surjections, failures: list[AxiomFailure]
-) -> int:
-    by_source: dict[NOrdinal, list[OrdinalMap]] = {}
-    for (source, _), maps in covered.items():
-        by_source.setdefault(source, []).extend(maps)
+def _check_associativity(op: FiniteOperad, covered: dict, failures: list) -> int:
+    by_source: dict[NOrdinal, list[_Surjection]] = {}
+    for rec in covered.values():
+        by_source.setdefault(rec.morphism.source, []).append(rec)
     checked = 0
-    for sigmas in by_source.values():
-        for sigma in sigmas:
-            for omega in by_source[sigma.target]:
-                checked += _associativity_instance(op, sigma, omega, failures)
+    for sigma in covered.values():
+        for omega in by_source.get(sigma.morphism.target, ()):
+            checked += _associativity_instance(op, covered, sigma, omega, failures)
     return checked
 
 
 # -- equivariance by reindexing, symmetric and braided ----------------------
-
-
-def _block_sizes(sigma: OrdinalMap) -> tuple[int, ...]:
-    return tuple(
-        sum(1 for v in sigma.table if v == j) for j in range(sigma.target.arity)
-    )
-
-
-def _line_map_with_fibers(sizes: Sequence[int]) -> OrdinalMap:
-    table = []
-    for j, m in enumerate(sizes):
-        table.extend([j] * m)
-    return OrdinalMap(_line(sum(sizes)), _line(len(sizes)), tuple(table))
 
 
 def _symmetric_moves(sizes: tuple[int, ...]) -> Iterator[tuple]:
@@ -706,9 +714,7 @@ def _braided_moves(sizes: tuple[int, ...]) -> Iterator[tuple]:
         offset += m
 
 
-def _check_reindexing(
-    op: FiniteOperad, covered: Surjections, failures: list[AxiomFailure]
-) -> int:
+def _check_reindexing(op: FiniteOperad, covered: dict, failures: list) -> int:
     """Both equivariance identities via carrier reindexing, one move at a time.
 
     A move acts on the top element by a word, which reorders the argument
@@ -722,25 +728,22 @@ def _check_reindexing(
     moves = _braided_moves if op.flavor.kind == "braided" else _symmetric_moves
     checked = 0
     coll = op.collection
-    for (source, target), sigmas in covered.items():
-        total, k = source.arity, target.arity
-        for sigma in sigmas:
-            sizes = _block_sizes(sigma)
-            mu = op.mult(sigma)
-            keys = [k - 1, *[m - 1 for m in sizes]]
-            f_sizes = [coll.size(key) for key in keys[1:]]
-            for axiom, label, top_word, slot_words, out_word in moves(sizes):
-                order = BraidWord(k, top_word).permutation().inverse().image
-                mu_s = op.table(_line_map_with_fibers([sizes[j] for j in order]))
-                if mu_s is None:
-                    continue
-                act_top = coll.action_of_word(k - 1, top_word)
-                acts = [coll.action_of_word(sizes[j] - 1, slot_words[j]) for j in order]
-                act_out = coll.action_of_word(total - 1, out_word)
-                lhs = _moved(mu_s, act_top, f_sizes, order, acts)
-                rhs = [act_out[v] for v in mu]
-                instance = f"{morphism_key(sigma)} {label}"
-                checked += _mismatches(coll, keys, lhs, rhs, axiom, instance, failures)
+    for rec in covered.values():
+        sizes = tuple(map(len, rec.blocks))
+        total, k = sum(sizes), len(sizes)
+        for axiom, label, top_word, slot_words, out_word in moves(sizes):
+            order = BraidWord(k, top_word).permutation().inverse().image
+            slotted = tuple(l for l, j in enumerate(order) for _ in range(sizes[j]))
+            moved = covered.get(_key(rec.morphism.source, rec.morphism.target, slotted))
+            if moved is None:
+                continue
+            act_top = coll.action_of_word(k - 1, top_word)
+            acts = [coll.action_of_word(sizes[j] - 1, slot_words[j]) for j in order]
+            act_out = coll.action_of_word(total - 1, out_word)
+            lhs = _moved(moved.table, act_top, rec.sizes[1:], order, acts)
+            rhs = [act_out[v] for v in rec.table]
+            instance = f"{rec.name} {label}"
+            checked += _mismatches(coll, rec.keys, lhs, rhs, axiom, instance, failures)
     return checked
 
 
@@ -780,9 +783,9 @@ def _fiber_lifts(
 def _square_eq1_instance(
     op: FiniteOperad,
     sigma: OrdinalMap,
-    mu: list[int],
+    line: _Surjection,
     sigma2: OrdinalMap,
-    mu2: list[int],
+    line2: _Surjection,
     p_table: tuple[int, ...],
     r_table: tuple[int, ...],
     braided: bool,
@@ -790,7 +793,7 @@ def _square_eq1_instance(
     signs: tuple[bool, bool, bool] = (True, True, True),
 ) -> int:
     """One commuting square sigma . p = r . sigma2 of the first condition,
-    with mu and mu2 the tables of sigma and sigma2.
+    with line and line2 the covered line maps of sigma and sigma2.
 
     The default signs invert every vertical: the lifts transport elements
     against the direction of the maps.
@@ -802,17 +805,16 @@ def _square_eq1_instance(
     fiber_acts = _fiber_lifts(
         coll, sigma2.table, sigma.table, p_table, r_table, braided, signs[1]
     )
-    keys = [k - 1, *[m - 1 for m in _block_sizes(sigma)]]
-    lhs = _moved(mu2, act_top, [coll.size(key) for key in keys[1:]], r_table, fiber_acts)
-    rhs = [act_out[v] for v in mu]
+    lhs = _moved(line2.table, act_top, line.sizes[1:], r_table, fiber_acts)
+    rhs = [act_out[v] for v in line.table]
     instance = (
         f"{morphism_key(sigma)} p={list(p_table)} "
         f"r={list(r_table)} via={morphism_key(sigma2)}"
     )
-    return _mismatches(coll, keys, lhs, rhs, "equivariance-1", instance, failures)
+    return _mismatches(coll, line.keys, lhs, rhs, "equivariance-1", instance, failures)
 
 
-def _squares(op: FiniteOperad, bound: int, braided: bool):
+def _squares(covered: dict, bound: int, braided: bool):
     """Everything a square condition quantifies over, enumerated once.
 
     Corners are 2-ordinals (mixed flavor) or lines (1-ordinals), by
@@ -820,8 +822,8 @@ def _squares(op: FiniteOperad, bound: int, braided: bool):
     tables of the vertical maps a -> b: quasibijections, or every
     permutation between lines.  ``horizontals`` maps a corner a to a dict
     that maps each corner b of no larger arity to the order-preserving
-    surjections a -> b that have a multiplication table, keyed by their
-    table and carrying (map, table).
+    surjections a -> b whose line map is covered, keyed by their table
+    and carrying (map, covered line map).
     """
     n = 2 if braided else 1
     by_arity = {k: list(enumerate_ordinals(n, k)) for k in range(1, bound + 1)}
@@ -837,14 +839,15 @@ def _squares(op: FiniteOperad, bound: int, braided: bool):
     for a, targets in horizontals.items():
         for b, found in targets.items():
             for m in enumerate_maps(a, b, kind="order"):
-                line = OrdinalMap(_line(a.arity), _line(b.arity), m.table)
-                if m.is_surjective and (mu := op.table(line)) is not None:
-                    found[m.table] = (m, mu)
+                line = covered.get(_key(_line(a.arity), _line(b.arity), m.table))
+                if line is not None:
+                    found[m.table] = (m, line)
     return by_arity, verticals, horizontals
 
 
 def _check_square_eq1(
     op: FiniteOperad,
+    covered: dict,
     bound: int,
     failures: list[AxiomFailure],
     braided: bool,
@@ -860,10 +863,10 @@ def _check_square_eq1(
     horizontals.
     """
     checked = 0
-    by_arity, verticals, horizontals = _squares(op, bound, braided)
+    by_arity, verticals, horizontals = _squares(covered, bound, braided)
     for t, targets in horizontals.items():
         for s, found in targets.items():
-            for sigma, mu in found.values():
+            for sigma, line in found.values():
                 for t2 in by_arity[t.arity]:
                     for p_table in verticals[(t2, t)]:
                         moved = [sigma.table[u] for u in p_table]
@@ -873,7 +876,7 @@ def _check_square_eq1(
                                 hit = candidates.get(tuple(r_table.index(v) for v in moved))
                                 if hit is not None:
                                     checked += _square_eq1_instance(
-                                        op, sigma, mu, *hit, p_table, r_table,
+                                        op, sigma, line, *hit, p_table, r_table,
                                         braided, failures, signs,
                                     )
     return checked
@@ -910,6 +913,7 @@ def _route_value(
 
 def _check_square_eq2(
     op: FiniteOperad,
+    covered: dict,
     bound: int,
     failures: list[AxiomFailure],
     braided: bool,
@@ -922,16 +926,16 @@ def _check_square_eq2(
     produce the same transported multiplication.
     """
     checked = 0
-    by_arity, verticals, horizontals = _squares(op, bound, braided)
+    by_arity, verticals, horizontals = _squares(covered, bound, braided)
     for t in horizontals:
         routes: dict[tuple, list] = {}
         for mid in by_arity[t.arity]:
             for q_table in verticals[(t, mid)]:
                 for s, found in horizontals[mid].items():
-                    for eta, mu in found.values():
+                    for eta, line in found.values():
                         omega_table = tuple(eta.table[v] for v in q_table)
                         routes.setdefault((str(s), omega_table), []).append(
-                            (q_table, eta, mu)
+                            (q_table, eta, line.table)
                         )
         for (_, omega_table), rs in sorted(routes.items()):
             if len(rs) < 2:
@@ -1133,7 +1137,8 @@ def desymmetrise(sym: FiniteOperad, n: int, bound: int | None = None) -> FiniteO
     def supplier(sigma: OrdinalMap) -> list[int] | None:
         if sigma.source.domain.n != n:
             return None
-        base = sym.mult(_line_map_with_fibers(_block_sizes(sigma)))
+        ordered = tuple(sorted(sigma.table))
+        base = sym.mult(OrdinalMap(_line(len(ordered)), _line(sigma.target.arity), ordered))
         action = unsort(sigma)
         return [action[v] for v in base]
 
@@ -1381,7 +1386,9 @@ def operad_to_json(op: FiniteOperad) -> dict:
 
     Carriers are their decode tuples; actions are their index lists;
     tables are their flat lists nested by the mixed radix, outermost
-    dimension the target carrier.
+    dimension the target carrier.  Before any table is built, the number
+    of table entries is predicted from the carrier sizes; past LIST_CAP
+    entries the document is refused with ResourceLimit.
     """
     flavor = op.flavor
     coll = op.collection
@@ -1393,13 +1400,21 @@ def operad_to_json(op: FiniteOperad) -> dict:
         f"{keys[key]}|{i}": list(image)
         for (key, i), image in sorted(coll.actions.items(), key=lambda kv: kv[0])
     }
+    records = _surjections(op, op.bound).values()
+    entries = _payload_entries(records)
+    if entries > LIST_CAP:
+        raise ResourceLimit(
+            "an operad document would hold too many table entries",
+            predicted=entries, cap=LIST_CAP,
+        )
     mult = {}
-    covered = covered_surjections(op, required_surjections(flavor, op.bound))
-    for sigma in sorted(itertools.chain(*covered.values()), key=morphism_key):
-        nested = op.mult(sigma)
-        for key in reversed(_fiber_keys(flavor, sigma)):
-            nested = _chunks(nested, coll.size(key))
-        mult[morphism_key(sigma)] = nested
+    for rec in sorted(records, key=lambda rec: rec.name):
+        nested = op.table(rec.morphism)
+        if nested is None:
+            continue
+        for size in reversed(rec.sizes[1:]):
+            nested = _chunks(nested, size)
+        mult[rec.name] = nested
     return {
         "flavor": flavor.kind,
         "n": flavor.n,

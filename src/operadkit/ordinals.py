@@ -119,12 +119,9 @@ class NOrdinal:
 
     def relations(self) -> Iterator[tuple[int, int, int]]:
         """Yield (a, b, p) for every a < b, meaning a <_p b."""
-        for a in range(self.arity):
-            run = None
-            for b in range(a + 1, self.arity):
-                lv = self.levels[b - 1]
-                run = lv if run is None else min(run, lv)
-                yield (a, b, run)
+        for a, row in enumerate(self._rel):
+            for b, p in enumerate(row, a + 1):
+                yield (a, b, p)
 
     @functools.cached_property
     def _rel(self) -> tuple[tuple[int, ...], ...]:
@@ -314,6 +311,18 @@ def count_ordinals(n: int, k: int) -> int:
     if k <= 1:
         return 1
     return n ** (k - 1)
+
+
+def unrank(n: int, k: int, r: int) -> NOrdinal:
+    """The ordinal at position r of enumerate_ordinals(n, k): its levels
+    are the k - 1 base-n digits of r, most significant first."""
+    count = count_ordinals(n, k)
+    if not isinstance(r, int) or isinstance(r, bool) or not 0 <= r < count:
+        raise OutOfRange("rank outside the enumeration", rank=r, count=count)
+    levels = [0] * max(k - 1, 0)
+    for i in reversed(range(len(levels))):
+        r, levels[i] = divmod(r, n)
+    return NOrdinal(LevelDomain.finite(n), k, tuple(levels))
 
 
 # -- planar level trees --------------------------------------------------

@@ -21,7 +21,7 @@ from .errors import (
     StrictnessRequired,
 )
 from .homology import ChainComplex
-from .ordinal_maps import OrdinalMap, compose, enumerate_maps, morphism_violation
+from .ordinal_maps import enumerate_maps, morphism_violation
 from .ordinals import NOrdinal, enumerate_ordinals
 
 
@@ -87,6 +87,9 @@ def assert_strict(c: QuasiCategory) -> None:
 def nerve(c: QuasiCategory, max_dim: int | None = None) -> ChainComplex:
     """Chains of composable non-identity morphisms, as a chain complex.
 
+    Arrows are numbered in ``non_identity`` order, and a d-cell is the
+    tuple of its d arrow ids.  The inner face that composes two arrows is
+    found by looking up the composite's (source, target, table).
     Requires strictness; composites of chain arrows are then never
     identities, so the construction closes under faces.
     """
@@ -97,45 +100,34 @@ def nerve(c: QuasiCategory, max_dim: int | None = None) -> ChainComplex:
             "the nerve needs a strict category", reason=e.to_json()
         ) from e
 
+    arrows = [(i, j, m.table) for i, j, m in c.non_identity()]
+    ident = {arrow: a for a, arrow in enumerate(arrows)}
+    out_of: dict[int, list[int]] = {}
+    for a, (i, _, _) in enumerate(arrows):
+        out_of.setdefault(i, []).append(a)
     cells: list[list] = [list(range(len(c.objects)))]
-    arrows = [(i, j, m) for i, j, m in c.non_identity()]
-    out_of: dict[int, list] = {}
-    for i, j, m in arrows:
-        out_of.setdefault(i, []).append((j, m))
-    chains = [((i, j), (m,)) for i, j, m in arrows]
+    chains = [(a,) for a in range(len(arrows))]
     dim = 1
     while chains and (max_dim is None or dim <= max_dim):
-        cells.append(list(chains))
-        nxt = []
-        for (i, j), path in chains:
-            for j2, m in out_of.get(j, ()):
-                nxt.append(((i, j2), path + (m,)))
-        chains = nxt
+        cells.append(chains)
+        chains = [
+            path + (b,) for path in chains for b in out_of.get(arrows[path[-1]][1], ())
+        ]
         dim += 1
 
-    return _chain_complex_from(cells, c)
-
-
-def _chain_complex_from(cells, c: QuasiCategory) -> ChainComplex:
-    # cells[0]: object indices; cells[d]: ((i, j), (f1..fd)) flattened
-    object_index = {obj: i for i, obj in enumerate(c.objects)}
-
-    def face_list(d, cell):
+    def face_list(d, path):
         if d == 0:
             return []
-        (i, j), path = cell
         if d == 1:
+            i, j, _ = arrows[path[0]]
             return [(1, j), (-1, i)]
-        faces = []
-        for drop in range(d + 1):
-            if drop == 0:
-                sub = ((object_index[path[0].target], j), path[1:])
-            elif drop == d:
-                sub = ((i, object_index[path[-1].source]), path[:-1])
-            else:
-                merged = compose(path[drop], path[drop - 1])
-                sub = ((i, j), path[:drop - 1] + (merged,) + path[drop + 1 :])
-            faces.append(((-1) ** drop, sub))
+        faces = [(1, path[1:])]
+        for drop in range(1, d):
+            i, _, early = arrows[path[drop - 1]]
+            _, j, late = arrows[path[drop]]
+            merged = ident.get((i, j, tuple(late[v] for v in early)))
+            faces.append(((-1) ** drop, path[: drop - 1] + (merged,) + path[drop + 1 :]))
+        faces.append(((-1) ** d, path[:-1]))
         return faces
 
     return ChainComplex.from_cells(cells, face_list)

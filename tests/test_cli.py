@@ -1,5 +1,6 @@
 """End-to-end tests for the batch command line interface."""
 
+import hashlib
 import io
 import json
 import sys
@@ -61,6 +62,25 @@ def test_enumerate_pagination(capsys):
     payload = report_of(out)["payload"]
     assert payload["count"] == 31381059609
     assert [o["levels"] for o in payload["ordinals"]] == [[0] * 11]
+
+
+@pytest.mark.parametrize(
+    "tree, digest",
+    [
+        ([], "26762451b4fb72c70d19cccaddc7879a047deb5c96506add12e477f98308f51f"),
+        (["--tree"], "f4c2791c8ca0dfdd6d46aeef8c21c9695858ca28969a52c0ef15299028c2ecb4"),
+    ],
+    ids=["json", "tree"],
+)
+def test_enumerate_page_starts_at_its_rank(capsys, tree, digest):
+    # the digests were taken while the page was reached by walking every
+    # ordinal before it, which took about 15 s
+    argv = ["enumerate", "--n", "9", "--k", "12", "--offset", "3000000", "--limit", "1"]
+    started = time.perf_counter()
+    code, out, _ = run_cli([*argv, *tree], capsys)
+    assert time.perf_counter() - started < 1.0
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(
@@ -318,6 +338,22 @@ def test_operad_check_refuses_lists_past_the_cap(capsys, monkeypatch):
     payload = report_of(out)["payload"]
     assert payload["error"] == "RESOURCE_LIMIT"
     assert payload["diagnostic"]["predicted"] == 3**21
+    assert payload["diagnostic"]["cap"] == 2**24
+
+
+def test_desymmetrise_refuses_documents_past_the_cap(capsys, monkeypatch):
+    # End{0,1,2} as a 2-operad at bound 2: its tables would hold 58459239
+    # entries in all, though the longest single table is under the cap
+    doc = {"builtin": "endomorphism", "set": [0, 1, 2], "bound": 2}
+    started = time.perf_counter()
+    code, out, _ = run_cli(
+        ["desymmetrise", "--n", "2", "-"], capsys, monkeypatch, stdin_text=json.dumps(doc)
+    )
+    assert time.perf_counter() - started < 2.0
+    assert code == 2
+    payload = report_of(out)["payload"]
+    assert payload["error"] == "RESOURCE_LIMIT"
+    assert payload["diagnostic"]["predicted"] == 58459239
     assert payload["diagnostic"]["cap"] == 2**24
 
 

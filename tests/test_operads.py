@@ -42,6 +42,7 @@ from operadkit.operads import (
 from operadkit.operads import _carrier_key
 from operadkit.ordinal_maps import OrdinalMap, compose, enumerate_maps, fiber, identity_map
 from operadkit.ordinals import enumerate_ordinals, make_ordinal
+from operadkit.quasicat import build_q, nerve
 from operadkit.zigzags import generator_span
 
 
@@ -202,12 +203,17 @@ def test_braided_and_mixed_pullbacks_pass():
     ids=["End{0,1}", "End{0,1} mixed2", "desymmetrised End{0,1}", "orders"],
 )
 def test_longest_list_is_predicted_exactly(monkeypatch, make):
-    # the prediction behind LIST_CAP equals the longest table or compared
-    # list that the check then builds
+    # the predictions behind LIST_CAP equal the longest table or compared
+    # list that the check then builds, and the entries of the document
     from operadkit import operads
 
+    def leaves(x):
+        return sum(map(leaves, x)) if isinstance(x, list) else 1
+
     op = make()
-    predicted = operads._longest_list(op, operads.required_surjections(op.flavor, op.bound))
+    records = operads._surjections(op, op.bound).values()
+    predicted = operads._longest_list(records)
+    assert operads._payload_entries(records) == leaves(list(operad_to_json(op)["mult"].values()))
     compared = []
     real = operads._mismatches
 
@@ -220,23 +226,59 @@ def test_longest_list_is_predicted_exactly(monkeypatch, make):
     assert predicted == max(*compared, *map(len, op.tables.values()))
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: check_operad_axioms(terminal_operad(N_OPERAD(2), 4)),
+        lambda: check_operad_axioms(orders_operad(3)),
+        lambda: check_operad_axioms(reflavor(orders_operad(3), MIXED2)),
+        lambda: nerve(build_q(2, 4)),
+    ],
+    ids=["n=2", "symmetric", "mixed2", "nerve"],
+)
+def test_composites_and_restrictions_are_looked_up(monkeypatch, run):
+    # maps are enumerated and validated once; no inner loop rebuilds one
+    from operadkit import operads, ordinal_maps, quasicat
+
+    calls = []
+    for module in (ordinal_maps, operads, quasicat):
+        for name in ("compose", "fiber", "restrict_map"):
+            if hasattr(module, name):
+                real = getattr(module, name)
+
+                def counting(*args, real=real, name=name):
+                    calls.append(name)
+                    return real(*args)
+
+                monkeypatch.setattr(module, name, counting)
+    run()
+    assert calls == []
+
+
 def test_square_orientation_is_rigid():
     # flipping any sign in the square identities breaks real instances
-    from operadkit.operads import _check_square_eq1, _check_square_eq2
+    from operadkit.operads import (
+        _check_square_eq1,
+        _check_square_eq2,
+        _covered,
+        _surjections,
+    )
 
     op = orders_operad(3)
     mixed = reflavor(orders_operad(3), MIXED2)
+    covered = _covered(op, _surjections(op, 3))
+    mixed_covered = _covered(mixed, _surjections(mixed, 3))
     for signs in itertools.product([True, False], repeat=3):
         plain, twisted = [], []
-        _check_square_eq1(op, 3, plain, braided=False, signs=signs)
-        _check_square_eq1(mixed, 3, twisted, braided=True, signs=signs)
+        _check_square_eq1(op, covered, 3, plain, braided=False, signs=signs)
+        _check_square_eq1(mixed, mixed_covered, 3, twisted, braided=True, signs=signs)
         expected = signs == (True, True, True)
         assert (not plain) == expected
         assert (not twisted) == expected
     for signs in itertools.product([True, False], repeat=2):
         plain, twisted = [], []
-        _check_square_eq2(op, 3, plain, braided=False, signs=signs)
-        _check_square_eq2(mixed, 3, twisted, braided=True, signs=signs)
+        _check_square_eq2(op, covered, 3, plain, braided=False, signs=signs)
+        _check_square_eq2(mixed, mixed_covered, 3, twisted, braided=True, signs=signs)
         expected = signs == (True, False)
         assert (not plain) == expected
         assert (not twisted) == expected

@@ -24,6 +24,7 @@ from operadkit.ordinals import (
     suspend_infinite,
     suspend_vertical,
     to_tree,
+    unrank,
 )
 
 from oracles import count_all_structures, count_ascending_structures
@@ -87,6 +88,17 @@ def test_enumeration_is_lexicographic():
     assert count_ordinals(3, 5) == 81
     assert count_ordinals(7, 1) == 1
     assert count_ordinals(7, 0) == 1
+
+
+def test_unrank_is_the_enumeration_order():
+    for n in range(5):
+        for k in range(7):
+            listed = list(enumerate_ordinals(n, k))
+            assert [unrank(n, k, r) for r in range(count_ordinals(n, k))] == listed
+            with pytest.raises(OutOfRange):
+                unrank(n, k, len(listed))
+    with pytest.raises(OutOfRange):
+        unrank(2, 3, -1)
 
 
 def test_counts_against_brute_force_structures():

@@ -15,7 +15,12 @@ corrupted reports together name every failure-instance form: associativity,
 both unit laws, rho= and rhos= (symmetric reindexing), letter= and slot=
 (braided generators), and both square conditions.  The reports at bounds 4
 and 5 were taken while each square check still enumerated the verticals and
-the second horizontal of every candidate square inside its loops.
+the second horizontal of every candidate square inside its loops.  The
+terminal n-operad reports, the corrupted desymmetrised End{0,1} report and
+the nerve boundary columns were taken while the associativity check still
+rebuilt each restriction and composite as a validated map, and while nerve
+cells were tuples of maps whose inner faces were composed anew; so were
+the reports of bundles with one table missing.
 """
 
 import hashlib
@@ -31,10 +36,12 @@ from operadkit.homology import ChainComplex
 from operadkit.operads import (
     BRAIDED,
     MIXED2,
+    N_OPERAD,
     SYMMETRIC,
     check_operad_axioms,
     desymmetrise,
     endomorphism_symmetric_operad,
+    operad_from_json,
     operad_to_json,
     orders_operad,
     reflavor,
@@ -42,7 +49,7 @@ from operadkit.operads import (
 )
 from operadkit.ordinal_maps import OrdinalMap
 from operadkit.ordinals import make_ordinal
-from operadkit.quasicat import build_j, order_complex
+from operadkit.quasicat import build_j, build_q, nerve, order_complex
 
 END = {"builtin": "endomorphism", "set": [0, 1], "bound": 2}
 
@@ -227,3 +234,82 @@ def test_operad_check_of_end_bundles_is_pinned(capsys, monkeypatch, doc, code, d
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc())))
     assert main(["operad-check"]) == code
     assert _sha(capsys.readouterr().out) == digest
+
+
+@pytest.mark.parametrize(
+    "n, checked, digest",
+    [
+        (2, 3663, "4e6a9b09d1c72718feca743108246116a985b3f2de0f160a26acaf572beb8cc2"),
+        (3, 85588, "302ca58394905e9692ab75cdf4a69fdb254957f17cee5797ae02993bc273696b"),
+    ],
+    ids=["n=2", "n=3"],
+)
+def test_terminal_n_operad_reports_at_bound_4_are_pinned(n, checked, digest):
+    report = check_operad_axioms(terminal_operad(N_OPERAD(n), 4)).to_json()
+    assert (report["checked"], report["passed"]) == (checked, True)
+    assert _sha(json.dumps(report, sort_keys=True)) == digest
+
+
+def test_corrupted_desymmetrised_report_is_pinned():
+    """desymmetrise(End{0,1}) as 3-operads with three table entries changed:
+    every failure is an associativity instance over 3-ordinal fibers."""
+    op = desymmetrise(endomorphism_symmetric_operad((0, 1), 2), 3, 2)
+    point = make_ordinal(3, (), arity=1)
+    pair = [make_ordinal(3, (p,)) for p in range(3)]
+    for sigma, at, value in [
+        (OrdinalMap(pair[1], point, (0, 0)), 5, 9),
+        (OrdinalMap(pair[0], pair[2], (1, 0)), 3, 12),
+        (OrdinalMap(pair[2], pair[2], (0, 1)), 40, 1),
+    ]:
+        table = list(op.mult(sigma))
+        table[at] = value
+        op.tables[sigma] = table
+    report = check_operad_axioms(op).to_json()
+    assert (report["checked"], len(report["failures"])) == (87976, 407)
+    assert {f["axiom"] for f in report["failures"]} == {"associativity"}
+    assert _sha(json.dumps(report, sort_keys=True)) == (
+        "ca418b46c2309c57aa5b34e8e236d765653dc0cc444f23c29fb689ddb5dcfee6"
+    )
+
+
+@pytest.mark.parametrize(
+    "n, k, sizes, digest",
+    [
+        (3, 3, [9, 96, 344, 448, 192],
+         "51b1b58889b30b70f17551b91501daf73e33094ada1918dbdf15c5ed3f3216e0"),
+        (2, 5, [16, 832, 4128, 6192, 2880],
+         "6014f22681881ce1d0822adfe58b7df587e486a759c2dc10e9df979ff66703b2"),
+    ],
+    ids=["Q(3,3)", "Q(2,5)"],
+)
+def test_nerve_boundary_columns_are_pinned(n, k, sizes, digest):
+    """Each boundary column as its sorted (row, coefficient) items, which
+    fixes the cell order and the faces whatever the cells are made of."""
+    complex_ = nerve(build_q(n, k))
+    assert [len(layer) for layer in complex_.cells] == sizes
+    columns = [[sorted(col.items()) for col in b] for b in complex_.boundaries[1:]]
+    assert _sha(json.dumps(columns)) == digest
+
+
+@pytest.mark.parametrize(
+    "make, dropped, checked, digest",
+    [
+        (lambda: orders_operad(3), "2:0>1:|0,0", 309,
+         "4f0c70b422971bf9cf8bae9d641c97841ec429d005db9d3d31fdf84806f354fc"),
+        (lambda: orders_operad(3), "1:>1:|0", 304,
+         "b3a397bf14ba238bed342014cc6c95825ff844e4ef1b63acc2fc87ec9ae988c8"),
+        (lambda: desymmetrise(orders_operad(3), 2, 3), "2:1>1:|0,0", 841,
+         "e12bba5f53fa68590497237aa999ce0140cfdfa2268af565fe22d75724d57339"),
+    ],
+    ids=["orders", "orders unit", "desymmetrised orders"],
+)
+def test_reports_with_a_missing_table_are_pinned(make, dropped, checked, digest):
+    """A bundle without one table: the report names it as the only failure,
+    and every instance that needs it, as composite or as restriction, is
+    skipped."""
+    doc = operad_to_json(make())
+    del doc["mult"][dropped]
+    report = check_operad_axioms(operad_from_json(doc)).to_json()
+    assert report["checked"] == checked
+    assert report["failures"] == [{"axiom": "coverage", "instance": dropped, "witness": []}]
+    assert _sha(json.dumps(report, sort_keys=True)) == digest

@@ -14,6 +14,7 @@ arguments, and seed; wall-clock timing goes to stderr only.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -356,7 +357,7 @@ def _load_operad(doc, args):
         return terminal_operad(_flavor_from(args, doc), 3 if bound is None else bound)
     if name == "endomorphism":
         values = decode(doc.get("set", [0, 1]), list, "set")
-        values = tuple(decode(v, (int, float, str), "set element") for v in values)
+        values = tuple(decode(v, (bool, int, float, str), "set element") for v in values)
         return endomorphism_symmetric_operad(values, 2 if bound is None else bound)
     if name == "orders":
         return orders_operad(3 if bound is None else bound)
@@ -446,6 +447,7 @@ def _add_nk(sub, n_default=None, k_default=None):
     sub.add_argument("--k", type=int, default=k_default, required=k_default is None)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="operadkit", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)

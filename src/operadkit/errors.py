@@ -128,12 +128,13 @@ class BadDocument(WorkbenchError):
 def decode(value, kind, what: str, size: int | None = None):
     """Return a value read from a JSON document if it has the expected shape.
 
-    ``kind`` is a type or tuple of types; an int must not be a bool.  With
-    ``size``, an int must be an index below it and a list must have exactly
-    that length.  Anything else, a missing field (None) included, raises
-    BadDocument naming ``what``.
+    ``kind`` is a type or tuple of types; a bool passes only when ``bool``
+    is among them, never as an int.  With ``size``, an int must be an index
+    below it and a list must have exactly that length.  Anything else, a
+    missing field (None) included, raises BadDocument naming ``what``.
     """
-    ok = isinstance(value, kind) and not (kind is int and isinstance(value, bool))
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    ok = isinstance(value, kinds) and (bool in kinds or not isinstance(value, bool))
     if ok and size is not None:
         ok = len(value) == size if isinstance(value, list) else 0 <= value < size
     if not ok:

@@ -18,11 +18,16 @@ from .errors import (
     AntisymmetryViolation,
     EndoFound,
     IsoCheckFailed,
+    ResourceLimit,
     StrictnessRequired,
 )
 from .homology import ChainComplex
 from .ordinal_maps import enumerate_maps, morphism_violation
-from .ordinals import NOrdinal, enumerate_ordinals
+from .ordinals import LevelDomain, NOrdinal, enumerate_ordinals
+
+# build_j tests every ordered pair of its elements; more pairs than this
+# are refused before any element is built
+PAIR_CAP = 2**24
 
 
 @dataclass(frozen=True)
@@ -170,8 +175,20 @@ def build_j(n: int, k: int) -> MilgramPoset:
     """Labeled n-ordinals of arity k ordered by label-map validity.
 
     (T, pi) lies above (S, rho) when relabeling positions through the
-    labels gives a valid map T -> S; coarser structures sit on top.
+    labels gives a valid map T -> S; coarser structures sit on top.  The
+    element count n^(k-1) k! is predicted first, one arity at a time so
+    that any k is cheap: at the first partial count whose square passes
+    PAIR_CAP, ResourceLimit is raised.
     """
+    LevelDomain.finite(n)
+    size = 1
+    for m in range(2, k + 1):
+        size *= m * n
+        if size * size > PAIR_CAP:
+            raise ResourceLimit(
+                "too many ordered pairs of elements to test",
+                n=n, k=k, predicted=size * size, cap=PAIR_CAP,
+            )
     elements = tuple(
         (t, pi)
         for t in enumerate_ordinals(n, k)

@@ -1,10 +1,12 @@
 """Fox-Neuwirth strata of configurations with exact rational coordinates.
 
-A configuration of k labeled points in R^n determines an n-ordinal on the
-labels: compare two points lexicographically and record how many leading
-coordinates agree.  Strata are classified, sampled, and cross-validated
-against the labeled-ordinal poset by walking straight segments between
-sample points.  All arithmetic is exact; there are no tolerances.
+Coordinates are exact Python numbers: an int stays an int, and a 'p/q'
+string becomes a Fraction.  A configuration of k labeled points in R^n
+determines an n-ordinal on the labels: sort the points lexicographically
+and record, between consecutive points, how many leading coordinates
+agree.  Strata are classified, sampled, and cross-validated against the
+labeled-ordinal poset by walking straight segments between sample points.
+All arithmetic is exact; there are no tolerances.
 """
 
 from __future__ import annotations
@@ -24,13 +26,15 @@ from .errors import (
     ResourceLimit,
     decode,
 )
-from .ordinals import NOrdinal, count_ordinals, from_relations, ordinal_from_json
+from .ordinals import NOrdinal, count_ordinals, make_ordinal, ordinal_from_json
 
 
-def _rat(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, (int, str)):
+def _exact(value) -> int | Fraction:
+    """An int (a bool becomes its int) or Fraction as it is; a 'p/q'
+    string as a Fraction."""
+    if isinstance(value, (int, Fraction)):
+        return int(value) if isinstance(value, bool) else value
+    if isinstance(value, str):
         return Fraction(value)
     raise OutOfRange("coordinates must be integers or 'p/q' strings", got=repr(value))
 
@@ -40,12 +44,12 @@ class Configuration:
     """k labeled points in R^n, pairwise distinct."""
 
     dim: int
-    points: tuple[tuple[Fraction, ...], ...]
+    points: tuple[tuple[int | Fraction, ...], ...]
 
     def __post_init__(self):
         if self.dim < 0:
             raise OutOfRange("dimension must be non-negative", dim=self.dim)
-        pts = tuple(tuple(_rat(c) for c in p) for p in self.points)
+        pts = tuple(tuple(_exact(c) for c in p) for p in self.points)
         object.__setattr__(self, "points", pts)
         for i, p in enumerate(pts):
             if len(p) != self.dim:
@@ -70,11 +74,11 @@ class Configuration:
         }
 
 
-def _coordinate(value) -> Fraction:
+def _coordinate(value) -> int | Fraction:
     """A coordinate read from a document: an integer or a 'p/q' string."""
     decode(value, (int, str), "coordinate")
     try:
-        return Fraction(value)
+        return _exact(value)
     except (ValueError, ZeroDivisionError):
         raise BadDocument("bad coordinate", field="coordinate", got=repr(value)[:80]) from None
 
@@ -124,8 +128,8 @@ def stratum_from_json(obj: dict) -> StratumLabel:
 def direction_class(x: Sequence, y: Sequence) -> tuple[int, int]:
     """First coordinate where two points differ, with the sign of y - x
     there.  The count of leading equal coordinates is the relation level."""
-    x = tuple(_rat(c) for c in x)
-    y = tuple(_rat(c) for c in y)
+    x = tuple(_exact(c) for c in x)
+    y = tuple(_exact(c) for c in y)
     if len(x) != len(y):
         raise DimensionMismatch(
             "points live in different dimensions", left=len(x), right=len(y)
@@ -139,20 +143,13 @@ def direction_class(x: Sequence, y: Sequence) -> tuple[int, int]:
 def classify_stratum(c: Configuration) -> StratumLabel:
     """The labeled n-ordinal whose stratum contains the configuration.
 
-    Builds the full pairwise relation table and runs it through the axiom
-    validator, so a violation of the ordinal axioms (impossible for exact
-    lexicographic comparison) would surface loudly.
+    The labels are the positions sorted by point, and each level is the
+    direction class of two consecutive sorted points.
     """
-    k = c.arity
-    table = {}
-    for i, j in itertools.combinations(range(k), 2):
-        p, sign = direction_class(c.points[i], c.points[j])
-        if sign > 0:
-            table[(i, j)] = p
-        else:
-            table[(j, i)] = p
-    ordinal, order = from_relations(c.dim, range(k), table)
-    return StratumLabel(ordinal, tuple(order))
+    pts = c.points
+    order = sorted(range(c.arity), key=pts.__getitem__)
+    levels = tuple(direction_class(pts[a], pts[b])[0] for a, b in zip(order, order[1:]))
+    return StratumLabel(make_ordinal(c.dim, levels, c.arity), order)
 
 
 def sample_stratum(label: StratumLabel, spread=1) -> Configuration:
@@ -162,7 +159,7 @@ def sample_stratum(label: StratumLabel, spread=1) -> Configuration:
     the number of earlier separations at level <= j, so consecutive points
     first differ exactly at their relation level.
     """
-    spread = _rat(spread)
+    spread = _exact(spread)
     if spread <= 0:
         raise OutOfRange("spread must be positive", spread=str(spread))
     t = label.ordinal
@@ -209,7 +206,7 @@ def random_configuration(rng, n: int, k: int, max_attempts: int = 1000) -> Confi
     """
     for _ in range(max_attempts):
         pts = tuple(
-            tuple(Fraction(rng.randint(0, k)) for _ in range(n)) for _ in range(k)
+            tuple(rng.randint(0, k) for _ in range(n)) for _ in range(k)
         )
         if len(set(pts)) == k:
             return Configuration(n, pts)
@@ -243,9 +240,12 @@ def degeneration_check(
     upper one: walk the straight segment from a lower sample point to an
     upper sample point and classify at t = 1, 1/2, 1/4, ...
 
-    Every sampled t must classify to the upper label.  This is a falsifier
-    on convex cells, not a proof; it returns False as soon as the segment
-    leaves the upper stratum or two points collide along the way.
+    The point at t = 2^-s is classified scaled by 2^s, as the integer
+    point 2^s * low + (high - low); scaling by a positive number keeps a
+    configuration in its stratum.  Every sampled t must classify to the
+    upper label.  This is a falsifier on convex cells, not a proof; it
+    returns False as soon as the segment leaves the upper stratum or two
+    points collide along the way.
     """
     if (
         upper.ordinal.domain != lower.ordinal.domain
@@ -262,10 +262,10 @@ def degeneration_check(
     high = sample_stratum(upper)
     if classify_stratum(low) != lower:
         return False
-    t = Fraction(1)
-    for _ in range(max(1, steps)):
+    for s in range(max(1, steps)):
+        scale = 2**s
         pts = tuple(
-            tuple(a + t * (b - a) for a, b in zip(p, q))
+            tuple(scale * a + b - a for a, b in zip(p, q))
             for p, q in zip(low.points, high.points)
         )
         try:
@@ -274,5 +274,4 @@ def degeneration_check(
             return False
         if classify_stratum(moved) != upper:
             return False
-        t /= 2
     return True

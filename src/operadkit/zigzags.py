@@ -29,6 +29,7 @@ from .braids import (
 from .errors import (
     DiagramBroken,
     EndpointMismatch,
+    NotAMorphism,
     NotBlockDecomposable,
     NotQuasibijection,
     OutOfRange,
@@ -456,7 +457,7 @@ def split_zigzag(z: ZigZag, blocks: Sequence[int] | None = None) -> SplitResult:
     )
     try:
         kappa_map = OrdinalMap(middle_sum, sigma.source, tuple(kappa))
-    except Exception:
+    except NotAMorphism:
         kappa_map = None
 
     # table identities tying the block data back to the span

@@ -6,6 +6,7 @@ values come from a second route.
 """
 
 import itertools
+from fractions import Fraction
 
 
 def count_ascending_structures(n, k):
@@ -134,3 +135,33 @@ def unordered_rational_betti(n, k):
     if k >= 2 and n % 2 == 0:
         return [1] + [0] * (n - 2) + [1]
     return [1]
+
+
+# -- strata by pairwise comparison, over Fractions -------------------------
+
+
+def lex_relation_table(points):
+    """For every pair of points, as Fractions: the first coordinate where
+    they differ, keyed (i, j) with point i lexicographically below point j.
+    None when two points coincide."""
+    points = [tuple(Fraction(c) for c in p) for p in points]
+    table = {}
+    for i, j in itertools.combinations(range(len(points)), 2):
+        diffs = [p for p, (a, b) in enumerate(zip(points[i], points[j])) if a != b]
+        if not diffs:
+            return None
+        p = diffs[0]
+        table[(i, j) if points[i][p] < points[j][p] else (j, i)] = p
+    return table
+
+
+def fraction_walk(low, high, steps):
+    """The points low + t (high - low) at t = 1, 1/2, 1/4, ..., one
+    configuration per step, with t a Fraction halved at each step."""
+    t = Fraction(1)
+    for _ in range(max(1, steps)):
+        yield [
+            tuple(Fraction(a) + t * (Fraction(b) - Fraction(a)) for a, b in zip(p, q))
+            for p, q in zip(low, high)
+        ]
+        t /= 2

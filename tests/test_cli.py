@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from operadkit.cli import main
+from operadkit.cli import _build_parser, main
 from operadkit.operads import (
     endomorphism_symmetric_operad,
     operad_to_json,
@@ -500,13 +500,14 @@ _FLAT_LEVELS = {"n": 2, "levels": 0}
         ("split", {"zigzag": {"legs": []}, "blocks": [[2]]}, "block size"),
         ("classify", {"dim": 2, "points": [[0, "a"], [1, 2]]}, "coordinate"),
         ("classify", {"dim": 2, "points": [[0, "1/0"], [1, 2]]}, "coordinate"),
+        ("classify", {"dim": 1, "points": [[True], [False]]}, "coordinate"),
         ("sample", {"ordinal": {"n": 2, "k": 2, "levels": [0]}, "labels": ["a", 1]},
          "label"),
     ],
     ids=["strands string", "strands bool", "word int", "legs int", "leg int",
          "leg without map", "leg without dir", "map f int", "ordinal levels int",
          "map f null", "split block list", "coordinate text", "coordinate 1/0",
-         "label text"],
+         "coordinate bool", "label text"],
 )
 def test_malformed_braid_and_zigzag_documents_are_bad_input(
     capsys, monkeypatch, command, doc, field
@@ -518,6 +519,16 @@ def test_malformed_braid_and_zigzag_documents_are_bad_input(
     assert rep["payload"]["error"] == "BAD_DOCUMENT"
     assert rep["payload"]["diagnostic"]["field"] == field
     assert "Traceback" not in err
+
+
+def test_bool_set_elements_still_decode(capsys, monkeypatch):
+    # a set element may be a bool, because the set decode names bool
+    doc = {"builtin": "endomorphism", "set": [True, False], "bound": 1}
+    code, out, _ = run_cli(["operad-check", "-"], capsys, monkeypatch, json.dumps(doc))
+    assert code == 0
+    rep = report_of(out)
+    assert rep["outcome"] == "PASS"
+    assert rep["payload"]["checked"] == 104
 
 
 def test_classify_and_sample_round_trip(capsys, monkeypatch):
@@ -568,6 +579,27 @@ def test_degeneration_command(capsys):
     payload = report_of(out)["payload"]
     assert payload["covering_pairs"] == 4
     assert payload["failures"] == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["build-j"], ["degeneration"], ["homology", "--category", "J"]],
+    ids=["build-j", "degeneration", "homology J"],
+)
+def test_poset_commands_refuse_pairs_past_the_cap(capsys, argv):
+    # J(2,6) has 2^5 * 6! = 23040 elements, so 530841600 ordered pairs
+    started = time.perf_counter()
+    code, out, _ = run_cli([*argv, "--n", "2", "--k", "6"], capsys)
+    assert time.perf_counter() - started < 2.0
+    assert code == 2
+    payload = report_of(out)["payload"]
+    assert payload["error"] == "RESOURCE_LIMIT"
+    assert payload["diagnostic"]["predicted"] == 530841600
+    assert payload["diagnostic"]["cap"] == 2**24
+
+
+def test_parser_is_built_once():
+    assert _build_parser() is _build_parser()
 
 
 def test_unknown_command_is_usage_error(capsys):

@@ -20,7 +20,10 @@ terminal n-operad reports, the corrupted desymmetrised End{0,1} report and
 the nerve boundary columns were taken while the associativity check still
 rebuilt each restriction and composite as a validated map, and while nerve
 cells were tuples of maps whose inner faces were composed anew; so were
-the reports of bundles with one table missing.
+the reports of bundles with one table missing.  The strata reports
+(``degeneration``, ``verify-partition``, ``classify``, ``sample``) were
+taken while every coordinate was a Fraction and a stratum was read from
+its pairwise relation table.
 """
 
 import hashlib
@@ -313,3 +316,44 @@ def test_reports_with_a_missing_table_are_pinned(make, dropped, checked, digest)
     assert report["checked"] == checked
     assert report["failures"] == [{"axiom": "coverage", "instance": dropped, "witness": []}]
     assert _sha(json.dumps(report, sort_keys=True)) == digest
+
+
+@pytest.mark.parametrize(
+    "argv, doc, code, digest",
+    [
+        (["degeneration", "--n", "2", "--k", "4"], None, 0,
+         "54fadfe95ff80fb4ff1a54d7c87557ff250933c56b50c5bf7ae1952f54abfd6a"),
+        (["degeneration", "--n", "3", "--k", "3"], None, 0,
+         "00d2da9c192d5fed7ece64057758ef572b916be927828882ceada2cac17fa466"),
+        (["verify-partition", "--n", "3", "--k", "4", "--trials", "1000", "--seed", "5"],
+         None, 0, "bc18aa0a05c0b6f22c1f4196713011e93e9ed3537fa857103f238f093b583145"),
+        (["classify", "-"],
+         {"dim": 3, "points": [["1/2", -3, 0], ["1/2", -3, "-2/7"], [-1, 4, 4],
+                               ["1/2", 2, 0], [0, 0, "3/4"], ["2/4", -3, "-1/3"]]},
+         0, "3793707c27d1223f85d9ccc7be32036f3e183c5cea464440926818784290dbea"),
+        (["classify", "-"],
+         {"dim": 2, "points": [[-2, 5], [-2, "-5"], ["-4/2", 0], [7, "1/3"],
+                               ["7/1", "1/4"], [0, 0]]},
+         0, "22bf0dc9f14afcdeb453bbb442797721cb73c57ed28bb09e99a46a02bff4045a"),
+        (["classify", "-"], {"dim": 1, "points": [["-1/3"], [2], ["-3/9"]]},
+         2, "f0b46d681d47e6ef79360050bb58dc646a764e5bcf47b01e24f267cdef1120d3"),
+        (["classify", "-"], {"dim": 2, "points": [[1, "2"], [0, 0], ["1", "4/2"]]},
+         2, "e6e285c55fc498a9b8ce04e68da8588eecb44be6f10426f83c46f325acb7065b"),
+        (["classify", "-"], {"dim": 2, "points": []},
+         0, "3b90e3f6dfe57e9da6d32c8c30da7fa3a38090414550c26a4666406e992317f7"),
+        (["sample", "-"],
+         {"ordinal": {"n": 3, "k": 5, "levels": [2, 0, 1, 2]}, "labels": [3, 1, 4, 0, 2]},
+         0, "9a795a8003b92d359e5dce038b6c60ccbb2c770b9cf47f5637c701ba839773a8"),
+        (["sample", "-"],
+         {"ordinal": {"n": 4, "k": 4, "levels": [3, 3, 0]}, "labels": [0, 2, 1, 3]},
+         0, "f9a61f162b7cbe3735bb045198e5237916be8f734f69808ce6ff63226bc5679f"),
+    ],
+    ids=["degeneration J(2,4)", "degeneration J(3,3)", "verify-partition J(3,4)",
+         "classify p/q", "classify ties", "classify equal p/q", "classify int = p/q",
+         "classify empty", "sample deep", "sample flat"],
+)
+def test_strata_stdout_is_pinned(capsys, monkeypatch, argv, doc, code, digest):
+    if doc is not None:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    assert main(list(argv)) == code
+    assert _sha(capsys.readouterr().out) == digest

@@ -5,12 +5,14 @@ import pytest
 from operadkit.errors import (
     AntisymmetryViolation,
     EndoFound,
+    ResourceLimit,
     StrictnessRequired,
 )
 from operadkit.homology import connected_components, homology
 from operadkit.ordinal_maps import OrdinalMap
 from operadkit.ordinals import make_ordinal
 from operadkit.quasicat import (
+    PAIR_CAP,
     MilgramPoset,
     QuasiCategory,
     assert_strict,
@@ -20,6 +22,20 @@ from operadkit.quasicat import (
     order_complex,
     verify_quotient_correspondence,
 )
+
+
+@pytest.mark.parametrize(
+    "n, k, predicted",
+    [(6, 4, 5184**2), (3, 5, 9720**2), (2, 6, 23040**2),
+     (2, 10**9, 23040**2), (10**6, 3, (2 * 10**6) ** 2)],
+)
+def test_build_j_refuses_pairs_past_the_cap(n, k, predicted):
+    # J(5,4) has 3000 elements, so 9 M pairs, under the cap; the arities
+    # past the first refused one report the partial count that passed it
+    assert (5**3 * 24) ** 2 <= PAIR_CAP
+    with pytest.raises(ResourceLimit) as info:
+        build_j(n, k)
+    assert info.value.payload["predicted"] == predicted
 
 
 def test_q22_shape():

@@ -10,7 +10,7 @@ from operadkit.errors import (
     OutOfRange,
     ResourceLimit,
 )
-from operadkit.ordinals import enumerate_ordinals, make_ordinal
+from operadkit.ordinals import enumerate_ordinals, from_relations, make_ordinal
 from operadkit.quasicat import build_j
 from operadkit.strata import (
     Configuration,
@@ -27,6 +27,8 @@ from operadkit.strata import (
 )
 import itertools
 import random
+
+from oracles import fraction_walk, lex_relation_table
 
 
 def test_direction_class_basics():
@@ -47,6 +49,17 @@ def test_configuration_invariants():
         Configuration(2, ((0, 0), (1,)))
     c = Configuration(2, (("1/2", "3"), (0, 0)))
     assert c.points[0] == (Fraction(1, 2), Fraction(3))
+
+
+def test_configuration_keeps_exact_numbers():
+    c = Configuration(2, ((1, "3/2"), (Fraction(4, 2), "-4/2")))
+    assert [[type(v) for v in p] for p in c.points] == [[int, Fraction], [Fraction, Fraction]]
+    assert c == Configuration(2, ((1, Fraction(3, 2)), (2, -2)))
+    assert hash(c) == hash(Configuration(2, ((1, Fraction(3, 2)), (2, -2))))
+    assert c.to_json() == {"dim": 2, "points": [["1", "3/2"], ["2", "-2"]]}
+    # sample points, and so every point of a degeneration walk, are ints
+    label = StratumLabel(make_ordinal(3, [2, 0, 1]), (3, 1, 0, 2))
+    assert {type(v) for p in sample_stratum(label).points for v in p} == {int}
 
 
 def test_configuration_json_round_trip():
@@ -177,3 +190,65 @@ def test_degeneration_agrees_with_poset():
 def test_label_key_is_stable():
     lab = StratumLabel(make_ordinal(2, [0, 1]), (2, 0, 1))
     assert label_key(lab) == "[0, 1]|[2, 0, 1]"
+
+
+def _classify_by_relations(dim, points):
+    """A second route to the stratum: the pairwise relation table run
+    through the axiom validator."""
+    ordinal, order = from_relations(dim, range(len(points)), lex_relation_table(points))
+    return StratumLabel(ordinal, order)
+
+
+def _degeneration_by_fraction_walk(upper, lower, steps=8):
+    """degeneration_check with the unscaled point low + t (high - low)."""
+    if upper == lower:
+        return False
+    low, high = sample_stratum(lower), sample_stratum(upper)
+    if _classify_by_relations(low.dim, low.points) != lower:
+        return False
+    for points in fraction_walk(low.points, high.points, steps):
+        if lex_relation_table(points) is None:
+            return False
+        if _classify_by_relations(low.dim, points) != upper:
+            return False
+    return True
+
+
+def _coordinate(rng, half):
+    """A half-integer in one of the spellings a configuration accepts."""
+    if half % 2:
+        return rng.choice([Fraction(half, 2), f"{half}/2", f"{2 * half}/4"])
+    return rng.choice([half // 2, Fraction(half // 2), f"{half}/2", str(half // 2)])
+
+
+def test_classify_agrees_with_the_pairwise_route():
+    rng = random.Random(41)
+    swept = 0
+    for dim in range(5):
+        for k in range(8):
+            for _ in range(30):
+                # a coarse grid, so that leading coordinates tie often
+                halves = [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(k)]
+                if len(set(halves)) < k:
+                    continue
+                points = tuple(tuple(_coordinate(rng, h) for h in p) for p in halves)
+                expected = _classify_by_relations(dim, points)
+                assert classify_stratum(Configuration(dim, points)) == expected, points
+                swept += 1
+    assert swept > 800
+
+
+def test_degeneration_agrees_with_the_fraction_walk():
+    for n, k in [(1, 2), (2, 2), (1, 3), (2, 3)]:
+        labels = [StratumLabel(t, pi) for t, pi in build_j(n, k).elements]
+        for upper, lower in itertools.permutations(labels, 2):
+            # one step samples only t = 1, the upper sample point itself
+            for steps in (1, 8):
+                expected = _degeneration_by_fraction_walk(upper, lower, steps)
+                assert degeneration_check(upper, lower, steps) is expected, (upper, lower)
+    for n, k in [(2, 4), (3, 3)]:
+        p = build_j(n, k)
+        labels = [StratumLabel(t, pi) for t, pi in p.elements]
+        for i, j in p.covering_pairs():
+            expected = _degeneration_by_fraction_walk(labels[i], labels[j])
+            assert degeneration_check(labels[i], labels[j]) is expected

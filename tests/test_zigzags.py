@@ -13,6 +13,7 @@ from operadkit.errors import (
 )
 from operadkit.ordinal_maps import OrdinalMap, compose, enumerate_maps, identity_map
 from operadkit.ordinals import enumerate_ordinals, make_ordinal
+from operadkit import zigzags
 from operadkit.zigzags import (
     ZigZag,
     artin_diagram_check,
@@ -176,6 +177,18 @@ def test_split_contiguous_blocks_give_a_map():
     assert res.kappa_table == (0, 1, 2, 3)
     assert braid_equal(res.braids[0], BraidWord(2, (-1,)))
     assert braid_equal(res.braids[1], BraidWord(2, (-1,)))
+
+
+def test_split_lets_other_kappa_errors_through(monkeypatch):
+    # only NotAMorphism means kappa is not a map; any other error is a bug
+    def broken(source, target, table):
+        if tuple(table) == (2, 0, 1):
+            raise RuntimeError("kappa construction broke")
+        return OrdinalMap(source, target, table)
+
+    monkeypatch.setattr(zigzags, "OrdinalMap", broken)
+    with pytest.raises(RuntimeError, match="kappa construction broke"):
+        split_zigzag(wedge(3, (2, 1, 0), (1, 2, 0)))
 
 
 def test_split_single_block():

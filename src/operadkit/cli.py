@@ -28,6 +28,7 @@ from .errors import (
     OutOfRange,
     WorkbenchError,
     decode,
+    printable,
 )
 from .homology import homology
 from .operads import (
@@ -151,7 +152,7 @@ def _dot_poset(p) -> str:
 
 
 def _cmd_enumerate(args, doc):
-    count = count_ordinals(args.n, args.k)
+    count = printable(count_ordinals(args.n, args.k), "count")
     if args.offset < 0 or (args.limit is not None and args.limit < 0):
         raise OutOfRange(
             "offset and limit must be non-negative", offset=args.offset, limit=args.limit
@@ -422,12 +423,11 @@ def _cmd_verify_partition(args, doc):
 def _cmd_degeneration(args, doc):
     p = build_j(args.n, args.k)
     covers = p.covering_pairs()
+    labels = [StratumLabel(t, pi) for t, pi in p.elements]
     failures = []
     for i, j in covers:
-        upper = StratumLabel(p.elements[i][0], p.elements[i][1])
-        lower = StratumLabel(p.elements[j][0], p.elements[j][1])
-        if not degeneration_check(upper, lower):
-            failures.append({"upper": upper.to_json(), "lower": lower.to_json()})
+        if not degeneration_check(labels[i], labels[j]):
+            failures.append({"upper": labels[i].to_json(), "lower": labels[j].to_json()})
     payload = {
         "n": args.n,
         "k": args.k,

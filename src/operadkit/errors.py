@@ -7,6 +7,7 @@ structured payload; library users can catch the classes directly.
 
 from __future__ import annotations
 
+import sys
 from typing import Any
 
 
@@ -139,6 +140,22 @@ def decode(value, kind, what: str, size: int | None = None):
         ok = len(value) == size if isinstance(value, list) else 0 <= value < size
     if not ok:
         raise BadDocument(f"bad {what}", field=what, got=repr(value)[:80])
+    return value
+
+
+def printable(value: int, what: str) -> int:
+    """Return an integer a report will hold if it can be printed.
+
+    Python turns an int of more decimal digits than
+    ``sys.get_int_max_str_digits()`` into no text at all, so such a value
+    raises ResourceLimit naming ``what``, its bit length and the digit
+    limit, before any report is built.  The limit itself is left alone.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and abs(value) >= 10**limit:
+        raise ResourceLimit(
+            "integer too long to print", field=what, bits=value.bit_length(), max_digits=limit
+        )
     return value
 
 

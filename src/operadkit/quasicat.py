@@ -11,6 +11,7 @@ non-identity morphisms) and the order complex of J (strict chains).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -22,12 +23,24 @@ from .errors import (
     StrictnessRequired,
 )
 from .homology import ChainComplex
-from .ordinal_maps import enumerate_maps, morphism_violation
+from .ordinal_maps import enumerate_maps
 from .ordinals import LevelDomain, NOrdinal, enumerate_ordinals
 
-# build_j tests every ordered pair of its elements; more pairs than this
-# are refused before any element is built
+# the relation count of J can be quadratic in its element count, so
+# build_j refuses more ordered pairs of elements than this before it
+# builds any element; order_complex refuses more predicted cells
 PAIR_CAP = 2**24
+
+
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of a mask, ascending."""
+    digits = bin(mask)[:1:-1]
+    out = []
+    i = digits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = digits.find("1", i + 1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -143,7 +156,14 @@ class MilgramPoset:
     n: int
     k: int
     elements: tuple[tuple[NOrdinal, tuple[int, ...]], ...]
-    above: frozenset  # pairs (i, j) with element i strictly above element j
+    below: tuple[int, ...]  # bit j of below[i]: element i strictly above element j
+
+    @functools.cached_property
+    def above(self) -> frozenset:
+        """Pairs (i, j) with element i strictly above element j."""
+        return frozenset(
+            (i, j) for i, mask in enumerate(self.below) for j in _bits(mask)
+        )
 
     def label_map(self, i: int, j: int) -> tuple[int, ...]:
         """Table sending positions of element i to positions of element j
@@ -153,11 +173,15 @@ class MilgramPoset:
         return tuple(inv[lab] for lab in pi)
 
     def covering_pairs(self) -> list[tuple[int, int]]:
-        above = self.above
+        """Pairs (i, j) in sorted order with j below i and nothing
+        between: the mask below i less everything below its members."""
+        below = self.below
         covers = []
-        for i, j in sorted(above):
-            if not any((i, m) in above and (m, j) in above for m in range(len(self.elements))):
-                covers.append((i, j))
+        for i, mask in enumerate(below):
+            deeper = 0
+            for j in _bits(mask):
+                deeper |= below[j]
+            covers.extend((i, j) for j in _bits(mask & ~deeper))
         return covers
 
     def to_json(self) -> dict:
@@ -167,7 +191,9 @@ class MilgramPoset:
             "elements": [
                 {"ordinal": t.to_json(), "labels": list(pi)} for t, pi in self.elements
             ],
-            "relations": sorted(list(p) for p in self.above),
+            "relations": [
+                [i, j] for i, mask in enumerate(self.below) for j in _bits(mask)
+            ],
         }
 
 
@@ -176,9 +202,15 @@ def build_j(n: int, k: int) -> MilgramPoset:
 
     (T, pi) lies above (S, rho) when relabeling positions through the
     labels gives a valid map T -> S; coarser structures sit on top.  The
-    element count n^(k-1) k! is predicted first, one arity at a time so
-    that any k is cheap: at the first partial count whose square passes
-    PAIR_CAP, ResourceLimit is raised.
+    map is valid exactly when every pair of labels a < b passes: with
+    (order, level) the order of a and b and their level in T, and
+    likewise in S, the orders agree and the level in S is >= the one in
+    T, or they differ and it is >.  So each (pair, order, level) keeps the
+    bitmask of the elements showing it, ORed over the levels from there
+    up, and the mask below an element is the AND over the pairs of the
+    two suffixes it passes.  The element count n^(k-1) k! is predicted
+    first, one arity at a time so that any k is cheap: at the first
+    partial count whose square passes PAIR_CAP, ResourceLimit is raised.
     """
     LevelDomain.finite(n)
     size = 1
@@ -194,29 +226,79 @@ def build_j(n: int, k: int) -> MilgramPoset:
         for t in enumerate_ordinals(n, k)
         for pi in itertools.permutations(range(k))
     )
-    above = set()
-    for i, (t, pi) in enumerate(elements):
-        for j, (s, rho) in enumerate(elements):
-            if i == j:
-                continue
-            inv = {lab: pos for pos, lab in enumerate(rho)}
-            table = tuple(inv[lab] for lab in pi)
-            if morphism_violation(t, s, table) is None:
-                above.add((i, j))
-    for i, j in above:
-        if (j, i) in above:
-            raise AntisymmetryViolation(
-                "poset relation holds in both directions",
-                left=list(elements[i][1]),
-                right=list(elements[j][1]),
+    pairs = list(itertools.combinations(range(k), 2))
+    # masks[q][order][level]; level n stays empty so level + 1 is in range
+    masks = [[[0] * (n + 1), [0] * (n + 1)] for _ in pairs]
+    values = []
+    for x, (t, pi) in enumerate(elements):
+        pos = [0] * k
+        for p, lab in enumerate(pi):
+            pos[lab] = p
+        row = []
+        for q, (a, b) in enumerate(pairs):
+            pa, pb = pos[a], pos[b]
+            value = (0, t.rel(pa, pb)) if pa < pb else (1, t.rel(pb, pa))
+            masks[q][value[0]][value[1]] |= 1 << x
+            row.append(value)
+        values.append(row)
+    for by_order in masks:
+        for mask in by_order:
+            for level in range(n - 1, -1, -1):
+                mask[level] |= mask[level + 1]
+    everyone = (1 << len(elements)) - 1
+    below = []
+    for x, row in enumerate(values):
+        mask = everyone ^ (1 << x)
+        for (same, flipped), (order, level) in zip(masks, row):
+            if order:
+                same, flipped = flipped, same
+            mask &= same[level] | flipped[level + 1]
+        below.append(mask)
+    for i, mask in enumerate(below):
+        for j in _bits(mask):
+            if below[j] >> i & 1:
+                raise AntisymmetryViolation(
+                    "poset relation holds in both directions",
+                    left=list(elements[i][1]),
+                    right=list(elements[j][1]),
+                )
+    return MilgramPoset(n, k, elements, tuple(below))
+
+
+def chain_counts(p: MilgramPoset, max_dim: int | None = None) -> list[int]:
+    """The number of strict chains x_0 > ... > x_d of the poset for each
+    dimension d up to max_dim, from the below masks alone.
+
+    The chains starting at x number c_d(x) = sum of c_(d-1)(y) over the y
+    below x.  Once the running total passes PAIR_CAP, ResourceLimit is
+    raised with that total as ``predicted``.
+    """
+    below = [_bits(mask) for mask in p.below]
+    starting = [1] * len(below)
+    counts = [len(below)]
+    while max_dim is None or len(counts) <= max_dim:
+        starting = [sum(starting[y] for y in ys) for ys in below]
+        count = sum(starting)
+        if not count:
+            break
+        counts.append(count)
+        if sum(counts) > PAIR_CAP:
+            raise ResourceLimit(
+                "too many chains in the order complex",
+                n=p.n, k=p.k, dim=len(counts) - 1, predicted=sum(counts), cap=PAIR_CAP,
             )
-    return MilgramPoset(n, k, elements, frozenset(above))
+    return counts
 
 
 def order_complex(p: MilgramPoset, max_dim: int | None = None) -> ChainComplex:
-    """Strictly decreasing chains of the poset as a chain complex."""
+    """Strictly decreasing chains of the poset as a chain complex.
+
+    The chains are counted from the below masks first (chain_counts), so a
+    complex past PAIR_CAP cells is refused before any chain is built.
+    """
+    chain_counts(p, max_dim)
     n_el = len(p.elements)
-    below = {i: sorted(j for j in range(n_el) if (i, j) in p.above) for i in range(n_el)}
+    below = [_bits(mask) for mask in p.below]
     cells: list[list] = [list(range(n_el))]
     chains = [(i, j) for i in range(n_el) for j in below[i]]
     dim = 1
@@ -254,10 +336,8 @@ def verify_quotient_correspondence(p: MilgramPoset, c: QuasiCategory) -> int:
     for i, (t, pi) in enumerate(p.elements):
         ti = obj_index[t]
         reached: dict[int, set] = {}
-        for j in range(len(p.elements)):
-            if (i, j) in p.above:
-                s, rho = p.elements[j]
-                reached.setdefault(obj_index[s], set()).add(p.label_map(i, j))
+        for j in _bits(p.below[i]):
+            reached.setdefault(obj_index[p.elements[j][0]], set()).add(p.label_map(i, j))
         for si, s in enumerate(c.objects):
             hom = {
                 m.table

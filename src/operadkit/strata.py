@@ -25,6 +25,7 @@ from .errors import (
     OutOfRange,
     ResourceLimit,
     decode,
+    printable,
 )
 from .ordinals import NOrdinal, count_ordinals, make_ordinal, ordinal_from_json
 
@@ -140,16 +141,47 @@ def direction_class(x: Sequence, y: Sequence) -> tuple[int, int]:
     raise EqualPoints("direction class of a point with itself", point=[str(c) for c in x])
 
 
+def _classify(points: Sequence[Sequence]) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """(levels, labels) of the stratum of the points, or None when two
+    coincide.
+
+    One sort: the labels are the positions sorted by point, and each level
+    is the first coordinate where two consecutive sorted points differ;
+    equal neighbours are a collision.
+    """
+    order = sorted(range(len(points)), key=points.__getitem__)
+    levels = []
+    for a, b in zip(order, order[1:]):
+        for p, (u, v) in enumerate(zip(points[a], points[b])):
+            if u != v:
+                levels.append(p)
+                break
+        else:
+            return None
+    return tuple(levels), tuple(order)
+
+
 def classify_stratum(c: Configuration) -> StratumLabel:
     """The labeled n-ordinal whose stratum contains the configuration.
 
     The labels are the positions sorted by point, and each level is the
-    direction class of two consecutive sorted points.
+    first coordinate where two consecutive sorted points differ.
     """
-    pts = c.points
-    order = sorted(range(c.arity), key=pts.__getitem__)
-    levels = tuple(direction_class(pts[a], pts[b])[0] for a, b in zip(order, order[1:]))
+    levels, order = _classify(c.points)
     return StratumLabel(make_ordinal(c.dim, levels, c.arity), order)
+
+
+def _sample_points(label: StratumLabel, spread=1) -> list[tuple]:
+    """Coordinates of sample_stratum, as a list of tuples by label."""
+    levels = label.ordinal.levels
+    coords = [0] * label.ordinal.domain.n
+    placed = [()] * len(label.labels)
+    for r, lab in enumerate(label.labels):
+        if r:
+            for j in range(levels[r - 1], len(coords)):
+                coords[j] += spread
+        placed[lab] = tuple(coords)
+    return placed
 
 
 def sample_stratum(label: StratumLabel, spread=1) -> Configuration:
@@ -162,16 +194,7 @@ def sample_stratum(label: StratumLabel, spread=1) -> Configuration:
     spread = _exact(spread)
     if spread <= 0:
         raise OutOfRange("spread must be positive", spread=str(spread))
-    t = label.ordinal
-    n = t.domain.n
-    k = t.arity
-    placed = [None] * k
-    for r, lab in enumerate(label.labels):
-        coords = tuple(
-            spread * sum(1 for e in range(r) if t.levels[e] <= j) for j in range(n)
-        )
-        placed[lab] = coords
-    return Configuration(n, tuple(placed))
+    return Configuration(label.ordinal.domain.n, tuple(_sample_points(label, spread)))
 
 
 @dataclass
@@ -223,7 +246,7 @@ def verify_partition(n: int, k: int, trials: int, seed: int = 0) -> PartitionRep
     """
     if n < 1 or k < 0 or trials < 0:
         raise OutOfRange("need n >= 1, k >= 0, trials >= 0", n=n, k=k, trials=trials)
-    universe = count_ordinals(n, k) * math.factorial(k)
+    universe = printable(count_ordinals(n, k) * math.factorial(k), "universe")
     tally: dict[str, int] = {}
     for t in range(trials):
         rng = random.Random(f"{seed}:{t}")
@@ -242,8 +265,10 @@ def degeneration_check(
 
     The point at t = 2^-s is classified scaled by 2^s, as the integer
     point 2^s * low + (high - low); scaling by a positive number keeps a
-    configuration in its stratum.  Every sampled t must classify to the
-    upper label.  This is a falsifier on convex cells, not a proof; it
+    configuration in its stratum.  Each step classifies plain integer
+    tuples with the classifier of classify_stratum and compares the result
+    with the upper (levels, labels); no configuration or label is built
+    along the way.  This is a falsifier on convex cells, not a proof; it
     returns False as soon as the segment leaves the upper stratum or two
     points collide along the way.
     """
@@ -258,20 +283,14 @@ def degeneration_check(
         )
     if upper == lower:
         return False
-    low = sample_stratum(lower)
-    high = sample_stratum(upper)
-    if classify_stratum(low) != lower:
+    low = _sample_points(lower)
+    high = _sample_points(upper)
+    if _classify(low) != (lower.ordinal.levels, lower.labels):
         return False
+    want = (upper.ordinal.levels, upper.labels)
     for s in range(max(1, steps)):
         scale = 2**s
-        pts = tuple(
-            tuple(scale * a + b - a for a, b in zip(p, q))
-            for p, q in zip(low.points, high.points)
-        )
-        try:
-            moved = Configuration(low.dim, pts)
-        except EqualPoints:
-            return False
-        if classify_stratum(moved) != upper:
+        pts = [tuple(scale * a + b - a for a, b in zip(p, q)) for p, q in zip(low, high)]
+        if _classify(pts) != want:
             return False
     return True

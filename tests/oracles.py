@@ -165,3 +165,52 @@ def fraction_walk(low, high, steps):
             for p, q in zip(low, high)
         ]
         t /= 2
+
+
+# -- the labeled poset J_n(k) by testing every ordered pair ----------------
+
+
+def j_elements(n, k):
+    """Elements (levels, labels) of J_n(k): level sequences in
+    lexicographic order, each with every permutation of the labels."""
+    return [
+        (levels, labels)
+        for levels in itertools.product(range(n), repeat=max(k - 1, 0))
+        for labels in itertools.permutations(range(k))
+    ]
+
+
+def _is_map(source, target, table):
+    """The three clauses of a map of n-ordinals, for every source pair
+    i < j, with the level between a < b the minimum of levels[a:b]."""
+    for i, j in itertools.combinations(range(len(table)), 2):
+        u, v = table[i], table[j]
+        p = min(source[i:j])
+        if u < v and min(target[u:v]) < p:
+            return False
+        if u > v and min(target[v:u]) <= p:
+            return False
+    return True
+
+
+def j_relations(elements):
+    """Pairs (i, j) with element i strictly above element j: the label
+    map, position of a label in i to its position in j, is a map."""
+    above = set()
+    for i, (t, pi) in enumerate(elements):
+        for j, (s, rho) in enumerate(elements):
+            if i == j:
+                continue
+            inv = {lab: pos for pos, lab in enumerate(rho)}
+            if _is_map(t, s, [inv[lab] for lab in pi]):
+                above.add((i, j))
+    return above
+
+
+def j_covers(relations, size):
+    """Relations (i, j), sorted, with no m between them."""
+    return sorted(
+        (i, j)
+        for i, j in relations
+        if not any((i, m) in relations and (m, j) in relations for m in range(size))
+    )

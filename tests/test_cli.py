@@ -9,6 +9,7 @@ import time
 import pytest
 
 from operadkit.cli import _build_parser, main
+from operadkit.errors import ResourceLimit, printable
 from operadkit.operads import (
     endomorphism_symmetric_operad,
     operad_to_json,
@@ -596,6 +597,43 @@ def test_poset_commands_refuse_pairs_past_the_cap(capsys, argv):
     assert payload["error"] == "RESOURCE_LIMIT"
     assert payload["diagnostic"]["predicted"] == 530841600
     assert payload["diagnostic"]["cap"] == 2**24
+
+
+def test_nerve_of_j_refuses_chains_past_the_cap(capsys):
+    # J(5,4) is built, but its order complex passes 2^24 cells at dimension 2
+    started = time.perf_counter()
+    code, out, _ = run_cli(["nerve", "--n", "5", "--k", "4", "--category", "J"], capsys)
+    assert time.perf_counter() - started < 5.0
+    assert code == 2
+    diagnostic = report_of(out)["payload"]["diagnostic"]
+    assert diagnostic["code"] == "RESOURCE_LIMIT"
+    assert (diagnostic["dim"], diagnostic["predicted"]) == (2, 55178904)
+
+
+@pytest.mark.parametrize(
+    "argv, field, bits",
+    [
+        (["enumerate", "--n", "2", "--k", "20000", "--limit", "0"], "count", 20000),
+        (["verify-partition", "--n", "2", "--k", "20000", "--trials", "0"],
+         "universe", 276908),
+    ],
+    ids=["enumerate", "verify-partition"],
+)
+def test_integers_too_long_to_print_are_refused(capsys, argv, field, bits):
+    # 2^19999 and 2^19999 * 20000! pass Python's 4300-digit int-to-str limit
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 2
+    diagnostic = report_of(out)["payload"]["diagnostic"]
+    assert diagnostic["code"] == "RESOURCE_LIMIT"
+    assert (diagnostic["field"], diagnostic["bits"]) == (field, bits)
+    assert diagnostic["max_digits"] == sys.get_int_max_str_digits()
+
+
+def test_printable_stops_at_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    assert printable(-(10**limit - 1), "x") == -(10**limit - 1)
+    with pytest.raises(ResourceLimit):
+        printable(-(10**limit), "x")
 
 
 def test_parser_is_built_once():

@@ -23,7 +23,9 @@ cells were tuples of maps whose inner faces were composed anew; so were
 the reports of bundles with one table missing.  The strata reports
 (``degeneration``, ``verify-partition``, ``classify``, ``sample``) were
 taken while every coordinate was a Fraction and a stratum was read from
-its pairwise relation table.
+its pairwise relation table.  The ``build-j`` reports were taken while
+the relation of J was found by testing every ordered pair of elements
+as a map and covers by a cubic search.
 """
 
 import hashlib
@@ -356,4 +358,23 @@ def test_strata_stdout_is_pinned(capsys, monkeypatch, argv, doc, code, digest):
     if doc is not None:
         monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
     assert main(list(argv)) == code
+    assert _sha(capsys.readouterr().out) == digest
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["build-j", "--n", "2", "--k", "4"],
+         "69990b0d0707ed9c29c6439be5c83267e0d9c562e30d956daa16c3f32c81c4aa"),
+        (["build-j", "--n", "2", "--k", "4", "--dot"],
+         "5b6018aef5ba1038092b965ae174b131bf18ca2bcd0b849d29cad87ea86c7013"),
+        (["build-j", "--n", "3", "--k", "3"],
+         "fd2f65927f4b2ce3a192794abaf26eda839f758bc77261aacfdd048a2ca02c1d"),
+        (["build-j", "--n", "3", "--k", "3", "--dot"],
+         "fa0d407310fbcd28cf6d076b22527b6201d4dd5168dfdd658b41c7a13bd71a98"),
+    ],
+    ids=["J(2,4)", "J(2,4) dot", "J(3,3)", "J(3,3) dot"],
+)
+def test_build_j_stdout_is_pinned(capsys, argv, digest):
+    assert main(list(argv)) == 0
     assert _sha(capsys.readouterr().out) == digest

@@ -2,6 +2,8 @@
 
 import pytest
 
+import oracles
+
 from operadkit.errors import (
     AntisymmetryViolation,
     EndoFound,
@@ -18,6 +20,7 @@ from operadkit.quasicat import (
     assert_strict,
     build_j,
     build_q,
+    chain_counts,
     nerve,
     order_complex,
     verify_quotient_correspondence,
@@ -171,3 +174,37 @@ def test_poset_json_round_trip_fields():
 def test_category_json_fields():
     blob = build_q(2, 2).to_json()
     assert blob["hom_sizes"] == {"0->0": 1, "0->1": 2, "1->1": 1}
+
+
+@pytest.mark.parametrize(
+    "n, k",
+    [(n, k) for n in range(1, 5) for k in range(4)] + [(2, 4), (5, 3), (3, 4)],
+)
+def test_build_j_agrees_with_the_all_pairs_oracle(n, k):
+    p = build_j(n, k)
+    elements = oracles.j_elements(n, k)
+    assert [(t.levels, pi) for t, pi in p.elements] == elements
+    relations = oracles.j_relations(elements)
+    assert p.above == relations
+    assert p.covering_pairs() == oracles.j_covers(relations, len(elements))
+    assert p.to_json()["relations"] == sorted(list(r) for r in relations)
+
+
+@pytest.mark.parametrize("n, k", [(2, 3), (6, 2), (3, 3), (4, 3), (2, 4)])
+def test_chain_counts_predict_the_built_cells(n, k):
+    p = build_j(n, k)
+    cells = [len(layer) for layer in order_complex(p).cells]
+    assert chain_counts(p) == cells
+    assert chain_counts(p, max_dim=2) == cells[:3]
+
+
+def test_order_complex_refuses_chains_past_the_cap():
+    # J(5,4) is built (9 M ordered pairs), but its chains pass the cap at
+    # dimension 2; J(3,4) and J(5,3) stay under it
+    p = build_j(5, 4)
+    with pytest.raises(ResourceLimit) as info:
+        order_complex(p)
+    assert info.value.payload == {
+        "n": 5, "k": 4, "dim": 2, "predicted": 55178904, "cap": PAIR_CAP}
+    assert sum(chain_counts(build_j(3, 4))) == 9692472 <= PAIR_CAP
+    assert sum(chain_counts(build_j(5, 3))) == 8596614 <= PAIR_CAP

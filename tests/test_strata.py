@@ -10,11 +10,12 @@ from operadkit.errors import (
     OutOfRange,
     ResourceLimit,
 )
-from operadkit.ordinals import enumerate_ordinals, from_relations, make_ordinal
+from operadkit.ordinals import NOrdinal, enumerate_ordinals, from_relations, make_ordinal
 from operadkit.quasicat import build_j
 from operadkit.strata import (
     Configuration,
     StratumLabel,
+    _classify,
     classify_stratum,
     configuration_from_json,
     degeneration_check,
@@ -252,3 +253,24 @@ def test_degeneration_agrees_with_the_fraction_walk():
         for i, j in p.covering_pairs():
             expected = _degeneration_by_fraction_walk(labels[i], labels[j])
             assert degeneration_check(labels[i], labels[j]) is expected
+
+
+def test_classifier_reports_collisions():
+    assert _classify([(1, 2), (0, 0), (1, 3)]) == ((0, 1), (1, 0, 2))
+    assert _classify([(1, 2), (0, 0), (1, 2)]) is None
+    assert _classify([(5,), (5,)]) is None
+    assert _classify([]) == ((), ())
+
+
+def test_degeneration_walk_builds_no_objects(monkeypatch):
+    p = build_j(2, 3)
+    labels = [StratumLabel(t, pi) for t, pi in p.elements]
+    built = []
+    for cls in (Configuration, StratumLabel, NOrdinal):
+        def counting(self, _init=cls.__post_init__):
+            built.append(type(self).__name__)
+            _init(self)
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    for i, j in p.covering_pairs():
+        assert degeneration_check(labels[i], labels[j], steps=8)
+    assert built == []

@@ -9,6 +9,11 @@ a witness sufficient to reproduce the failure through the library), 2 when
 the input or usage was invalid (the payload carries a machine-readable
 diagnostic).  Stdout is byte-identical across runs for the same command,
 arguments, and seed; wall-clock timing goes to stderr only.
+
+The report is written by ``_dumps``, which gives byte for byte what
+``json.dumps(report, indent=2, sort_keys=True, default=str)`` gives, but
+joins lists of ints and str-keyed dicts itself instead of running the
+stdlib's pure-Python indenting encoder over every value.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import hashlib
 import json
 import sys
 import time
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from .braids import braid_from_json, braid_equal, braid_sum, is_trivial
 from .errors import (
@@ -543,6 +549,36 @@ def _digest(argv, doc) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def _dumps(value, pad="\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True, default=str)``, byte
+    for byte, with ``pad`` (a newline and the indent of ``value``) opening
+    each of its lines after the first.
+
+    Non-empty lists, str-keyed dicts, strs and ints are joined here, each
+    container by one ``str.join``; everything else, empty containers
+    included, goes to ``json.dumps`` (whose ``indent`` selects the stdlib's
+    pure-Python encoder), re-indented by replacing its newlines, which
+    encoded JSON holds nowhere else."""
+    kind = type(value)
+    if kind is str:
+        return _encode_str(value)
+    if kind is int:
+        return int.__repr__(value)
+    inner = pad + "  "
+    if kind is list and value:
+        if set(map(type, value)) == {int}:
+            items = map(int.__repr__, value)
+        else:
+            items = [_dumps(v, inner) for v in value]
+        return f"[{inner}{(',' + inner).join(items)}{pad}]"
+    if kind is dict and value and set(map(type, value)) == {str}:
+        items = [
+            f"{_encode_str(k)}: {_dumps(v, inner)}" for k, v in sorted(value.items())
+        ]
+        return f"{{{inner}{(',' + inner).join(items)}{pad}}}"
+    return json.dumps(value, indent=2, sort_keys=True, default=str).replace("\n", pad)
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     started = time.perf_counter()
@@ -578,9 +614,7 @@ def main(argv=None) -> int:
             "outcome": outcome,
             "payload": payload,
         }
-        sys.stdout.write(
-            json.dumps(report, indent=2, sort_keys=True, default=str) + "\n"
-        )
+        sys.stdout.write(_dumps(report) + "\n")
     wall_ms = (time.perf_counter() - started) * 1000.0
     print(f"wall_ms={wall_ms:.1f}", file=sys.stderr)
     return exit_code

@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from operator import add
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -62,8 +63,10 @@ from .zigzags import generator_span
 
 CARRIER_CAP = 100_000
 # Longest flat list an axiom check builds (a multiplication table, or one
-# side of an associativity instance), and the most table entries an operad
-# document holds.  End{0,1} at bound 3 needs 2**20.
+# side of an associativity instance), the most table entries an operad
+# document holds, and the most candidate maps tested for the surjections
+# between index ordinals.  End{0,1} at bound 3 needs 2**20 entries; terminal
+# N_OPERAD(2) at bound 5 tests 967,423 candidates.
 LIST_CAP = 2**24
 
 
@@ -408,24 +411,47 @@ def _key(source: NOrdinal, target: NOrdinal, table: tuple[int, ...]) -> tuple:
     return source.levels, target.arity, target.levels, table
 
 
+def _candidates(objs: list[NOrdinal]) -> Iterator[tuple]:
+    """(t, s, table) for every table from t onto no longer s among objs, in
+    product order: the candidates among which the surjections are found."""
+    for t, s in itertools.product(objs, repeat=2):
+        if s.arity <= t.arity:
+            for table in itertools.product(range(s.arity), repeat=t.arity):
+                yield t, s, table
+
+
+def _candidate_count(objs: list[NOrdinal]) -> int:
+    """How many candidates ``_candidates(objs)`` yields, from the arities."""
+    count = Counter(a.arity for a in objs)
+    return sum(count[a] * count[b] * a**b for a in count for b in count if a <= b)
+
+
 def _surjections(op: FiniteOperad, bound: int) -> dict[tuple, _Surjection]:
     """Every surjection between index ordinals within bound, by key: the
-    morphisms whose tables the axioms quantify over, each derived once."""
+    morphisms whose tables the axioms quantify over, each derived once.
+    Past LIST_CAP candidate tables it raises ResourceLimit before the
+    first one is tested."""
     size = {key: len(elems) for key, elems in op.collection.carrier.items()}
     objs = _index_ordinals(op.flavor, bound)
+    predicted = _candidate_count(objs)
+    if predicted > LIST_CAP:
+        raise ResourceLimit(
+            "too many candidate maps between index ordinals",
+            predicted=predicted, cap=LIST_CAP,
+        )
     out = {}
-    for t, s in itertools.product(objs, repeat=2):
-        for sigma in enumerate_maps(t, s) if s.arity <= t.arity else ():
-            if not sigma.is_surjective:
-                continue
-            blocks = tuple(
-                tuple(i for i, v in enumerate(sigma.table) if v == j) for j in range(s.arity)
-            )
-            fibers = tuple(induced(t, block) for block in blocks)
-            keys = tuple(_carrier_key(op.flavor, a) for a in (s, *fibers))
-            sizes = tuple(size.get(key, 0) for key in keys)
-            rec = _Surjection(sigma, morphism_key(sigma), blocks, fibers, keys, sizes)
-            out[_key(t, s, sigma.table)] = rec
+    for t, s, table in _candidates(objs):
+        if len(set(table)) != s.arity or morphism_violation(t, s, table) is not None:
+            continue
+        sigma = OrdinalMap(t, s, table)
+        blocks = tuple(
+            tuple(i for i, v in enumerate(table) if v == j) for j in range(s.arity)
+        )
+        fibers = tuple(induced(t, block) for block in blocks)
+        keys = tuple(_carrier_key(op.flavor, a) for a in (s, *fibers))
+        sizes = tuple(size.get(key, 0) for key in keys)
+        rec = _Surjection(sigma, morphism_key(sigma), blocks, fibers, keys, sizes)
+        out[_key(t, s, table)] = rec
     return out
 
 
@@ -1442,6 +1468,16 @@ def _ordinal_from_key(flavor: Flavor, key: str) -> NOrdinal:
     return make_ordinal(n, _key_ints(levels_text, key), arity=int(arity_text))
 
 
+def _indices(values: list, what: str, size: int) -> list:
+    """A copy of ``values`` if every one is an int index below ``size``.
+
+    The list is checked at once; only one that fails is read again leaf by
+    leaf, so that ``decode`` names its first bad leaf."""
+    if set(map(type, values)) == {int} and 0 <= min(values) and max(values) < size:
+        return list(values)
+    return [decode(v, int, what, size) for v in values]
+
+
 def operad_from_json(obj: dict) -> FiniteOperad:
     """Read an operad bundle; malformed fields raise BadDocument.
 
@@ -1475,9 +1511,9 @@ def operad_from_json(obj: dict) -> FiniteOperad:
         if not gen_text.isdecimal():
             raise BadDocument("bad key", field=key_text)
         what = f"action {key_text}"
-        actions[(_carrier_key(flavor, a), int(gen_text))] = [
-            decode(v, int, what, size) for v in decode(arr, list, what, size)
-        ]
+        actions[(_carrier_key(flavor, a), int(gen_text))] = _indices(
+            decode(arr, list, what, size), what, size
+        )
     tables = {}
     for m_key, nested in decode(obj.get("mult", {}), dict, "mult").items():
         src_text, _, rest = m_key.partition(">")
@@ -1490,7 +1526,7 @@ def operad_from_json(obj: dict) -> FiniteOperad:
             size = size_at(a)
             level = [x for node in level for x in decode(node, list, m_key, size)]
         size = size_at(source)
-        tables[sigma] = [decode(leaf, int, m_key, size) for leaf in level]
+        tables[sigma] = _indices(level, m_key, size)
     unit = decode(obj.get("unit"), int, "unit", size_at(_point(flavor)))
     coll = FiniteCollection(flavor, carrier, actions)
     return FiniteOperad(coll, unit, bound, tables)

@@ -5,10 +5,13 @@ import io
 import json
 import sys
 import time
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from operadkit.cli import _build_parser, main
+from operadkit.cli import _build_parser, _dumps, main
 from operadkit.errors import ResourceLimit, printable
 from operadkit.operads import (
     endomorphism_symmetric_operad,
@@ -342,6 +345,19 @@ def test_operad_check_refuses_lists_past_the_cap(capsys, monkeypatch):
     assert payload["diagnostic"]["cap"] == 2**24
 
 
+def test_operad_check_refuses_candidate_maps_past_the_cap(capsys, monkeypatch):
+    # terminal N_OPERAD(2) at bound 9: 256 index ordinals of arity 9, and
+    # 8^9 tables between each of them and each of the 128 of arity 8
+    doc = {"builtin": "terminal", "flavor": "n", "n": 2, "bound": 9}
+    started = time.perf_counter()
+    code, out, _ = run_cli(["operad-check", "-"], capsys, monkeypatch, json.dumps(doc))
+    assert time.perf_counter() - started < 2.0
+    assert code == 2
+    diagnostic = report_of(out)["payload"]["diagnostic"]
+    assert diagnostic["code"] == "RESOURCE_LIMIT"
+    assert (diagnostic["predicted"], diagnostic["cap"]) == (30874249742431, 2**24)
+
+
 def test_desymmetrise_refuses_documents_past_the_cap(capsys, monkeypatch):
     # End{0,1,2} as a 2-operad at bound 2: its tables would hold 58459239
     # entries in all, though the longest single table is under the cap
@@ -474,6 +490,17 @@ def test_malformed_operad_documents_are_bad_input(capsys, monkeypatch, edit):
         assert rep["outcome"] == "ERROR"
         assert rep["payload"]["error"] == "BAD_DOCUMENT"
         assert "Traceback" not in err
+
+
+def test_bad_last_leaf_of_a_long_table_is_named(capsys, monkeypatch):
+    # the 256-leaf table of End{0,1}(2), with its last leaf one past the
+    # 16 elements of the carrier
+    doc = _end_bundle()
+    doc["mult"]["2:0>2:0|0,1"][-1][-1][-1] = 16
+    code, out, _ = run_cli(["operad-check"], capsys, monkeypatch, json.dumps(doc))
+    assert code == 2
+    diagnostic = report_of(out)["payload"]["diagnostic"]
+    assert (diagnostic["field"], diagnostic["got"]) == ("2:0>2:0|0,1", "16")
 
 
 _SWAP = {
@@ -676,3 +703,50 @@ def test_library_error_is_machine_readable(capsys, monkeypatch):
     rep = report_of(out)
     assert rep["outcome"] == "ERROR"
     assert rep["payload"]["error"] == "EQUAL_POINTS"
+
+
+# Leaves cover every branch of the stdlib encoder: huge ints (two past the
+# int-to-str digit limit, which both writers refuse), NaN, the infinities
+# and -0.0, control and non-ASCII text, and Fractions, which only
+# default=str can write.  Lists of ints and bools reach the all-int join.
+_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([64, 300, 4299, 4300, 5000]).map(lambda e: -(10**e))
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.just(-0.0)
+    | st.text()
+    | st.fractions()
+    | st.lists(st.integers(-(2**70), 2**70) | st.booleans(), max_size=5)
+)
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=4)
+    | st.dictionaries(st.integers(-9, 9), inner, max_size=3)
+    | st.dictionaries(st.text(max_size=2) | st.integers(-2, 2), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+def _written(write, value):
+    try:
+        return write(value)
+    except (TypeError, ValueError) as e:
+        return type(e)
+
+
+@settings(max_examples=250, derandomize=True, deadline=None)
+@given(_VALUES)
+def test_report_writer_matches_indented_json_dumps(value):
+    def stdlib(v):
+        return json.dumps(v, indent=2, sort_keys=True, default=str)
+
+    assert _written(_dumps, value) == _written(stdlib, value)
+
+
+def test_report_writer_falls_back_inside_containers():
+    value = {"b": [Fraction(1, 3), (1, [2]), {2: []}], "a": [True, 3, None, 1.5]}
+    assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True, default=str)

@@ -227,6 +227,19 @@ def test_longest_list_is_predicted_exactly(monkeypatch, make):
 
 
 @pytest.mark.parametrize(
+    "flavor, bound",
+    [(SYMMETRIC, 5), (N_OPERAD(1), 4), (N_OPERAD(2), 2), (N_OPERAD(2), 4), (N_OPERAD(3), 3)],
+)
+def test_candidate_maps_are_predicted_exactly(flavor, bound):
+    # the prediction behind the surjection budget counts the tables tested
+    from operadkit import operads
+
+    objs = operads._index_ordinals(flavor, bound)
+    enumerated = sum(1 for _ in operads._candidates(objs))
+    assert operads._candidate_count(objs) == enumerated
+
+
+@pytest.mark.parametrize(
     "run",
     [
         lambda: check_operad_axioms(terminal_operad(N_OPERAD(2), 4)),

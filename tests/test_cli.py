@@ -5,7 +5,6 @@ import io
 import json
 import sys
 import time
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -745,8 +744,3 @@ def test_report_writer_matches_indented_json_dumps(value):
         return json.dumps(v, indent=2, sort_keys=True, default=str)
 
     assert _written(_dumps, value) == _written(stdlib, value)
-
-
-def test_report_writer_falls_back_inside_containers():
-    value = {"b": [Fraction(1, 3), (1, [2]), {2: []}], "a": [True, 3, None, 1.5]}
-    assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True, default=str)

@@ -73,6 +73,17 @@ def transposition(k: int, i: int) -> Permutation:
     return Permutation(tuple(img))
 
 
+def _free_reduce(letters: Sequence[int]) -> list[int]:
+    """The letters with every adjacent pair x, -x cancelled."""
+    out: list[int] = []
+    for letter in letters:
+        if out and out[-1] == -letter:
+            out.pop()
+        else:
+            out.append(letter)
+    return out
+
+
 @dataclass(frozen=True)
 class BraidWord:
     strands: int
@@ -113,23 +124,15 @@ class BraidWord:
         for letter in self.word:
             i = abs(letter)
             img[i - 1], img[i] = img[i], img[i - 1]
-        # img built by swapping positions top to bottom sends start to end
-        out = [0] * self.strands
-        for pos, strand in enumerate(img):
-            out[strand] = pos
-        return Permutation(tuple(out))
+        # img[pos] is the strand that ends at pos; its inverse sends each
+        # starting position to its end
+        return Permutation(tuple(img)).inverse()
 
     def exponent_sum(self) -> int:
         return sum(1 if x > 0 else -1 for x in self.word)
 
     def free_reduce(self) -> "BraidWord":
-        out: list[int] = []
-        for letter in self.word:
-            if out and out[-1] == -letter:
-                out.pop()
-            else:
-                out.append(letter)
-        return BraidWord(self.strands, tuple(out))
+        return BraidWord(self.strands, tuple(_free_reduce(self.word)))
 
     def to_json(self) -> dict:
         return {"strands": self.strands, "word": list(self.word)}
@@ -241,15 +244,8 @@ def is_trivial(b: BraidWord, limit: int | None = None) -> bool:
             # handle-free and non-empty: definite sign on the lowest
             # generator, hence non-trivial
             return False
-        word = _reduce_handle(word, *found)
         # cheap free reduction keeps intermediate words short
-        out: list[int] = []
-        for letter in word:
-            if out and out[-1] == -letter:
-                out.pop()
-            else:
-                out.append(letter)
-        word = out
+        word = _free_reduce(_reduce_handle(word, *found))
     raise ResourceLimit("handle reduction exceeded the step limit", limit=limit)
 
 

@@ -567,15 +567,13 @@ def check_operad_axioms(op: FiniteOperad, bound: int | None = None) -> AxiomRepo
     checked = 0
     checked += _check_units(op, covered, bound, failures)
     checked += _check_associativity(op, covered, failures)
-    if op.flavor.kind == "symmetric":
+    if op.flavor.kind in ("symmetric", "braided"):
         checked += _check_reindexing(op, covered, failures)
-        checked += _check_square_eq1(op, covered, bound, failures, braided=False)
-        checked += _check_square_eq2(op, covered, bound, failures, braided=False)
-    elif op.flavor.kind == "braided":
-        checked += _check_reindexing(op, covered, failures)
-    elif op.flavor.kind == "mixed2":
-        checked += _check_square_eq1(op, covered, bound, failures, braided=True)
-        checked += _check_square_eq2(op, covered, bound, failures, braided=True)
+    if op.flavor.kind in ("symmetric", "mixed2"):
+        braided = op.flavor.kind == "mixed2"
+        squares = _squares(covered, bound, braided)
+        checked += _check_square_eq1(op, squares, failures, braided)
+        checked += _check_square_eq2(op, squares, failures, braided)
     return _report(failures, checked)
 
 
@@ -873,8 +871,7 @@ def _squares(covered: dict, bound: int, braided: bool):
 
 def _check_square_eq1(
     op: FiniteOperad,
-    covered: dict,
-    bound: int,
+    squares: tuple,
     failures: list[AxiomFailure],
     braided: bool,
     signs: tuple[bool, bool, bool] = (True, True, True),
@@ -889,7 +886,7 @@ def _check_square_eq1(
     horizontals.
     """
     checked = 0
-    by_arity, verticals, horizontals = _squares(covered, bound, braided)
+    by_arity, verticals, horizontals = squares
     for t, targets in horizontals.items():
         for s, found in targets.items():
             for sigma, line in found.values():
@@ -939,8 +936,7 @@ def _route_value(
 
 def _check_square_eq2(
     op: FiniteOperad,
-    covered: dict,
-    bound: int,
+    squares: tuple,
     failures: list[AxiomFailure],
     braided: bool,
     signs: tuple[bool, bool] = (True, False),
@@ -952,7 +948,7 @@ def _check_square_eq2(
     produce the same transported multiplication.
     """
     checked = 0
-    by_arity, verticals, horizontals = _squares(covered, bound, braided)
+    by_arity, verticals, horizontals = squares
     for t in horizontals:
         routes: dict[tuple, list] = {}
         for mid in by_arity[t.arity]:
@@ -1275,10 +1271,8 @@ def all_factorizations(
     total = sigma.source.arity
     for mid in enumerate_ordinals(n, total):
         for pi in enumerate_maps(sigma.source, mid, kind="quasi"):
-            inv = [0] * total
-            for p, r in enumerate(pi.table):
-                inv[r] = p
-            nu_table = tuple(sigma.table[inv[r]] for r in range(total))
+            inv = Permutation(pi.table).inverse().image
+            nu_table = tuple(sigma.table[p] for p in inv)
             if any(nu_table[r] > nu_table[r + 1] for r in range(total - 1)):
                 continue
             if morphism_violation(mid, sigma.target, nu_table) is not None:

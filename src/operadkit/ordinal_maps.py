@@ -19,6 +19,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+from .braids import Permutation
 from .errors import (
     ComposeMismatch,
     DomainMismatch,
@@ -156,10 +157,8 @@ def invert(sigma: OrdinalMap) -> OrdinalMap:
     raises some level."""
     if not sigma.is_quasibijection:
         raise NotQuasibijection("only quasibijections can be inverted")
-    inv = [0] * len(sigma.table)
-    for i, v in enumerate(sigma.table):
-        inv[v] = i
-    return OrdinalMap(sigma.target, sigma.source, tuple(inv))
+    inv = Permutation(sigma.table).inverse().image
+    return OrdinalMap(sigma.target, sigma.source, inv)
 
 
 # -- induced structures ------------------------------------------------
@@ -265,9 +264,7 @@ def factorize(sigma: OrdinalMap) -> Factorization:
     f = sigma.table
     k = sigma.source.arity
     order = sorted(range(k), key=lambda p: (f[p], p))
-    rank = [0] * k
-    for r, p in enumerate(order):
-        rank[p] = r
+    rank = Permutation(order).inverse().image
 
     domain = sigma.source.domain
     levels = []
@@ -278,6 +275,6 @@ def factorize(sigma: OrdinalMap) -> Factorization:
         else:
             levels.append(sigma.target.rel(f[a], f[b]))
     middle = NOrdinal(domain, k, tuple(levels))
-    pi = OrdinalMap(sigma.source, middle, tuple(rank))
+    pi = OrdinalMap(sigma.source, middle, rank)
     nu = OrdinalMap(middle, sigma.target, tuple(f[p] for p in order))
     return Factorization(pi, middle, nu)

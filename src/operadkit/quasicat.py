@@ -28,7 +28,7 @@ from .ordinals import LevelDomain, NOrdinal, enumerate_ordinals
 
 # the relation count of J can be quadratic in its element count, so
 # build_j refuses more ordered pairs of elements than this before it
-# builds any element; order_complex refuses more predicted cells
+# builds any element; nerve and order_complex refuse more predicted cells
 PAIR_CAP = 2**24
 
 
@@ -109,7 +109,9 @@ def nerve(c: QuasiCategory, max_dim: int | None = None) -> ChainComplex:
     tuple of its d arrow ids.  The inner face that composes two arrows is
     found by looking up the composite's (source, target, table).
     Requires strictness; composites of chain arrows are then never
-    identities, so the construction closes under faces.
+    identities, so the construction closes under faces.  The cells are
+    counted from the arrows first, so a nerve past PAIR_CAP cells is
+    refused before any chain is built.
     """
     try:
         assert_strict(c)
@@ -119,17 +121,19 @@ def nerve(c: QuasiCategory, max_dim: int | None = None) -> ChainComplex:
         ) from e
 
     arrows = [(i, j, m.table) for i, j, m in c.non_identity()]
-    ident = {arrow: a for a, arrow in enumerate(arrows)}
-    out_of: dict[int, list[int]] = {}
+    out_of: list[list[int]] = [[] for _ in c.objects]
     for a, (i, _, _) in enumerate(arrows):
-        out_of.setdefault(i, []).append(a)
+        out_of[i].append(a)
+    heads = [[arrows[a][1] for a in ids] for ids in out_of]
+    _chain_counts(heads, max_dim, "too many cells in the nerve", n=c.n, k=c.k)
+    ident = {arrow: a for a, arrow in enumerate(arrows)}
     cells: list[list] = [list(range(len(c.objects)))]
     chains = [(a,) for a in range(len(arrows))]
     dim = 1
     while chains and (max_dim is None or dim <= max_dim):
         cells.append(chains)
         chains = [
-            path + (b,) for path in chains for b in out_of.get(arrows[path[-1]][1], ())
+            path + (b,) for path in chains for b in out_of[arrows[path[-1]][1]]
         ]
         dim += 1
 
@@ -265,29 +269,35 @@ def build_j(n: int, k: int) -> MilgramPoset:
     return MilgramPoset(n, k, elements, tuple(below))
 
 
-def chain_counts(p: MilgramPoset, max_dim: int | None = None) -> list[int]:
-    """The number of strict chains x_0 > ... > x_d of the poset for each
-    dimension d up to max_dim, from the below masks alone.
+def _chain_counts(heads: list, max_dim: int | None, message: str, **where) -> list[int]:
+    """The number of paths of d arrows for each dimension d up to max_dim,
+    where heads[x] lists the target of each arrow out of x.
 
-    The chains starting at x number c_d(x) = sum of c_(d-1)(y) over the y
-    below x.  Once the running total passes PAIR_CAP, ResourceLimit is
-    raised with that total as ``predicted``.
+    The paths starting at x number c_d(x) = sum of c_(d-1)(y) over the
+    arrows x -> y.  Once the running total passes PAIR_CAP, ResourceLimit
+    is raised with ``message`` and ``where``, and that total as ``predicted``.
     """
-    below = [_bits(mask) for mask in p.below]
-    starting = [1] * len(below)
-    counts = [len(below)]
+    starting = [1] * len(heads)
+    counts = [len(heads)]
     while max_dim is None or len(counts) <= max_dim:
-        starting = [sum(starting[y] for y in ys) for ys in below]
+        starting = [sum(starting[y] for y in ys) for ys in heads]
         count = sum(starting)
         if not count:
             break
         counts.append(count)
         if sum(counts) > PAIR_CAP:
             raise ResourceLimit(
-                "too many chains in the order complex",
-                n=p.n, k=p.k, dim=len(counts) - 1, predicted=sum(counts), cap=PAIR_CAP,
+                message, **where, dim=len(counts) - 1, predicted=sum(counts), cap=PAIR_CAP
             )
     return counts
+
+
+def chain_counts(p: MilgramPoset, max_dim: int | None = None) -> list[int]:
+    """The number of strict chains x_0 > ... > x_d of the poset for each
+    dimension d up to max_dim, from the below masks alone."""
+    below = [_bits(mask) for mask in p.below]
+    message = "too many chains in the order complex"
+    return _chain_counts(below, max_dim, message, n=p.n, k=p.k)
 
 
 def order_complex(p: MilgramPoset, max_dim: int | None = None) -> ChainComplex:

@@ -25,6 +25,7 @@ from .braids import (
     braid_sum,
     direct_sum_blocks,
     q_section,
+    transposition,
 )
 from .errors import (
     DiagramBroken,
@@ -199,12 +200,6 @@ def _spike(k: int, g: int) -> NOrdinal:
     return NOrdinal(LevelDomain.finite(2), k, tuple(levels))
 
 
-def _swap_table(k: int, g: int) -> tuple[int, ...]:
-    t = list(range(k))
-    t[g - 1], t[g] = t[g], t[g - 1]
-    return tuple(t)
-
-
 def generator_span(k: int, g: int, sign: int = 1) -> ZigZag:
     """Span representing the Artin generator on k strands.
 
@@ -214,7 +209,7 @@ def generator_span(k: int, g: int, sign: int = 1) -> ZigZag:
     if not 1 <= g <= k - 1:
         raise OutOfRange("generator index out of range", k=k, generator=g)
     flat, mid = _flat(k), _spike(k, g)
-    swap = OrdinalMap(flat, mid, _swap_table(k, g))
+    swap = OrdinalMap(flat, mid, transposition(k, g).image)
     idl = OrdinalMap(flat, mid, tuple(range(k)))
     if sign >= 0:
         return span(swap, idl)
@@ -291,7 +286,7 @@ def artin_diagram_check(k: int, i: int, j: int) -> DiagramCertificate:
             t[a] = b
         return tuple(t)
 
-    s = {"i": _swap_table(k, i), "j": _swap_table(k, j)}
+    s = {"i": transposition(k, i).image, "j": transposition(k, j).image}
     vi, vj = generator_span(k, i), generator_span(k, j)
 
     if abs(i - j) >= 2:
@@ -399,10 +394,7 @@ def split_zigzag(z: ZigZag, blocks: Sequence[int] | None = None) -> SplitResult:
     eta = z.legs[1][1]
     k = sigma.source.arity
 
-    sig_inv = [0] * k
-    for p, v in enumerate(sigma.table):
-        sig_inv[v] = p
-    omega = Permutation(tuple(eta.table[sig_inv[s]] for s in range(k)))
+    omega = Permutation(sigma.table).inverse() * Permutation(eta.table)
 
     finest = direct_sum_blocks(omega)
     if blocks is None:

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from operadkit import zigzags
+from operadkit.braids import BraidWord
 from operadkit.cli import _build_parser, _dumps, main
 from operadkit.errors import ResourceLimit, printable
 from operadkit.operads import (
@@ -272,6 +274,29 @@ def test_split_rejects_incompatible_blocks(capsys, tmp_path):
     rep = report_of(out)
     assert rep["outcome"] == "FAIL"
     assert rep["payload"]["error"] == "NOT_BLOCK_DECOMPOSABLE"
+
+
+def test_split_fails_when_the_blocks_lose_the_braid_class(capsys, monkeypatch, tmp_path):
+    # block braids that no longer recompose the span's braid are a failed
+    # check with its witness, not unusable input
+    juxtapose = zigzags.braid_sum
+
+    def with_a_full_twist(parts):
+        whole = juxtapose(parts)
+        return BraidWord(whole.strands, whole.word + (1, 1))
+
+    monkeypatch.setattr(zigzags, "braid_sum", with_a_full_twist)
+    path = tmp_path / "span.json"
+    path.write_text(json.dumps(two_block_span().to_json()))
+    code, out, _ = run_cli(["split", str(path)], capsys)
+    assert code == 1
+    rep = report_of(out)
+    assert rep["outcome"] == "FAIL"
+    assert rep["payload"]["error"] == "DIAGRAM_BROKEN"
+    assert rep["payload"]["witness"] == {
+        "code": "DIAGRAM_BROKEN",
+        "message": "block braids do not recompose the span braid",
+    }
 
 
 def test_artin_check_command(capsys):
@@ -625,15 +650,23 @@ def test_poset_commands_refuse_pairs_past_the_cap(capsys, argv):
     assert payload["diagnostic"]["cap"] == 2**24
 
 
-def test_nerve_of_j_refuses_chains_past_the_cap(capsys):
-    # J(5,4) is built, but its order complex passes 2^24 cells at dimension 2
+@pytest.mark.parametrize(
+    "category, n, k, message, dim, predicted",
+    [("J", 5, 4, "too many chains in the order complex", 2, 55178904),
+     ("Q", 4, 4, "too many cells in the nerve", 4, 24379616)],
+    ids=["J(5,4)", "Q(4,4)"],
+)
+def test_nerve_refuses_cells_past_the_cap(capsys, category, n, k, message, dim, predicted):
+    # J(5,4) and Q(4,4) are built, but their complexes pass 2^24 cells
     started = time.perf_counter()
-    code, out, _ = run_cli(["nerve", "--n", "5", "--k", "4", "--category", "J"], capsys)
+    argv = ["nerve", "--n", str(n), "--k", str(k), "--category", category]
+    code, out, _ = run_cli(argv, capsys)
     assert time.perf_counter() - started < 5.0
     assert code == 2
-    diagnostic = report_of(out)["payload"]["diagnostic"]
-    assert diagnostic["code"] == "RESOURCE_LIMIT"
-    assert (diagnostic["dim"], diagnostic["predicted"]) == (2, 55178904)
+    assert report_of(out)["payload"]["diagnostic"] == {
+        "code": "RESOURCE_LIMIT", "message": message, "n": n, "k": k,
+        "dim": dim, "predicted": predicted, "cap": 2**24,
+    }
 
 
 @pytest.mark.parametrize(

@@ -274,24 +274,25 @@ def test_square_orientation_is_rigid():
         _check_square_eq1,
         _check_square_eq2,
         _covered,
+        _squares,
         _surjections,
     )
 
     op = orders_operad(3)
     mixed = reflavor(orders_operad(3), MIXED2)
-    covered = _covered(op, _surjections(op, 3))
-    mixed_covered = _covered(mixed, _surjections(mixed, 3))
+    squares = _squares(_covered(op, _surjections(op, 3)), 3, braided=False)
+    mixed_squares = _squares(_covered(mixed, _surjections(mixed, 3)), 3, braided=True)
     for signs in itertools.product([True, False], repeat=3):
         plain, twisted = [], []
-        _check_square_eq1(op, covered, 3, plain, braided=False, signs=signs)
-        _check_square_eq1(mixed, mixed_covered, 3, twisted, braided=True, signs=signs)
+        _check_square_eq1(op, squares, plain, braided=False, signs=signs)
+        _check_square_eq1(mixed, mixed_squares, twisted, braided=True, signs=signs)
         expected = signs == (True, True, True)
         assert (not plain) == expected
         assert (not twisted) == expected
     for signs in itertools.product([True, False], repeat=2):
         plain, twisted = [], []
-        _check_square_eq2(op, covered, 3, plain, braided=False, signs=signs)
-        _check_square_eq2(mixed, mixed_covered, 3, twisted, braided=True, signs=signs)
+        _check_square_eq2(op, squares, plain, braided=False, signs=signs)
+        _check_square_eq2(mixed, mixed_squares, twisted, braided=True, signs=signs)
         expected = signs == (True, False)
         assert (not plain) == expected
         assert (not twisted) == expected

@@ -25,7 +25,10 @@ the reports of bundles with one table missing.  The strata reports
 taken while every coordinate was a Fraction and a stratum was read from
 its pairwise relation table.  The ``build-j`` reports were taken while
 the relation of J was found by testing every ordered pair of elements
-as a map and covers by a cubic search.
+as a map and covers by a cubic search.  The ``enumerate --tree`` sweep and
+the ``build-q --dot`` drawings were taken while the bracket drawing split
+the blocks of each level itself and the DOT writer skipped identities in
+the hom-sets.
 """
 
 import hashlib
@@ -377,4 +380,31 @@ def test_strata_stdout_is_pinned(capsys, monkeypatch, argv, doc, code, digest):
 )
 def test_build_j_stdout_is_pinned(capsys, argv, digest):
     assert main(list(argv)) == 0
+    assert _sha(capsys.readouterr().out) == digest
+
+
+def test_enumerate_tree_sweep_is_pinned(capsys):
+    """``enumerate --tree`` for every n in 0..4 and k in 0..6, stdout
+    concatenated: the arity-0 and n = 0 drawings included."""
+    out = []
+    for n in range(5):
+        for k in range(7):
+            assert main(["enumerate", "--n", str(n), "--k", str(k), "--tree"]) == 0
+            out.append(capsys.readouterr().out)
+    assert _sha("".join(out)) == (
+        "d63ec4e8673765c722750da24c5240edefa616b6382351b6011cdb0e3dccd457"
+    )
+
+
+@pytest.mark.parametrize(
+    "n, k, digest",
+    [
+        (2, 3, "cf3d9ba9b18c17872a01c4ef69389e39a03b01e52f0fc2abb29b032e0bd80e14"),
+        (3, 3, "4281e2ec15d86d2a0d8890ccce761c2ed9e0d982360d5bf8faeef4aa74810e59"),
+        (2, 4, "4f8d86f69ef629045205751c9b931d31302a744e89204e20b6d207450e53c070"),
+    ],
+    ids=["Q(2,3)", "Q(3,3)", "Q(2,4)"],
+)
+def test_build_q_dot_is_pinned(capsys, n, k, digest):
+    assert main(["build-q", "--n", str(n), "--k", str(k), "--dot"]) == 0
     assert _sha(capsys.readouterr().out) == digest

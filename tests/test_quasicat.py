@@ -24,6 +24,7 @@ from operadkit.quasicat import (
     nerve,
     order_complex,
     verify_quotient_correspondence,
+    _chain_counts,
 )
 
 
@@ -196,6 +197,21 @@ def test_chain_counts_predict_the_built_cells(n, k):
     cells = [len(layer) for layer in order_complex(p).cells]
     assert chain_counts(p) == cells
     assert chain_counts(p, max_dim=2) == cells[:3]
+
+
+@pytest.mark.parametrize(
+    "n, k",
+    [(2, k) for k in range(2, 6)] + [(3, 2), (3, 3), (4, 2), (4, 3), (5, 3)],
+)
+def test_chain_counts_predict_the_nerve_cells(n, k):
+    # the count nerve refuses by: paths of non-identity arrows
+    c = build_q(n, k)
+    heads = [[] for _ in c.objects]
+    for i, j, _ in c.non_identity():
+        heads[i].append(j)
+    cells = [len(layer) for layer in nerve(c).cells]
+    assert _chain_counts(heads, None, "nerve") == cells
+    assert _chain_counts(heads, 2, "nerve") == cells[:3]
 
 
 def test_order_complex_refuses_chains_past_the_cap():

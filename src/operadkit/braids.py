@@ -3,17 +3,26 @@
 Braid words are sequences of signed 1-indexed Artin generators on a fixed
 number of strands, read left to right.  Permutations compose
 diagrammatically: (p * q)(x) = q(p(x)), matching concatenation of braid
-words.  The word problem is decided by Dehornoy handle reduction, with
-cheap abelian invariants short-circuiting most non-trivial inputs.
+words.  A word is freely reduced and its strands walked at most once:
+the walk gives the permutation and the pairwise crossing sums.
+
+The word problem is decided by Dehornoy handle reduction, with those
+abelian invariants short-circuiting most non-trivial inputs.  The word is
+rewritten in place.  Each step free-reduces the rewritten handle only
+against itself and its two seams, and the scan for the next handle
+restarts at the first changed position: whether a handle closes at a
+position depends only on the letters up to it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .errors import (
+    LIST_CAP,
     LengthMismatch,
     OutOfRange,
     ResourceLimit,
@@ -84,21 +93,48 @@ def _free_reduce(letters: Sequence[int]) -> list[int]:
     return out
 
 
+def _strand_walk(
+    strands: int, letters: Sequence[int]
+) -> tuple[list[int], dict[tuple[int, int], int]]:
+    """Walk the strands down the letters.  Returns ``at``, where at[pos] is
+    the strand (named by its starting position) that ends at pos, and the
+    signed number of crossings between each pair of strands a < c, zero
+    sums included."""
+    at = list(range(strands))
+    sums: dict[tuple[int, int], int] = {}
+    for letter in letters:
+        i = abs(letter)
+        a, c = at[i - 1], at[i]
+        key = (a, c) if a < c else (c, a)
+        sums[key] = sums.get(key, 0) + (1 if letter > 0 else -1)
+        at[i - 1], at[i] = c, a
+    return at, sums
+
+
 @dataclass(frozen=True)
 class BraidWord:
     strands: int
     word: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "word", tuple(self.word))
+        word = tuple(self.word)
+        object.__setattr__(self, "word", word)
         if self.strands < 0:
             raise OutOfRange("strand count must be non-negative", strands=self.strands)
-        for pos, letter in enumerate(self.word):
+        # the letters are checked at once; only a word that fails is read
+        # again letter by letter, to name its first bad letter
+        top = self.strands - 1
+        if not word or (
+            set(map(type, word)) == {int} and -top <= min(word) and max(word) <= top
+            and 0 not in word
+        ):
+            return
+        for pos, letter in enumerate(word):
             if (
                 not isinstance(letter, int)
                 or isinstance(letter, bool)
                 or letter == 0
-                or abs(letter) > self.strands - 1
+                or abs(letter) > top
             ):
                 raise OutOfRange(
                     "letter outside the generator range",
@@ -106,6 +142,17 @@ class BraidWord:
                     letter=letter,
                     strands=self.strands,
                 )
+
+    @cached_property
+    def reduced(self) -> tuple[int, ...]:
+        """The letters with every adjacent pair x, -x cancelled."""
+        return tuple(_free_reduce(self.word))
+
+    @cached_property
+    def _walk(self) -> tuple[list[int], dict[tuple[int, int], int]]:
+        # free cancellation changes neither the permutation nor any crossing
+        # sum, so the shorter reduced word is walked
+        return _strand_walk(self.strands, self.reduced)
 
     def __mul__(self, other: "BraidWord") -> "BraidWord":
         if self.strands != other.strands:
@@ -120,19 +167,15 @@ class BraidWord:
         return BraidWord(self.strands, tuple(-x for x in reversed(self.word)))
 
     def permutation(self) -> Permutation:
-        img = list(range(self.strands))
-        for letter in self.word:
-            i = abs(letter)
-            img[i - 1], img[i] = img[i], img[i - 1]
-        # img[pos] is the strand that ends at pos; its inverse sends each
+        # at[pos] is the strand that ends at pos; its inverse sends each
         # starting position to its end
-        return Permutation(tuple(img)).inverse()
+        return Permutation(tuple(self._walk[0])).inverse()
 
     def exponent_sum(self) -> int:
         return sum(1 if x > 0 else -1 for x in self.word)
 
     def free_reduce(self) -> "BraidWord":
-        return BraidWord(self.strands, tuple(_free_reduce(self.word)))
+        return BraidWord(self.strands, self.reduced)
 
     def to_json(self) -> dict:
         return {"strands": self.strands, "word": list(self.word)}
@@ -141,9 +184,12 @@ class BraidWord:
 def braid_from_json(obj: dict) -> BraidWord:
     if not isinstance(obj, dict) or not {"strands", "word"} <= set(obj):
         raise OutOfRange("braid object needs 'strands' and 'word' fields", got=obj)
-    return BraidWord(
-        decode(obj["strands"], int, "strands"), tuple(decode(obj["word"], list, "word"))
-    )
+    strands = decode(obj["strands"], int, "strands")
+    if strands > LIST_CAP:
+        raise ResourceLimit(
+            "a braid document names too many strands", predicted=strands, cap=LIST_CAP
+        )
+    return BraidWord(strands, tuple(decode(obj["word"], list, "word")))
 
 
 def identity_braid(strands: int) -> BraidWord:
@@ -175,47 +221,82 @@ def q_section(perm: Permutation) -> BraidWord:
 def crossing_sums(b: BraidWord) -> dict[tuple[int, int], int]:
     """Signed number of crossings between each pair of strands, keyed by
     the strands' starting positions.  Invariant under the braid relations."""
-    at = list(range(b.strands))  # at[pos] = strand id currently there
-    sums: dict[tuple[int, int], int] = {}
-    for letter in b.word:
-        i = abs(letter)
-        a, c = at[i - 1], at[i]
-        key = (a, c) if a < c else (c, a)
-        sums[key] = sums.get(key, 0) + (1 if letter > 0 else -1)
-        at[i - 1], at[i] = at[i], at[i - 1]
-    return {k: v for k, v in sums.items() if v != 0}
+    return {k: v for k, v in b._walk[1].items() if v != 0}
 
 
 # -- Dehornoy handle reduction -------------------------------------------
 
 
-def _first_handle(word: Sequence[int]):
-    """Leftmost-closing handle (s, t): word[s] and word[t] are opposite
-    powers of one generator and nothing in between uses an index <= it."""
-    for t, letter in enumerate(word):
-        i = abs(letter)
-        for s in range(t - 1, -1, -1):
-            j = abs(word[s])
-            if j < i:
-                break
-            if j == i:
-                if word[s] == -letter:
-                    return s, t
-                break
-    return None
+def _reduce_handles(word: list[int], limit: int) -> bool:
+    """Decide a freely reduced word by handle reduction, rewriting it in place.
 
-
-def _reduce_handle(word: Sequence[int], s: int, t: int) -> list[int]:
-    i = abs(word[s])
-    e = 1 if word[s] > 0 else -1
-    body: list[int] = []
-    for letter in word[s + 1 : t]:
-        if abs(letter) == i + 1:
-            d = 1 if letter > 0 else -1
-            body.extend([-e * (i + 1), d * i, e * (i + 1)])
+    A handle (s, t) has word[s] = -word[t] = i^e and every letter between
+    them of index above i.  The scan finds the leftmost-closing one.  It
+    keeps link[p], the nearest earlier position whose index is at most that
+    of p, for every position it has passed, so following links from t - 1
+    visits only the candidate openers.  The handle is rewritten by replacing
+    each (i+1)^d inside it by (i+1)^-e i^d (i+1)^e and dropping both ends.
+    The result is free-reduced against itself and the prefix, then against
+    the suffix; both are already reduced, so the word is the one a
+    whole-word free reduction gives.  Positions before the first changed
+    one keep their links and close no handle, so the scan resumes there.
+    Past ``limit`` rewrites it raises ResourceLimit.
+    """
+    link: list[int] = []
+    steps = t = 0
+    while True:
+        if steps >= limit:
+            raise ResourceLimit("handle reduction exceeded the step limit", limit=limit)
+        if not word:
+            return True
+        n = len(word)
+        while t < n:
+            letter = word[t]
+            i = abs(letter)
+            s = t - 1
+            while s >= 0 and abs(word[s]) > i:
+                s = link[s]
+            if s >= 0 and word[s] == -letter:
+                break
+            link.append(s)
+            t += 1
         else:
-            body.append(letter)
-    return list(word[:s]) + body + list(word[t + 1 :])
+            # handle-free and non-empty: definite sign on the lowest
+            # generator, hence non-trivial
+            return False
+        i = abs(word[s])
+        up = i + 1 if word[s] > 0 else -i - 1  # (i+1)^e
+        left, right = s, t + 1
+        body: list[int] = []  # reduced letters between word[:left] and word[right:]
+        for x in word[s + 1 : t]:
+            if abs(x) == i + 1:
+                pieces = (-up, i if x > 0 else -i, up)
+            else:
+                pieces = (x,)
+            for y in pieces:
+                if body:
+                    if body[-1] == -y:
+                        body.pop()
+                        continue
+                elif left and word[left - 1] == -y:
+                    left -= 1
+                    continue
+                body.append(y)
+        while right < n:
+            y = word[right]
+            if body:
+                if body[-1] != -y:
+                    break
+                body.pop()
+            elif left and word[left - 1] == -y:
+                left -= 1
+            else:
+                break
+            right += 1
+        word[left:right] = body
+        del link[left:]
+        t = left
+        steps += 1
 
 
 def is_trivial(b: BraidWord, limit: int | None = None) -> bool:
@@ -224,29 +305,16 @@ def is_trivial(b: BraidWord, limit: int | None = None) -> bool:
     Handle reduction terminates on every input; ``limit`` caps the number
     of reduction steps anyway and raises ResourceLimit when exhausted.
     """
-    b = b.free_reduce()
-    if not b.word:
+    word = list(b.reduced)
+    if not word:
         return True
-    if b.exponent_sum() != 0:
-        return False
-    if not b.permutation().is_identity:
-        return False
-    if crossing_sums(b):
+    # the crossing sums add up to the exponent sum, so they settle it too
+    at, sums = b._walk
+    if at != list(range(b.strands)) or any(sums.values()):
         return False
     if limit is None:
-        limit = 2000 * len(b.word) ** 2 + 100000
-    word = list(b.word)
-    for _ in range(limit):
-        if not word:
-            return True
-        found = _first_handle(word)
-        if found is None:
-            # handle-free and non-empty: definite sign on the lowest
-            # generator, hence non-trivial
-            return False
-        # cheap free reduction keeps intermediate words short
-        word = _free_reduce(_reduce_handle(word, *found))
-    raise ResourceLimit("handle reduction exceeded the step limit", limit=limit)
+        limit = 2000 * len(word) ** 2 + 100000
+    return _reduce_handles(word, limit)
 
 
 def braid_equal(a: BraidWord, b: BraidWord, limit: int | None = None) -> bool:

@@ -249,13 +249,16 @@ def _cmd_homology(args, doc):
 
 def _cmd_braid(args, doc):
     b = braid_from_json(doc)
+    # the word is reduced and walked once, inside is_trivial or on first
+    # use below, and the invariants reuse both
+    trivial = is_trivial(b)
     return {
         "strands": b.strands,
         "word": list(b.word),
-        "reduced": list(b.free_reduce().word),
+        "reduced": list(b.reduced),
         "permutation": list(b.permutation().image),
         "writhe": b.exponent_sum(),
-        "trivial": is_trivial(b),
+        "trivial": trivial,
     }
 
 

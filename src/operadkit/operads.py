@@ -36,6 +36,7 @@ from .braids import (
     q_section,
 )
 from .errors import (
+    LIST_CAP,
     BadDocument,
     BoundExceeded,
     InvariantBroken,
@@ -62,12 +63,6 @@ from .ordinals import LevelDomain, NOrdinal, enumerate_ordinals, make_ordinal
 from .zigzags import generator_span
 
 CARRIER_CAP = 100_000
-# Longest flat list an axiom check builds (a multiplication table, or one
-# side of an associativity instance), the most table entries an operad
-# document holds, and the most candidate maps tested for the surjections
-# between index ordinals.  End{0,1} at bound 3 needs 2**20 entries; terminal
-# N_OPERAD(2) at bound 5 tests 967,423 candidates.
-LIST_CAP = 2**24
 
 
 # -- flavors and index plumbing --------------------------------------------

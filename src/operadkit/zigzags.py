@@ -2,12 +2,17 @@
 
 A zigzag is a chain of quasibijections with alternating directions.  Its
 braid class lifts every forward leg to the positive braid word of its
-permutation and every backward leg to the inverse word.  Two moves keep
-the class fixed:
+permutation and every backward leg to the inverse word.  For zigzags of
+2-ordinals two moves keep the class fixed:
 
   * pushforward: postcompose both legs of a span by one quasibijection;
   * merge: two adjacent spans A -> M <- B -> M' <- C collapse to
     A -> X <- C along legs x: M -> X, x': M' -> X that agree on B.
+
+For n >= 3 they do not: the zigzag sigma_1 sigma_1 of 3-ordinals with
+k = 2 has class [1, 1], yet a merge turns it into a span whose class is
+the empty word.  The class is still computed for every n, but it is an
+invariant of the zigzag only at n = 2.
 
 The Artin relation certificates below connect both sides of each braid
 relation to one common span by explicit merges, every leg checked.

@@ -114,6 +114,114 @@ def burau3_is_identity(word):
     return m[0][0] == _ONE and m[1][1] == _ONE and m[0][1] == _ZERO and m[1][0] == _ZERO
 
 
+# -- Artin's action on the free group, and handle reduction ----------------
+#
+# Elements of the free group F_s are freely reduced lists of signed
+# generators 1..s.  Artin's action of B_s on F_s is faithful, so a braid
+# word is trivial exactly when it fixes every generator.
+
+
+def _free_reduce(word):
+    out = []
+    for x in word:
+        if out and out[-1] == -x:
+            out.pop()
+        else:
+            out.append(x)
+    return out
+
+
+def artin_is_identity(strands, word):
+    """Whether the braid word acts trivially on F_strands: sigma_i sends
+    x_i to x_i x_{i+1} x_i^-1 and x_{i+1} to x_i, its inverse sends x_i to
+    x_{i+1} and x_{i+1} to x_{i+1}^-1 x_i x_{i+1}.  Each letter is composed
+    on the right, so images[j] is the image of x_{j+1} under the prefix."""
+    images = [[x] for x in range(1, strands + 1)]
+    for letter in word:
+        i = abs(letter) - 1
+        a, b = images[i], images[i + 1]
+        if letter > 0:
+            images[i], images[i + 1] = _free_reduce(a + b + [-x for x in a[::-1]]), a
+        else:
+            images[i], images[i + 1] = b, _free_reduce([-x for x in b[::-1]] + a + b)
+    return images == [[x] for x in range(1, strands + 1)]
+
+
+def handle_walk(word):
+    """Dehornoy handle reduction as a whole-word loop: free-reduce, find
+    the leftmost-closing handle by scanning from the start, rewrite it,
+    free-reduce the whole word, repeat.  Returns (trivial, handles reduced).
+
+    A handle (s, t) has word[s] = -word[t] = i^e and every letter between
+    them of index above |i|; it is rewritten by dropping both ends and
+    replacing each (|i|+1)^d between them by (|i|+1)^-e |i|^d (|i|+1)^e.
+    """
+    word = _free_reduce(word)
+    steps = 0
+    while word:
+        handle = None
+        for t, letter in enumerate(word):
+            s = t - 1
+            while s >= 0 and abs(word[s]) > abs(letter):
+                s -= 1
+            if s >= 0 and word[s] == -letter:
+                handle = s, t
+                break
+        if handle is None:
+            return False, steps
+        s, t = handle
+        i, e = abs(word[s]), (1 if word[s] > 0 else -1)
+        body = []
+        for x in word[s + 1 : t]:
+            d = 1 if x > 0 else -1
+            body += [-e * (i + 1), d * i, e * (i + 1)] if abs(x) == i + 1 else [x]
+        word = _free_reduce(word[:s] + body + word[t + 1 :])
+        steps += 1
+    return True, steps
+
+
+BRAID_KINDS = ("trivial", "writhe", "permutation", "crossing", "commutator")
+
+
+def padded_braid_word(rng, kind, strands, length):
+    """A test input, not an oracle: g core g^-1 for a random word g, padded
+    to about ``length`` letters by conjugated relators inserted at random
+    places.  The core is empty for 'trivial'; for 'writhe', 'permutation'
+    and 'crossing' it breaks that invariant; for 'commutator' it is the
+    commutator of two pure-braid generators, which passes them all.
+    Needs strands >= 3."""
+
+    def letters(count):
+        return [rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(count)]
+
+    def inverse(w):
+        return [-x for x in reversed(w)]
+
+    i, j = rng.sample(range(1, strands), 2)
+    c = min(i, j)
+    core = {
+        "trivial": [],
+        "writhe": [rng.choice((1, -1)) * i],
+        "permutation": [i, -j],
+        "crossing": [i, i, -j, -j],
+        "commutator": [c, c, c + 1, c + 1, -c, -c, -c - 1, -c - 1],
+    }[kind]
+    g = letters(rng.randint(0, 20))
+    word = g + core + inverse(g)
+    while len(word) < length:
+        h = letters(rng.randint(1, 12))
+        a = rng.randint(1, strands - 2)
+        far = [b for b in range(1, strands) if abs(a - b) >= 2]
+        if far and rng.random() < 0.5:
+            b = rng.choice(far)
+            relator = [a, b, -a, -b]
+        else:
+            relator = [a, a + 1, a, -(a + 1), -a, -(a + 1)]
+        at = rng.randint(0, len(word))
+        word[at:at] = h + relator + inverse(h)
+    return word
+
+
 # -- closed-form homology of configuration spaces --------------------------
 
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -20,7 +21,13 @@ from operadkit.braids import (
 )
 from operadkit.errors import LengthMismatch, OutOfRange, ResourceLimit, StrandMismatch
 
-from oracles import burau3_is_identity
+from oracles import (
+    BRAID_KINDS,
+    artin_is_identity,
+    burau3_is_identity,
+    handle_walk,
+    padded_braid_word,
+)
 
 
 def test_permutation_basics():
@@ -129,6 +136,94 @@ def test_resource_limit():
     comm = BraidWord(3, (1, 1, 2, 2, -1, -1, -2, -2))
     with pytest.raises(ResourceLimit):
         is_trivial(comm, limit=2)
+
+
+def _pure_generator(i, j):
+    """A_ij for 1 <= i < j: strand j wraps once around strand i."""
+    down = list(range(j - 1, i, -1))
+    return down + [i, i] + [-x for x in reversed(down)]
+
+
+def _artin_sweep_words(rng, strands):
+    def letters(count):
+        return [rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(count)]
+
+    def inverse(w):
+        return [-x for x in reversed(w)]
+
+    def conjugated_relator():
+        a = rng.randint(1, strands - 2)
+        b = rng.choice([x for x in range(1, strands) if abs(a - x) >= 2] or [a + 1])
+        r = [a, b, -a, -b] if abs(a - b) >= 2 else [a, b, a, -b, -a, -b]
+        g = letters(rng.randint(0, 5))
+        return g + r + inverse(g)
+
+    for _ in range(25):
+        yield letters(rng.randint(0, 10))
+    for _ in range(15):
+        word = conjugated_relator() + conjugated_relator()
+        yield word
+        flipped = list(word)
+        flipped[rng.randrange(len(flipped))] *= -1
+        yield flipped
+    pairs = [(i, j) for i in range(1, strands) for j in range(i + 1, strands + 1)]
+    for _ in range(15):
+        a = _pure_generator(*rng.choice(pairs))
+        b = _pure_generator(*rng.choice(pairs))
+        g = letters(rng.randint(0, 3))
+        yield g + a + b + inverse(a) + inverse(b) + inverse(g)
+
+
+def test_word_problem_against_artin_action():
+    """Artin's action on the free group is faithful on every strand count,
+    where the Burau oracle is faithful only on 3 strands."""
+    rng = random.Random(20261018)
+    verdicts = set()
+    for strands in range(3, 8):
+        for word in _artin_sweep_words(rng, strands):
+            want = artin_is_identity(strands, word)
+            assert is_trivial(BraidWord(strands, tuple(word))) == want, (strands, word)
+            verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+def _shapes_words():
+    rng = random.Random(20261018)
+    for kind in BRAID_KINDS:
+        for strands in range(3, 9):
+            for length in (60, 240, 420, 600):
+                yield kind, strands, padded_braid_word(rng, kind, strands, length)
+
+
+def test_handle_reduction_takes_the_whole_word_walks_steps():
+    """Same verdict as the whole-word loop, and the same number of handle
+    reductions: the smallest limit that does not raise is that count plus
+    one.  Words the invariants settle never reach the loop."""
+    reached = 0
+    for kind, strands, word in _shapes_words():
+        b = BraidWord(strands, tuple(word))
+        trivial, steps = handle_walk(word)
+        assert is_trivial(b) is trivial, (kind, strands)
+        assert trivial is (kind == "trivial")
+        try:
+            is_trivial(b, limit=0)
+        except ResourceLimit:
+            reached += 1
+            assert is_trivial(b, limit=steps + 1) is trivial
+            with pytest.raises(ResourceLimit):
+                is_trivial(b, limit=steps)
+    assert reached >= 2 * 6 * 4
+
+
+@pytest.mark.parametrize("kind, strands", [("trivial", 6), ("commutator", 8)])
+def test_long_words_are_decided_in_seconds(kind, strands):
+    """20,000 letters; a walk that rescans the whole word after each handle
+    takes several times the bound."""
+    word = padded_braid_word(random.Random(f"{kind}:{strands}"), kind, strands, 20_000)
+    b = BraidWord(strands, tuple(word))
+    start = time.perf_counter()
+    assert is_trivial(b) is (kind == "trivial")
+    assert time.perf_counter() - start < 3.0
 
 
 def test_block_transposition_and_permutation():

@@ -234,6 +234,37 @@ def test_braid_command(capsys, monkeypatch):
     assert payload["writhe"] == 0
 
 
+@pytest.mark.parametrize("position", [0, 300, 599])
+@pytest.mark.parametrize("bad", [0, True, 4, 1.0], ids=["0", "true", "4", "1.0"])
+def test_bad_letter_in_a_long_braid_is_located(capsys, monkeypatch, position, bad):
+    word = [(-1) ** p * (p % 3 + 1) for p in range(600)]
+    word[position] = bad
+    doc = {"strands": 4, "word": word}
+    code, out, _ = run_cli(["braid"], capsys, monkeypatch, stdin_text=json.dumps(doc))
+    assert code == 2
+    assert report_of(out)["payload"] == {
+        "error": "OUT_OF_RANGE",
+        "diagnostic": {
+            "code": "OUT_OF_RANGE",
+            "message": "letter outside the generator range",
+            "position": position,
+            "letter": bad,
+            "strands": 4,
+        },
+    }
+
+
+def test_braid_strand_count_is_budgeted(capsys, monkeypatch):
+    doc = {"strands": 2**24 + 1, "word": [1, -1]}
+    start = time.perf_counter()
+    code, out, _ = run_cli(["braid"], capsys, monkeypatch, stdin_text=json.dumps(doc))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    diagnostic = report_of(out)["payload"]["diagnostic"]
+    assert diagnostic["code"] == "RESOURCE_LIMIT"
+    assert (diagnostic["predicted"], diagnostic["cap"]) == (2**24 + 1, 2**24)
+
+
 def two_block_span() -> ZigZag:
     flat = make_ordinal(2, (0, 0, 0))
     left = make_ordinal(2, (1, 0, 0))

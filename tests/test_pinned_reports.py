@@ -34,6 +34,7 @@ the hom-sets.
 import hashlib
 import io
 import json
+import random
 import sys
 
 import pytest
@@ -58,6 +59,8 @@ from operadkit.operads import (
 from operadkit.ordinal_maps import OrdinalMap
 from operadkit.ordinals import make_ordinal
 from operadkit.quasicat import build_j, build_q, nerve, order_complex
+
+from oracles import padded_braid_word
 
 END = {"builtin": "endomorphism", "set": [0, 1], "bound": 2}
 
@@ -407,4 +410,59 @@ def test_enumerate_tree_sweep_is_pinned(capsys):
 )
 def test_build_q_dot_is_pinned(capsys, n, k, digest):
     assert main(["build-q", "--n", str(n), "--k", str(k), "--dot"]) == 0
+    assert _sha(capsys.readouterr().out) == digest
+
+
+def _long_braid(kind):
+    return {"strands": 7, "word": padded_braid_word(random.Random(f"pin {kind}"), kind, 7, 600)}
+
+
+def _span(n, t, s, sigma, r, eta):
+    def ordinal(levels):
+        return {"n": n, "k": len(levels) + 1, "levels": levels}
+
+    return {"legs": [
+        {"dir": "back", "map": {"source": ordinal(t), "target": ordinal(s), "f": sigma}},
+        {"dir": "fwd", "map": {"source": ordinal(t), "target": ordinal(r), "f": eta}},
+    ]}
+
+
+@pytest.mark.parametrize(
+    "argv, doc, code, digest",
+    [
+        (["braid"], _long_braid("trivial"), 0,
+         "64756b2ea7eccf03c9ca8bf4d21ea53640345641eefd3b75e6009f47044d2677"),
+        (["braid"], _long_braid("writhe"), 0,
+         "5d80b79d4a1d8b288d435628a74683637d89f8c4e1687084ad6d5b14b017a478"),
+        (["braid"], _long_braid("permutation"), 0,
+         "360b8e746aba9ecb537c1ad14fd044535671a4ade3fe82d66f6935c6d9ed94b3"),
+        (["braid"], _long_braid("crossing"), 0,
+         "e49d15642e0eeafab18f2186849fe5395ab25522b2f9608438ee5c7799c3421c"),
+        (["braid"], _long_braid("commutator"), 0,
+         "ee22632aca7af251fbcfa122a11e4a19a5c5761d21e5b469816a96dccd69013d"),
+        (["split"], _span(2, [1, 0, 0, 1, 0, 0, 1], [1, 1, 0, 1, 1, 0, 1],
+                          [1, 2, 0, 3, 4, 5, 6, 7], [1, 1, 0, 1, 1, 0, 1],
+                          [0, 2, 1, 3, 5, 4, 6, 7]), 0,
+         "4cde32d22e2d37e1de44bf32726b269da6895df2100f6bcd867d4eac96003506"),
+        (["split"], {"zigzag": _span(2, [0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 1, 1],
+                                     [0, 1, 2, 3, 5, 4, 6], [1, 0, 1, 0, 0, 1],
+                                     [0, 1, 2, 3, 4, 5, 6]),
+                     "blocks": [4, 2, 1]}, 0,
+         "5fe5f2a61d7f50a4749105b00e38627043c447578313a3df4bb20b7fed2702a1"),
+        (["split"], {"zigzag": _span(3, [0, 1], [2, 2], [1, 0, 2], [2, 2], [2, 1, 0]),
+                     "blocks": [1, 2]}, 1,
+         "f1d8b9e2bc23f4104f1abbef44140b59fe02dbd97ad6298560670078c49c561a"),
+        (["artin-check", "--k", "7"], None, 0,
+         "0a6fbae736565d17ee5eb2266474aafabc3025d9d97d13889106ac82ff0dfa40"),
+    ],
+    ids=["braid trivial", "braid writhe", "braid permutation", "braid crossing",
+         "braid commutator", "split finest", "split coarser", "split broken",
+         "artin-check k=7"],
+)
+def test_braid_stdout_is_pinned(capsys, monkeypatch, argv, doc, code, digest):
+    """Taken while every handle step free-reduced the whole word and
+    rescanned it from its first letter."""
+    if doc is not None:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    assert main(list(argv)) == code
     assert _sha(capsys.readouterr().out) == digest

@@ -146,9 +146,10 @@ def decode(value, kind, what: str, size: int | None = None):
 # Longest flat list an axiom check builds (a multiplication table, or one
 # side of an associativity instance), the most table entries an operad
 # document holds, the most candidate maps tested for the surjections
-# between index ordinals, and the most strands a braid document names.
-# End{0,1} at bound 3 needs 2**20 entries; terminal N_OPERAD(2) at bound 5
-# tests 967,423 candidates.
+# between index ordinals, the most strands a braid document names, the
+# most ordered pairs of J's elements build_j tests, and the most cells of
+# a nerve.  End{0,1} at bound 3 needs 2**20 entries; terminal
+# N_OPERAD(2) at bound 5 tests 967,423 candidates.
 LIST_CAP = 2**24
 
 

@@ -260,12 +260,13 @@ def homology(complex_: ChainComplex, up_to: int | None = None) -> HomologyResult
     """Integral homology of the complex, degree by degree.
 
     Cross-checks the alternating sums: the Euler characteristic from cell
-    counts must match the one from Betti numbers.
+    counts must match the one from Betti numbers.  up_to defaults to the
+    top dimension, -1 for the empty complex; an explicit negative is refused.
     """
     top = complex_.dimension
     if up_to is None:
         up_to = top
-    if up_to < 0:
+    elif up_to < 0:
         raise OutOfRange("homology degree must be non-negative", up_to=up_to)
 
     factors = {}

@@ -5,8 +5,11 @@ between them as morphisms.  The poset J_n(k) has labeled ordinals (T, pi)
 as elements, ordered by validity of the induced label map; forgetting
 labels is a free symmetric group quotient J_n(k)/S_k = Q_n(k).
 
-Both carry classifying spaces: the nerve of Q (chains of composable
-non-identity morphisms) and the order complex of J (strict chains).
+Both carry classifying spaces, and both are nerves: the nerve of Q
+(chains of composable non-identity morphisms) and the order complex of J,
+which is the nerve of J read as a thin category (strict chains).  One
+function, _nerve, makes both from a list of arrows; a cell is a tuple of
+arrow ids.
 """
 
 from __future__ import annotations
@@ -19,17 +22,13 @@ from .errors import (
     AntisymmetryViolation,
     EndoFound,
     IsoCheckFailed,
+    LIST_CAP,
     ResourceLimit,
     StrictnessRequired,
 )
 from .homology import ChainComplex
 from .ordinal_maps import enumerate_maps
 from .ordinals import LevelDomain, NOrdinal, enumerate_ordinals
-
-# the relation count of J can be quadratic in its element count, so
-# build_j refuses more ordered pairs of elements than this before it
-# builds any element; nerve and order_complex refuse more predicted cells
-PAIR_CAP = 2**24
 
 
 def _bits(mask: int) -> list[int]:
@@ -106,12 +105,9 @@ def nerve(c: QuasiCategory, max_dim: int | None = None) -> ChainComplex:
     """Chains of composable non-identity morphisms, as a chain complex.
 
     Arrows are numbered in ``non_identity`` order, and a d-cell is the
-    tuple of its d arrow ids.  The inner face that composes two arrows is
-    found by looking up the composite's (source, target, table).
-    Requires strictness; composites of chain arrows are then never
-    identities, so the construction closes under faces.  The cells are
-    counted from the arrows first, so a nerve past PAIR_CAP cells is
-    refused before any chain is built.
+    tuple of its d arrow ids (see _nerve).  Requires strictness;
+    composites of chain arrows are then never identities, so the
+    construction closes under faces.
     """
     try:
         assert_strict(c)
@@ -120,22 +116,41 @@ def nerve(c: QuasiCategory, max_dim: int | None = None) -> ChainComplex:
             "the nerve needs a strict category", reason=e.to_json()
         ) from e
 
-    arrows = [(i, j, m.table) for i, j, m in c.non_identity()]
-    out_of: list[list[int]] = [[] for _ in c.objects]
-    for a, (i, _, _) in enumerate(arrows):
-        out_of[i].append(a)
-    heads = [[arrows[a][1] for a in ids] for ids in out_of]
-    _chain_counts(heads, max_dim, "too many cells in the nerve", n=c.n, k=c.k)
-    ident = {arrow: a for a, arrow in enumerate(arrows)}
-    cells: list[list] = [list(range(len(c.objects)))]
-    chains = [(a,) for a in range(len(arrows))]
-    dim = 1
-    while chains and (max_dim is None or dim <= max_dim):
-        cells.append(chains)
-        chains = [
-            path + (b,) for path in chains for b in out_of[arrows[path[-1]][1]]
+    heads: list[list[int]] = [[] for _ in c.objects]
+    tables = []
+    for i, j, m in c.non_identity():
+        heads[i].append(j)
+        tables.append(m.table)
+    return _nerve(heads, tables, max_dim, "too many cells in the nerve", n=c.n, k=c.k)
+
+
+def _nerve(heads: list, tables, max_dim: int | None, message: str, **where) -> ChainComplex:
+    """The nerve of a category on objects 0..len(heads)-1, where heads[x]
+    lists the target of each non-identity arrow out of x, and ``tables``
+    yields the arrows' tables in that order, which numbers them.  The
+    cells are counted first (_chain_counts), then built as tuples of arrow
+    ids.  Each composable pair's composite is looked up once, by (source,
+    target, table), for the 2-cells; inner faces of higher cells read it.
+    """
+    counts = _chain_counts(heads, max_dim, message, **where)
+    sources = [x for x, ys in enumerate(heads) for _ in ys]
+    arrows = list(zip(sources, itertools.chain.from_iterable(heads), tables))
+    out_of: list[list[int]] = [[] for _ in heads]
+    for a, x in enumerate(sources):
+        out_of[x].append(a)
+    cells: list[list] = [list(range(len(heads))), [(a,) for a in range(len(arrows))]]
+    if len(counts) > 2:
+        ident = {arrow: a for a, arrow in enumerate(arrows)}
+        # after[a][b]: the id of the composite of a then b, or None
+        after = [
+            {
+                b: ident.get((i, arrows[b][1], tuple(arrows[b][2][v] for v in early)))
+                for b in out_of[j]
+            }
+            for i, j, early in arrows
         ]
-        dim += 1
+    while len(cells) < len(counts):
+        cells.append([path + (b,) for path in cells[-1] for b in after[path[-1]]])
 
     def face_list(d, path):
         if d == 0:
@@ -145,14 +160,12 @@ def nerve(c: QuasiCategory, max_dim: int | None = None) -> ChainComplex:
             return [(1, j), (-1, i)]
         faces = [(1, path[1:])]
         for drop in range(1, d):
-            i, _, early = arrows[path[drop - 1]]
-            _, j, late = arrows[path[drop]]
-            merged = ident.get((i, j, tuple(late[v] for v in early)))
+            merged = after[path[drop - 1]][path[drop]]
             faces.append(((-1) ** drop, path[: drop - 1] + (merged,) + path[drop + 1 :]))
         faces.append(((-1) ** d, path[:-1]))
         return faces
 
-    return ChainComplex.from_cells(cells, face_list)
+    return ChainComplex.from_cells(cells[: len(counts)], face_list)
 
 
 @dataclass(frozen=True)
@@ -214,16 +227,16 @@ def build_j(n: int, k: int) -> MilgramPoset:
     up, and the mask below an element is the AND over the pairs of the
     two suffixes it passes.  The element count n^(k-1) k! is predicted
     first, one arity at a time so that any k is cheap: at the first
-    partial count whose square passes PAIR_CAP, ResourceLimit is raised.
+    partial count whose square passes LIST_CAP, ResourceLimit is raised.
     """
     LevelDomain.finite(n)
     size = 1
     for m in range(2, k + 1):
         size *= m * n
-        if size * size > PAIR_CAP:
+        if size * size > LIST_CAP:
             raise ResourceLimit(
                 "too many ordered pairs of elements to test",
-                n=n, k=k, predicted=size * size, cap=PAIR_CAP,
+                n=n, k=k, predicted=size * size, cap=LIST_CAP,
             )
     elements = tuple(
         (t, pi)
@@ -274,7 +287,7 @@ def _chain_counts(heads: list, max_dim: int | None, message: str, **where) -> li
     where heads[x] lists the target of each arrow out of x.
 
     The paths starting at x number c_d(x) = sum of c_(d-1)(y) over the
-    arrows x -> y.  Once the running total passes PAIR_CAP, ResourceLimit
+    arrows x -> y.  Once the running total passes LIST_CAP, ResourceLimit
     is raised with ``message`` and ``where``, and that total as ``predicted``.
     """
     starting = [1] * len(heads)
@@ -285,52 +298,35 @@ def _chain_counts(heads: list, max_dim: int | None, message: str, **where) -> li
         if not count:
             break
         counts.append(count)
-        if sum(counts) > PAIR_CAP:
+        if sum(counts) > LIST_CAP:
             raise ResourceLimit(
-                message, **where, dim=len(counts) - 1, predicted=sum(counts), cap=PAIR_CAP
+                message, **where, dim=len(counts) - 1, predicted=sum(counts), cap=LIST_CAP
             )
     return counts
+
+
+_CHAINS = "too many chains in the order complex"
 
 
 def chain_counts(p: MilgramPoset, max_dim: int | None = None) -> list[int]:
     """The number of strict chains x_0 > ... > x_d of the poset for each
     dimension d up to max_dim, from the below masks alone."""
-    below = [_bits(mask) for mask in p.below]
-    message = "too many chains in the order complex"
-    return _chain_counts(below, max_dim, message, n=p.n, k=p.k)
+    return _chain_counts([_bits(mask) for mask in p.below], max_dim, _CHAINS, n=p.n, k=p.k)
 
 
 def order_complex(p: MilgramPoset, max_dim: int | None = None) -> ChainComplex:
     """Strictly decreasing chains of the poset as a chain complex.
 
-    The chains are counted from the below masks first (chain_counts), so a
-    complex past PAIR_CAP cells is refused before any chain is built.
+    This is the nerve of the poset read as a thin category: an arrow is a
+    pair (x, y) with y below x, with the empty table, numbered by x and
+    then by y.  ``below`` is transitively closed, so x -> y then y -> z
+    composes to the arrow x -> z.  A d-cell x_0 > ... > x_d is the tuple of
+    its d arrow ids, and the cells come in the order of their chains.  They
+    are counted from the below masks first, so a complex past LIST_CAP
+    cells is refused before any chain is built.
     """
-    chain_counts(p, max_dim)
-    n_el = len(p.elements)
     below = [_bits(mask) for mask in p.below]
-    cells: list[list] = [list(range(n_el))]
-    chains = [(i, j) for i in range(n_el) for j in below[i]]
-    dim = 1
-    while chains and (max_dim is None or dim <= max_dim):
-        cells.append(list(chains))
-        nxt = []
-        for chain in chains:
-            for j in below[chain[-1]]:
-                nxt.append(chain + (j,))
-        chains = nxt
-        dim += 1
-
-    def face_list(d, cell):
-        if d == 0:
-            return []
-        if d == 1:
-            return [(1, cell[1]), (-1, cell[0])]
-        return [
-            ((-1) ** drop, cell[:drop] + cell[drop + 1 :]) for drop in range(d + 1)
-        ]
-
-    return ChainComplex.from_cells(cells, face_list)
+    return _nerve(below, itertools.repeat(()), max_dim, _CHAINS, n=p.n, k=p.k)
 
 
 def verify_quotient_correspondence(p: MilgramPoset, c: QuasiCategory) -> int:

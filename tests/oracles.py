@@ -245,6 +245,38 @@ def unordered_rational_betti(n, k):
     return [1]
 
 
+def mod2_betti(n, k):
+    """dim H_d(Conf_k(R^n)/S_k; F_2) for d = 0..(n-1)(k-1), k >= 1.
+
+    F. Cohen (LNM 533, 1976): over all k together this homology is the
+    polynomial algebra on the classes Q_{i_1} ... Q_{i_r} iota with
+    1 <= i_1 <= ... <= i_r <= n-1, Q_{i_1} applied last.  iota has weight
+    1 and degree 0; Q_i doubles the weight and sends degree e to i + 2e.
+    So the answer counts the monomials of weight k by degree.
+    """
+    generators, todo = [], [(1, 0, n - 1)]  # weight, degree, largest next index
+    while todo:
+        weight, degree, top = todo.pop()
+        generators.append((weight, degree))
+        if 2 * weight <= k:
+            todo.extend((2 * weight, i + 2 * degree, i) for i in range(1, top + 1))
+    size = (n - 1) * (k - 1) + 1
+    count = [[1] + [0] * (size - 1)] + [[0] * size for _ in range(k)]
+    for weight, degree in generators:  # each may appear to any power
+        for total in range(weight, k + 1):
+            for e in range(degree, size):
+                count[total][e] += count[total - weight][e - degree]
+    return count[k]
+
+
+def mod2_from_integral(groups):
+    """dim H_d(-; F_2) by universal coefficients, from integral groups as
+    (rank, torsion) per degree: the rank plus the even invariant factors in
+    degrees d and d-1."""
+    even = [sum(1 for t in torsion if t % 2 == 0) for _, torsion in groups]
+    return [rank + even[d] + (even[d - 1] if d else 0) for d, (rank, _) in enumerate(groups)]
+
+
 # -- strata by pairwise comparison, over Fractions -------------------------
 
 

@@ -224,6 +224,20 @@ def test_homology_of_the_poset_complex(capsys):
     assert payload["H"][2] == {"rank": 1, "torsion": []}
 
 
+@pytest.mark.parametrize("category", ["Q", "J"])
+@pytest.mark.parametrize("k", [2, 3])
+def test_homology_of_an_empty_complex_has_no_degrees(capsys, category, k):
+    # no 0-ordinals of arity k >= 2, so the complex has no cells at all
+    argv = ["--n", "0", "--k", str(k), "--category", category]
+    code, out, _ = run_cli(["nerve", *argv], capsys)
+    assert code == 0 and report_of(out)["payload"]["cells"] == []
+    code, out, _ = run_cli(["homology", *argv], capsys)
+    assert code == 0
+    report = report_of(out)
+    assert report["outcome"] == "PASS"
+    assert report["payload"] == {"H": []}
+
+
 def test_braid_command(capsys, monkeypatch):
     doc = {"strands": 3, "word": [1, 2, 1, -2, -1, -2]}
     code, out, _ = run_cli(["braid"], capsys, monkeypatch, stdin_text=json.dumps(doc))

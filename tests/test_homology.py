@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from operadkit.errors import InvariantBroken
+from operadkit.errors import InvariantBroken, OutOfRange
 from operadkit.homology import (
     ChainComplex,
     _sparse_factors,
@@ -16,7 +16,7 @@ from operadkit.homology import (
     smith_normal_form,
 )
 from operadkit.quasicat import build_j, build_q, nerve, order_complex
-from oracles import cohen_betti, unordered_rational_betti
+from oracles import cohen_betti, mod2_betti, mod2_from_integral, unordered_rational_betti
 
 
 def det(m):
@@ -187,6 +187,15 @@ def test_truncated_homology_skips_euler_check():
     assert h.to_json() == {"H": [{"rank": 1, "torsion": []}]}
 
 
+def test_empty_complex_has_no_degrees():
+    c = ChainComplex.from_cells([[]], lambda d, cell: [])
+    assert c.dimension == -1
+    assert homology(c).groups == ()
+    assert homology(c).to_json() == {"H": []}
+    with pytest.raises(OutOfRange):
+        homology(c, up_to=-1)
+
+
 def test_zero_dimensional_complex():
     c = ChainComplex.from_cells([["p", "q", "r"]], lambda d, cell: [])
     assert homology(c).groups == ((3, ()),)
@@ -266,6 +275,7 @@ Q_SWEEP = [(n, k) for n in range(1, 7) for k in (1, 2)] + [
 def test_quasibijection_nerve_has_unordered_configuration_betti(n, k):
     groups = homology(_complex("Q", n, k)).groups
     assert _ranks_are(groups, unordered_rational_betti(n, k))
+    assert mod2_from_integral(groups) == mod2_betti(n, k)
 
 
 def test_quasibijection_nerve_torsion_is_frozen():

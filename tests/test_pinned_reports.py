@@ -125,9 +125,16 @@ def test_complex_stdout_is_pinned(capsys, category, n, k, nerve_digest, homology
      (4, 170, 2, 89, 4, 170), (5, 40, 4, 86, 5, 40)],
 )
 def test_flipped_face_sign_is_located(dim, col, drop, row, failing_dim, failing_col):
-    """The order complex of J(6,2) with the sign of one face of one cell
-    flipped: the first offending column, then its lowest offending row."""
-    cells = order_complex(build_j(6, 2)).cells
+    """The order complex of J(6,2), as strict chains of elements, with the
+    sign of one face of one cell flipped: the first offending column, then
+    its lowest offending row."""
+    below = build_j(6, 2).below
+    below = [[j for j in range(len(below)) if mask >> j & 1] for mask in below]
+    cells = [list(range(len(below)))]
+    chains = [(i,) for i in cells[0]]
+    while chains:
+        chains = [chain + (j,) for chain in chains for j in below[chain[-1]]]
+        cells.append(chains)
     flipped = cells[dim][col]
 
     def face_list(d, cell):
@@ -284,19 +291,25 @@ def test_corrupted_desymmetrised_report_is_pinned():
 
 
 @pytest.mark.parametrize(
-    "n, k, sizes, digest",
+    "category, n, k, sizes, digest",
     [
-        (3, 3, [9, 96, 344, 448, 192],
+        ("Q", 3, 3, [9, 96, 344, 448, 192],
          "51b1b58889b30b70f17551b91501daf73e33094ada1918dbdf15c5ed3f3216e0"),
-        (2, 5, [16, 832, 4128, 6192, 2880],
+        ("Q", 2, 5, [16, 832, 4128, 6192, 2880],
          "6014f22681881ce1d0822adfe58b7df587e486a759c2dc10e9df979ff66703b2"),
+        ("J", 2, 3, [24, 96, 72],
+         "8626f9882f880d96655e927198890b9e7b524fb30bc253d24b3dd7d82b91df8a"),
+        ("J", 6, 2, [12, 60, 160, 240, 192, 64],
+         "b6c0efbc0f2812de241195fa00f1c2c13f31513104591649600b9b3626e7b6ac"),
+        ("J", 3, 3, [54, 576, 2064, 2688, 1152],
+         "dcedea2b6e0b96f9e8c00f942b96fdadd417b5ffa997d29a851fb99ed68dec13"),
     ],
-    ids=["Q(3,3)", "Q(2,5)"],
+    ids=["Q(3,3)", "Q(2,5)", "J(2,3)", "J(6,2)", "J(3,3)"],
 )
-def test_nerve_boundary_columns_are_pinned(n, k, sizes, digest):
+def test_nerve_boundary_columns_are_pinned(category, n, k, sizes, digest):
     """Each boundary column as its sorted (row, coefficient) items, which
     fixes the cell order and the faces whatever the cells are made of."""
-    complex_ = nerve(build_q(n, k))
+    complex_ = nerve(build_q(n, k)) if category == "Q" else order_complex(build_j(n, k))
     assert [len(layer) for layer in complex_.cells] == sizes
     columns = [[sorted(col.items()) for col in b] for b in complex_.boundaries[1:]]
     assert _sha(json.dumps(columns)) == digest

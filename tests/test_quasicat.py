@@ -5,8 +5,10 @@ import pytest
 import oracles
 
 from operadkit.errors import (
+    LIST_CAP,
     AntisymmetryViolation,
     EndoFound,
+    InvariantBroken,
     ResourceLimit,
     StrictnessRequired,
 )
@@ -14,7 +16,6 @@ from operadkit.homology import connected_components, homology
 from operadkit.ordinal_maps import OrdinalMap
 from operadkit.ordinals import make_ordinal
 from operadkit.quasicat import (
-    PAIR_CAP,
     MilgramPoset,
     QuasiCategory,
     assert_strict,
@@ -36,7 +37,7 @@ from operadkit.quasicat import (
 def test_build_j_refuses_pairs_past_the_cap(n, k, predicted):
     # J(5,4) has 3000 elements, so 9 M pairs, under the cap; the arities
     # past the first refused one report the partial count that passed it
-    assert (5**3 * 24) ** 2 <= PAIR_CAP
+    assert (5**3 * 24) ** 2 <= LIST_CAP
     with pytest.raises(ResourceLimit) as info:
         build_j(n, k)
     assert info.value.payload["predicted"] == predicted
@@ -82,6 +83,17 @@ def test_strictness_rejects_two_way_homs():
     bad = QuasiCategory(2, 2, c.objects, {**c.hom, (1, 0): c.hom[(0, 1)]})
     with pytest.raises(AntisymmetryViolation):
         assert_strict(bad)
+
+
+def test_nerve_without_a_composite_misses_a_face():
+    # Q(2,3) without the arrows flat -> sharp: the composites through the
+    # middle objects are no arrows, so a 2-cell loses its inner face
+    c = build_q(2, 3)
+    hom = {key: maps for key, maps in c.hom.items() if key != (0, 3)}
+    with pytest.raises(InvariantBroken) as info:
+        nerve(QuasiCategory(2, 3, c.objects, hom))
+    assert info.value.message == "face of a cell is missing from the complex"
+    assert info.value.payload == {"dim": 2}
 
 
 def test_nerve_q22_is_a_circle():
@@ -221,6 +233,6 @@ def test_order_complex_refuses_chains_past_the_cap():
     with pytest.raises(ResourceLimit) as info:
         order_complex(p)
     assert info.value.payload == {
-        "n": 5, "k": 4, "dim": 2, "predicted": 55178904, "cap": PAIR_CAP}
-    assert sum(chain_counts(build_j(3, 4))) == 9692472 <= PAIR_CAP
-    assert sum(chain_counts(build_j(5, 3))) == 8596614 <= PAIR_CAP
+        "n": 5, "k": 4, "dim": 2, "predicted": 55178904, "cap": LIST_CAP}
+    assert sum(chain_counts(build_j(3, 4))) == 9692472 <= LIST_CAP
+    assert sum(chain_counts(build_j(5, 3))) == 8596614 <= LIST_CAP

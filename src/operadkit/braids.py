@@ -56,10 +56,7 @@ class Permutation:
         return Permutation(tuple(other.image[v] for v in self.image))
 
     def inverse(self) -> "Permutation":
-        inv = [0] * len(self.image)
-        for i, v in enumerate(self.image):
-            inv[v] = i
-        return Permutation(tuple(inv))
+        return Permutation(invert(self.image))
 
     @property
     def is_identity(self) -> bool:
@@ -71,6 +68,15 @@ class Permutation:
             for i, j in itertools.combinations(range(len(self.image)), 2)
             if self.image[i] > self.image[j]
         )
+
+
+def invert(image: Sequence[int]) -> tuple[int, ...]:
+    """The inverse of a permutation given by its image, which is not
+    checked: callers pass images that are permutations by construction."""
+    inv = [0] * len(image)
+    for i, v in enumerate(image):
+        inv[v] = i
+    return tuple(inv)
 
 
 def transposition(k: int, i: int) -> Permutation:
@@ -169,7 +175,7 @@ class BraidWord:
     def permutation(self) -> Permutation:
         # at[pos] is the strand that ends at pos; its inverse sends each
         # starting position to its end
-        return Permutation(tuple(self._walk[0])).inverse()
+        return Permutation(invert(self._walk[0]))
 
     def exponent_sum(self) -> int:
         return sum(1 if x > 0 else -1 for x in self.word)

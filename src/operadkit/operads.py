@@ -33,7 +33,9 @@ from .braids import (
     Permutation,
     block_permutation,
     cable,
+    invert,
     q_section,
+    transposition,
 )
 from .errors import (
     LIST_CAP,
@@ -234,18 +236,12 @@ class FiniteCollection:
         self._act_cache[(key, letters)] = table
         return table
 
-    def action_of_permutation(self, key, rho: Permutation) -> list[int]:
-        return self.action_of_word(key, q_section(rho).word)
 
-
-def _inverse(action: Sequence[int], size: int) -> list[int] | None:
+def _inverse(action: Sequence[int], size: int) -> tuple[int, ...] | None:
     """The inverse of a bijection onto range(size), else None."""
     if sorted(action) != list(range(size)):
         return None
-    inv = [0] * size
-    for x, v in enumerate(action):
-        inv[v] = x
-    return inv
+    return invert(action)
 
 
 def _not_invertible(key, i: int) -> InvariantBroken:
@@ -698,18 +694,19 @@ def _symmetric_moves(sizes: tuple[int, ...]) -> Iterator[tuple]:
     """Every permutation of the slots, lifted by block permutation, then
     every nontrivial tuple of permutations inside the slots."""
     k = len(sizes)
+    identity = tuple(range(k))
     for rho in itertools.permutations(range(k)):
-        perm = Permutation(rho)
-        out = q_section(block_permutation(perm, sizes)).word
-        yield "equivariance-1", f"rho={list(rho)}", q_section(perm).word, ((),) * k, out
+        out = _lift_word(block_permutation(Permutation(rho), sizes).image, False, False)
+        top = _lift_word(rho, False, False)
+        yield "equivariance-1", f"rho={list(rho)}", top, invert(rho), ((),) * k, out
     offsets = [sum(sizes[:j]) for j in range(k)]
     for rhos in itertools.product(*[itertools.permutations(range(m)) for m in sizes]):
         if all(r == tuple(range(len(r))) for r in rhos):
             continue
-        words = tuple(q_section(Permutation(r)).word for r in rhos)
+        words = tuple(_lift_word(r, False, False) for r in rhos)
         image = tuple(offsets[j] + v for j, r in enumerate(rhos) for v in r)
-        out = q_section(Permutation(image)).word
-        yield "equivariance-2", f"rhos={[list(r) for r in rhos]}", (), words, out
+        out = _lift_word(image, False, False)
+        yield "equivariance-2", f"rhos={[list(r) for r in rhos]}", (), identity, words, out
 
 
 def _braided_moves(sizes: tuple[int, ...]) -> Iterator[tuple]:
@@ -722,14 +719,17 @@ def _braided_moves(sizes: tuple[int, ...]) -> Iterator[tuple]:
     within bound is quantified, which it is.
     """
     k = len(sizes)
+    identity = tuple(range(k))
     for i in range(1, k):
         out = cable(BraidWord(k, (i,)), sizes).word
-        yield "equivariance-1", f"letter={i}", (i,), ((),) * k, out
+        order = transposition(k, i).image
+        yield "equivariance-1", f"letter={i}", (i,), order, ((),) * k, out
     offset = 0
     for j, m in enumerate(sizes):
         for i in range(1, m):
             words = tuple((i,) if l == j else () for l in range(k))
-            yield "equivariance-2", f"slot={j} letter={i}", (), words, (offset + i,)
+            label = f"slot={j} letter={i}"
+            yield "equivariance-2", label, (), identity, words, (offset + i,)
         offset += m
 
 
@@ -737,7 +737,8 @@ def _check_reindexing(op: FiniteOperad, covered: dict, failures: list) -> int:
     """Both equivariance identities via carrier reindexing, one move at a time.
 
     A move acts on the top element by a word, which reorders the argument
-    slots by its permutation, acts on each argument by a word, and
+    slots by its permutation (the move carries the slot order, the inverse
+    image, beside the word), acts on each argument by a word, and
     multiplies along the reordered morphism; the result must equal the
     output word acting on the product.  The first identity moves the top
     element and the slots; the second moves the arguments in place.  The
@@ -750,8 +751,7 @@ def _check_reindexing(op: FiniteOperad, covered: dict, failures: list) -> int:
     for rec in covered.values():
         sizes = tuple(map(len, rec.blocks))
         total, k = sum(sizes), len(sizes)
-        for axiom, label, top_word, slot_words, out_word in moves(sizes):
-            order = BraidWord(k, top_word).permutation().inverse().image
+        for axiom, label, top_word, order, slot_words, out_word in moves(sizes):
             slotted = tuple(l for l, j in enumerate(order) for _ in range(sizes[j]))
             moved = covered.get(_key(rec.morphism.source, rec.morphism.target, slotted))
             if moved is None:
@@ -809,20 +809,19 @@ def _square_eq1_instance(
     r_table: tuple[int, ...],
     braided: bool,
     failures: list[AxiomFailure],
-    signs: tuple[bool, bool, bool] = (True, True, True),
 ) -> int:
     """One commuting square sigma . p = r . sigma2 of the first condition,
     with line and line2 the covered line maps of sigma and sigma2.
 
-    The default signs invert every vertical: the lifts transport elements
-    against the direction of the maps.
+    Every vertical acts by the lift of its inverse: the lifts transport
+    elements against the direction of the maps.
     """
     coll = op.collection
     total, k = sigma.source.arity, sigma.target.arity
-    act_top = coll.action_of_word(k - 1, _lift_word(r_table, braided, signs[0]))
-    act_out = coll.action_of_word(total - 1, _lift_word(p_table, braided, signs[2]))
+    act_top = coll.action_of_word(k - 1, _lift_word(r_table, braided, True))
+    act_out = coll.action_of_word(total - 1, _lift_word(p_table, braided, True))
     fiber_acts = _fiber_lifts(
-        coll, sigma2.table, sigma.table, p_table, r_table, braided, signs[1]
+        coll, sigma2.table, sigma.table, p_table, r_table, braided, True
     )
     lhs = _moved(line2.table, act_top, line.sizes[1:], r_table, fiber_acts)
     rhs = [act_out[v] for v in line.table]
@@ -857,8 +856,9 @@ def _squares(covered: dict, bound: int, braided: bool):
     horizontals = {a: {b: {} for b in objs if b.arity <= a.arity} for a in objs}
     for a, targets in horizontals.items():
         for b, found in targets.items():
+            lines = _line(a.arity), _line(b.arity)
             for m in enumerate_maps(a, b, kind="order"):
-                line = covered.get(_key(_line(a.arity), _line(b.arity), m.table))
+                line = covered.get(_key(*lines, m.table))
                 if line is not None:
                     found[m.table] = (m, line)
     return by_arity, verticals, horizontals
@@ -869,7 +869,6 @@ def _check_square_eq1(
     squares: tuple,
     failures: list[AxiomFailure],
     braided: bool,
-    signs: tuple[bool, bool, bool] = (True, True, True),
 ) -> int:
     """First square condition, quantified over all valid squares in bound.
 
@@ -895,7 +894,7 @@ def _check_square_eq1(
                                 if hit is not None:
                                     checked += _square_eq1_instance(
                                         op, sigma, line, *hit, p_table, r_table,
-                                        braided, failures, signs,
+                                        braided, failures,
                                     )
     return checked
 
@@ -907,7 +906,6 @@ def _route_value(
     q_table: tuple[int, ...],
     omega_table: tuple[int, ...],
     braided: bool,
-    signs: tuple[bool, bool] = (True, False),
 ) -> list[int]:
     """Transport of mu, the table of eta, along a quasibijection onto the
     composite's fibers.
@@ -918,12 +916,9 @@ def _route_value(
     """
     coll = op.collection
     k = eta.target.arity
-    inverse_whole = coll.action_of_word(
-        len(q_table) - 1, _lift_word(q_table, braided, signs[0])
-    )
-    forward = _fiber_lifts(
-        coll, omega_table, eta.table, q_table, range(k), braided, signs[1]
-    )
+    whole = _lift_word(q_table, braided, True)
+    inverse_whole = coll.action_of_word(len(q_table) - 1, whole)
+    forward = _fiber_lifts(coll, omega_table, eta.table, q_table, range(k), braided, False)
     sizes = [len(act) for act in forward]
     tops = range(coll.size(k - 1))
     return [inverse_whole[v] for v in _moved(mu, tops, sizes, range(k), forward)]
@@ -934,7 +929,6 @@ def _check_square_eq2(
     squares: tuple,
     failures: list[AxiomFailure],
     braided: bool,
-    signs: tuple[bool, bool] = (True, False),
 ) -> int:
     """Second square condition: routes with a common composite agree.
 
@@ -951,19 +945,19 @@ def _check_square_eq2(
                 for s, found in horizontals[mid].items():
                     for eta, line in found.values():
                         omega_table = tuple(eta.table[v] for v in q_table)
-                        routes.setdefault((str(s), omega_table), []).append(
+                        routes.setdefault((s, omega_table), []).append(
                             (q_table, eta, line.table)
                         )
-        for (_, omega_table), rs in sorted(routes.items()):
+        for (_, omega_table), rs in routes.items():
             if len(rs) < 2:
                 continue
             k = max(omega_table) + 1
             keys = [k - 1, *[omega_table.count(i) - 1 for i in range(k)]]
             base_q, base_eta, base_mu = rs[0]
-            base = _route_value(op, base_eta, base_mu, base_q, omega_table, braided, signs)
+            base = _route_value(op, base_eta, base_mu, base_q, omega_table, braided)
             base_name = f"q={list(base_q)} ; {morphism_key(base_eta)}"
             for q_table, eta, mu in rs[1:]:
-                value = _route_value(op, eta, mu, q_table, omega_table, braided, signs)
+                value = _route_value(op, eta, mu, q_table, omega_table, braided)
                 instance = (
                     f"{base_name} versus q={list(q_table)} ; {morphism_key(eta)}"
                 )
@@ -1147,9 +1141,8 @@ def desymmetrise(sym: FiniteOperad, n: int, bound: int | None = None) -> FiniteO
         # the sorting permutation lists source positions stably by image
         total = sigma.source.arity
         order = sorted(range(total), key=lambda p: (sigma.table[p], p))
-        return sym.collection.action_of_permutation(
-            total - 1, Permutation(tuple(order))
-        )
+        word = _lift_word(tuple(order), False, False)
+        return sym.collection.action_of_word(total - 1, word)
 
     def supplier(sigma: OrdinalMap) -> list[int] | None:
         if sigma.source.domain.n != n:
@@ -1266,7 +1259,7 @@ def all_factorizations(
     total = sigma.source.arity
     for mid in enumerate_ordinals(n, total):
         for pi in enumerate_maps(sigma.source, mid, kind="quasi"):
-            inv = Permutation(pi.table).inverse().image
+            inv = invert(pi.table)
             nu_table = tuple(sigma.table[p] for p in inv)
             if any(nu_table[r] > nu_table[r + 1] for r in range(total - 1)):
                 continue

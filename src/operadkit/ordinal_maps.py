@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .braids import Permutation
+from .braids import invert as invert_image
 from .errors import (
     ComposeMismatch,
     DomainMismatch,
@@ -157,8 +157,7 @@ def invert(sigma: OrdinalMap) -> OrdinalMap:
     raises some level."""
     if not sigma.is_quasibijection:
         raise NotQuasibijection("only quasibijections can be inverted")
-    inv = Permutation(sigma.table).inverse().image
-    return OrdinalMap(sigma.target, sigma.source, inv)
+    return OrdinalMap(sigma.target, sigma.source, invert_image(sigma.table))
 
 
 # -- induced structures ------------------------------------------------
@@ -264,7 +263,7 @@ def factorize(sigma: OrdinalMap) -> Factorization:
     f = sigma.table
     k = sigma.source.arity
     order = sorted(range(k), key=lambda p: (f[p], p))
-    rank = Permutation(order).inverse().image
+    rank = invert_image(order)
 
     domain = sigma.source.domain
     levels = []

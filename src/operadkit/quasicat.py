@@ -18,6 +18,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
+from .braids import invert
 from .errors import (
     AntisymmetryViolation,
     EndoFound,
@@ -186,7 +187,7 @@ class MilgramPoset:
         """Table sending positions of element i to positions of element j
         matching labels."""
         (_, pi), (_, pj) = self.elements[i], self.elements[j]
-        inv = {lab: pos for pos, lab in enumerate(pj)}
+        inv = invert(pj)
         return tuple(inv[lab] for lab in pi)
 
     def covering_pairs(self) -> list[tuple[int, int]]:
@@ -248,9 +249,7 @@ def build_j(n: int, k: int) -> MilgramPoset:
     masks = [[[0] * (n + 1), [0] * (n + 1)] for _ in pairs]
     values = []
     for x, (t, pi) in enumerate(elements):
-        pos = [0] * k
-        for p, lab in enumerate(pi):
-            pos[lab] = p
+        pos = invert(pi)
         row = []
         for q, (a, b) in enumerate(pairs):
             pa, pb = pos[a], pos[b]

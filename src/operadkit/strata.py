@@ -171,7 +171,7 @@ def classify_stratum(c: Configuration) -> StratumLabel:
     return StratumLabel(make_ordinal(c.dim, levels, c.arity), order)
 
 
-def _sample_points(label: StratumLabel, spread=1) -> list[tuple]:
+def _sample_points(label: StratumLabel) -> list[tuple]:
     """Coordinates of sample_stratum, as a list of tuples by label."""
     levels = label.ordinal.levels
     coords = [0] * label.ordinal.domain.n
@@ -179,22 +179,20 @@ def _sample_points(label: StratumLabel, spread=1) -> list[tuple]:
     for r, lab in enumerate(label.labels):
         if r:
             for j in range(levels[r - 1], len(coords)):
-                coords[j] += spread
+                coords[j] += 1
         placed[lab] = tuple(coords)
     return placed
 
 
-def sample_stratum(label: StratumLabel, spread=1) -> Configuration:
-    """A deterministic interior point of the stratum.
+def sample_stratum(label: StratumLabel) -> Configuration:
+    """A deterministic interior point of the stratum, with integer
+    coordinates.
 
-    Position r of the sorted order gets coordinate j equal to spread times
-    the number of earlier separations at level <= j, so consecutive points
-    first differ exactly at their relation level.
+    Position r of the sorted order gets coordinate j equal to the number
+    of earlier separations at level <= j, so consecutive points first
+    differ exactly at their relation level.
     """
-    spread = _exact(spread)
-    if spread <= 0:
-        raise OutOfRange("spread must be positive", spread=str(spread))
-    return Configuration(label.ordinal.domain.n, tuple(_sample_points(label, spread)))
+    return Configuration(label.ordinal.domain.n, tuple(_sample_points(label)))
 
 
 @dataclass
@@ -256,12 +254,10 @@ def verify_partition(n: int, k: int, trials: int, seed: int = 0) -> PartitionRep
     return PartitionReport(n, k, trials, universe, len(tally), tally)
 
 
-def degeneration_check(
-    upper: StratumLabel, lower: StratumLabel, steps: int = 8
-) -> bool:
+def degeneration_check(upper: StratumLabel, lower: StratumLabel) -> bool:
     """Numeric evidence that the lower stratum lies in the closure of the
     upper one: walk the straight segment from a lower sample point to an
-    upper sample point and classify at t = 1, 1/2, 1/4, ...
+    upper sample point and classify at the 8 points t = 1, 1/2, .., 1/128.
 
     The point at t = 2^-s is classified scaled by 2^s, as the integer
     point 2^s * low + (high - low); scaling by a positive number keeps a
@@ -288,7 +284,7 @@ def degeneration_check(
     if _classify(low) != (lower.ordinal.levels, lower.labels):
         return False
     want = (upper.ordinal.levels, upper.labels)
-    for s in range(max(1, steps)):
+    for s in range(8):
         scale = 2**s
         pts = [tuple(scale * a + b - a for a, b in zip(p, q)) for p, q in zip(low, high)]
         if _classify(pts) != want:

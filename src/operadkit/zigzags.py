@@ -29,6 +29,7 @@ from .braids import (
     braid_equal,
     braid_sum,
     direct_sum_blocks,
+    invert,
     q_section,
     transposition,
 )
@@ -399,7 +400,7 @@ def split_zigzag(z: ZigZag, blocks: Sequence[int] | None = None) -> SplitResult:
     eta = z.legs[1][1]
     k = sigma.source.arity
 
-    omega = Permutation(sigma.table).inverse() * Permutation(eta.table)
+    omega = Permutation(tuple(eta.table[v] for v in invert(sigma.table)))
 
     finest = direct_sum_blocks(omega)
     if blocks is None:

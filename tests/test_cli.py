@@ -3,8 +3,11 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -102,6 +105,43 @@ def test_enumerate_rejects_negative_inputs(capsys, flags):
     code, out, _ = run_cli(["enumerate", *flags], capsys)
     assert code == 2
     assert report_of(out)["payload"]["error"] == "OUT_OF_RANGE"
+
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+@pytest.mark.parametrize(
+    "argv, stdin_text, code, outcome",
+    [
+        (["enumerate", "--n", "2", "--k", "3"], "", 0, "PASS"),
+        (
+            ["check-map"],
+            json.dumps({
+                "source": {"n": 2, "levels": [1]},
+                "target": {"n": 2, "levels": [0]},
+                "f": [1, 0],
+            }),
+            1,
+            "FAIL",
+        ),
+        (["enumerate", "--n", "2", "--k", "-1"], "", 2, "ERROR"),
+    ],
+)
+def test_module_entry_point_exit_codes(argv, stdin_text, code, outcome):
+    # the installed entry point, python -m operadkit, in its own process
+    path = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "operadkit", *argv],
+        input=stdin_text,
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    assert proc.returncode == code, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["command"] == argv[0]
+    assert report["outcome"] == outcome
 
 
 def test_enumerate_tree_mode_is_text(capsys):

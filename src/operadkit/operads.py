@@ -1129,6 +1129,8 @@ def desymmetrise(sym: FiniteOperad, n: int, bound: int | None = None) -> FiniteO
     if sym.flavor.kind != "symmetric":
         raise OutOfRange("expected a symmetric operad", flavor=str(sym.flavor))
     bound = sym.bound if bound is None else bound
+    if bound < 1:
+        raise OutOfRange("bound must be at least 1", bound=bound)
     if bound > sym.bound:
         raise BoundExceeded(
             "requested bound exceeds the symmetric operad", bound=bound

@@ -28,7 +28,7 @@ from .errors import (
     OutOfRange,
     decode,
 )
-from .ordinals import LevelDomain, NOrdinal, ordinal_from_json
+from .ordinals import NOrdinal, ordinal_from_json
 
 
 def morphism_violation(source: NOrdinal, target: NOrdinal, table: Sequence[int]):

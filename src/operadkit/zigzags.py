@@ -458,15 +458,6 @@ def split_zigzag(z: ZigZag, blocks: Sequence[int] | None = None) -> SplitResult:
     except NotAMorphism:
         kappa_map = None
 
-    # table identities tying the block data back to the span
-    sum_sigma = _block_sum_table([c.legs[0][1] for c in components])
-    sum_eta = _block_sum_table([c.legs[1][1] for c in components])
-    for p in range(k):
-        if sigma.table[kappa[p]] != xi.table[sum_sigma[p]] or (
-            eta.table[kappa[p]] != zeta.table[sum_eta[p]]
-        ):
-            raise DiagramBroken("block restriction lost a value", position=p)
-
     total = braid_of_zigzag(z)
     if not braid_equal(total, braid_sum(braids)):
         raise DiagramBroken("block braids do not recompose the span braid")
@@ -489,12 +480,3 @@ def _ordinal_sum_many(parts, fallback: NOrdinal) -> NOrdinal:
     for part in parts[1:]:
         out = ordinal_sum(out, part)
     return out
-
-
-def _block_sum_table(maps) -> list[int]:
-    table = []
-    offset = 0
-    for m in maps:
-        table.extend(v + offset for v in m.table)
-        offset += m.target.arity
-    return table

@@ -1,12 +1,17 @@
-"""Independent brute-force oracles used by the test suite.
+"""Independent brute-force oracles used only by the test suite.
 
 Everything here is deliberately written from first principles with plain
 itertools, without importing the package under test, so that expected
-values come from a second route.
+values come from a second route.  Oracles that the benchmark also grades
+with (free reduction, Cohen's Betti numbers, J_n(k) by all pairs, map
+validity) live once, in perfbench/reference.py; the tests import that
+module as ``reference``.
 """
 
 import itertools
 from fractions import Fraction
+
+from reference import free_reduce
 
 
 def count_ascending_structures(n, k):
@@ -121,16 +126,6 @@ def burau3_is_identity(word):
 # word is trivial exactly when it fixes every generator.
 
 
-def _free_reduce(word):
-    out = []
-    for x in word:
-        if out and out[-1] == -x:
-            out.pop()
-        else:
-            out.append(x)
-    return out
-
-
 def artin_is_identity(strands, word):
     """Whether the braid word acts trivially on F_strands: sigma_i sends
     x_i to x_i x_{i+1} x_i^-1 and x_{i+1} to x_i, its inverse sends x_i to
@@ -141,9 +136,9 @@ def artin_is_identity(strands, word):
         i = abs(letter) - 1
         a, b = images[i], images[i + 1]
         if letter > 0:
-            images[i], images[i + 1] = _free_reduce(a + b + [-x for x in a[::-1]]), a
+            images[i], images[i + 1] = free_reduce(a + b + [-x for x in a[::-1]]), a
         else:
-            images[i], images[i + 1] = b, _free_reduce([-x for x in b[::-1]] + a + b)
+            images[i], images[i + 1] = b, free_reduce([-x for x in b[::-1]] + a + b)
     return images == [[x] for x in range(1, strands + 1)]
 
 
@@ -156,7 +151,7 @@ def handle_walk(word):
     them of index above |i|; it is rewritten by dropping both ends and
     replacing each (|i|+1)^d between them by (|i|+1)^-e |i|^d (|i|+1)^e.
     """
-    word = _free_reduce(word)
+    word = free_reduce(word)
     steps = 0
     while word:
         handle = None
@@ -175,7 +170,7 @@ def handle_walk(word):
         for x in word[s + 1 : t]:
             d = 1 if x > 0 else -1
             body += [-e * (i + 1), d * i, e * (i + 1)] if abs(x) == i + 1 else [x]
-        word = _free_reduce(word[:s] + body + word[t + 1 :])
+        word = free_reduce(word[:s] + body + word[t + 1 :])
         steps += 1
     return True, steps
 
@@ -222,27 +217,7 @@ def padded_braid_word(rng, kind, strands, length):
     return word
 
 
-# -- closed-form homology of configuration spaces --------------------------
-
-
-def cohen_betti(n, k):
-    """Betti numbers of Conf_k(R^n), the coefficients of F. Cohen's Poincare
-    polynomial prod_{j=1}^{k-1} (1 + j t^(n-1)), by degree."""
-    poly = {0: 1}
-    for j in range(1, k):
-        nxt = dict(poly)
-        for deg, c in poly.items():
-            nxt[deg + n - 1] = nxt.get(deg + n - 1, 0) + j * c
-        poly = nxt
-    return [poly.get(deg, 0) for deg in range(max(poly) + 1)]
-
-
-def unordered_rational_betti(n, k):
-    """Rational Betti numbers of Conf_k(R^n)/S_k: 1 in degree 0, plus 1 in
-    degree n-1 when n is even and k >= 2."""
-    if k >= 2 and n % 2 == 0:
-        return [1] + [0] * (n - 2) + [1]
-    return [1]
+# -- mod-2 homology of unordered configuration spaces ----------------------
 
 
 def mod2_betti(n, k):
@@ -305,52 +280,3 @@ def fraction_walk(low, high, steps):
             for p, q in zip(low, high)
         ]
         t /= 2
-
-
-# -- the labeled poset J_n(k) by testing every ordered pair ----------------
-
-
-def j_elements(n, k):
-    """Elements (levels, labels) of J_n(k): level sequences in
-    lexicographic order, each with every permutation of the labels."""
-    return [
-        (levels, labels)
-        for levels in itertools.product(range(n), repeat=max(k - 1, 0))
-        for labels in itertools.permutations(range(k))
-    ]
-
-
-def _is_map(source, target, table):
-    """The three clauses of a map of n-ordinals, for every source pair
-    i < j, with the level between a < b the minimum of levels[a:b]."""
-    for i, j in itertools.combinations(range(len(table)), 2):
-        u, v = table[i], table[j]
-        p = min(source[i:j])
-        if u < v and min(target[u:v]) < p:
-            return False
-        if u > v and min(target[v:u]) <= p:
-            return False
-    return True
-
-
-def j_relations(elements):
-    """Pairs (i, j) with element i strictly above element j: the label
-    map, position of a label in i to its position in j, is a map."""
-    above = set()
-    for i, (t, pi) in enumerate(elements):
-        for j, (s, rho) in enumerate(elements):
-            if i == j:
-                continue
-            inv = {lab: pos for pos, lab in enumerate(rho)}
-            if _is_map(t, s, [inv[lab] for lab in pi]):
-                above.add((i, j))
-    return above
-
-
-def j_covers(relations, size):
-    """Relations (i, j), sorted, with no m between them."""
-    return sorted(
-        (i, j)
-        for i, j in relations
-        if not any((i, m) in relations and (m, j) in relations for m in range(size))
-    )

@@ -3,7 +3,8 @@
 Each test prints exactly one `[criterion NN] PASS|FAIL <label>` line and
 keeps the first few witnesses in its assertion message.  Fixed expected
 values (homology groups, relation names, counts) were computed once
-against the independent oracles in oracles.py and then frozen here.
+against the independent oracles, in oracles.py and in the benchmark's
+reference.py (neither imports operadkit), and then frozen here.
 """
 
 import itertools

@@ -501,6 +501,25 @@ def test_desymmetrise_emits_checkable_operad(capsys, monkeypatch, tmp_path):
     assert report_of(out)["payload"]["passed"] is True
 
 
+@pytest.mark.parametrize(
+    "bound, doc",
+    [
+        ("0", {"builtin": "orders", "bound": 2}),
+        ("-1", {"builtin": "orders", "bound": 2}),
+        (None, {"flavor": "symmetric", "n": None, "bound": 0, "unit": 0,
+                "carriers": {"1:": [[0]]}, "actions": {}, "mult": {}}),
+    ],
+    ids=["flag-0", "flag-minus-1", "document-0"],
+)
+def test_desymmetrise_refuses_a_bound_below_one(capsys, monkeypatch, bound, doc):
+    argv = ["desymmetrise", "--n", "2", "-"] + ([] if bound is None else ["--bound", bound])
+    code, out, _ = run_cli(argv, capsys, monkeypatch, stdin_text=json.dumps(doc))
+    assert code == 2
+    payload = report_of(out)["payload"]
+    assert payload["error"] == "OUT_OF_RANGE"
+    assert payload["diagnostic"]["message"] == "bound must be at least 1"
+
+
 def _end_bundle() -> dict:
     return operad_to_json(endomorphism_symmetric_operad((0, 1), 2))
 

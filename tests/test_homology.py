@@ -16,7 +16,9 @@ from operadkit.homology import (
     smith_normal_form,
 )
 from operadkit.quasicat import build_j, build_q, nerve, order_complex
-from oracles import cohen_betti, mod2_betti, mod2_from_integral, unordered_rational_betti
+from oracles import mod2_betti, mod2_from_integral
+from reference import j_betti, q_betti, same_betti
+from workloads import Q_SIZES
 
 
 def det(m):
@@ -193,12 +195,6 @@ def _complex(category, n, k):
     return nerve(build_q(n, k)) if category == "Q" else order_complex(build_j(n, k))
 
 
-def _ranks_are(groups, betti):
-    ranks = [rank for rank, _ in groups]
-    width = max(len(ranks), len(betti))
-    return ranks + [0] * (width - len(ranks)) == betti + [0] * (width - len(betti))
-
-
 def _snf_diagonal(m):
     d, _, _ = smith_normal_form(m)
     return tuple(x for x in (d[i][i] for i in range(min(len(d), len(d[0])))) if x)
@@ -246,19 +242,13 @@ def test_sparse_factors_match_snf_on_random_sparse_matrices(monkeypatch):
 def test_milgram_poset_homology_is_cohen_polynomial(n, k):
     groups = homology(_complex("J", n, k)).groups
     assert all(not torsion for _, torsion in groups)
-    assert _ranks_are(groups, cohen_betti(n, k))
+    assert same_betti([rank for rank, _ in groups], j_betti(n, k))
 
 
-# the Q sizes of the benchmark's complexes workload
-Q_SWEEP = [(n, k) for n in range(1, 7) for k in (1, 2)] + [
-    (1, 3), (2, 3), (3, 3), (1, 4), (2, 4)
-]
-
-
-@pytest.mark.parametrize("n, k", Q_SWEEP)
+@pytest.mark.parametrize("n, k", Q_SIZES["full"])
 def test_quasibijection_nerve_has_unordered_configuration_betti(n, k):
     groups = homology(_complex("Q", n, k)).groups
-    assert _ranks_are(groups, unordered_rational_betti(n, k))
+    assert same_betti([rank for rank, _ in groups], q_betti(n, k))
     assert mod2_from_integral(groups) == mod2_betti(n, k)
 
 

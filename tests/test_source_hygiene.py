@@ -1,0 +1,58 @@
+"""Static checks on the source tree, read from each file's syntax tree."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "operadkit"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_module_level_import_is_read(path):
+    tree = _tree(path)
+    imported = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported.add(alias.asname or alias.name.split(".")[0])
+    imported.discard("annotations")
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    assert sorted(imported - read) == []
+
+
+def _imported_modules(tree):
+    """Every module the file names in an import statement, an
+    importlib.import_module call or an __import__ call."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield "." * node.level + (node.module or "")
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in ("import_module", "__import__") and node.args:
+                arg = node.args[0]
+                yield arg.value if isinstance(arg, ast.Constant) else "<dynamic>"
+
+
+@pytest.mark.parametrize(
+    "path", [ROOT / "tests" / "oracles.py", ROOT / "perfbench" / "reference.py"],
+    ids=lambda p: p.name,
+)
+def test_oracles_do_not_import_the_package_under_test(path):
+    # expected values must come from a second route, not from operadkit
+    for module in _imported_modules(_tree(path)):
+        assert not module.startswith((".", "<")), module
+        assert module.split(".")[0] != "operadkit", module

@@ -62,7 +62,6 @@ from .homology import (
     homology,
     invariant_factors,
     matrix_rank,
-    smith_normal_form,
 )
 from .quasicat import (
     MilgramPoset,

@@ -1,118 +1,21 @@
-"""Integral simplicial homology via sparse elimination and Smith normal form.
+"""Integral simplicial homology via sparse integer elimination.
 
 Chain complexes are built from explicit cell lists and a face rule; each
 boundary is stored as sparse columns, and the constructor checks that the
 boundary of a boundary vanishes.  Homology groups come out as a free rank
-plus invariant-factor torsion.  Invariant factors are computed by
-eliminating the +-1 pivots first, each worth a factor 1, and running exact
-integer Smith normal form only on the small residue that is left.
+plus invariant-factor torsion.  Invariant factors come from one sparse
+elimination: the +-1 pivots go first, each worth a factor 1, and the small
+residue they leave is reduced in the same columns by Euclid steps on
+least-magnitude pivots.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import InvariantBroken
-
-
-def _identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def _snf(matrix, transforms: bool):
-    a = [list(row) for row in matrix]
-    nr = len(a)
-    nc = len(a[0]) if nr else 0
-    u = _identity(nr) if transforms else None
-    v = _identity(nc) if transforms else None
-
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        if u is not None:
-            u[i], u[j] = u[j], u[i]
-
-    def col_swap(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        if v is not None:
-            for row in v:
-                row[i], row[j] = row[j], row[i]
-
-    def row_add(i, j, q):
-        # row i -= q * row j
-        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        if u is not None:
-            u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
-    def col_add(i, j, q):
-        # col i -= q * col j
-        for row in a:
-            row[i] -= q * row[j]
-        if v is not None:
-            for row in v:
-                row[i] -= q * row[j]
-
-    t = 0
-    while True:
-        pivot = None
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                val = abs(a[i][j])
-                if val and (best is None or val < best):
-                    best = val
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        row_swap(t, pivot[0])
-        col_swap(t, pivot[1])
-
-        while True:
-            dirty = False
-            for i in range(t + 1, nr):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    row_add(i, t, q)
-                    if a[i][t]:
-                        row_swap(t, i)
-                        dirty = True
-            for j in range(t + 1, nc):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    col_add(j, t, q)
-                    if a[t][j]:
-                        col_swap(t, j)
-                        dirty = True
-            if dirty:
-                continue
-            # pivot must divide the rest of the submatrix
-            offender = None
-            for i in range(t + 1, nr):
-                for j in range(t + 1, nc):
-                    if a[i][j] % a[t][t]:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            row_add(t, offender, -1)  # fold the offending row into the pivot row
-
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            if u is not None:
-                u[t] = [-x for x in u[t]]
-        t += 1
-
-    return a, u, v
-
-
-def smith_normal_form(matrix) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Diagonalise an integer matrix: returns (d, u, v) with u m v = d,
-    u and v unimodular, and each diagonal entry dividing the next."""
-    d, u, v = _snf(matrix, transforms=True)
-    return d, u, v
 
 
 def _sparse_factors(columns) -> tuple[int, ...]:
@@ -121,7 +24,8 @@ def _sparse_factors(columns) -> tuple[int, ...]:
     Each +-1 entry is a pivot: column operations clear the rest of its row,
     after which its row and column split off with a factor 1.  Sweeps visit
     columns by ascending nonzero count and take the unit whose row is
-    shortest, which keeps fill-in low; the remainder goes through _snf.
+    shortest, which keeps fill-in low.  What the units leave goes to
+    _residue_factors, in the same columns.
     """
     cols = {j: dict(col) for j, col in enumerate(columns) if col}
     rows: dict = {}  # row -> columns with a nonzero there
@@ -158,15 +62,68 @@ def _sparse_factors(columns) -> tuple[int, ...]:
                     del cols[k]
             units += 1
             swept = True
-    live = sorted(r for r, js in rows.items() if js)
-    residue = [[cols[j].get(r, 0) for j in sorted(cols)] for r in live]
-    d, _, _ = _snf(residue, transforms=False)
-    diagonal = (row[i] for i, row in enumerate(d[: len(cols)]))
-    return (1,) * units + tuple(x for x in diagonal if x)
+    return (1,) * units + _residue_factors(cols, rows)
+
+
+def _residue_factors(cols: dict, rows: dict) -> tuple[int, ...]:
+    """Invariant factors of sparse columns that hold no unit pivot.
+
+    Each round takes a least-magnitude entry as the pivot, clears its row
+    with integer column steps and then its column with row steps.  A
+    remainder left on the way is smaller than the pivot and becomes the
+    next one (Euclid).  Once its row and column are clear the pivot splits
+    off, and the split-off values become invariant factors by (gcd, lcm)
+    merging.  Starting each round from the least entry keeps the entries
+    small.  cols and rows are consumed.
+    """
+    found = []
+    while cols:
+        _, j, p = min((abs(v), j, r) for j, col in cols.items() for r, v in col.items())
+        while (remainder := _clear_cross(cols, rows, j, p)) is not None:
+            j, p = remainder
+        found.append(abs(cols.pop(j)[p]))
+        rows[p].discard(j)
+    for i in range(len(found)):
+        for k in range(i + 1, len(found)):
+            a, b = found[i], found[k]
+            found[i], found[k] = math.gcd(a, b), math.lcm(a, b)
+    return tuple(found)
+
+
+def _clear_cross(cols, rows, j, p):
+    """Clear row p and then column j against the pivot cols[j][p].  Returns
+    (column, row) of the first non-zero remainder, or None once the pivot
+    is alone in its row and column."""
+    col = cols[j]
+    pivot = col[p]
+    for k in [k for k in rows[p] if k != j]:
+        other = cols[k]
+        q = other[p] // pivot
+        for r, v in col.items():
+            new = other.get(r, 0) - q * v
+            if new:
+                other[r] = new
+                rows[r].add(k)
+            elif r in other:
+                del other[r]
+                rows[r].discard(k)
+        if p in other:
+            return k, p
+        if not other:
+            del cols[k]
+    # row p now holds the pivot alone, so a row step changes column j only
+    for r in [r for r in col if r != p]:
+        col[r] %= pivot
+        if col[r]:
+            return j, r
+        del col[r]
+        rows[r].discard(j)
+    return None
 
 
 def invariant_factors(matrix) -> tuple[int, ...]:
-    """Non-zero diagonal of the Smith normal form."""
+    """Non-zero diagonal of the Smith normal form, each entry dividing the
+    next, from the sparse elimination of _sparse_factors."""
     width = len(matrix[0]) if matrix else 0
     return _sparse_factors(
         [{i: row[j] for i, row in enumerate(matrix) if row[j]} for j in range(width)]

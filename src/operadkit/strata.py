@@ -257,16 +257,21 @@ def verify_partition(n: int, k: int, trials: int, seed: int = 0) -> PartitionRep
 def degeneration_check(upper: StratumLabel, lower: StratumLabel) -> bool:
     """Numeric evidence that the lower stratum lies in the closure of the
     upper one: walk the straight segment from a lower sample point to an
-    upper sample point and classify at the 8 points t = 1, 1/2, .., 1/128.
+    upper sample point and check that its points at t = 1, 1/2, .., 1/128
+    lie in the upper stratum.
 
-    The point at t = 2^-s is classified scaled by 2^s, as the integer
-    point 2^s * low + (high - low); scaling by a positive number keeps a
-    configuration in its stratum.  Each step classifies plain integer
+    A stratum is an intersection of hyperplanes (consecutive sorted points
+    agree below their level) and open half-spaces (they increase at it),
+    so it is convex: the 8 points lie in it exactly when the two ends,
+    t = 1 and t = 1/128, do.  Only those two are classified.  The point at
+    t = 2^-s is classified scaled by 2^s, as the integer point
+    2^s * low + (high - low); scaling by a positive number keeps a
+    configuration in its stratum.  Each end classifies plain integer
     tuples with the classifier of classify_stratum and compares the result
     with the upper (levels, labels); no configuration or label is built
     along the way.  This is a falsifier on convex cells, not a proof; it
-    returns False as soon as the segment leaves the upper stratum or two
-    points collide along the way.
+    returns False when an end leaves the upper stratum or two points
+    collide there.
     """
     if (
         upper.ordinal.domain != lower.ordinal.domain
@@ -284,8 +289,7 @@ def degeneration_check(upper: StratumLabel, lower: StratumLabel) -> bool:
     if _classify(low) != (lower.ordinal.levels, lower.labels):
         return False
     want = (upper.ordinal.levels, upper.labels)
-    for s in range(8):
-        scale = 2**s
+    for scale in (1, 2**7):
         pts = [tuple(scale * a + b - a for a, b in zip(p, q)) for p, q in zip(low, high)]
         if _classify(pts) != want:
             return False

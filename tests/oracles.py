@@ -9,6 +9,7 @@ module as ``reference``.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 from reference import free_reduce
@@ -57,6 +58,90 @@ def count_all_structures(n, k):
             if ok:
                 count += 1
     return count
+
+
+# -- invariant factors of integer matrices ----------------------------------
+
+
+def determinant(m):
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination; every division is exact."""
+    a = [list(row) for row in m]
+    sign, prev = 1, 1
+    for t in range(len(a)):
+        pivot = next((i for i in range(t, len(a)) if a[i][t]), None)
+        if pivot is None:
+            return 0
+        if pivot != t:
+            a[t], a[pivot] = a[pivot], a[t]
+            sign = -sign
+        for i in range(t + 1, len(a)):
+            for j in range(t + 1, len(a)):
+                a[i][j] = (a[i][j] * a[t][t] - a[i][t] * a[t][j]) // prev
+        prev = a[t][t]
+    return sign * a[-1][-1] if a else 1
+
+
+def determinantal_factors(m):
+    """Invariant factors as d_k / d_(k-1), where d_k is the gcd of all
+    k x k minors (d_0 = 1); they stop at the rank, the largest k with
+    d_k non-zero."""
+    factors, before = [], 1
+    for k in range(1, min(len(m), len(m[0]) if m else 0) + 1):
+        d = 0
+        for rows in itertools.combinations(m, k):
+            for cols in itertools.combinations(range(len(m[0])), k):
+                d = math.gcd(d, determinant([[row[j] for j in cols] for row in rows]))
+        if not d:
+            break
+        factors.append(d // before)
+        before = d
+    return tuple(factors)
+
+
+def snf_diagonal(m):
+    """Invariant factors by dense elimination, for matrices too big for
+    minors.  Every step pivots on a least-magnitude entry of what is left
+    and reduces the pivot's column by row steps and its row by column
+    steps.  A remainder is a smaller entry for the next step.  With row
+    and column clear, a pivot that divides every entry splits off;
+    otherwise a row holding an entry it does not divide is added to the
+    pivot row and reduced, which leaves a remainder.  So the least entry
+    shrinks until the next split, and the entries stay small."""
+    a = [list(row) for row in m]
+    factors = []
+    while True:
+        entries = [(abs(v), i, j) for i, row in enumerate(a) for j, v in enumerate(row) if v]
+        if not entries:
+            return tuple(factors)
+        _, i, j = min(entries)
+        pivot = a[i][j]
+        for r, row in enumerate(a):
+            if r != i and row[j]:
+                q = row[j] // pivot
+                a[r] = [x - q * y for x, y in zip(row, a[i])]
+        for c in range(len(a[i])):
+            if c != j and a[i][c]:
+                q = a[i][c] // pivot
+                for row in a:
+                    row[c] -= q * row[j]
+        if sum(1 for row in a if row[j]) > 1 or sum(1 for x in a[i] if x) > 1:
+            continue
+        offender = next(
+            ((r, c) for r, row in enumerate(a) for c, x in enumerate(row) if x % pivot),
+            None,
+        )
+        if offender is None:
+            factors.append(abs(pivot))
+            del a[i]
+            for row in a:
+                del row[j]
+            continue
+        r, c = offender
+        a[i] = [x + y for x, y in zip(a[i], a[r])]
+        q = a[i][c] // pivot
+        for row in a:
+            row[c] -= q * row[j]
 
 
 # -- reduced Burau representation of the 3-strand braid group ------------

@@ -13,40 +13,23 @@ from operadkit.homology import (
     homology,
     invariant_factors,
     matrix_rank,
-    smith_normal_form,
 )
 from operadkit.quasicat import build_j, build_q, nerve, order_complex
-from oracles import mod2_betti, mod2_from_integral
+from oracles import (
+    determinant,
+    determinantal_factors,
+    mod2_betti,
+    mod2_from_integral,
+    snf_diagonal,
+)
 from reference import j_betti, q_betti, same_betti
 from workloads import Q_SIZES
 
 
-def det(m):
-    if len(m) == 1:
-        return m[0][0]
-    total = 0
-    for j in range(len(m)):
-        if m[0][j]:
-            minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-            total += (-1) ** j * m[0][j] * det(minor)
-    return total
-
-
-def mul(a, b):
-    return [
-        [sum(a[i][t] * b[t][j] for t in range(len(b))) for j in range(len(b[0]))]
-        for i in range(len(a))
-    ]
-
-
 def test_snf_worked_example():
     m = [[2, 4], [6, 8]]
-    d, u, v = smith_normal_form(m)
     assert invariant_factors(m) == (2, 4)
-    assert d == [[2, 0], [0, 4]]
-    assert mul(mul(u, m), v) == d
-    assert abs(det(u)) == 1
-    assert abs(det(v)) == 1
+    assert snf_diagonal(m) == determinantal_factors(m) == (2, 4)
 
 
 def test_snf_degenerate_inputs():
@@ -63,20 +46,42 @@ def test_snf_random_matrices():
         nr = rng.randint(1, 5)
         nc = rng.randint(1, 6)
         m = [[rng.randint(-9, 9) for _ in range(nc)] for _ in range(nr)]
-        d, u, v = smith_normal_form(m)
-        assert mul(mul(u, m), v) == d
-        assert abs(det(u)) == 1
-        assert abs(det(v)) == 1
-        diag = [d[i][i] for i in range(min(nr, nc))]
-        for i in range(nr):
-            for j in range(nc):
-                if i != j:
-                    assert d[i][j] == 0
-        nonzero = [x for x in diag if x]
-        assert all(x > 0 for x in nonzero)
-        for a, b in zip(nonzero, nonzero[1:]):
+        factors = invariant_factors(m)
+        assert all(x > 0 for x in factors)
+        for a, b in zip(factors, factors[1:]):
             assert b % a == 0
-        assert tuple(nonzero) == invariant_factors(m)
+        assert factors == determinantal_factors(m) == snf_diagonal(m)
+
+
+# Entries without a unit: an SNF that keeps a pivot rather than re-picking
+# the least entry lets entries like these grow without bound.
+UNIT_FREE = (0, 2, -2, 3, -3, 4, 5, 6, -6, 9, 10, 15)
+M = [
+    [9, 6, 4, -6, 5, -6, 4, -3, 3],
+    [-2, 15, 3, 2, 5, -3, 9, -6, 4],
+    [15, -6, -3, 5, 2, 2, 9, 6, -2],
+    [4, -2, -6, 6, 0, 10, 2, 9, 5],
+    [4, 4, 15, 4, 5, -6, 5, -6, 2],
+    [2, -3, -6, 15, 10, 2, 0, 15, 15],
+    [-3, 10, 5, 10, -6, -3, 15, 6, 10],
+    [4, 0, -6, 4, -2, 5, 2, -6, 0],
+    [3, -3, -2, 15, 3, 6, 6, -6, 2],
+]
+
+
+def test_snf_of_a_unit_free_matrix_stays_small():
+    # determinantal_factors(M) gives these too, but its 48,619 minors are slow
+    assert invariant_factors(M) == (1, 1, 1, 1, 1, 1, 2, 2, 826261152)
+    assert 2 * 2 * 826261152 == abs(determinant(M))
+    assert snf_diagonal(M) == invariant_factors(M)
+
+
+def test_snf_matches_determinantal_divisors_on_unit_free_matrices():
+    rng = random.Random(7)
+    for _ in range(60):
+        nr, nc = rng.randint(4, 6), rng.randint(4, 6)
+        m = [[rng.choice(UNIT_FREE) for _ in range(nc)] for _ in range(nr)]
+        assert invariant_factors(m) == determinantal_factors(m), m
 
 
 def circle(tag=""):
@@ -188,16 +193,11 @@ def test_zero_dimensional_complex():
     assert connected_components(c) == 3
 
 
-# -- the sparse engine against the dense SNF and closed forms ----------------
+# -- the sparse engine against the dense reference and closed forms ---------
 
 
 def _complex(category, n, k):
     return nerve(build_q(n, k)) if category == "Q" else order_complex(build_j(n, k))
-
-
-def _snf_diagonal(m):
-    d, _, _ = smith_normal_form(m)
-    return tuple(x for x in (d[i][i] for i in range(min(len(d), len(d[0])))) if x)
 
 
 @pytest.mark.parametrize(
@@ -210,20 +210,20 @@ def test_sparse_factors_match_snf_of_dense_boundaries(category, n, k):
         for j, col in enumerate(cx.boundaries[d]):
             for r, v in col.items():
                 dense[r][j] = v
-        assert _sparse_factors(cx.boundaries[d]) == _snf_diagonal(dense)
+        assert _sparse_factors(cx.boundaries[d]) == snf_diagonal(dense)
 
 
 def test_sparse_factors_match_snf_on_random_sparse_matrices(monkeypatch):
     homology_module = importlib.import_module("operadkit.homology")
     residues = []
-    snf = homology_module._snf
+    residue_factors = homology_module._residue_factors
 
-    def recording_snf(matrix, transforms):
-        if matrix:
-            residues.append(len(matrix))
-        return snf(matrix, transforms)
+    def recording_residue_factors(cols, rows):
+        if cols:
+            residues.append(len(cols))
+        return residue_factors(cols, rows)
 
-    monkeypatch.setattr(homology_module, "_snf", recording_snf)
+    monkeypatch.setattr(homology_module, "_residue_factors", recording_residue_factors)
     rng = random.Random(20261018)
     for _ in range(60):
         nr, nc = rng.randint(1, 9), rng.randint(1, 9)
@@ -232,8 +232,8 @@ def test_sparse_factors_match_snf_on_random_sparse_matrices(monkeypatch):
              for _ in range(nc)]
             for _ in range(nr)
         ]
-        assert invariant_factors(m) == _snf_diagonal(m)
-    assert len(residues) >= 10  # planted non-units leave a residue for _snf
+        assert invariant_factors(m) == snf_diagonal(m)
+    assert len(residues) >= 10  # planted non-units leave a residue
 
 
 @pytest.mark.parametrize(

@@ -41,7 +41,6 @@ from .ordinal_maps import (
 )
 from .braids import (
     BraidWord,
-    Permutation,
     block_permutation,
     block_transposition,
     braid_equal,
@@ -50,7 +49,6 @@ from .braids import (
     cable,
     crossing_sums,
     direct_sum_blocks,
-    identity_braid,
     is_trivial,
     q_section,
     transposition,

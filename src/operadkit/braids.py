@@ -1,10 +1,11 @@
 """Braid words, permutations, and the word problem.
 
 Braid words are sequences of signed 1-indexed Artin generators on a fixed
-number of strands, read left to right.  Permutations compose
-diagrammatically: (p * q)(x) = q(p(x)), matching concatenation of braid
-words.  A word is freely reduced and its strands walked at most once:
-the walk gives the permutation and the pairwise crossing sums.
+number of strands, read left to right.  A permutation is its image tuple:
+it sends x to image[x], and a word's permutation sends each strand's
+starting position to its end.  A word is freely reduced and its strands
+walked at most once: the walk gives the permutation and the pairwise
+crossing sums.
 
 The word problem is decided by Dehornoy handle reduction, with those
 abelian invariants short-circuiting most non-trivial inputs.  The word is
@@ -16,7 +17,6 @@ position depends only on the letters up to it.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -31,45 +31,6 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class Permutation:
-    image: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "image", tuple(self.image))
-        if sorted(self.image) != list(range(len(self.image))):
-            raise OutOfRange("not a permutation", image=list(self.image))
-
-    @classmethod
-    def identity(cls, k: int) -> "Permutation":
-        return cls(tuple(range(k)))
-
-    def __call__(self, x: int) -> int:
-        return self.image[x]
-
-    def __len__(self) -> int:
-        return len(self.image)
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        if len(self) != len(other):
-            raise LengthMismatch("permutations act on different sets")
-        return Permutation(tuple(other.image[v] for v in self.image))
-
-    def inverse(self) -> "Permutation":
-        return Permutation(invert(self.image))
-
-    @property
-    def is_identity(self) -> bool:
-        return self.image == tuple(range(len(self.image)))
-
-    def inversions(self) -> int:
-        return sum(
-            1
-            for i, j in itertools.combinations(range(len(self.image)), 2)
-            if self.image[i] > self.image[j]
-        )
-
-
 def invert(image: Sequence[int]) -> tuple[int, ...]:
     """The inverse of a permutation given by its image, which is not
     checked: callers pass images that are permutations by construction."""
@@ -79,13 +40,13 @@ def invert(image: Sequence[int]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-def transposition(k: int, i: int) -> Permutation:
+def transposition(k: int, i: int) -> tuple[int, ...]:
     """Adjacent transposition swapping positions i-1 and i (1-indexed i)."""
     if not 1 <= i <= k - 1:
         raise OutOfRange("transposition index out of range", k=k, i=i)
     img = list(range(k))
     img[i - 1], img[i] = img[i], img[i - 1]
-    return Permutation(tuple(img))
+    return tuple(img)
 
 
 def _free_reduce(letters: Sequence[int]) -> list[int]:
@@ -172,16 +133,13 @@ class BraidWord:
     def inverse(self) -> "BraidWord":
         return BraidWord(self.strands, tuple(-x for x in reversed(self.word)))
 
-    def permutation(self) -> Permutation:
+    def permutation(self) -> tuple[int, ...]:
         # at[pos] is the strand that ends at pos; its inverse sends each
         # starting position to its end
-        return Permutation(invert(self._walk[0]))
+        return invert(self._walk[0])
 
     def exponent_sum(self) -> int:
         return sum(1 if x > 0 else -1 for x in self.word)
-
-    def free_reduce(self) -> "BraidWord":
-        return BraidWord(self.strands, self.reduced)
 
     def to_json(self) -> dict:
         return {"strands": self.strands, "word": list(self.word)}
@@ -198,17 +156,13 @@ def braid_from_json(obj: dict) -> BraidWord:
     return BraidWord(strands, tuple(decode(obj["word"], list, "word")))
 
 
-def identity_braid(strands: int) -> BraidWord:
-    return BraidWord(strands, ())
-
-
 # -- the positive section over permutations ------------------------------
 
 
-def q_section(perm: Permutation) -> BraidWord:
+def q_section(image: Sequence[int]) -> BraidWord:
     """Positive braid word realising a permutation with one crossing per
     inversion (bubble sort of the image sequence)."""
-    arr = list(perm.image)
+    arr = list(image)
     word: list[int] = []
     changed = True
     while changed:
@@ -336,15 +290,15 @@ def braid_equal(a: BraidWord, b: BraidWord, limit: int | None = None) -> bool:
 # -- cabling --------------------------------------------------------------
 
 
-def block_transposition(a: int, b: int) -> Permutation:
+def block_transposition(a: int, b: int) -> tuple[int, ...]:
     """The permutation moving a leading block of width a past a block of
     width b, preserving the order inside each block."""
-    return Permutation(tuple(b + x for x in range(a)) + tuple(range(b)))
+    return tuple(range(b, b + a)) + tuple(range(b))
 
 
-def block_permutation(rho: Permutation, mult: Sequence[int]) -> Permutation:
+def block_permutation(rho: Sequence[int], mult: Sequence[int]) -> tuple[int, ...]:
     """Permutation of sum(mult) points moving the i-th block, of width
-    mult[i], to the rho(i)-th block slot, order-preserving on blocks."""
+    mult[i], to the rho[i]-th block slot, order-preserving on blocks."""
     if len(rho) != len(mult):
         raise LengthMismatch(
             "multiplicity list length must match the permutation",
@@ -355,9 +309,9 @@ def block_permutation(rho: Permutation, mult: Sequence[int]) -> Permutation:
         raise OutOfRange("multiplicities must be non-negative", mult=list(mult))
     image = []
     for i, m in enumerate(mult):
-        offset = sum(mult[j] for j in range(len(mult)) if rho(j) < rho(i))
+        offset = sum(mult[j] for j in range(len(mult)) if rho[j] < rho[i])
         image.extend(offset + r for r in range(m))
-    return Permutation(tuple(image))
+    return tuple(image)
 
 
 def cable(b: BraidWord, mult: Sequence[int]) -> BraidWord:
@@ -402,13 +356,13 @@ def braid_sum(parts: Sequence[BraidWord]) -> BraidWord:
 # -- block structure of permutations --------------------------------------
 
 
-def direct_sum_blocks(perm: Permutation) -> list[tuple[int, int]]:
+def direct_sum_blocks(image: Sequence[int]) -> list[tuple[int, int]]:
     """Finest split of {0..k-1} into consecutive intervals each mapped to
     itself, as half-open (start, end) pairs."""
     blocks = []
     start = 0
     top = -1
-    for i, v in enumerate(perm.image):
+    for i, v in enumerate(image):
         top = max(top, v)
         if top == i:
             blocks.append((start, i + 1))

@@ -30,7 +30,6 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .braids import (
     BraidWord,
-    Permutation,
     block_permutation,
     cable,
     invert,
@@ -696,7 +695,7 @@ def _symmetric_moves(sizes: tuple[int, ...]) -> Iterator[tuple]:
     k = len(sizes)
     identity = tuple(range(k))
     for rho in itertools.permutations(range(k)):
-        out = _lift_word(block_permutation(Permutation(rho), sizes).image, False, False)
+        out = _lift_word(block_permutation(rho, sizes), False, False)
         top = _lift_word(rho, False, False)
         yield "equivariance-1", f"rho={list(rho)}", top, invert(rho), ((),) * k, out
     offsets = [sum(sizes[:j]) for j in range(k)]
@@ -722,7 +721,7 @@ def _braided_moves(sizes: tuple[int, ...]) -> Iterator[tuple]:
     identity = tuple(range(k))
     for i in range(1, k):
         out = cable(BraidWord(k, (i,)), sizes).word
-        order = transposition(k, i).image
+        order = transposition(k, i)
         yield "equivariance-1", f"letter={i}", (i,), order, ((),) * k, out
     offset = 0
     for j, m in enumerate(sizes):
@@ -778,11 +777,10 @@ def _lift_word(table: tuple[int, ...], braided: bool, inverse: bool) -> tuple[in
     the inverse is the reversed negative word, which need not act like the
     positive lift of the inverse permutation.
     """
-    rho = Permutation(table)
     if braided:
-        lift = BraidWord(len(table), q_section(rho).word)
+        lift = q_section(table)
         return lift.inverse().word if inverse else lift.word
-    return q_section(rho.inverse() if inverse else rho).word
+    return q_section(invert(table) if inverse else table).word
 
 
 def _fiber_lifts(

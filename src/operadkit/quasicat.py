@@ -102,27 +102,42 @@ def assert_strict(c: QuasiCategory) -> None:
             )
 
 
-def nerve(c: QuasiCategory, max_dim: int | None = None) -> ChainComplex:
-    """Chains of composable non-identity morphisms, as a chain complex.
-
-    Arrows are numbered in ``non_identity`` order, and a d-cell is the
-    tuple of its d arrow ids (see _nerve).  Requires strictness;
-    composites of chain arrows are then never identities, so the
-    construction closes under faces.
-    """
+def _arrows(c: QuasiCategory) -> tuple[list[list[int]], list[tuple[int, ...]]]:
+    """The non-identity morphisms in ``non_identity`` order: heads[x] lists
+    the target of each one out of object x, and tables their tables.
+    Requires strictness; composites of chain arrows are then never
+    identities, so the nerve closes under faces."""
     try:
         assert_strict(c)
     except (EndoFound, AntisymmetryViolation) as e:
         raise StrictnessRequired(
             "the nerve needs a strict category", reason=e.to_json()
         ) from e
-
     heads: list[list[int]] = [[] for _ in c.objects]
     tables = []
     for i, j, m in c.non_identity():
         heads[i].append(j)
         tables.append(m.table)
-    return _nerve(heads, tables, max_dim, "too many cells in the nerve", n=c.n, k=c.k)
+    return heads, tables
+
+
+_CELLS = "too many cells in the nerve"
+
+
+def nerve(c: QuasiCategory, max_dim: int | None = None) -> ChainComplex:
+    """Chains of composable non-identity morphisms, as a chain complex.
+
+    Arrows are numbered in ``non_identity`` order, and a d-cell is the
+    tuple of its d arrow ids (see _nerve).
+    """
+    heads, tables = _arrows(c)
+    return _nerve(heads, tables, max_dim, _CELLS, n=c.n, k=c.k)
+
+
+def nerve_counts(c: QuasiCategory) -> list[int]:
+    """The number of cells of nerve(c) in each dimension, without building
+    it."""
+    return _chain_counts(_arrows(c)[0], None, _CELLS, n=c.n, k=c.k)
 
 
 def _nerve(heads: list, tables, max_dim: int | None, message: str, **where) -> ChainComplex:
@@ -286,11 +301,12 @@ def _chain_counts(heads: list, max_dim: int | None, message: str, **where) -> li
     where heads[x] lists the target of each arrow out of x.
 
     The paths starting at x number c_d(x) = sum of c_(d-1)(y) over the
-    arrows x -> y.  Once the running total passes LIST_CAP, ResourceLimit
+    arrows x -> y.  With no objects there are no dimensions, as in the
+    built complex.  Once the running total passes LIST_CAP, ResourceLimit
     is raised with ``message`` and ``where``, and that total as ``predicted``.
     """
     starting = [1] * len(heads)
-    counts = [len(heads)]
+    counts = [len(heads)] if heads else []
     while max_dim is None or len(counts) <= max_dim:
         starting = [sum(starting[y] for y in ys) for ys in heads]
         count = sum(starting)

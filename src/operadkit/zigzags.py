@@ -25,7 +25,6 @@ from typing import Sequence
 
 from .braids import (
     BraidWord,
-    Permutation,
     braid_equal,
     braid_sum,
     direct_sum_blocks,
@@ -129,7 +128,7 @@ def braid_of_quasibijection(sigma: OrdinalMap) -> BraidWord:
     """Positive braid word lifting the permutation of a quasibijection."""
     if not sigma.is_quasibijection:
         raise NotQuasibijection("braid lift needs a bijective map")
-    return q_section(Permutation(sigma.table))
+    return q_section(sigma.table)
 
 
 def braid_of_zigzag(z: ZigZag) -> BraidWord:
@@ -215,7 +214,7 @@ def generator_span(k: int, g: int, sign: int = 1) -> ZigZag:
     if not 1 <= g <= k - 1:
         raise OutOfRange("generator index out of range", k=k, generator=g)
     flat, mid = _flat(k), _spike(k, g)
-    swap = OrdinalMap(flat, mid, transposition(k, g).image)
+    swap = OrdinalMap(flat, mid, transposition(k, g))
     idl = OrdinalMap(flat, mid, tuple(range(k)))
     if sign >= 0:
         return span(swap, idl)
@@ -292,7 +291,7 @@ def artin_diagram_check(k: int, i: int, j: int) -> DiagramCertificate:
             t[a] = b
         return tuple(t)
 
-    s = {"i": transposition(k, i).image, "j": transposition(k, j).image}
+    s = {"i": transposition(k, i), "j": transposition(k, j)}
     vi, vj = generator_span(k, i), generator_span(k, j)
 
     if abs(i - j) >= 2:
@@ -400,7 +399,7 @@ def split_zigzag(z: ZigZag, blocks: Sequence[int] | None = None) -> SplitResult:
     eta = z.legs[1][1]
     k = sigma.source.arity
 
-    omega = Permutation(tuple(eta.table[v] for v in invert(sigma.table)))
+    omega = tuple(eta.table[v] for v in invert(sigma.table))
 
     finest = direct_sum_blocks(omega)
     if blocks is None:

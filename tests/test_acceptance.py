@@ -296,7 +296,7 @@ def test_criterion_08_triviality_matches_matrix_oracle():
                 failures.append((trial, word, ours, oracle))
             if ours:
                 # necessary invariants of a trivial word
-                if b.permutation().image != (0, 1, 2):
+                if b.permutation() != (0, 1, 2):
                     failures.append((trial, word, "permutation"))
                 if b.exponent_sum() != 0:
                     failures.append((trial, word, "writhe"))

@@ -13,6 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
+
 from operadkit import zigzags
 from operadkit.braids import BraidWord
 from operadkit.cli import _build_parser, _dumps, main
@@ -237,6 +239,24 @@ def test_nerve_command(capsys):
     payload = report_of(out)["payload"]
     assert payload["cells"][0] == 3
     assert payload["euler"] == 1
+
+
+@pytest.mark.parametrize(
+    "category, cells, betti",
+    [("Q", [27, 1462, 18652, 79184, 145616, 121280, 37632], reference.q_betti(3, 4)),
+     ("J", [648, 35088, 447648, 1900416, 3494784, 2910720, 903168], reference.j_betti(3, 4))],
+    ids=["Q(3,4)", "J(3,4)"],
+)
+def test_nerve_counts_cells_it_does_not_build(capsys, category, cells, betti):
+    # the order complex of J(3,4) has 9.7 M cells, too many to build here
+    started = time.perf_counter()
+    argv = ["nerve", "--n", "3", "--k", "4", "--category", category]
+    code, out, _ = run_cli(argv, capsys)
+    assert time.perf_counter() - started < 5.0
+    assert code == 0
+    payload = report_of(out)["payload"]
+    assert payload["cells"] == cells
+    assert payload["euler"] == reference.euler(betti)
 
 
 def test_homology_matches_contract_example(capsys):

@@ -14,6 +14,14 @@ def _tree(path):
     return ast.parse(path.read_text(), filename=str(path))
 
 
+def _read_names(tree):
+    return {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_module_level_import_is_read(path):
     tree = _tree(path)
@@ -23,12 +31,24 @@ def test_every_module_level_import_is_read(path):
             for alias in node.names:
                 imported.add(alias.asname or alias.name.split(".")[0])
     imported.discard("annotations")
-    read = {
-        node.id
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
-    }
-    assert sorted(imported - read) == []
+    assert sorted(imported - _read_names(tree)) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_module_level_private_name_is_read(path):
+    # a private function, class or constant that its own module never reads
+    # is dead: no other module is meant to reach it
+    tree = _tree(path)
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                defined.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+    private = {name for name in defined if name.startswith("_") and name[:2] != "__"}
+    assert sorted(private - _read_names(tree)) == []
 
 
 def _imported_modules(tree):

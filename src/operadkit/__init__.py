@@ -10,7 +10,6 @@ flavors with exhaustive axiom checking.  A batch CLI fronts all of it.
 from . import errors
 from .errors import WorkbenchError
 from .ordinals import (
-    LevelDomain,
     NOrdinal,
     count_ordinals,
     enumerate_ordinals,

@@ -26,7 +26,7 @@ import sys
 import time
 from json.encoder import encode_basestring_ascii as _encode_str
 
-from .braids import braid_from_json, is_trivial
+from .braids import BraidWord, braid_from_json, is_trivial
 from .errors import (
     DiagramBroken,
     InvariantBroken,
@@ -114,7 +114,7 @@ def _bracket_tree(t) -> str:
     level tree (``to_tree``) below the root."""
     if t.arity == 0:
         return "()"
-    if t.domain.n == 0:
+    if t.n == 0:
         return "0"
 
     def render(node) -> str:
@@ -290,6 +290,7 @@ def _cmd_split(args, doc):
 
 
 def _cmd_artin_check(args, doc):
+    BraidWord(args.k, ())  # refuses a negative k as a negative strand count
     pairs = []
     for i in range(1, args.k):
         for j in range(1, args.k):

@@ -60,7 +60,7 @@ from .ordinal_maps import (
     morphism_violation,
     restrict_map,
 )
-from .ordinals import LevelDomain, NOrdinal, enumerate_ordinals, make_ordinal
+from .ordinals import NOrdinal, enumerate_ordinals, make_ordinal
 from .zigzags import generator_span
 
 CARRIER_CAP = 100_000
@@ -81,7 +81,7 @@ class Flavor:
             raise OutOfRange("unknown operad flavor", kind=self.kind)
         if (self.kind == "n-operad") != (self.n is not None):
             raise OutOfRange("n is set exactly for the n-operad flavor", kind=self.kind)
-        if self.n is not None and self.n < 1:
+        if self.n is not None and (type(self.n) is not int or self.n < 1):
             raise OutOfRange("n must be positive", n=self.n)
 
     @property
@@ -100,28 +100,27 @@ MIXED2 = Flavor("mixed2")
 
 
 def N_OPERAD(n: int) -> Flavor:
-    return Flavor("n-operad", int(n))
+    return Flavor("n-operad", n)
 
 
 def _line(k: int) -> NOrdinal:
     """The unique 1-ordinal of arity k."""
-    return NOrdinal(LevelDomain.finite(1), k, (0,) * max(k - 1, 0))
+    return NOrdinal(1, k, (0,) * max(k - 1, 0))
+
+
+def _index_n(flavor: Flavor) -> int:
+    """Level-domain size of the index ordinals: 1 for the arity flavors."""
+    return 1 if flavor.uses_arity_keys else flavor.n
 
 
 def _point(flavor: Flavor) -> NOrdinal:
-    if flavor.uses_arity_keys:
-        return _line(1)
-    return make_ordinal(flavor.n, (), arity=1)
+    return NOrdinal(_index_n(flavor), 1, ())
 
 
 def _index_ordinals(flavor: Flavor, bound: int) -> list[NOrdinal]:
     """Carrier index objects with arity between 1 and bound, in lex order."""
-    if flavor.uses_arity_keys:
-        return [_line(k) for k in range(1, bound + 1)]
-    out: list[NOrdinal] = []
-    for k in range(1, bound + 1):
-        out.extend(enumerate_ordinals(flavor.n, k))
-    return out
+    n = _index_n(flavor)
+    return [a for k in range(1, bound + 1) for a in enumerate_ordinals(n, k)]
 
 
 def _carrier_key(flavor: Flavor, a: NOrdinal):
@@ -1145,7 +1144,7 @@ def desymmetrise(sym: FiniteOperad, n: int, bound: int | None = None) -> FiniteO
         return sym.collection.action_of_word(total - 1, word)
 
     def supplier(sigma: OrdinalMap) -> list[int] | None:
-        if sigma.source.domain.n != n:
+        if sigma.source.n != n:
             return None
         ordered = tuple(sorted(sigma.table))
         base = sym.mult(OrdinalMap(_line(len(ordered)), _line(sigma.target.arity), ordered))
@@ -1158,7 +1157,7 @@ def desymmetrise(sym: FiniteOperad, n: int, bound: int | None = None) -> FiniteO
         # action is exactly the symmetric action of the sorting
         # permutation.  This avoids materialising the full table, whose
         # size grows with the arity-one carrier raised to the arity.
-        if sigma.source.arity > bound or sigma.source.domain.n != n:
+        if sigma.source.arity > bound or sigma.source.n != n:
             raise MissingTable(
                 "no multiplication table for this morphism",
                 morphism=morphism_key(sigma),
@@ -1446,8 +1445,7 @@ def _ordinal_from_key(flavor: Flavor, key: str) -> NOrdinal:
     arity_text, _, levels_text = key.partition(":")
     if not arity_text.isdecimal():
         raise BadDocument("bad key", field=key)
-    n = 1 if flavor.uses_arity_keys else flavor.n
-    return make_ordinal(n, _key_ints(levels_text, key), arity=int(arity_text))
+    return make_ordinal(_index_n(flavor), _key_ints(levels_text, key), arity=int(arity_text))
 
 
 def _indices(values: list, what: str, size: int) -> list:

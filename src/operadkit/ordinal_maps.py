@@ -60,11 +60,11 @@ class OrdinalMap:
 
     def __post_init__(self):
         object.__setattr__(self, "table", tuple(self.table))
-        if self.source.domain != self.target.domain:
+        if self.source.n != self.target.n:
             raise DomainMismatch(
                 "source and target must share one level domain",
-                source=self.source.domain.label(),
-                target=self.target.domain.label(),
+                source=self.source.to_json()["n"],
+                target=self.target.to_json()["n"],
             )
         if len(self.table) != self.source.arity:
             raise OutOfRange(
@@ -167,19 +167,19 @@ def induced(a: NOrdinal, positions: Sequence[int]) -> NOrdinal:
     """Sub-ordinal on a subset of positions, in position order."""
     positions = sorted(positions)
     for p in positions:
-        a._check_position(p)
+        a.check_position(p)
     if len(set(positions)) != len(positions):
         raise OutOfRange("repeated position in subset", positions=positions)
     levels = tuple(
         a.rel(positions[i], positions[i + 1]) for i in range(len(positions) - 1)
     )
-    return NOrdinal(a.domain, len(positions), levels)
+    return NOrdinal(a.n, len(positions), levels)
 
 
 def fiber(sigma: OrdinalMap, t: int) -> tuple[NOrdinal, tuple[int, ...]]:
     """Induced ordinal on the preimage of a target position, with the
     positions themselves."""
-    sigma.target._check_position(t)
+    sigma.target.check_position(t)
     positions = tuple(i for i, v in enumerate(sigma.table) if v == t)
     return induced(sigma.source, positions), positions
 
@@ -265,15 +265,16 @@ def factorize(sigma: OrdinalMap) -> Factorization:
     order = sorted(range(k), key=lambda p: (f[p], p))
     rank = invert_image(order)
 
-    domain = sigma.source.domain
+    n = sigma.source.n
+    top = 0 if n is None else n - 1
     levels = []
     for r in range(k - 1):
         a, b = order[r], order[r + 1]
         if f[a] == f[b]:
-            levels.append(domain.top())
+            levels.append(top)
         else:
             levels.append(sigma.target.rel(f[a], f[b]))
-    middle = NOrdinal(domain, k, tuple(levels))
+    middle = NOrdinal(n, k, tuple(levels))
     pi = OrdinalMap(sigma.source, middle, rank)
     nu = OrdinalMap(middle, sigma.target, tuple(f[p] for p in order))
     return Factorization(pi, middle, nu)

@@ -5,7 +5,8 @@ An n-ordinal is a finite set {0, ..., k-1} together with relations
 way and a <_p b, b <_q c forces a <_{min(p,q)} c.  Such a structure is
 determined by the linear order underlying the relations together with the
 sequence of levels between consecutive elements, so we store an ordinal as
-that level sequence over the position order.  Infinite-ordinals use
+NOrdinal(n, arity, levels): that level sequence over the position order.
+Infinite-ordinals have n = None ("inf" in JSON and make_ordinal) and use
 non-positive levels instead, with 0 the top level.
 """
 
@@ -29,61 +30,43 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class LevelDomain:
-    """Set of admissible relation levels: {0..n-1} or all integers <= 0."""
+def _check_n(n) -> None:
+    """Refuse ``n`` unless it is a finite level-domain size."""
+    if type(n) is not int or n < 0:
+        raise OutOfRange("level domain size must be a non-negative integer", n=n)
 
-    n: int | None  # None means the infinite domain
 
-    def __post_init__(self):
-        if self.n is not None and (not isinstance(self.n, int) or self.n < 0):
-            raise OutOfRange("level domain size must be a non-negative integer", n=self.n)
+def _in_domain(n: int | None, level) -> bool:
+    """Whether ``level`` lies in {0..n-1}, or is <= 0 when n is None."""
+    return type(level) is int and (level <= 0 if n is None else 0 <= level < n)
 
-    @classmethod
-    def finite(cls, n: int) -> "LevelDomain":
-        return cls(n)
 
-    @classmethod
-    def infinite(cls) -> "LevelDomain":
-        return cls(None)
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.n is None
-
-    def contains(self, level: int) -> bool:
-        if not isinstance(level, int) or isinstance(level, bool):
-            return False
-        if self.n is None:
-            return level <= 0
-        return 0 <= level < self.n
-
-    def top(self) -> int:
-        """The maximal level: n-1 for finite domains, 0 for the infinite one."""
-        if self.n is None:
-            return 0
-        if self.n == 0:
-            raise OutOfRange("empty level domain has no top level", n=0)
-        return self.n - 1
-
-    def label(self):
-        return "inf" if self.n is None else self.n
+def _parse_n(n) -> int | None:
+    """A caller's or a JSON document's ``n`` as an NOrdinal holds it: "inf"
+    and None name the infinite domain."""
+    if n in ("inf", None):
+        return None
+    _check_n(n)
+    return n
 
 
 @dataclass(frozen=True)
 class NOrdinal:
     """A higher ordinal in canonical position order.
 
+    ``n`` is the level-domain size, or None for the infinite domain.
     ``levels[i]`` is the relation level between positions i and i+1; the
     level between positions a < b is the minimum of ``levels[a:b]``.
     """
 
-    domain: LevelDomain
+    n: int | None
     arity: int
     levels: tuple[int, ...]
 
     def __post_init__(self):
-        if not isinstance(self.arity, int) or self.arity < 0:
+        if self.n is not None:
+            _check_n(self.n)
+        if type(self.arity) is not int or self.arity < 0:
             raise OutOfRange("arity must be a non-negative integer", arity=self.arity)
         object.__setattr__(self, "levels", tuple(self.levels))
         expected = max(self.arity - 1, 0)
@@ -94,24 +77,24 @@ class NOrdinal:
                 got=len(self.levels),
             )
         for i, lv in enumerate(self.levels):
-            if not self.domain.contains(lv):
+            if not _in_domain(self.n, lv):
                 raise LevelOutOfDomain(
                     f"level {lv} at gap {i} is outside the domain",
                     level=lv,
                     index=i,
-                    domain=self.domain.label(),
+                    domain=self.to_json()["n"],
                 )
 
     # -- relations ----------------------------------------------------
 
-    def _check_position(self, a: int) -> None:
+    def check_position(self, a: int) -> None:
         if not 0 <= a < self.arity:
             raise OutOfRange("position outside the underlying set", position=a, arity=self.arity)
 
     def relation_of(self, a: int, b: int) -> int:
         """Level p such that min(a,b) <_p max(a,b)."""
-        self._check_position(a)
-        self._check_position(b)
+        self.check_position(a)
+        self.check_position(b)
         if a == b:
             raise SameElement("no relation between an element and itself", position=a)
         lo, hi = (a, b) if a < b else (b, a)
@@ -144,11 +127,11 @@ class NOrdinal:
     # -- serialisation ------------------------------------------------
 
     def to_json(self) -> dict:
-        return {"n": self.domain.label(), "k": self.arity, "levels": list(self.levels)}
+        n = "inf" if self.n is None else self.n
+        return {"n": n, "k": self.arity, "levels": list(self.levels)}
 
     def __str__(self) -> str:
-        dom = self.domain.label()
-        return f"NOrdinal(n={dom}, levels={list(self.levels)})"
+        return f"NOrdinal(n={self.to_json()['n']}, levels={list(self.levels)})"
 
 
 def make_ordinal(n, levels: Sequence[int], arity: int | None = None) -> NOrdinal:
@@ -157,11 +140,10 @@ def make_ordinal(n, levels: Sequence[int], arity: int | None = None) -> NOrdinal
     ``n`` is a non-negative integer or "inf"/None.  ``arity`` defaults to
     len(levels) + 1; pass it explicitly to build the empty ordinal.
     """
-    domain = LevelDomain.infinite() if n in ("inf", None) else LevelDomain.finite(n)
     levels = tuple(levels)
     if arity is None:
         arity = len(levels) + 1
-    return NOrdinal(domain, arity, levels)
+    return NOrdinal(_parse_n(n), arity, levels)
 
 
 def ordinal_from_json(obj: dict) -> NOrdinal:
@@ -182,7 +164,7 @@ def from_relations(n, labels: Sequence, table: dict) -> tuple[NOrdinal, tuple]:
     with the lexicographically first witness, then returns the ordinal in
     position order together with the label order.
     """
-    domain = LevelDomain.infinite() if n in ("inf", None) else LevelDomain.finite(n)
+    n = _parse_n(n)
     labels = tuple(labels)
     index = {lab: i for i, lab in enumerate(labels)}
     if len(index) != len(labels):
@@ -193,7 +175,7 @@ def from_relations(n, labels: Sequence, table: dict) -> tuple[NOrdinal, tuple]:
             raise OutOfRange("relation mentions an unknown label", pair=[a, b])
         if a == b:
             raise SameElement("relation relates an element to itself", label=a)
-        if not domain.contains(p):
+        if not _in_domain(n, p):
             raise LevelOutOfDomain(f"level {p} outside the domain", level=p, pair=[a, b])
 
     k = len(labels)
@@ -237,7 +219,7 @@ def from_relations(n, labels: Sequence, table: dict) -> tuple[NOrdinal, tuple]:
 
     order = sorted(labels, key=functools.cmp_to_key(lambda a, b: -1 if before(a, b) else 1))
     levels = tuple(directed[(order[i], order[i + 1])] for i in range(k - 1))
-    return NOrdinal(domain, k, levels), tuple(order)
+    return NOrdinal(n, k, levels), tuple(order)
 
 
 # -- sums and suspensions -----------------------------------------------
@@ -245,48 +227,45 @@ def from_relations(n, labels: Sequence, table: dict) -> tuple[NOrdinal, tuple]:
 
 def ordinal_sum(a: NOrdinal, b: NOrdinal) -> NOrdinal:
     """Concatenation with a single level-0 gap between the summands."""
-    if a.domain != b.domain:
+    if a.n != b.n:
         raise DomainMismatch(
             "summands live over different level domains",
-            left=a.domain.label(),
-            right=b.domain.label(),
+            left=a.to_json()["n"],
+            right=b.to_json()["n"],
         )
-    if not a.domain.contains(0):
+    if a.n == 0:
         raise LevelOutOfDomain("the sum needs level 0 in the domain", level=0)
     if a.arity == 0:
         return b
     if b.arity == 0:
         return a
-    return NOrdinal(a.domain, a.arity + b.arity, a.levels + (0,) + b.levels)
+    return NOrdinal(a.n, a.arity + b.arity, a.levels + (0,) + b.levels)
 
 
 def suspend_vertical(a: NOrdinal, n: int) -> NOrdinal:
     """Reindex an m-ordinal as an n-ordinal by shifting all levels up by n - m."""
-    if a.domain.is_infinite:
+    if a.n is None:
         raise DomainMismatch("vertical suspension applies to finite-level ordinals")
-    m = a.domain.n
-    if n < m:
-        raise TargetTooSmall("cannot suspend downwards", source=m, target=n)
-    shift = n - m
-    return NOrdinal(LevelDomain.finite(n), a.arity, tuple(lv + shift for lv in a.levels))
+    if n < a.n:
+        raise TargetTooSmall("cannot suspend downwards", source=a.n, target=n)
+    shift = n - a.n
+    return NOrdinal(n, a.arity, tuple(lv + shift for lv in a.levels))
 
 
 def suspend_horizontal(a: NOrdinal, n: int) -> NOrdinal:
     """Reindex an m-ordinal as an n-ordinal keeping every level as it is."""
-    if a.domain.is_infinite:
+    if a.n is None:
         raise DomainMismatch("horizontal suspension applies to finite-level ordinals")
-    m = a.domain.n
-    if n < m:
-        raise TargetTooSmall("cannot suspend downwards", source=m, target=n)
-    return NOrdinal(LevelDomain.finite(n), a.arity, a.levels)
+    if n < a.n:
+        raise TargetTooSmall("cannot suspend downwards", source=a.n, target=n)
+    return NOrdinal(n, a.arity, a.levels)
 
 
 def suspend_infinite(a: NOrdinal) -> NOrdinal:
     """Send an n-ordinal to the infinite-level ordinal, top level landing on 0."""
-    if a.domain.is_infinite:
+    if a.n is None:
         return a
-    n = a.domain.n
-    return NOrdinal(LevelDomain.infinite(), a.arity, tuple(lv - n + 1 for lv in a.levels))
+    return NOrdinal(None, a.arity, tuple(lv - a.n + 1 for lv in a.levels))
 
 
 # -- enumeration --------------------------------------------------------
@@ -294,23 +273,18 @@ def suspend_infinite(a: NOrdinal) -> NOrdinal:
 
 def enumerate_ordinals(n: int, k: int) -> Iterator[NOrdinal]:
     """All n-ordinals of arity k, in lexicographic level-sequence order."""
-    domain = LevelDomain.finite(n)
-    if k <= 1:
-        yield NOrdinal(domain, k, ())
-        return
-    for seq in itertools.product(range(n), repeat=k - 1):
-        yield NOrdinal(domain, k, seq)
+    _check_n(n)
+    for seq in itertools.product(range(n), repeat=max(k - 1, 0)):
+        yield NOrdinal(n, k, seq)
 
 
 def count_ordinals(n: int, k: int) -> int:
     """The number of n-ordinals of arity k, for the n and k that
     enumerate_ordinals accepts; others raise OutOfRange."""
-    LevelDomain.finite(n)
-    if not isinstance(k, int) or k < 0:
+    _check_n(n)
+    if type(k) is not int or k < 0:
         raise OutOfRange("arity must be a non-negative integer", arity=k)
-    if k <= 1:
-        return 1
-    return n ** (k - 1)
+    return n ** max(k - 1, 0)
 
 
 def unrank(n: int, k: int, r: int) -> NOrdinal:
@@ -322,7 +296,7 @@ def unrank(n: int, k: int, r: int) -> NOrdinal:
     levels = [0] * max(k - 1, 0)
     for i in reversed(range(len(levels))):
         r, levels[i] = divmod(r, n)
-    return NOrdinal(LevelDomain.finite(n), k, tuple(levels))
+    return NOrdinal(n, k, tuple(levels))
 
 
 # -- planar level trees --------------------------------------------------
@@ -334,9 +308,9 @@ def to_tree(a: NOrdinal):
     Leaves are the positions 0..k-1 in order; two consecutive leaves branch
     apart at depth equal to the level between them.
     """
-    if a.domain.is_infinite:
+    n = a.n
+    if n is None:
         raise MalformedTree("tree form is only defined over finite level domains")
-    n = a.domain.n
     if n < 1:
         raise MalformedTree("tree form needs at least one level", n=n)
 
@@ -360,13 +334,13 @@ def to_tree(a: NOrdinal):
 
 def from_tree(n, tree) -> NOrdinal:
     """Decode a nested list of depth n back into an n-ordinal."""
-    domain = LevelDomain.infinite() if n in ("inf", None) else LevelDomain.finite(n)
-    if domain.is_infinite:
+    n = _parse_n(n)
+    if n is None:
         raise MalformedTree("tree form is only defined over finite level domains")
     if n < 1:
         raise MalformedTree("tree form needs at least one level", n=n)
     if tree == []:
-        return NOrdinal(domain, 0, ())
+        return NOrdinal(n, 0, ())
 
     leaves: list[int] = []
     levels: list[int] = []
@@ -392,4 +366,4 @@ def from_tree(n, tree) -> NOrdinal:
     walk(tree, 0)
     if leaves != list(range(len(leaves))):
         raise MalformedTree("leaves must read 0..k-1 left to right", leaves=leaves)
-    return NOrdinal(domain, len(leaves), tuple(levels))
+    return NOrdinal(n, len(leaves), tuple(levels))

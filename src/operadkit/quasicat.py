@@ -29,7 +29,7 @@ from .errors import (
 )
 from .homology import ChainComplex
 from .ordinal_maps import enumerate_maps
-from .ordinals import LevelDomain, NOrdinal, enumerate_ordinals
+from .ordinals import NOrdinal, count_ordinals, enumerate_ordinals
 
 
 def _bits(mask: int) -> list[int]:
@@ -245,7 +245,7 @@ def build_j(n: int, k: int) -> MilgramPoset:
     first, one arity at a time so that any k is cheap: at the first
     partial count whose square passes LIST_CAP, ResourceLimit is raised.
     """
-    LevelDomain.finite(n)
+    count_ordinals(n, 0)  # refuses a bad n before anything is multiplied
     size = 1
     for m in range(2, k + 1):
         size *= m * n

@@ -104,7 +104,7 @@ class StratumLabel:
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
-        if self.ordinal.domain.is_infinite:
+        if self.ordinal.n is None:
             raise OutOfRange("strata live over a finite level domain")
         if sorted(self.labels) != list(range(self.ordinal.arity)):
             raise OutOfRange(
@@ -174,7 +174,7 @@ def classify_stratum(c: Configuration) -> StratumLabel:
 def _sample_points(label: StratumLabel) -> list[tuple]:
     """Coordinates of sample_stratum, as a list of tuples by label."""
     levels = label.ordinal.levels
-    coords = [0] * label.ordinal.domain.n
+    coords = [0] * label.ordinal.n
     placed = [()] * len(label.labels)
     for r, lab in enumerate(label.labels):
         if r:
@@ -192,7 +192,7 @@ def sample_stratum(label: StratumLabel) -> Configuration:
     of earlier separations at level <= j, so consecutive points first
     differ exactly at their relation level.
     """
-    return Configuration(label.ordinal.domain.n, tuple(_sample_points(label)))
+    return Configuration(label.ordinal.n, tuple(_sample_points(label)))
 
 
 @dataclass
@@ -274,7 +274,7 @@ def degeneration_check(upper: StratumLabel, lower: StratumLabel) -> bool:
     collide there.
     """
     if (
-        upper.ordinal.domain != lower.ordinal.domain
+        upper.ordinal.n != lower.ordinal.n
         or upper.ordinal.arity != lower.ordinal.arity
     ):
         raise DimensionMismatch(

@@ -48,7 +48,7 @@ from .ordinal_maps import (
     map_from_json,
     restrict_map,
 )
-from .ordinals import LevelDomain, NOrdinal, ordinal_sum
+from .ordinals import NOrdinal, ordinal_sum
 
 
 @dataclass(frozen=True)
@@ -191,18 +191,18 @@ def _as_span(z: ZigZag):
 
 
 def _flat(k: int) -> NOrdinal:
-    return NOrdinal(LevelDomain.finite(2), k, (0,) * max(k - 1, 0))
+    return NOrdinal(2, k, (0,) * max(k - 1, 0))
 
 
 def _sharp(k: int) -> NOrdinal:
-    return NOrdinal(LevelDomain.finite(2), k, (1,) * max(k - 1, 0))
+    return NOrdinal(2, k, (1,) * max(k - 1, 0))
 
 
 def _spike(k: int, g: int) -> NOrdinal:
     """All levels 0 except a single 1 at gap g-1."""
     levels = [0] * max(k - 1, 0)
     levels[g - 1] = 1
-    return NOrdinal(LevelDomain.finite(2), k, tuple(levels))
+    return NOrdinal(2, k, tuple(levels))
 
 
 def generator_span(k: int, g: int, sign: int = 1) -> ZigZag:
@@ -474,7 +474,7 @@ def split_zigzag(z: ZigZag, blocks: Sequence[int] | None = None) -> SplitResult:
 
 def _ordinal_sum_many(parts, fallback: NOrdinal) -> NOrdinal:
     if not parts:
-        return NOrdinal(fallback.domain, 0, ())
+        return NOrdinal(fallback.n, 0, ())
     out = parts[0]
     for part in parts[1:]:
         out = ordinal_sum(out, part)

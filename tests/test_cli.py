@@ -192,6 +192,31 @@ def test_check_map_fail_has_witness(capsys, monkeypatch):
     assert rep["payload"]["witness"]["pair"] == [0, 1]
 
 
+@pytest.mark.parametrize(
+    "command, doc, field",
+    [
+        (
+            "check-map",
+            {"source": {"n": True, "levels": []}, "target": {"n": True, "levels": []}, "f": [0]},
+            "n",
+        ),
+        (
+            "check-map",
+            {"source": {"n": 2, "k": True, "levels": []}, "target": {"n": 2, "levels": []}, "f": [0]},
+            "arity",
+        ),
+        ("sample", {"ordinal": {"n": True, "levels": [0]}, "labels": [1, 0]}, "n"),
+    ],
+    ids=["check-map-n", "check-map-k", "sample-n"],
+)
+def test_a_bool_n_or_k_is_refused(capsys, monkeypatch, command, doc, field):
+    # JSON true is not the int 1
+    code, out, _ = run_cli([command], capsys, monkeypatch, stdin_text=json.dumps(doc))
+    assert code == 2
+    diagnostic = report_of(out)["payload"]["diagnostic"]
+    assert diagnostic["code"] == "OUT_OF_RANGE" and diagnostic[field] is True
+
+
 def test_factorize_command(capsys, monkeypatch):
     doc = {
         "source": {"n": 2, "levels": [0, 1, 0]},
@@ -412,6 +437,16 @@ def test_artin_check_command(capsys):
     relations = {(p["i"], p["j"]): p["relation"] for p in payload["pairs"]}
     assert relations[(1, 3)] == "far-commutation"
     assert relations[(1, 2)] == "braid"
+
+
+def test_artin_check_refuses_a_negative_k(capsys):
+    code, out, _ = run_cli(["artin-check", "--k", "-5"], capsys)
+    assert code == 2
+    assert report_of(out)["payload"]["diagnostic"] == {
+        "code": "OUT_OF_RANGE",
+        "message": "strand count must be non-negative",
+        "strands": -5,
+    }
 
 
 def test_operad_check_builtin(capsys, monkeypatch):

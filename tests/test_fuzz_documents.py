@@ -1,15 +1,17 @@
-"""Every command that reads a document answers any JSON with one report.
+"""Every command answers any input with one report.
 
 Hypothesis feeds the nine document-reading commands arbitrary JSON, and
 single-field mutations (one field replaced by arbitrary JSON, or deleted)
-of one valid document per command.  Each input must give exactly one JSON
-run report on stdout, an exit code in {0, 1, 2} that matches its outcome,
-and no traceback.
+of one valid document per command.  The eight flag-only commands run on a
+grid of small n and k, negative ones included.  Each input must give
+exactly one JSON run report on stdout, an exit code in {0, 1, 2} that
+matches its outcome, and no traceback.
 
-Sizes stay small: integers are drawn from -4..8 and every "bound" is at
-most 3.  Commands do not yet predict their work and refuse inputs over a
-budget (ROADMAP item 5), so a large bound or strand count makes them run
-for minutes or exhaust memory instead of failing.
+Sizes stay small: integers are drawn from -4..8, every "bound" is at most
+3, and the flags stay at n <= 2 and k <= 3.  Commands do not yet predict
+all of their work and refuse inputs over a budget (ROADMAP item 6), so a
+large bound, strand count or flag makes them run for minutes or exhaust
+memory instead of failing.
 """
 
 import contextlib
@@ -97,13 +99,13 @@ def _cap_bounds(node):
     return node
 
 
-def _run(command: str, doc) -> tuple[int, str, str]:
+def _run(argv: list, doc=None) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     stdin = sys.stdin
     sys.stdin = io.StringIO(json.dumps(doc))
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([command])
+            code = main(argv)
     finally:
         sys.stdin = stdin
     return code, out.getvalue(), err.getvalue()
@@ -120,10 +122,42 @@ def test_any_document_gets_one_report(command):
     )
     @given(st.one_of(JSON, _mutations(VALID[command])))
     def check(doc):
-        code, out, err = _run(command, _cap_bounds(doc))
-        report = json.loads(out)
-        assert report["command"] == command
-        assert (report["outcome"], code) in {("PASS", 0), ("FAIL", 1), ("ERROR", 2)}
-        assert "Traceback" not in err
+        _assert_one_report([command], *_run([command], _cap_bounds(doc)))
 
     check()
+
+
+def _assert_one_report(argv, code, out, err):
+    report = json.loads(out)
+    assert report["command"] == argv[0]
+    assert (report["outcome"], code) in {("PASS", 0), ("FAIL", 1), ("ERROR", 2)}
+    assert "Traceback" not in err
+
+
+# the flags each flag-only command runs with besides --n and --k
+FLAG_COMMANDS = {
+    "enumerate": [[]],
+    "build-q": [[]],
+    "build-j": [[]],
+    "nerve": [["--category", "Q"], ["--category", "J"]],
+    "homology": [["--category", "Q"], ["--category", "J"]],
+    "verify-partition": [["--trials", "0"], ["--trials", "5"]],
+    "degeneration": [[]],
+}
+
+
+def _flag_runs():
+    for k in range(-1, 4):
+        yield ["artin-check", "--k", str(k)]
+        for n in range(-1, 3):
+            for command, extras in FLAG_COMMANDS.items():
+                for extra in extras:
+                    yield [command, "--n", str(n), "--k", str(k), *extra]
+
+
+@pytest.mark.parametrize("argv", list(_flag_runs()), ids=" ".join)
+def test_flag_only_commands_answer_with_one_report(argv):
+    code, out, err = _run(argv)
+    _assert_one_report(argv, code, out, err)
+    if "-1" in argv:  # the one negative value the grid gives n or k
+        assert code == 2, out

@@ -92,6 +92,12 @@ def test_flavor_validation():
         Flavor("symmetric", 2)
     with pytest.raises(OutOfRange):
         N_OPERAD(0)
+    # n is taken as it is: no coercion of a float, a string or a bool
+    for n in (2.5, 2.0, "3", True):
+        with pytest.raises(OutOfRange):
+            N_OPERAD(n)
+        with pytest.raises(OutOfRange):
+            Flavor("n-operad", n)
 
 
 def test_terminal_operads_pass_all_flavors():

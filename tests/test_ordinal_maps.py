@@ -171,6 +171,13 @@ def test_factorize_degenerate_cases():
         assert factorize(sigma).pi.is_identity
 
 
+def test_factorize_gives_a_fiber_the_top_level():
+    # the top level is n - 1 over a finite domain and 0 over the infinite one
+    for n, top in ((3, 2), ("inf", 0)):
+        sigma = OrdinalMap(make_ordinal(n, [0]), make_ordinal(n, [], arity=1), (0, 0))
+        assert factorize(sigma).middle == make_ordinal(n, [top])
+
+
 def test_map_json_round_trip():
     t = make_ordinal(2, [1, 0])
     sigma = OrdinalMap(t, make_ordinal(2, [1]), (0, 1, 0))

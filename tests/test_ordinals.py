@@ -11,7 +11,6 @@ from operadkit.errors import (
     TargetTooSmall,
 )
 from operadkit.ordinals import (
-    LevelDomain,
     NOrdinal,
     count_ordinals,
     enumerate_ordinals,
@@ -53,15 +52,47 @@ def test_relation_errors():
 
 
 def test_level_domains():
-    fin = LevelDomain.finite(3)
-    assert fin.contains(0) and fin.contains(2) and not fin.contains(3)
-    assert not fin.contains(-1)
-    assert fin.top() == 2
-    inf = LevelDomain.infinite()
-    assert inf.contains(0) and inf.contains(-17) and not inf.contains(1)
-    assert inf.top() == 0
+    # levels 0..n-1 over a finite n; the non-positive levels over n = None,
+    # which make_ordinal and JSON also accept as "inf"
+    for n, inside, outside in ((3, (0, 2), (3, -1, True)), ("inf", (0, -17), (1, False))):
+        for lv in inside:
+            assert make_ordinal(n, [lv]).levels == (lv,)
+        for lv in outside:
+            with pytest.raises(LevelOutOfDomain):
+                make_ordinal(n, [lv])
+    assert make_ordinal("inf", [-1]) == make_ordinal(None, [-1]) == NOrdinal(None, 2, (-1,))
+    assert make_ordinal(3, [2]) == NOrdinal(3, 2, (2,))
+    assert not hasattr(make_ordinal(3, [2]), "domain")
+    # "inf" is how callers and JSON spell n = None, not a value an ordinal holds
     with pytest.raises(OutOfRange):
-        LevelDomain.finite(0).top()
+        NOrdinal("inf", 1, ())
+
+
+@pytest.mark.parametrize(
+    "n, arity, payload",
+    [
+        (True, 1, {"n": True}),
+        (2.0, 1, {"n": 2.0}),
+        ("2", 1, {"n": "2"}),
+        (-1, 1, {"n": -1}),
+        (2, True, {"arity": True}),
+        (2, 1.0, {"arity": 1.0}),
+        (2, -1, {"arity": -1}),
+    ],
+)
+def test_ordinal_refuses_a_bool_or_non_integer_n_or_arity(n, arity, payload):
+    if "n" in payload:
+        message = "level domain size must be a non-negative integer"
+    else:
+        message = "arity must be a non-negative integer"
+    for build in (
+        lambda: NOrdinal(n, arity, ()),
+        lambda: ordinal_from_json({"n": n, "k": arity, "levels": []}),
+    ):
+        with pytest.raises(OutOfRange) as e:
+            build()
+        # repr, since True == 1 and 2.0 == 2
+        assert (e.value.message, repr(e.value.payload)) == (message, repr(payload))
 
 
 def test_level_out_of_domain():
@@ -78,7 +109,7 @@ def test_small_arities():
     single = make_ordinal(2, [], arity=1)
     assert empty.arity == 0 and single.arity == 1
     with pytest.raises(OutOfRange):
-        NOrdinal(LevelDomain.finite(2), 3, (0,))
+        NOrdinal(2, 3, (0,))
 
 
 def test_enumeration_is_lexicographic():
@@ -88,6 +119,12 @@ def test_enumeration_is_lexicographic():
     assert count_ordinals(3, 5) == 81
     assert count_ordinals(7, 1) == 1
     assert count_ordinals(7, 0) == 1
+    # enumeration is over a finite domain, even where one ordinal would do
+    for n, k in ((None, 1), (True, 2), (2, True)):
+        with pytest.raises(OutOfRange):
+            count_ordinals(n, k)
+    with pytest.raises(OutOfRange):
+        next(enumerate_ordinals(None, 1))
 
 
 def test_unrank_is_the_enumeration_order():
@@ -136,11 +173,11 @@ def test_infinite_sum_keeps_level_zero_gap():
 def test_suspensions():
     a = make_ordinal(2, [0, 1])
     up = suspend_vertical(a, 4)
-    assert up.levels == (2, 3) and up.domain.n == 4
+    assert up.levels == (2, 3) and up.n == 4
     flat = suspend_horizontal(a, 4)
-    assert flat.levels == (0, 1) and flat.domain.n == 4
+    assert flat.levels == (0, 1) and flat.n == 4
     inf = suspend_infinite(a)
-    assert inf.levels == (-1, 0) and inf.domain.is_infinite
+    assert inf.levels == (-1, 0) and inf.n is None
     assert suspend_vertical(a, 2) == a
     with pytest.raises(TargetTooSmall):
         suspend_vertical(a, 1)

@@ -51,6 +51,36 @@ def test_every_module_level_private_name_is_read(path):
     assert sorted(private - _read_names(tree)) == []
 
 
+def _is_private(name):
+    return name.startswith("_") and name[:2] != "__"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_reads_another_modules_private_names(path):
+    # a private name is imported from nowhere, and read as an attribute
+    # only where the module itself defines or assigns it
+    tree = _tree(path)
+    defined = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            defined.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            defined.add(node.attr)
+    reads = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            reads += [(node.lineno, a.name) for a in node.names if _is_private(a.name)]
+        elif (
+            isinstance(node, ast.Attribute)
+            and _is_private(node.attr)
+            and node.attr not in defined
+        ):
+            reads.append((node.lineno, node.attr))
+    assert reads == []
+
+
 def _imported_modules(tree):
     """Every module the file names in an import statement, an
     importlib.import_module call or an __import__ call."""

@@ -22,12 +22,12 @@ from functools import cached_property
 from typing import Sequence
 
 from .errors import (
-    LIST_CAP,
     LengthMismatch,
     OutOfRange,
     ResourceLimit,
     StrandMismatch,
     decode,
+    within_cap,
 )
 
 
@@ -149,10 +149,7 @@ def braid_from_json(obj: dict) -> BraidWord:
     if not isinstance(obj, dict) or not {"strands", "word"} <= set(obj):
         raise OutOfRange("braid object needs 'strands' and 'word' fields", got=obj)
     strands = decode(obj["strands"], int, "strands")
-    if strands > LIST_CAP:
-        raise ResourceLimit(
-            "a braid document names too many strands", predicted=strands, cap=LIST_CAP
-        )
+    within_cap(strands, "a braid document names too many strands")
     return BraidWord(strands, tuple(decode(obj["word"], list, "word")))
 
 

@@ -153,6 +153,14 @@ def decode(value, kind, what: str, size: int | None = None):
 LIST_CAP = 2**24
 
 
+def within_cap(predicted: int, message: str, **where: Any) -> int:
+    """Return a prediction of work if it is within LIST_CAP; past the cap,
+    raise ResourceLimit with ``message``, ``where``, the prediction and the cap."""
+    if predicted > LIST_CAP:
+        raise ResourceLimit(message, **where, predicted=predicted, cap=LIST_CAP)
+    return predicted
+
+
 def printable(value: int, what: str) -> int:
     """Return an integer a report will hold if it can be printed.
 

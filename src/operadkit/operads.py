@@ -37,7 +37,6 @@ from .braids import (
     transposition,
 )
 from .errors import (
-    LIST_CAP,
     BadDocument,
     BoundExceeded,
     InvariantBroken,
@@ -48,6 +47,7 @@ from .errors import (
     RelationFailed,
     ResourceLimit,
     decode,
+    within_cap,
 )
 from .ordinal_maps import (
     OrdinalMap,
@@ -422,12 +422,7 @@ def _surjections(op: FiniteOperad, bound: int) -> dict[tuple, _Surjection]:
     first one is tested."""
     size = {key: len(elems) for key, elems in op.collection.carrier.items()}
     objs = _index_ordinals(op.flavor, bound)
-    predicted = _candidate_count(objs)
-    if predicted > LIST_CAP:
-        raise ResourceLimit(
-            "too many candidate maps between index ordinals",
-            predicted=predicted, cap=LIST_CAP,
-        )
+    within_cap(_candidate_count(objs), "too many candidate maps between index ordinals")
     out = {}
     for t, s, table in _candidates(objs):
         if len(set(table)) != s.arity or morphism_violation(t, s, table) is not None:
@@ -541,12 +536,7 @@ def check_operad_axioms(op: FiniteOperad, bound: int | None = None) -> AxiomRepo
     if op.unit not in op.carrier_of(_point(op.flavor)):
         raise InvariantBroken("unit element is not in the arity-one carrier")
     records = _surjections(op, bound)
-    longest = _longest_list(records.values())
-    if longest > LIST_CAP:
-        raise ResourceLimit(
-            "an axiom check would build too long a list",
-            predicted=longest, cap=LIST_CAP,
-        )
+    within_cap(_longest_list(records.values()), "an axiom check would build too long a list")
     covered = _covered(op, records)
     failures = [
         AxiomFailure("coverage", rec.name, ())
@@ -1408,12 +1398,9 @@ def operad_to_json(op: FiniteOperad) -> dict:
         for (key, i), image in sorted(coll.actions.items(), key=lambda kv: kv[0])
     }
     records = _surjections(op, op.bound).values()
-    entries = _payload_entries(records)
-    if entries > LIST_CAP:
-        raise ResourceLimit(
-            "an operad document would hold too many table entries",
-            predicted=entries, cap=LIST_CAP,
-        )
+    within_cap(
+        _payload_entries(records), "an operad document would hold too many table entries"
+    )
     mult = {}
     for rec in sorted(records, key=lambda rec: rec.name):
         nested = op.table(rec.morphism)

@@ -23,9 +23,8 @@ from .errors import (
     AntisymmetryViolation,
     EndoFound,
     IsoCheckFailed,
-    LIST_CAP,
-    ResourceLimit,
     StrictnessRequired,
+    within_cap,
 )
 from .homology import ChainComplex
 from .ordinal_maps import enumerate_maps
@@ -249,11 +248,7 @@ def build_j(n: int, k: int) -> MilgramPoset:
     size = 1
     for m in range(2, k + 1):
         size *= m * n
-        if size * size > LIST_CAP:
-            raise ResourceLimit(
-                "too many ordered pairs of elements to test",
-                n=n, k=k, predicted=size * size, cap=LIST_CAP,
-            )
+        within_cap(size * size, "too many ordered pairs of elements to test", n=n, k=k)
     elements = tuple(
         (t, pi)
         for t in enumerate_ordinals(n, k)
@@ -313,10 +308,7 @@ def _chain_counts(heads: list, max_dim: int | None, message: str, **where) -> li
         if not count:
             break
         counts.append(count)
-        if sum(counts) > LIST_CAP:
-            raise ResourceLimit(
-                message, **where, dim=len(counts) - 1, predicted=sum(counts), cap=LIST_CAP
-            )
+        within_cap(sum(counts), message, **where, dim=len(counts) - 1)
     return counts
 
 

@@ -35,6 +35,7 @@ from .errors import (
     WorkbenchError,
     decode,
     printable,
+    within_cap,
 )
 from .homology import homology
 from .operads import (
@@ -291,6 +292,9 @@ def _cmd_split(args, doc):
 
 def _cmd_artin_check(args, doc):
     BraidWord(args.k, ())  # refuses a negative k as a negative strand count
+    # each of the (k-1)(k-2) ordered pairs validates its maps in O(k^2) steps
+    steps = (args.k - 1) * (args.k - 2) * args.k**2
+    within_cap(steps, "too many steps to certify every generator pair", k=args.k)
     pairs = []
     for i in range(1, args.k):
         for j in range(1, args.k):

@@ -143,13 +143,13 @@ def decode(value, kind, what: str, size: int | None = None):
     return value
 
 
-# Longest flat list an axiom check builds (a multiplication table, or one
-# side of an associativity instance), the most table entries an operad
-# document holds, the most candidate maps tested for the surjections
-# between index ordinals, the most strands a braid document names, the
-# most ordered pairs of J's elements build_j tests, and the most cells of
-# a nerve.  End{0,1} at bound 3 needs 2**20 entries; terminal
-# N_OPERAD(2) at bound 5 tests 967,423 candidates.
+# The one work budget, read only by within_cap: the most candidate maps
+# build_q tests, ordered pairs of J's elements build_j tests, cells of a
+# nerve, artin-check steps, strands a braid document names, candidate
+# maps between index ordinals, entries of the longest list an axiom check
+# builds (a table, or one side of an associativity instance) and table
+# entries an operad document holds.  End{0,1} at bound 3 needs 2**20
+# entries; terminal N_OPERAD(2) at bound 5 tests 967,423 candidates.
 LIST_CAP = 2**24
 
 

@@ -149,6 +149,8 @@ def make_ordinal(n, levels: Sequence[int], arity: int | None = None) -> NOrdinal
 def ordinal_from_json(obj: dict) -> NOrdinal:
     if not isinstance(obj, dict) or "n" not in obj or "levels" not in obj:
         raise OutOfRange("ordinal object needs 'n' and 'levels' fields", got=obj)
+    if obj["n"] is None:  # a document spells the infinite domain "inf" only
+        _check_n(None)
     arity = obj.get("k")
     return make_ordinal(obj["n"], decode(obj["levels"], list, "levels"), arity=arity)
 

@@ -70,7 +70,15 @@ class QuasiCategory:
 
 
 def build_q(n: int, k: int) -> QuasiCategory:
-    """All n-ordinals of arity k with every quasibijection between them."""
+    """All n-ordinals of arity k with every quasibijection between them; the
+    k! tables per ordered pair, n^(2(k-1)) k! in all, are predicted as in build_j."""
+    count_ordinals(n, 0)  # refuses a bad n before anything is multiplied
+    candidates = 1
+    for m in range(2, k + 1):
+        candidates *= n * n * m
+        within_cap(candidates, "too many candidate maps between objects to test", n=n, k=k)
+        if not candidates:
+            return QuasiCategory(n, k, (), {})
     objects = tuple(enumerate_ordinals(n, k))
     hom = {}
     for i, s in enumerate(objects):
@@ -242,13 +250,16 @@ def build_j(n: int, k: int) -> MilgramPoset:
     up, and the mask below an element is the AND over the pairs of the
     two suffixes it passes.  The element count n^(k-1) k! is predicted
     first, one arity at a time so that any k is cheap: at the first
-    partial count whose square passes LIST_CAP, ResourceLimit is raised.
+    partial count whose square passes LIST_CAP, ResourceLimit is raised,
+    and at a count of 0 the empty poset is returned at once.
     """
     count_ordinals(n, 0)  # refuses a bad n before anything is multiplied
     size = 1
     for m in range(2, k + 1):
         size *= m * n
         within_cap(size * size, "too many ordered pairs of elements to test", n=n, k=k)
+        if not size:
+            return MilgramPoset(n, k, (), ())
     elements = tuple(
         (t, pi)
         for t in enumerate_ordinals(n, k)

@@ -217,6 +217,31 @@ def test_a_bool_n_or_k_is_refused(capsys, monkeypatch, command, doc, field):
     assert diagnostic["code"] == "OUT_OF_RANGE" and diagnostic[field] is True
 
 
+def _map_doc(n):
+    ordinal = {"n": n, "levels": [0]}
+    return {"source": ordinal, "target": ordinal, "f": [0, 1]}
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [("check-map", _map_doc), ("factorize", _map_doc),
+     ("zigzag", lambda n: {"legs": [{"dir": "fwd", "map": _map_doc(n)}]})],
+    ids=["check-map", "factorize", "zigzag"],
+)
+def test_a_null_n_is_refused_and_inf_is_read(capsys, monkeypatch, command, doc):
+    # a document spells the infinite domain "inf"; None is the library's
+    # spelling, and a JSON null is no level-domain size
+    code, out, _ = run_cli([command], capsys, monkeypatch, stdin_text=json.dumps(doc(None)))
+    assert code == 2
+    assert report_of(out)["payload"]["diagnostic"] == {
+        "code": "OUT_OF_RANGE",
+        "message": "level domain size must be a non-negative integer",
+        "n": None,
+    }
+    code, out, _ = run_cli([command], capsys, monkeypatch, stdin_text=json.dumps(doc("inf")))
+    assert code == 0, out
+
+
 def test_factorize_command(capsys, monkeypatch):
     doc = {
         "source": {"n": 2, "levels": [0, 1, 0]},
@@ -359,9 +384,10 @@ def test_braid_strand_count_is_budgeted(capsys, monkeypatch):
     code, out, _ = run_cli(["braid"], capsys, monkeypatch, stdin_text=json.dumps(doc))
     assert time.perf_counter() - start < 1.0
     assert code == 2
-    diagnostic = report_of(out)["payload"]["diagnostic"]
-    assert diagnostic["code"] == "RESOURCE_LIMIT"
-    assert (diagnostic["predicted"], diagnostic["cap"]) == (2**24 + 1, 2**24)
+    assert report_of(out)["payload"]["diagnostic"] == {
+        "code": "RESOURCE_LIMIT", "message": "a braid document names too many strands",
+        "predicted": 2**24 + 1, "cap": 2**24,
+    }
 
 
 def two_block_span() -> ZigZag:
@@ -439,6 +465,18 @@ def test_artin_check_command(capsys):
     assert relations[(1, 2)] == "braid"
 
 
+def test_artin_check_refuses_steps_past_the_cap(capsys):
+    # (k-1)(k-2) ordered pairs of O(k^2) steps: 15,998,976 at k = 64
+    started = time.perf_counter()
+    code, out, _ = run_cli(["artin-check", "--k", "65"], capsys)
+    assert time.perf_counter() - started < 2.0
+    assert code == 2
+    assert report_of(out)["payload"]["diagnostic"] == {
+        "code": "RESOURCE_LIMIT", "message": "too many steps to certify every generator pair",
+        "k": 65, "predicted": 17035200, "cap": 2**24,
+    }
+
+
 def test_artin_check_refuses_a_negative_k(capsys):
     code, out, _ = run_cli(["artin-check", "--k", "-5"], capsys)
     assert code == 2
@@ -503,10 +541,10 @@ def test_operad_check_refuses_lists_past_the_cap(capsys, monkeypatch):
     )
     assert time.perf_counter() - started < 2.0
     assert code == 2
-    payload = report_of(out)["payload"]
-    assert payload["error"] == "RESOURCE_LIMIT"
-    assert payload["diagnostic"]["predicted"] == 3**21
-    assert payload["diagnostic"]["cap"] == 2**24
+    assert report_of(out)["payload"]["diagnostic"] == {
+        "code": "RESOURCE_LIMIT", "message": "an axiom check would build too long a list",
+        "predicted": 3**21, "cap": 2**24,
+    }
 
 
 def test_operad_check_refuses_candidate_maps_past_the_cap(capsys, monkeypatch):
@@ -517,9 +555,10 @@ def test_operad_check_refuses_candidate_maps_past_the_cap(capsys, monkeypatch):
     code, out, _ = run_cli(["operad-check", "-"], capsys, monkeypatch, json.dumps(doc))
     assert time.perf_counter() - started < 2.0
     assert code == 2
-    diagnostic = report_of(out)["payload"]["diagnostic"]
-    assert diagnostic["code"] == "RESOURCE_LIMIT"
-    assert (diagnostic["predicted"], diagnostic["cap"]) == (30874249742431, 2**24)
+    assert report_of(out)["payload"]["diagnostic"] == {
+        "code": "RESOURCE_LIMIT", "message": "too many candidate maps between index ordinals",
+        "predicted": 30874249742431, "cap": 2**24,
+    }
 
 
 def test_desymmetrise_refuses_documents_past_the_cap(capsys, monkeypatch):
@@ -532,10 +571,11 @@ def test_desymmetrise_refuses_documents_past_the_cap(capsys, monkeypatch):
     )
     assert time.perf_counter() - started < 2.0
     assert code == 2
-    payload = report_of(out)["payload"]
-    assert payload["error"] == "RESOURCE_LIMIT"
-    assert payload["diagnostic"]["predicted"] == 58459239
-    assert payload["diagnostic"]["cap"] == 2**24
+    assert report_of(out)["payload"]["diagnostic"] == {
+        "code": "RESOURCE_LIMIT",
+        "message": "an operad document would hold too many table entries",
+        "predicted": 58459239, "cap": 2**24,
+    }
 
 
 def test_desymmetrise_emits_checkable_operad(capsys, monkeypatch, tmp_path):
@@ -803,10 +843,44 @@ def test_poset_commands_refuse_pairs_past_the_cap(capsys, argv):
     code, out, _ = run_cli([*argv, "--n", "2", "--k", "6"], capsys)
     assert time.perf_counter() - started < 2.0
     assert code == 2
-    payload = report_of(out)["payload"]
-    assert payload["error"] == "RESOURCE_LIMIT"
-    assert payload["diagnostic"]["predicted"] == 530841600
-    assert payload["diagnostic"]["cap"] == 2**24
+    assert report_of(out)["payload"]["diagnostic"] == {
+        "code": "RESOURCE_LIMIT", "message": "too many ordered pairs of elements to test",
+        "n": 2, "k": 6, "predicted": 530841600, "cap": 2**24,
+    }
+
+
+@pytest.mark.parametrize(
+    "argv", [["build-q"], ["nerve", "--category", "Q"], ["homology", "--category", "Q"]],
+    ids=["build-q", "nerve Q", "homology Q"],
+)
+@pytest.mark.parametrize(
+    "n, k, predicted", [(2, 7, 20643840), (3, 6, 42515280)], ids=["Q(2,7)", "Q(3,6)"]
+)
+def test_category_commands_refuse_candidate_maps_past_the_cap(capsys, argv, n, k, predicted):
+    # n^(2(k-1)) k! tables: each size is refused at its last arity, so the
+    # prediction is exact; Q(2,6) (737,280) and Q(3,5) (787,320) are built
+    started = time.perf_counter()
+    code, out, _ = run_cli([*argv, "--n", str(n), "--k", str(k)], capsys)
+    assert time.perf_counter() - started < 2.0
+    assert code == 2
+    assert report_of(out)["payload"]["diagnostic"] == {
+        "code": "RESOURCE_LIMIT", "message": "too many candidate maps between objects to test",
+        "n": n, "k": k, "predicted": predicted, "cap": 2**24,
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["build-j"], ["degeneration"], ["homology", "--category", "J"],
+     ["nerve", "--category", "Q"], ["build-q"]],
+    ids=["build-j", "degeneration", "homology J", "nerve Q", "build-q"],
+)
+def test_an_empty_level_domain_is_answered_at_once(capsys, argv):
+    # with n = 0 there is no ordinal of arity k >= 2, whatever k is
+    started = time.perf_counter()
+    code, out, _ = run_cli([*argv, "--n", "0", "--k", "1000000"], capsys)
+    assert time.perf_counter() - started < 2.0
+    assert code == 0, out
 
 
 @pytest.mark.parametrize(

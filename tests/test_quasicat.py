@@ -44,6 +44,24 @@ def test_build_j_refuses_pairs_past_the_cap(n, k, predicted):
     assert info.value.payload["predicted"] == predicted
 
 
+@pytest.mark.parametrize(
+    "n, k, predicted",
+    [(2, 7, 20643840), (3, 6, 42515280), (2, 10**9, 20643840), (1, 10**9, 39916800)],
+)
+def test_build_q_refuses_candidate_maps_past_the_cap(n, k, predicted):
+    # k! tables per ordered pair of n^(k-1) objects, multiplied up one arity
+    # at a time: past the first refused arity the prediction is partial
+    with pytest.raises(ResourceLimit) as info:
+        build_q(n, k)
+    assert info.value.payload == {"n": n, "k": k, "predicted": predicted, "cap": LIST_CAP}
+
+
+@pytest.mark.parametrize("k", [2, 3, 10**9])
+def test_an_empty_level_domain_builds_empty_structures_at_once(k):
+    assert build_q(0, k) == QuasiCategory(0, k, (), {})
+    assert build_j(0, k) == MilgramPoset(0, k, (), ())
+
+
 def test_q22_shape():
     c = build_q(2, 2)
     assert [o.levels for o in c.objects] == [(0,), (1,)]

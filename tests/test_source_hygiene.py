@@ -81,6 +81,24 @@ def test_no_module_reads_another_modules_private_names(path):
     assert reads == []
 
 
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "errors.py"],
+    ids=lambda p: p.name,
+)
+def test_only_errors_reads_the_work_budget(path):
+    # every refusal past LIST_CAP goes through errors.within_cap, so a change
+    # of budget policy is one edit
+    names = set()
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    assert "LIST_CAP" not in names
+
+
 def _imported_modules(tree):
     """Every module the file names in an import statement, an
     importlib.import_module call or an __import__ call."""

@@ -66,6 +66,8 @@ from .quasicat import (
     assert_strict,
     build_j,
     build_q,
+    cellular_j,
+    cellular_q,
     nerve,
     order_complex,
     verify_quotient_correspondence,

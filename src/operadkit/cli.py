@@ -53,7 +53,7 @@ from .operads import (
 )
 from .ordinal_maps import OrdinalMap, compose, factorize
 from .ordinals import count_ordinals, ordinal_from_json, to_tree, unrank
-from .quasicat import build_j, build_q, chain_counts, nerve, nerve_counts, order_complex
+from .quasicat import build_j, build_q, cellular_j, cellular_q, chain_counts, nerve_counts
 from .strata import (
     StratumLabel,
     classify_stratum,
@@ -244,9 +244,8 @@ def _cmd_nerve(args, doc):
 
 
 def _cmd_homology(args, doc):
-    if args.category == "Q":
-        return homology(nerve(build_q(args.n, args.k))).to_json()
-    return homology(order_complex(build_j(args.n, args.k))).to_json()
+    cellular = cellular_q if args.category == "Q" else cellular_j
+    return homology(cellular(args.n, args.k)).to_json()
 
 
 def _cmd_braid(args, doc):

@@ -9,7 +9,12 @@ Both carry classifying spaces, and both are nerves: the nerve of Q
 (chains of composable non-identity morphisms) and the order complex of J,
 which is the nerve of J read as a thin category (strict chains).  One
 function, _nerve, makes both from a list of arrows; a cell is a tuple of
-arrow ids.
+arrow ids.  These are the definitional complexes.
+
+Homology is computed from smaller ones: J_n(k) is the face poset of
+Milgram's regular CW model of Conf_k(R^n), with one cell per labeled
+ordinal, and S_k acts freely on it, so Q_n(k) gets one cell per n-ordinal
+(cellular_j and cellular_q).
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from .braids import invert
 from .errors import (
     AntisymmetryViolation,
     EndoFound,
+    InvariantBroken,
     IsoCheckFailed,
     StrictnessRequired,
     within_cap,
@@ -379,3 +385,150 @@ def verify_quotient_correspondence(p: MilgramPoset, c: QuasiCategory) -> int:
                 )
             checked += len(got)
     return checked
+
+
+# -- Milgram's cells ------------------------------------------------------------
+
+
+def _layers(n: int, k: int, labeled: bool) -> list[list[tuple[int, ...]]]:
+    """The level tuples of the n-ordinals of arity k by dimension, the sum
+    of the levels.  The cells, n^(k-1) (times k! with labels), are
+    predicted first with a bound on their incidences, cells times 2^k - 2,
+    one arity at a time as in build_j; at a count of 0 there are no layers
+    at all."""
+    count_ordinals(n, 0)  # refuses a bad n before anything is multiplied
+    cells = 1
+    for m in range(2, k + 1):
+        cells *= n * m if labeled else n
+        within_cap(
+            cells * (2**m - 2), "too many incidences in the cellular complex",
+            n=n, k=k, cells=cells,
+        )
+        if not cells:
+            return []
+    count_ordinals(n, k)  # refuses a bad k
+    ordinals = sorted(itertools.product(range(n), repeat=max(k - 1, 0)), key=sum)
+    return [list(layer) for _, layer in itertools.groupby(ordinals, key=sum)]
+
+
+def _facets(levels: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The facets of the cell (levels, identity labels) of J, as (facet
+    levels, rho): the facet's labels are rho, the positions of the cell it
+    puts first, second, ...
+
+    A node of the level tree is a maximal run of positions whose inner gaps
+    are all >= L >= 1, with m >= 2 children split at the gaps equal to L.
+    Each ordered split of its children into two nonempty groups X, Y gives
+    one facet, 2^m - 2 per node: X then Y, each in its own order, with gap
+    L - 1 between the groups and every other gap kept.
+    """
+    k = len(levels) + 1
+    out = []
+    for node_level in sorted(set(levels) - {0}):
+        lo = 0
+        while lo < k - 1:
+            hi = lo
+            while hi < k - 1 and levels[hi] >= node_level:
+                hi += 1
+            cuts = [g for g in range(lo, hi) if levels[g] == node_level]
+            # children are positions start..end, joined by the cut gaps
+            children = list(zip([lo] + [g + 1 for g in cuts], cuts + [hi]))
+            for mask in range(1, 2 ** len(children) - 1):
+                first = [c for i, c in enumerate(children) if mask >> i & 1]
+                then = [c for i, c in enumerate(children) if not mask >> i & 1]
+                order, gaps = [], []
+                for c, (start, end) in enumerate(first + then):
+                    if c:
+                        gaps.append(node_level - (c == len(first)))
+                    order.extend(range(start, end + 1))
+                    gaps.extend(levels[start:end])
+                out.append((
+                    levels[:lo] + tuple(gaps) + levels[hi:],
+                    tuple(range(lo)) + tuple(order) + tuple(range(hi + 1, k)),
+                ))
+            lo = hi + 1
+    return out
+
+
+def _signed_facets(layers) -> dict:
+    """For each level tuple of the layers, the facets (levels, rho, sign) of
+    its cell with identity labels, with incidence signs by Björner's
+    diamond rule.  A codimension-2 face g of a cell c lies in exactly two
+    facets f1, f2, and [c:f2] = -[c:f1] [f1:g] [f2:g]; a vertex's one face
+    is the empty one, with sign +1.  The first facet gets +1 and the rest
+    follow through shared faces.  The faces of a facet (S, rho) are those
+    of (S, identity) with their labels composed with rho: S_k acts by
+    relabeling and carries orientations along.  Raises InvariantBroken,
+    with the cell, when a face is not in exactly two facets, the facets
+    are not connected through faces, or the signs disagree.
+    """
+    signed: dict = {}
+    for layer in layers:
+        for levels in layer:
+            facets = _facets(levels)
+            shared: dict = {}
+            for f, (s, rho) in enumerate(facets):
+                for r, sigma, sign in signed[s] or [(None, (), 1)]:
+                    face = (r, tuple(rho[x] for x in sigma))
+                    shared.setdefault(face, []).append((f, sign))
+            edges: list[list] = [[] for _ in facets]
+            for pair in shared.values():
+                if len(pair) != 2:
+                    raise InvariantBroken(
+                        "a face of a cell is not in exactly two facets", cell=list(levels)
+                    )
+                (f1, s1), (f2, s2) = pair
+                edges[f1].append((f2, -s1 * s2))
+                edges[f2].append((f1, -s1 * s2))
+            signs = [0] * len(facets)
+            todo = [0] if facets else []
+            if facets:
+                signs[0] = 1
+            while todo:
+                f = todo.pop()
+                for g, relative in edges[f]:
+                    if not signs[g]:
+                        signs[g] = signs[f] * relative
+                        todo.append(g)
+                    elif signs[g] != signs[f] * relative:
+                        raise InvariantBroken(
+                            "the diamond signs of a cell disagree", cell=list(levels)
+                        )
+            if not all(signs):
+                raise InvariantBroken(
+                    "the facets of a cell are not connected", cell=list(levels)
+                )
+            signed[levels] = [(s, rho, sign) for (s, rho), sign in zip(facets, signs)]
+    return signed
+
+
+def cellular_q(n: int, k: int) -> ChainComplex:
+    """The cellular chain complex of Milgram's model of Conf_k(R^n) divided
+    by S_k, a model of Q_n(k): one cell per n-ordinal, as its level tuple,
+    of dimension the sum of its levels.  The boundary of T is the sum of
+    [(T, id) : (S, rho)] S over the facets of (T, id)."""
+    layers = _layers(n, k, labeled=False)
+    signed = _signed_facets(layers)
+    return ChainComplex.from_cells(
+        layers, lambda d, t: [(sign, s) for s, _, sign in signed[t]]
+    )
+
+
+def cellular_j(n: int, k: int) -> ChainComplex:
+    """The cellular chain complex of Milgram's model of Conf_k(R^n), whose
+    face poset is J_n(k): one cell per labeled ordinal (levels, pi), with
+    pi[i] the label at position i as in build_j.  Incidences are those of
+    the cells (T, id), carried along the action: [(T, pi) : (S, pi rho)] =
+    [(T, id) : (S, rho)]."""
+    layers = _layers(n, k, labeled=True)
+    signed = _signed_facets(layers)
+
+    def face_list(d, cell):
+        t, pi = cell
+        return [(sign, (s, tuple(pi[x] for x in rho))) for s, rho, sign in signed[t]]
+
+    cells = [
+        [(t, pi) for t in layer for pi in itertools.permutations(range(k))]
+        for layer in layers
+    ]
+    return ChainComplex.from_cells(cells, face_list)

@@ -337,6 +337,39 @@ def mod2_from_integral(groups):
     return [rank + even[d] + (even[d - 1] if d else 0) for d, (rank, _) in enumerate(groups)]
 
 
+# -- the Salvetti complex of the braid group --------------------------------
+
+
+def salvetti_complex(k):
+    """Cells by dimension and face rule of the Salvetti complex of B_k with
+    trivial integer coefficients, a K(B_k, 1) (De Concini & Salvetti 1996):
+    one cell per subset of the generators 1..k-1, as a sorted tuple.
+
+    The face cell minus s has coefficient (-1)^(members before s) times
+    the Gaussian binomial [m+1 choose j] at q = -1, where s is the j-th of
+    the m consecutive generators in the cell around it: the Poincare
+    polynomial at -1 of S_(m+1) over S_j x S_(m+1-j).  At q = -1 that is
+    C((m+1) // 2, j // 2), or 0 when m + 1 is even and j odd.
+    """
+    cells = [list(itertools.combinations(range(1, k), d)) for d in range(max(k, 1))]
+
+    def face_list(d, cell):
+        faces = []
+        for i, s in enumerate(cell):
+            lo, hi = i, i
+            while lo and cell[lo - 1] == cell[lo] - 1:
+                lo -= 1
+            while hi + 1 < d and cell[hi + 1] == cell[hi] + 1:
+                hi += 1
+            m, j = hi - lo + 1, i - lo + 1
+            if not (m % 2 and j % 2):
+                coeff = (-1) ** i * math.comb((m + 1) // 2, j // 2)
+                faces.append((coeff, cell[:i] + cell[i + 1 :]))
+        return faces
+
+    return cells, face_list
+
+
 # -- strata by pairwise comparison, over Fractions -------------------------
 
 

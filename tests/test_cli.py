@@ -833,9 +833,7 @@ def test_degeneration_command(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [["build-j"], ["degeneration"], ["homology", "--category", "J"]],
-    ids=["build-j", "degeneration", "homology J"],
+    "argv", [["build-j"], ["degeneration"]], ids=["build-j", "degeneration"]
 )
 def test_poset_commands_refuse_pairs_past_the_cap(capsys, argv):
     # J(2,6) has 2^5 * 6! = 23040 elements, so 530841600 ordered pairs
@@ -850,8 +848,7 @@ def test_poset_commands_refuse_pairs_past_the_cap(capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "argv", [["build-q"], ["nerve", "--category", "Q"], ["homology", "--category", "Q"]],
-    ids=["build-q", "nerve Q", "homology Q"],
+    "argv", [["build-q"], ["nerve", "--category", "Q"]], ids=["build-q", "nerve Q"]
 )
 @pytest.mark.parametrize(
     "n, k, predicted", [(2, 7, 20643840), (3, 6, 42515280)], ids=["Q(2,7)", "Q(3,6)"]
@@ -870,10 +867,45 @@ def test_category_commands_refuse_candidate_maps_past_the_cap(capsys, argv, n, k
 
 
 @pytest.mark.parametrize(
+    "category, n, k", [("Q", 2, 7), ("Q", 3, 6), ("J", 2, 6)],
+    ids=["Q(2,7)", "Q(3,6)", "J(2,6)"],
+)
+def test_homology_answers_sizes_past_the_category_and_poset_budgets(capsys, category, n, k):
+    # build-q and build-j refuse these sizes; homology counts Milgram's
+    # cells, n^(k-1), times k! for J, and builds neither structure
+    argv = ["homology", "--n", str(n), "--k", str(k), "--category", category]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    groups = report_of(out)["payload"]["H"]
+    assert len(groups) == (n - 1) * (k - 1) + 1
+    betti = reference.q_betti(n, k) if category == "Q" else reference.j_betti(n, k)
+    assert reference.same_betti([g["rank"] for g in groups], betti)
+    assert category == "Q" or not any(g["torsion"] for g in groups)
+
+
+@pytest.mark.parametrize(
+    "category, n, k, cells", [("Q", 2, 13, 2**12), ("J", 2, 7, 2**6 * 5040)],
+    ids=["Q(2,13)", "J(2,7)"],
+)
+def test_homology_refuses_incidences_past_the_cap(capsys, category, n, k, cells):
+    # at most 2^k - 2 facets per cell: Q(2,12) (2048 cells) and J(2,6)
+    # (23,040 cells) are answered, the next arity is refused at once
+    started = time.perf_counter()
+    argv = ["homology", "--n", str(n), "--k", str(k), "--category", category]
+    code, out, _ = run_cli(argv, capsys)
+    assert time.perf_counter() - started < 2.0
+    assert code == 2
+    assert report_of(out)["payload"]["diagnostic"] == {
+        "code": "RESOURCE_LIMIT", "message": "too many incidences in the cellular complex",
+        "n": n, "k": k, "cells": cells, "predicted": cells * (2**k - 2), "cap": 2**24,
+    }
+
+
+@pytest.mark.parametrize(
     "argv",
     [["build-j"], ["degeneration"], ["homology", "--category", "J"],
-     ["nerve", "--category", "Q"], ["build-q"]],
-    ids=["build-j", "degeneration", "homology J", "nerve Q", "build-q"],
+     ["nerve", "--category", "Q"], ["build-q"], ["homology", "--category", "Q"]],
+    ids=["build-j", "degeneration", "homology J", "nerve Q", "build-q", "homology Q"],
 )
 def test_an_empty_level_domain_is_answered_at_once(capsys, argv):
     # with n = 0 there is no ordinal of arity k >= 2, whatever k is

@@ -120,6 +120,18 @@ def test_complex_stdout_is_pinned(capsys, category, n, k, nerve_digest, homology
 
 
 @pytest.mark.parametrize(
+    "n, k, digest",
+    [(3, 4, "bc85d7195e2801af082bb1c26e4080ccd9f99d12afccf025d70ccec3580ea8ac"),
+     (2, 6, "1d191dd356278acba4c3ffadfcc7804b147022d1211cb984e1393dce8472a193")],
+    ids=["Q(3,4)", "Q(2,6)"],
+)
+def test_homology_stdout_past_the_old_nerve_sizes_is_pinned(capsys, n, k, digest):
+    # taken from the homology of the nerve, in 37 s and 27 s
+    assert main(["homology", "--n", str(n), "--k", str(k), "--category", "Q"]) == 0
+    assert _sha(capsys.readouterr().out) == digest
+
+
+@pytest.mark.parametrize(
     "dim, col, drop, row, failing_dim, failing_col",
     [(1, 30, 0, 6, 2, 10), (2, 100, 1, 2, 2, 100), (3, 150, 3, 13, 3, 150),
      (4, 170, 2, 89, 4, 170), (5, 40, 4, 86, 5, 40)],

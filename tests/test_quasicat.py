@@ -1,5 +1,7 @@
 """The quasibijection category, the labeled poset, and their spaces."""
 
+import importlib
+
 import pytest
 
 import reference
@@ -21,12 +23,15 @@ from operadkit.quasicat import (
     assert_strict,
     build_j,
     build_q,
+    cellular_j,
+    cellular_q,
     chain_counts,
     nerve,
     order_complex,
     verify_quotient_correspondence,
     _arrows,
     _chain_counts,
+    _facets,
 )
 
 
@@ -254,3 +259,94 @@ def test_order_complex_refuses_chains_past_the_cap():
         "n": 5, "k": 4, "dim": 2, "predicted": 55178904, "cap": LIST_CAP}
     assert sum(chain_counts(build_j(3, 4))) == 9692472 <= LIST_CAP
     assert sum(chain_counts(build_j(5, 3))) == 8596614 <= LIST_CAP
+
+
+# -- Milgram's cells against the definitional complexes ------------------------
+
+
+@pytest.mark.parametrize(
+    "n, k",
+    [(n, 2) for n in range(1, 5)] + [(n, 3) for n in range(1, 4)]
+    + [(1, 4), (2, 4), (4, 3), (2, 5)],
+)
+def test_cellular_q_has_the_homology_of_the_nerve(n, k):
+    assert homology(cellular_q(n, k)) == homology(nerve(build_q(n, k)))
+
+
+@pytest.mark.parametrize(
+    "n, k", [(n, 2) for n in range(1, 7)] + [(n, 3) for n in range(1, 4)] + [(2, 4)]
+)
+def test_cellular_j_has_the_homology_of_the_order_complex(n, k):
+    assert homology(cellular_j(n, k)) == homology(order_complex(build_j(n, k)))
+
+
+@pytest.mark.parametrize(
+    "n, k",
+    [(2, 2), (3, 2), (2, 3), (3, 3), (2, 4), (4, 3), (3, 4), (5, 3), (2, 5), (4, 4)],
+)
+def test_facets_are_the_covering_pairs_of_j(n, k):
+    # in a covering pair (i, j) of J, i is a facet of the cell j; the facets
+    # of (T, pi) are those of (T, id) with their labels read through pi
+    p = build_j(n, k)
+    index = {(t.levels, pi): i for i, (t, pi) in enumerate(p.elements)}
+    pairs = [
+        (index[(s, tuple(pi[x] for x in rho))], j)
+        for j, (t, pi) in enumerate(p.elements)
+        for s, rho in _facets(t.levels)
+    ]
+    assert sorted(pairs) == p.covering_pairs()
+
+
+@pytest.mark.parametrize("n, k", [(1, 3), (2, 3), (3, 3), (2, 4), (3, 2)])
+def test_cells_of_j_form_a_subcomplex_of_the_next_level_domain(n, k):
+    # facets only lower levels, so J_n(k) keeps its boundaries inside J_(n+1)(k)
+    small, big = cellular_j(n, k), cellular_j(n + 1, k)
+    for d in range(1, small.dimension + 1):
+        position = {cell: j for j, cell in enumerate(big.cells[d])}
+        for cell, col in zip(small.cells[d], small.boundaries[d]):
+            wide = big.boundaries[d][position[cell]]
+            assert {big.cells[d - 1][r]: v for r, v in wide.items()} == {
+                small.cells[d - 1][r]: v for r, v in col.items()
+            }
+
+
+def test_cellular_j_has_cohen_betti_numbers_and_no_torsion():
+    # (1 + t^2)(1 + 2t^2)(1 + 3t^2); the order complex of J(3,4) has 9.7 M cells
+    groups = homology(cellular_j(3, 4)).groups
+    assert groups == tuple((b, ()) for b in (1, 0, 6, 0, 11, 0, 6))
+    assert [b for b, _ in groups] == reference.j_betti(3, 4)
+
+
+@pytest.mark.parametrize("n, k, levels", [(2, 3, (1, 1)), (3, 2, (1,)), (3, 3, (2, 1))])
+def test_a_broken_facet_rule_is_caught_with_its_cell(monkeypatch, n, k, levels):
+    # dropping one facet leaves a face of the cell in a single facet
+    quasicat = importlib.import_module("operadkit.quasicat")
+    facets = quasicat._facets
+
+    def drop_last(t):
+        out = facets(t)
+        return out[:-1] if t == levels else out
+
+    monkeypatch.setattr(quasicat, "_facets", drop_last)
+    for cellular in (cellular_q, cellular_j):
+        with pytest.raises(InvariantBroken) as info:
+            cellular(n, k)
+        assert info.value.payload == {"cell": list(levels)}
+        assert info.value.message == "a face of a cell is not in exactly two facets"
+
+
+def test_facets_in_two_separate_rings_are_caught(monkeypatch):
+    # a 2-cell bounded by two disjoint bigons: every vertex is in two of its
+    # facets, but the facets do not connect, so one ring would get no sign
+    quasicat = importlib.import_module("operadkit.quasicat")
+    ident = (0, 1)
+    rule = {
+        "e": [("a", ident), ("b", ident)], "f": [("a", ident), ("b", ident)],
+        "g": [("c", ident), ("d", ident)], "h": [("c", ident), ("d", ident)],
+        "t": [(x, ident) for x in "efgh"],
+    }
+    monkeypatch.setattr(quasicat, "_facets", lambda t: rule.get(t, []))
+    with pytest.raises(InvariantBroken) as info:
+        quasicat._signed_facets([["a", "b", "c", "d"], ["e", "f", "g", "h"], ["t"]])
+    assert info.value.message == "the facets of a cell are not connected"
+    assert info.value.payload == {"cell": ["t"]}

@@ -124,3 +124,18 @@ def test_oracles_do_not_import_the_package_under_test(path):
     for module in _imported_modules(_tree(path)):
         assert not module.startswith((".", "<")), module
         assert module.split(".")[0] != "operadkit", module
+
+
+def test_no_command_builds_a_simplicial_complex():
+    # homology reads Milgram's cells and nerve counts chains; nerve and
+    # order_complex stay in quasicat as the definitional complexes that the
+    # tests check the cells against
+    names = set()
+    for node in ast.walk(_tree(PACKAGE / "cli.py")):
+        if isinstance(node, ast.ImportFrom):
+            names.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    assert sorted(names & {"nerve", "order_complex", "_nerve"}) == []

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 from .braids import invert
@@ -390,25 +391,46 @@ def verify_quotient_correspondence(p: MilgramPoset, c: QuasiCategory) -> int:
 # -- Milgram's cells ------------------------------------------------------------
 
 
-def _layers(n: int, k: int, labeled: bool) -> list[list[tuple[int, ...]]]:
+def _cells(n: int, k: int, labeled: bool):
     """The level tuples of the n-ordinals of arity k by dimension, the sum
-    of the levels.  The cells, n^(k-1) (times k! with labels), are
-    predicted first with a bound on their incidences, cells times 2^k - 2,
-    one arity at a time as in build_j; at a count of 0 there are no layers
-    at all."""
+    of the levels, and the facets of each as _facets lists them.
+
+    Work is predicted before it is done.  The cells, n^(k-1) (times k!
+    with labels), are counted one arity at a time as in build_j, with two
+    bounds: cells times 2^k - 2 on their incidences, and cells times the
+    (n-1)(k-1) + 1 dimensions, each of which gets its own layer, index and
+    elimination.  At a count of 0 there are no layers at all.  Then, as
+    the facets are listed, the face steps are summed: each face of each
+    facet of a cell, which the diamond rule visits composing k labels,
+    and the dd = 0 check of from_cells once for each of the k! labelings
+    of a cell of J.  The sum times k (times k! with labels) is refused
+    past the cap before any sign is computed.
+    """
     count_ordinals(n, 0)  # refuses a bad n before anything is multiplied
     cells = 1
     for m in range(2, k + 1):
         cells *= n * m if labeled else n
+        where = {"n": n, "k": k, "cells": cells}
+        within_cap(cells * (2**m - 2), "too many incidences in the cellular complex", **where)
         within_cap(
-            cells * (2**m - 2), "too many incidences in the cellular complex",
-            n=n, k=k, cells=cells,
+            cells * ((n - 1) * (m - 1) + 1), "too many dimensions in the cellular complex",
+            **where,
         )
         if not cells:
-            return []
+            return [], {}
     count_ordinals(n, k)  # refuses a bad k
-    ordinals = sorted(itertools.product(range(n), repeat=max(k - 1, 0)), key=sum)
-    return [list(layer) for _, layer in itertools.groupby(ordinals, key=sum)]
+    ordinals = sorted((t.levels for t in enumerate_ordinals(n, k)), key=sum)
+    layers = [list(layer) for _, layer in itertools.groupby(ordinals, key=sum)]
+    weight = math.factorial(k) if labeled else k
+    facets, steps = {}, 0
+    for layer in layers:
+        for levels in layer:
+            facets[levels] = own = _facets(levels)
+            steps += sum(len(facets[s]) or 1 for s, _ in own)
+            within_cap(
+                steps * weight, "too many face steps in the cellular complex", n=n, k=k
+            )
+    return layers, facets
 
 
 def _facets(levels: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -450,11 +472,12 @@ def _facets(levels: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, .
     return out
 
 
-def _signed_facets(layers) -> dict:
-    """For each level tuple of the layers, the facets (levels, rho, sign) of
-    its cell with identity labels, with incidence signs by Björner's
-    diamond rule.  A codimension-2 face g of a cell c lies in exactly two
-    facets f1, f2, and [c:f2] = -[c:f1] [f1:g] [f2:g]; a vertex's one face
+def _signed_facets(layers, facets: dict) -> dict:
+    """For each level tuple of the layers, the facets (levels, rho) of its
+    cell with identity labels, as listed in facets, with incidence signs by
+    Björner's diamond rule: (levels, rho, sign).  A codimension-2 face g
+    of a cell c lies in exactly two facets f1, f2, and
+    [c:f2] = -[c:f1] [f1:g] [f2:g]; a vertex's one face
     is the empty one, with sign +1.  The first facet gets +1 and the rest
     follow through shared faces.  The faces of a facet (S, rho) are those
     of (S, identity) with their labels composed with rho: S_k acts by
@@ -465,13 +488,13 @@ def _signed_facets(layers) -> dict:
     signed: dict = {}
     for layer in layers:
         for levels in layer:
-            facets = _facets(levels)
+            own = facets[levels]
             shared: dict = {}
-            for f, (s, rho) in enumerate(facets):
+            for f, (s, rho) in enumerate(own):
                 for r, sigma, sign in signed[s] or [(None, (), 1)]:
-                    face = (r, tuple(rho[x] for x in sigma))
+                    face = (r, tuple(map(rho.__getitem__, sigma)))
                     shared.setdefault(face, []).append((f, sign))
-            edges: list[list] = [[] for _ in facets]
+            edges: list[list] = [[] for _ in own]
             for pair in shared.values():
                 if len(pair) != 2:
                     raise InvariantBroken(
@@ -480,9 +503,9 @@ def _signed_facets(layers) -> dict:
                 (f1, s1), (f2, s2) = pair
                 edges[f1].append((f2, -s1 * s2))
                 edges[f2].append((f1, -s1 * s2))
-            signs = [0] * len(facets)
-            todo = [0] if facets else []
-            if facets:
+            signs = [0] * len(own)
+            todo = [0] if own else []
+            if own:
                 signs[0] = 1
             while todo:
                 f = todo.pop()
@@ -498,7 +521,7 @@ def _signed_facets(layers) -> dict:
                 raise InvariantBroken(
                     "the facets of a cell are not connected", cell=list(levels)
                 )
-            signed[levels] = [(s, rho, sign) for (s, rho), sign in zip(facets, signs)]
+            signed[levels] = [(s, rho, sign) for (s, rho), sign in zip(own, signs)]
     return signed
 
 
@@ -507,8 +530,8 @@ def cellular_q(n: int, k: int) -> ChainComplex:
     by S_k, a model of Q_n(k): one cell per n-ordinal, as its level tuple,
     of dimension the sum of its levels.  The boundary of T is the sum of
     [(T, id) : (S, rho)] S over the facets of (T, id)."""
-    layers = _layers(n, k, labeled=False)
-    signed = _signed_facets(layers)
+    layers, facets = _cells(n, k, labeled=False)
+    signed = _signed_facets(layers, facets)
     return ChainComplex.from_cells(
         layers, lambda d, t: [(sign, s) for s, _, sign in signed[t]]
     )
@@ -520,8 +543,8 @@ def cellular_j(n: int, k: int) -> ChainComplex:
     pi[i] the label at position i as in build_j.  Incidences are those of
     the cells (T, id), carried along the action: [(T, pi) : (S, pi rho)] =
     [(T, id) : (S, rho)]."""
-    layers = _layers(n, k, labeled=True)
-    signed = _signed_facets(layers)
+    layers, facets = _cells(n, k, labeled=True)
+    signed = _signed_facets(layers, facets)
 
     def face_list(d, cell):
         t, pi = cell

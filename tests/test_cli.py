@@ -884,20 +884,33 @@ def test_homology_answers_sizes_past_the_category_and_poset_budgets(capsys, cate
 
 
 @pytest.mark.parametrize(
-    "category, n, k, cells", [("Q", 2, 13, 2**12), ("J", 2, 7, 2**6 * 5040)],
-    ids=["Q(2,13)", "J(2,7)"],
+    "category, n, k, counted, where",
+    [("Q", 2, 13, "incidences", {"cells": 2**12, "predicted": 2**12 * (2**13 - 2)}),
+     ("J", 2, 7, "incidences", {"cells": 2**6 * 5040, "predicted": 2**6 * 5040 * (2**7 - 2)}),
+     ("Q", 2**23, 2, "dimensions", {"cells": 2**23, "predicted": 2**23 * 2**23}),
+     ("J", 2**22, 2, "dimensions", {"cells": 2**23, "predicted": 2**23 * 2**22}),
+     ("Q", 4097, 2, "dimensions", {"cells": 4097, "predicted": 4097 * 4097}),
+     ("J", 2897, 2, "dimensions", {"cells": 5794, "predicted": 5794 * 2897}),
+     ("Q", 2, 12, "face steps", {"predicted": 17073000}),
+     ("Q", 3, 9, "face steps", {"predicted": 16782444}),
+     ("J", 3, 6, "face steps", {"predicted": 16829280}),
+     ("J", 7, 5, "face steps", {"predicted": 16781280})],
+    ids=["Q(2,13)", "J(2,7)", "Q(2^23,2)", "J(2^22,2)", "Q(4097,2)", "J(2897,2)",
+         "Q(2,12)", "Q(3,9)", "J(3,6)", "J(7,5)"],
 )
-def test_homology_refuses_incidences_past_the_cap(capsys, category, n, k, cells):
-    # at most 2^k - 2 facets per cell: Q(2,12) (2048 cells) and J(2,6)
-    # (23,040 cells) are answered, the next arity is refused at once
+def test_homology_refuses_work_past_the_cap(capsys, category, n, k, counted, where):
+    # cells times 2^k - 2 incidences, cells times the dimensions, and the
+    # faces of the facets times k for Q and k! for J: J(2,6), Q(4096,2),
+    # J(2896,2), Q(2,11), Q(3,8) and J(6,5) are answered.  The facets are
+    # listed before face steps are refused, about 1 s for Q(3,9)
     started = time.perf_counter()
     argv = ["homology", "--n", str(n), "--k", str(k), "--category", category]
     code, out, _ = run_cli(argv, capsys)
-    assert time.perf_counter() - started < 2.0
+    assert time.perf_counter() - started < (5.0 if counted == "face steps" else 2.0)
     assert code == 2
     assert report_of(out)["payload"]["diagnostic"] == {
-        "code": "RESOURCE_LIMIT", "message": "too many incidences in the cellular complex",
-        "n": n, "k": k, "cells": cells, "predicted": cells * (2**k - 2), "cap": 2**24,
+        "code": "RESOURCE_LIMIT", "message": f"too many {counted} in the cellular complex",
+        "n": n, "k": k, **where, "cap": 2**24,
     }
 
 

@@ -335,7 +335,7 @@ def test_a_broken_facet_rule_is_caught_with_its_cell(monkeypatch, n, k, levels):
         assert info.value.message == "a face of a cell is not in exactly two facets"
 
 
-def test_facets_in_two_separate_rings_are_caught(monkeypatch):
+def test_facets_in_two_separate_rings_are_caught():
     # a 2-cell bounded by two disjoint bigons: every vertex is in two of its
     # facets, but the facets do not connect, so one ring would get no sign
     quasicat = importlib.import_module("operadkit.quasicat")
@@ -345,8 +345,9 @@ def test_facets_in_two_separate_rings_are_caught(monkeypatch):
         "g": [("c", ident), ("d", ident)], "h": [("c", ident), ("d", ident)],
         "t": [(x, ident) for x in "efgh"],
     }
-    monkeypatch.setattr(quasicat, "_facets", lambda t: rule.get(t, []))
+    layers = [["a", "b", "c", "d"], ["e", "f", "g", "h"], ["t"]]
+    facets = {t: rule.get(t, []) for layer in layers for t in layer}
     with pytest.raises(InvariantBroken) as info:
-        quasicat._signed_facets([["a", "b", "c", "d"], ["e", "f", "g", "h"], ["t"]])
+        quasicat._signed_facets(layers, facets)
     assert info.value.message == "the facets of a cell are not connected"
     assert info.value.payload == {"cell": ["t"]}

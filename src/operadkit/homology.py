@@ -1,8 +1,10 @@
-"""Integral simplicial homology via sparse integer elimination.
+"""Integral cellular homology via sparse integer elimination.
 
-Chain complexes are built from explicit cell lists and a face rule; each
-boundary is stored as sparse columns, and the constructor checks that the
-boundary of a boundary vanishes.  Homology groups come out as a free rank
+Chain complexes are built from explicit cell lists and a face rule that
+gives each cell's signed faces: the simplices of a nerve, or Milgram's
+regular CW cells of Q_n(k) and J_n(k) (``quasicat.cellular_q`` and
+``cellular_j``).  Each boundary is stored as sparse columns, and the
+constructor checks that the boundary of a boundary vanishes.  Homology groups come out as a free rank
 plus invariant-factor torsion.  Invariant factors come from one sparse
 elimination: the +-1 pivots go first, each worth a factor 1, and the small
 residue they leave is reduced in the same columns by Euclid steps on

@@ -28,14 +28,7 @@ from dataclasses import dataclass, field, replace
 from operator import add
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .braids import (
-    BraidWord,
-    block_permutation,
-    cable,
-    invert,
-    q_section,
-    transposition,
-)
+from .braids import BraidWord, braid_sum, cable, invert, q_section
 from .errors import (
     BadDocument,
     BoundExceeded,
@@ -523,9 +516,11 @@ def check_operad_axioms(op: FiniteOperad, bound: int | None = None) -> AxiomRepo
     squares with bijective verticals); the braided flavor checks
     equivariance on Artin generator words with cabled output braids; the
     mixed flavor checks the two square conditions over genuine 2-ordinal
-    squares with quasibijection verticals.  Generator images are
-    validated first and raise on failure.  Each surjection is keyed once
-    per check, and the instances find composites and restrictions by key.
+    squares with quasibijection verticals.  Every flavor lifts a
+    permutation to its positive braid word (``q_section``) and an inverse
+    to that braid inverted.  Generator images are validated first and
+    raise on failure.  Each surjection is keyed once per check, and the
+    instances find composites and restrictions by key.
     """
     bound = op.bound if bound is None else bound
     if bound < 1:
@@ -549,10 +544,9 @@ def check_operad_axioms(op: FiniteOperad, bound: int | None = None) -> AxiomRepo
     if op.flavor.kind in ("symmetric", "braided"):
         checked += _check_reindexing(op, covered, failures)
     if op.flavor.kind in ("symmetric", "mixed2"):
-        braided = op.flavor.kind == "mixed2"
-        squares = _squares(covered, bound, braided)
-        checked += _check_square_eq1(op, squares, failures, braided)
-        checked += _check_square_eq2(op, squares, failures, braided)
+        squares = _squares(covered, bound, op.flavor.kind == "mixed2")
+        checked += _check_square_eq1(op, squares, failures)
+        checked += _check_square_eq2(op, squares, failures)
     return _report(failures, checked)
 
 
@@ -679,27 +673,22 @@ def _check_associativity(op: FiniteOperad, covered: dict, failures: list) -> int
 
 
 def _symmetric_moves(sizes: tuple[int, ...]) -> Iterator[tuple]:
-    """Every permutation of the slots, lifted by block permutation, then
-    every nontrivial tuple of permutations inside the slots."""
+    """Every permutation of the slots, then every nontrivial tuple of
+    permutations inside the slots, each by its positive braid."""
     k = len(sizes)
-    identity = tuple(range(k))
+    still = tuple(BraidWord(m, ()) for m in sizes)
     for rho in itertools.permutations(range(k)):
-        out = _lift_word(block_permutation(rho, sizes), False, False)
-        top = _lift_word(rho, False, False)
-        yield "equivariance-1", f"rho={list(rho)}", top, invert(rho), ((),) * k, out
-    offsets = [sum(sizes[:j]) for j in range(k)]
+        yield "equivariance-1", f"rho={list(rho)}", q_section(rho), still
     for rhos in itertools.product(*[itertools.permutations(range(m)) for m in sizes]):
         if all(r == tuple(range(len(r))) for r in rhos):
             continue
-        words = tuple(_lift_word(r, False, False) for r in rhos)
-        image = tuple(offsets[j] + v for j, r in enumerate(rhos) for v in r)
-        out = _lift_word(image, False, False)
-        yield "equivariance-2", f"rhos={[list(r) for r in rhos]}", (), identity, words, out
+        label = f"rhos={[list(r) for r in rhos]}"
+        yield "equivariance-2", label, BraidWord(k, ()), tuple(map(q_section, rhos))
 
 
 def _braided_moves(sizes: tuple[int, ...]) -> Iterator[tuple]:
-    """Each positive Artin letter on the slots, lifted by cabling, then each
-    letter inside one slot.
+    """Each positive Artin letter on the slots, then each letter inside one
+    slot.
 
     The action of an arbitrary braid is the word evaluation of the
     generator images, so checking the generating letters decides the
@@ -707,31 +696,44 @@ def _braided_moves(sizes: tuple[int, ...]) -> Iterator[tuple]:
     within bound is quantified, which it is.
     """
     k = len(sizes)
-    identity = tuple(range(k))
+    still = tuple(BraidWord(m, ()) for m in sizes)
     for i in range(1, k):
-        out = cable(BraidWord(k, (i,)), sizes).word
-        order = transposition(k, i)
-        yield "equivariance-1", f"letter={i}", (i,), order, ((),) * k, out
-    offset = 0
+        yield "equivariance-1", f"letter={i}", BraidWord(k, (i,)), still
     for j, m in enumerate(sizes):
         for i in range(1, m):
-            words = tuple((i,) if l == j else () for l in range(k))
-            label = f"slot={j} letter={i}"
-            yield "equivariance-2", label, (), identity, words, (offset + i,)
-        offset += m
+            slots = still[:j] + (BraidWord(m, (i,)),) + still[j + 1 :]
+            yield "equivariance-2", f"slot={j} letter={i}", BraidWord(k, ()), slots
+
+
+@functools.cache
+def _reindexing_moves(moves: Callable, sizes: tuple[int, ...]) -> tuple[tuple, ...]:
+    """What the check reads of each move on these slot sizes: the top word,
+    the slot order, the slot words and the output word.
+
+    The slot order is the inverse of the top braid's permutation.  The
+    output braid is the top braid cabled by the slot sizes (first
+    identity) or the slot braids side by side (second identity).
+    """
+    out = []
+    for axiom, label, top, slots in moves(sizes):
+        lift = cable(top, sizes) if axiom == "equivariance-1" else braid_sum(slots)
+        order = invert(top.permutation())
+        words = tuple(s.word for s in slots)
+        out.append((axiom, label, top.word, order, words, lift.word))
+    return tuple(out)
 
 
 def _check_reindexing(op: FiniteOperad, covered: dict, failures: list) -> int:
     """Both equivariance identities via carrier reindexing, one move at a time.
 
-    A move acts on the top element by a word, which reorders the argument
-    slots by its permutation (the move carries the slot order, the inverse
-    image, beside the word), acts on each argument by a word, and
-    multiplies along the reordered morphism; the result must equal the
-    output word acting on the product.  The first identity moves the top
-    element and the slots; the second moves the arguments in place.  The
-    flavor picks the moves: every permutation lifted by block permutation
-    (symmetric), or each Artin letter lifted by cabling (braided).
+    A move is a braid on the top element and one on each argument.  The
+    top braid acts on the top element and reorders the argument slots, the
+    slot braids act on the arguments, and the product is taken along the
+    reordered morphism; the result must equal the output braid acting on
+    the product.  The first identity moves the top element and the slots;
+    the second moves the arguments in place.  The flavor picks only the
+    moves: every permutation by its positive braid (symmetric), or each
+    Artin letter (braided); both are read by ``_reindexing_moves``.
     """
     moves = _braided_moves if op.flavor.kind == "braided" else _symmetric_moves
     checked = 0
@@ -739,7 +741,8 @@ def _check_reindexing(op: FiniteOperad, covered: dict, failures: list) -> int:
     for rec in covered.values():
         sizes = tuple(map(len, rec.blocks))
         total, k = sum(sizes), len(sizes)
-        for axiom, label, top_word, order, slot_words, out_word in moves(sizes):
+        for move in _reindexing_moves(moves, sizes):
+            axiom, label, top_word, order, slot_words, out_word = move
             slotted = tuple(l for l, j in enumerate(order) for _ in range(sizes[j]))
             moved = covered.get(_key(rec.morphism.source, rec.morphism.target, slotted))
             if moved is None:
@@ -758,22 +761,20 @@ def _check_reindexing(op: FiniteOperad, covered: dict, failures: list) -> int:
 
 
 @functools.cache
-def _lift_word(table: tuple[int, ...], braided: bool, inverse: bool) -> tuple[int, ...]:
-    """The word of a vertical map's lift, or of its inverse.
+def _lift_word(table: tuple[int, ...], inverse: bool) -> tuple[int, ...]:
+    """The positive braid word of a permutation (``q_section``), or that
+    braid inverted, in every flavor.
 
-    For the symmetric flavor the lift is the permutation itself; for the
-    mixed flavor it is the positive braid word of the quasibijection, and
-    the inverse is the reversed negative word, which need not act like the
-    positive lift of the inverse permutation.
+    The inverted braid need not act like the lift of the inverse
+    permutation on a braided collection; on a symmetric one, whose
+    generators are Coxeter involutions, it does.
     """
-    if braided:
-        lift = q_section(table)
-        return lift.inverse().word if inverse else lift.word
-    return q_section(invert(table) if inverse else table).word
+    lift = q_section(table)
+    return lift.inverse().word if inverse else lift.word
 
 
 def _fiber_lifts(
-    coll: FiniteCollection, lower, upper, vertical, slots, braided: bool, inverse: bool
+    coll: FiniteCollection, lower, upper, vertical, slots, inverse: bool
 ) -> list[list[int]]:
     """Per slot l, the lift action of the vertical restricted to fibers: it
     maps the fiber of ``lower`` over l onto the fiber of ``upper`` over
@@ -782,7 +783,7 @@ def _fiber_lifts(
     for l, slot in enumerate(slots):
         above = [t for t, v in enumerate(upper) if v == slot]
         local = tuple(above.index(vertical[u]) for u, v in enumerate(lower) if v == l)
-        acts.append(coll.action_of_word(len(local) - 1, _lift_word(local, braided, inverse)))
+        acts.append(coll.action_of_word(len(local) - 1, _lift_word(local, inverse)))
     return acts
 
 
@@ -794,22 +795,19 @@ def _square_eq1_instance(
     line2: _Surjection,
     p_table: tuple[int, ...],
     r_table: tuple[int, ...],
-    braided: bool,
     failures: list[AxiomFailure],
 ) -> int:
     """One commuting square sigma . p = r . sigma2 of the first condition,
     with line and line2 the covered line maps of sigma and sigma2.
 
-    Every vertical acts by the lift of its inverse: the lifts transport
+    Every vertical acts by its lift inverted: the lifts transport
     elements against the direction of the maps.
     """
     coll = op.collection
     total, k = sigma.source.arity, sigma.target.arity
-    act_top = coll.action_of_word(k - 1, _lift_word(r_table, braided, True))
-    act_out = coll.action_of_word(total - 1, _lift_word(p_table, braided, True))
-    fiber_acts = _fiber_lifts(
-        coll, sigma2.table, sigma.table, p_table, r_table, braided, True
-    )
+    act_top = coll.action_of_word(k - 1, _lift_word(r_table, True))
+    act_out = coll.action_of_word(total - 1, _lift_word(p_table, True))
+    fiber_acts = _fiber_lifts(coll, sigma2.table, sigma.table, p_table, r_table, True)
     lhs = _moved(line2.table, act_top, line.sizes[1:], r_table, fiber_acts)
     rhs = [act_out[v] for v in line.table]
     instance = (
@@ -851,12 +849,7 @@ def _squares(covered: dict, bound: int, braided: bool):
     return by_arity, verticals, horizontals
 
 
-def _check_square_eq1(
-    op: FiniteOperad,
-    squares: tuple,
-    failures: list[AxiomFailure],
-    braided: bool,
-) -> int:
+def _check_square_eq1(op: FiniteOperad, squares: tuple, failures: list[AxiomFailure]) -> int:
     """First square condition, quantified over all valid squares in bound.
 
     Horizontals are order-preserving surjections (of 2-ordinals in the
@@ -880,8 +873,7 @@ def _check_square_eq1(
                                 hit = candidates.get(tuple(r_table.index(v) for v in moved))
                                 if hit is not None:
                                     checked += _square_eq1_instance(
-                                        op, sigma, line, *hit, p_table, r_table,
-                                        braided, failures,
+                                        op, sigma, line, *hit, p_table, r_table, failures
                                     )
     return checked
 
@@ -892,7 +884,6 @@ def _route_value(
     mu: list[int],
     q_table: tuple[int, ...],
     omega_table: tuple[int, ...],
-    braided: bool,
 ) -> list[int]:
     """Transport of mu, the table of eta, along a quasibijection onto the
     composite's fibers.
@@ -903,20 +894,14 @@ def _route_value(
     """
     coll = op.collection
     k = eta.target.arity
-    whole = _lift_word(q_table, braided, True)
-    inverse_whole = coll.action_of_word(len(q_table) - 1, whole)
-    forward = _fiber_lifts(coll, omega_table, eta.table, q_table, range(k), braided, False)
+    inverse_whole = coll.action_of_word(len(q_table) - 1, _lift_word(q_table, True))
+    forward = _fiber_lifts(coll, omega_table, eta.table, q_table, range(k), False)
     sizes = [len(act) for act in forward]
     tops = range(coll.size(k - 1))
     return [inverse_whole[v] for v in _moved(mu, tops, sizes, range(k), forward)]
 
 
-def _check_square_eq2(
-    op: FiniteOperad,
-    squares: tuple,
-    failures: list[AxiomFailure],
-    braided: bool,
-) -> int:
+def _check_square_eq2(op: FiniteOperad, squares: tuple, failures: list[AxiomFailure]) -> int:
     """Second square condition: routes with a common composite agree.
 
     A route factors a map as a quasibijection followed by an
@@ -941,10 +926,10 @@ def _check_square_eq2(
             k = max(omega_table) + 1
             keys = [k - 1, *[omega_table.count(i) - 1 for i in range(k)]]
             base_q, base_eta, base_mu = rs[0]
-            base = _route_value(op, base_eta, base_mu, base_q, omega_table, braided)
+            base = _route_value(op, base_eta, base_mu, base_q, omega_table)
             base_name = f"q={list(base_q)} ; {morphism_key(base_eta)}"
             for q_table, eta, mu in rs[1:]:
-                value = _route_value(op, eta, mu, q_table, omega_table, braided)
+                value = _route_value(op, eta, mu, q_table, omega_table)
                 instance = (
                     f"{base_name} versus q={list(q_table)} ; {morphism_key(eta)}"
                 )
@@ -1130,7 +1115,7 @@ def desymmetrise(sym: FiniteOperad, n: int, bound: int | None = None) -> FiniteO
         # the sorting permutation lists source positions stably by image
         total = sigma.source.arity
         order = sorted(range(total), key=lambda p: (sigma.table[p], p))
-        word = _lift_word(tuple(order), False, False)
+        word = _lift_word(tuple(order), False)
         return sym.collection.action_of_word(total - 1, word)
 
     def supplier(sigma: OrdinalMap) -> list[int] | None:

@@ -8,10 +8,10 @@ exactly one JSON run report on stdout, an exit code in {0, 1, 2} that
 matches its outcome, and no traceback.
 
 Sizes stay small: integers are drawn from -4..8, every "bound" is at most
-3, and the flags stay at n <= 2 and k <= 3.  Commands do not yet predict
-all of their work and refuse inputs over a budget (ROADMAP item 6), so a
-large bound, strand count or flag makes them run for minutes or exhaust
-memory instead of failing.
+3, and the flags stay at n <= 2 and k <= 3.  Inputs past a budget are
+refused, but some admitted ones are still slow (ROADMAP item 6):
+`artin-check --k 64` takes about 74 s and `verify-partition --k 1000000`
+about 12 s, so a larger grid would spend minutes on single cases.
 """
 
 import contextlib

@@ -1,8 +1,10 @@
+import functools
 import itertools
 import json
 
 import pytest
 
+from operadkit.braids import BraidWord, braid_sum, invert, q_section
 from operadkit.errors import (
     BoundExceeded,
     InvariantBroken,
@@ -201,6 +203,30 @@ def test_braided_and_mixed_pullbacks_pass():
 @pytest.mark.parametrize(
     "make",
     [
+        lambda: orders_operad(4),
+        lambda: endomorphism_symmetric_operad((0, 1), 2),
+        lambda: endomorphism_symmetric_operad((0, 1), 3),
+        lambda: terminal_operad(SYMMETRIC, 4),
+    ],
+    ids=["orders-4", "End-2", "End-3", "terminal-4"],
+)
+def test_inverted_lift_acts_as_the_lift_of_the_inverse(make):
+    # the checker lifts every vertical and its inverse by one rule for all
+    # flavors; on a validated symmetric collection the generators are
+    # Coxeter involutions, so the inverted positive braid of t acts exactly
+    # as the positive braid of t^-1
+    op = make()
+    coll = op.collection
+    validate_collection(coll)
+    for k in range(1, op.bound + 1):
+        for t in itertools.permutations(range(k)):
+            inverted = coll.action_of_word(k - 1, q_section(t).inverse().word)
+            assert inverted == coll.action_of_word(k - 1, q_section(invert(t)).word), t
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
         lambda: endomorphism_symmetric_operad((0, 1), 2),
         lambda: reflavor(endomorphism_symmetric_operad((0, 1), 2), MIXED2),
         lambda: desymmetrise(endomorphism_symmetric_operad((0, 1), 2), 2),
@@ -295,19 +321,49 @@ def test_square_orientation_is_rigid(monkeypatch):
         found = []
         for check in (_check_square_eq1, _check_square_eq2):
             plain, twisted = [], []
-            check(op, squares, plain, braided=False)
-            check(mixed, mixed_squares, twisted, braided=True)
+            check(op, squares, plain)
+            check(mixed, mixed_squares, twisted)
             found.append((bool(plain), bool(twisted)))
         return found
 
     assert failures() == [(False, False), (False, False)]
     real = operads._lift_word
 
-    def flipped(table, braided, inverse):
-        return real(table, braided, not inverse)
+    def flipped(table, inverse):
+        return real(table, not inverse)
 
     monkeypatch.setattr(operads, "_lift_word", flipped)
     assert failures() == [(True, True), (True, True)]
+
+
+@pytest.mark.parametrize(
+    "name, wrong, axiom",
+    [
+        # the top braid on the total strand count, not cabled
+        ("cable", lambda b, sizes: BraidWord(sum(sizes), b.word), "equivariance-1"),
+        # the slot braids side by side in reverse order
+        ("braid_sum", lambda parts: braid_sum(parts[::-1]), "equivariance-2"),
+    ],
+    ids=["cable", "braid_sum"],
+)
+def test_reindexing_output_lift_is_rigid(monkeypatch, name, wrong, axiom):
+    # the reindexing check derives each move's output braid in one way for
+    # every flavor; deriving it wrongly breaks real instances
+    from operadkit import operads
+
+    def report(flavor):
+        op = orders_operad(3)
+        return check_operad_axioms(op if flavor is SYMMETRIC else reflavor(op, flavor))
+
+    assert report(SYMMETRIC).passed and report(BRAIDED).passed
+    # a fresh cache, so the derived moves are rebuilt with the wrong lift
+    fresh = functools.cache(operads._reindexing_moves.__wrapped__)
+    monkeypatch.setattr(operads, "_reindexing_moves", fresh)
+    monkeypatch.setattr(operads, name, wrong)
+    for flavor in (SYMMETRIC, BRAIDED):
+        failed = report(flavor)
+        assert not failed.passed
+        assert {f.axiom for f in failed.failures} == {axiom}
 
 
 def test_fault_injection_breaks_associativity():

@@ -139,3 +139,17 @@ def test_no_command_builds_a_simplicial_complex():
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
     assert sorted(names & {"nerve", "order_complex", "_nerve"}) == []
+
+
+def test_only_the_square_enumeration_takes_a_flavor_flag():
+    # every flavor lifts a permutation to its positive braid and an inverse
+    # to that braid inverted; only _squares picks corners and verticals by
+    # flavor
+    takers = []
+    for node in ast.walk(_tree(PACKAGE / "operads.py")):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            if "braided" in {a.arg for a in params}:
+                takers.append(getattr(node, "name", "<lambda>"))
+    assert takers == ["_squares"]

@@ -28,7 +28,6 @@ from .braids import invert
 from .errors import (
     AntisymmetryViolation,
     EndoFound,
-    InvariantBroken,
     IsoCheckFailed,
     StrictnessRequired,
     within_cap,
@@ -393,20 +392,28 @@ def verify_quotient_correspondence(p: MilgramPoset, c: QuasiCategory) -> int:
 
 def _cells(n: int, k: int, labeled: bool):
     """The level tuples of the n-ordinals of arity k by dimension, the sum
-    of the levels, and the facets of each as _facets lists them.
+    of the levels, and the facets of each as _facets lists them, signed.
 
     Work is predicted before it is done.  The cells, n^(k-1) (times k!
     with labels), are counted one arity at a time as in build_j, with two
     bounds: cells times 2^k - 2 on their incidences, and cells times the
     (n-1)(k-1) + 1 dimensions, each of which gets its own layer, index and
-    elimination.  At a count of 0 there are no layers at all.  Then, as
-    the facets are listed, the face steps are summed: each face of each
-    facet of a cell, which the diamond rule visits composing k labels,
-    and the dd = 0 check of from_cells once for each of the k! labelings
-    of a cell of J.  The sum times k (times k! with labels) is refused
-    past the cap before any sign is computed.
+    elimination.  At a count of 0 there are no layers at all.  At n = 1
+    every level is 0, so no node has a facet: Q_1(k) is a single cell,
+    whose k - 1 levels are the work, and the loop is skipped; the k!
+    cells of J_1(k) keep both bounds.  Then, as the facets are listed,
+    the face steps are summed: each face of each facet of a cell.  They
+    price listing the signed facets, each with its k labels, and the
+    dd = 0 check of from_cells, which walks them again for each of the k!
+    labelings of a cell of J.  The sum times k (times k! with labels) is
+    refused past the cap as soon as it passes it.
     """
     count_ordinals(n, 0)  # refuses a bad n before anything is multiplied
+    if n == 1 and not labeled:
+        count_ordinals(n, k)  # refuses a bad k
+        within_cap(k - 1, "too many levels in the cellular complex", n=n, k=k)
+        levels = (0,) * (k - 1)
+        return [[levels]], {levels: []}
     cells = 1
     for m in range(2, k + 1):
         cells *= n * m if labeled else n
@@ -426,23 +433,31 @@ def _cells(n: int, k: int, labeled: bool):
     for layer in layers:
         for levels in layer:
             facets[levels] = own = _facets(levels)
-            steps += sum(len(facets[s]) or 1 for s, _ in own)
+            steps += sum(len(facets[s]) or 1 for s, _, _ in own)
             within_cap(
                 steps * weight, "too many face steps in the cellular complex", n=n, k=k
             )
     return layers, facets
 
 
-def _facets(levels: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+def _facets(levels: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
     """The facets of the cell (levels, identity labels) of J, as (facet
-    levels, rho): the facet's labels are rho, the positions of the cell it
-    puts first, second, ...
+    levels, rho, sign): the facet's labels are rho, the positions of the
+    cell it puts first, second, ..., and sign is the incidence
+    [(levels, id) : (facet levels, rho)].
 
-    A node of the level tree is a maximal run of positions whose inner gaps
-    are all >= L >= 1, with m >= 2 children split at the gaps equal to L.
-    Each ordered split of its children into two nonempty groups X, Y gives
-    one facet, 2^m - 2 per node: X then Y, each in its own order, with gap
-    L - 1 between the groups and every other gap kept.
+    A node of the level tree is a maximal run of positions lo..hi whose
+    inner gaps are all >= L >= 1, with m >= 2 children split at the gaps
+    equal to L.  Each ordered split of its children into two nonempty
+    groups X, Y gives one facet, 2^m - 2 per node: X then Y, each in its
+    own order, with gap L - 1 between the groups and every other gap kept.
+
+    The sign is the Fox-Neuwirth boundary rule (Fox & Neuwirth 1962;
+    Giusti & Sinha 2011).  With d_i the sum of the levels inside child i,
+    it is (-1)^D, D the dimension in front of the new gap, that is the
+    levels before lo, (|X| - 1) L and the d_x of X, times the Koszul sign
+    of the shuffle that brings X to the front, each child in degree
+    d_i + L: (-1)^((d_x + L)(d_y + L)) for each y of Y before an x of X.
     """
     k = len(levels) + 1
     out = []
@@ -455,9 +470,19 @@ def _facets(levels: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, .
             cuts = [g for g in range(lo, hi) if levels[g] == node_level]
             # children are positions start..end, joined by the cut gaps
             children = list(zip([lo] + [g + 1 for g in cuts], cuts + [hi]))
+            inner = [sum(levels[start:end]) for start, end in children]
+            front = sum(levels[:lo]) - node_level
             for mask in range(1, 2 ** len(children) - 1):
-                first = [c for i, c in enumerate(children) if mask >> i & 1]
-                then = [c for i, c in enumerate(children) if not mask >> i & 1]
+                first, then = [], []
+                exponent, passed = front, 0  # passed: the odd degrees in Y so far
+                for i, (child, d) in enumerate(zip(children, inner)):
+                    odd = (d + node_level) & 1
+                    if mask >> i & 1:
+                        first.append(child)
+                        exponent += node_level + d + odd * passed
+                    else:
+                        then.append(child)
+                        passed += odd
                 order, gaps = [], []
                 for c, (start, end) in enumerate(first + then):
                     if c:
@@ -467,62 +492,10 @@ def _facets(levels: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, .
                 out.append((
                     levels[:lo] + tuple(gaps) + levels[hi:],
                     tuple(range(lo)) + tuple(order) + tuple(range(hi + 1, k)),
+                    (-1) ** exponent,
                 ))
             lo = hi + 1
     return out
-
-
-def _signed_facets(layers, facets: dict) -> dict:
-    """For each level tuple of the layers, the facets (levels, rho) of its
-    cell with identity labels, as listed in facets, with incidence signs by
-    Björner's diamond rule: (levels, rho, sign).  A codimension-2 face g
-    of a cell c lies in exactly two facets f1, f2, and
-    [c:f2] = -[c:f1] [f1:g] [f2:g]; a vertex's one face
-    is the empty one, with sign +1.  The first facet gets +1 and the rest
-    follow through shared faces.  The faces of a facet (S, rho) are those
-    of (S, identity) with their labels composed with rho: S_k acts by
-    relabeling and carries orientations along.  Raises InvariantBroken,
-    with the cell, when a face is not in exactly two facets, the facets
-    are not connected through faces, or the signs disagree.
-    """
-    signed: dict = {}
-    for layer in layers:
-        for levels in layer:
-            own = facets[levels]
-            shared: dict = {}
-            for f, (s, rho) in enumerate(own):
-                for r, sigma, sign in signed[s] or [(None, (), 1)]:
-                    face = (r, tuple(map(rho.__getitem__, sigma)))
-                    shared.setdefault(face, []).append((f, sign))
-            edges: list[list] = [[] for _ in own]
-            for pair in shared.values():
-                if len(pair) != 2:
-                    raise InvariantBroken(
-                        "a face of a cell is not in exactly two facets", cell=list(levels)
-                    )
-                (f1, s1), (f2, s2) = pair
-                edges[f1].append((f2, -s1 * s2))
-                edges[f2].append((f1, -s1 * s2))
-            signs = [0] * len(own)
-            todo = [0] if own else []
-            if own:
-                signs[0] = 1
-            while todo:
-                f = todo.pop()
-                for g, relative in edges[f]:
-                    if not signs[g]:
-                        signs[g] = signs[f] * relative
-                        todo.append(g)
-                    elif signs[g] != signs[f] * relative:
-                        raise InvariantBroken(
-                            "the diamond signs of a cell disagree", cell=list(levels)
-                        )
-            if not all(signs):
-                raise InvariantBroken(
-                    "the facets of a cell are not connected", cell=list(levels)
-                )
-            signed[levels] = [(s, rho, sign) for (s, rho), sign in zip(own, signs)]
-    return signed
 
 
 def cellular_q(n: int, k: int) -> ChainComplex:
@@ -531,9 +504,8 @@ def cellular_q(n: int, k: int) -> ChainComplex:
     of dimension the sum of its levels.  The boundary of T is the sum of
     [(T, id) : (S, rho)] S over the facets of (T, id)."""
     layers, facets = _cells(n, k, labeled=False)
-    signed = _signed_facets(layers, facets)
     return ChainComplex.from_cells(
-        layers, lambda d, t: [(sign, s) for s, _, sign in signed[t]]
+        layers, lambda d, t: [(sign, s) for s, _, sign in facets[t]]
     )
 
 
@@ -544,11 +516,10 @@ def cellular_j(n: int, k: int) -> ChainComplex:
     the cells (T, id), carried along the action: [(T, pi) : (S, pi rho)] =
     [(T, id) : (S, rho)]."""
     layers, facets = _cells(n, k, labeled=True)
-    signed = _signed_facets(layers, facets)
 
     def face_list(d, cell):
         t, pi = cell
-        return [(sign, (s, tuple(pi[x] for x in rho))) for s, rho, sign in signed[t]]
+        return [(sign, (s, tuple(pi[x] for x in rho))) for s, rho, sign in facets[t]]
 
     cells = [
         [(t, pi) for t in layer for pi in itertools.permutations(range(k))]

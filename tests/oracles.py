@@ -398,3 +398,58 @@ def fraction_walk(low, high, steps):
             for p, q in zip(low, high)
         ]
         t /= 2
+
+
+# -- incidence signs of a regular CW complex by Björner's diamond rule -----
+
+
+def diamond_walk(layers, facets):
+    """Incidence signs of the cells (T, id) of a regular CW complex on which
+    S_k acts freely by relabeling, by Björner's diamond rule.
+
+    ``layers`` lists the cells T by dimension, and facets[T] the facets of
+    (T, id) as (S, rho) or (S, rho, sign): the facet (S, rho) has labels
+    rho, and its faces are those of (S, id) with their labels composed
+    with rho, the action carrying orientations along.  A codimension-2
+    face g of a cell c lies in exactly two facets f1, f2, and
+    [c:f2] = -[c:f1] [f1:g] [f2:g]; a vertex's one face is the empty one,
+    with sign +1.  The first facet of each cell gets its listed sign, or
+    +1, and the rest follow through shared faces.  Returns facets[T] as
+    (S, rho, sign) for every T.  Fails, naming the cell, when a face is
+    not in exactly two facets, the facets are not connected through
+    faces, or the signs disagree; with listed signs, the faces' signs are
+    the listed ones, and a walk that reaches other signs for the facets
+    disagrees, so the walk checks the diamond condition on them.
+    """
+    signed = {}
+    for layer in layers:
+        for cell in layer:
+            own = facets[cell]
+            shared = {}
+            for f, (s, rho, *_) in enumerate(own):
+                for r, sigma, sign in signed[s] or [(None, (), 1)]:
+                    face = (r, tuple(rho[x] for x in sigma))
+                    shared.setdefault(face, []).append((f, sign))
+            edges = [[] for _ in own]
+            for pair in shared.values():
+                assert len(pair) == 2, f"a face of a cell is not in exactly two facets: {cell}"
+                (f1, s1), (f2, s2) = pair
+                edges[f1].append((f2, -s1 * s2))
+                edges[f2].append((f1, -s1 * s2))
+            listed = [facet[2] if len(facet) == 3 else 0 for facet in own]
+            signs = [0] * len(own)
+            todo = [0] if own else []
+            if own:
+                signs[0] = listed[0] or 1
+            while todo:
+                f = todo.pop()
+                for g, relative in edges[f]:
+                    if not signs[g]:
+                        signs[g] = signs[f] * relative
+                        todo.append(g)
+                    assert signs[g] == signs[f] * relative and listed[g] in (0, signs[g]), (
+                        f"the diamond signs of a cell disagree: {cell}"
+                    )
+            assert all(signs), f"the facets of a cell are not connected: {cell}"
+            signed[cell] = [(s, rho, sign) for (s, rho, *_), sign in zip(own, signs)]
+    return signed

@@ -867,12 +867,13 @@ def test_category_commands_refuse_candidate_maps_past_the_cap(capsys, argv, n, k
 
 
 @pytest.mark.parametrize(
-    "category, n, k", [("Q", 2, 7), ("Q", 3, 6), ("J", 2, 6)],
-    ids=["Q(2,7)", "Q(3,6)", "J(2,6)"],
+    "category, n, k", [("Q", 2, 7), ("Q", 3, 6), ("J", 2, 6), ("Q", 1, 25), ("Q", 1, 1000)],
+    ids=["Q(2,7)", "Q(3,6)", "J(2,6)", "Q(1,25)", "Q(1,1000)"],
 )
 def test_homology_answers_sizes_past_the_category_and_poset_budgets(capsys, category, n, k):
     # build-q and build-j refuse these sizes; homology counts Milgram's
-    # cells, n^(k-1), times k! for J, and builds neither structure
+    # cells, n^(k-1), times k! for J, and builds neither structure.  Q_1(k)
+    # is a single 0-cell with no facets
     argv = ["homology", "--n", str(n), "--k", str(k), "--category", category]
     code, out, _ = run_cli(argv, capsys)
     assert code == 0
@@ -894,15 +895,18 @@ def test_homology_answers_sizes_past_the_category_and_poset_budgets(capsys, cate
      ("Q", 2, 12, "face steps", {"predicted": 17073000}),
      ("Q", 3, 9, "face steps", {"predicted": 16782444}),
      ("J", 3, 6, "face steps", {"predicted": 16829280}),
-     ("J", 7, 5, "face steps", {"predicted": 16781280})],
+     ("J", 7, 5, "face steps", {"predicted": 16781280}),
+     ("Q", 1, 2**24 + 2, "levels", {"predicted": 2**24 + 1}),
+     ("Q", 1, 10**9, "levels", {"predicted": 10**9 - 1})],
     ids=["Q(2,13)", "J(2,7)", "Q(2^23,2)", "J(2^22,2)", "Q(4097,2)", "J(2897,2)",
-         "Q(2,12)", "Q(3,9)", "J(3,6)", "J(7,5)"],
+         "Q(2,12)", "Q(3,9)", "J(3,6)", "J(7,5)", "Q(1,2^24+2)", "Q(1,10^9)"],
 )
 def test_homology_refuses_work_past_the_cap(capsys, category, n, k, counted, where):
     # cells times 2^k - 2 incidences, cells times the dimensions, and the
     # faces of the facets times k for Q and k! for J: J(2,6), Q(4096,2),
     # J(2896,2), Q(2,11), Q(3,8) and J(6,5) are answered.  The facets are
-    # listed before face steps are refused, about 1 s for Q(3,9)
+    # listed before face steps are refused, about 1 s for Q(3,9).  Q_1(k)
+    # has no facets, and its one cell's k - 1 levels are refused instead
     started = time.perf_counter()
     argv = ["homology", "--n", str(n), "--k", str(k), "--category", category]
     code, out, _ = run_cli(argv, capsys)

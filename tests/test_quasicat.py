@@ -1,10 +1,12 @@
 """The quasibijection category, the labeled poset, and their spaces."""
 
 import importlib
+import re
 
 import pytest
 
 import reference
+from oracles import diamond_walk
 
 from operadkit.errors import (
     LIST_CAP,
@@ -14,7 +16,7 @@ from operadkit.errors import (
     ResourceLimit,
     StrictnessRequired,
 )
-from operadkit.homology import connected_components, homology
+from operadkit.homology import ChainComplex, connected_components, homology
 from operadkit.ordinal_maps import OrdinalMap
 from operadkit.ordinals import make_ordinal
 from operadkit.quasicat import (
@@ -30,6 +32,7 @@ from operadkit.quasicat import (
     order_complex,
     verify_quotient_correspondence,
     _arrows,
+    _cells,
     _chain_counts,
     _facets,
 )
@@ -292,7 +295,7 @@ def test_facets_are_the_covering_pairs_of_j(n, k):
     pairs = [
         (index[(s, tuple(pi[x] for x in rho))], j)
         for j, (t, pi) in enumerate(p.elements)
-        for s, rho in _facets(t.levels)
+        for s, rho, _ in _facets(t.levels)
     ]
     assert sorted(pairs) == p.covering_pairs()
 
@@ -317,28 +320,47 @@ def test_cellular_j_has_cohen_betti_numbers_and_no_torsion():
     assert [b for b, _ in groups] == reference.j_betti(3, 4)
 
 
+def test_q_at_one_level_is_a_single_cell():
+    # with every level 0 no node has a facet, so Q_1(k) is one 0-cell at any
+    # k the budget admits, and its k - 1 levels are all the work
+    for k in (1, 2, 25, 1000):
+        complex_ = cellular_q(1, k)
+        assert complex_.cells == (((0,) * (k - 1),),)
+        assert homology(complex_).groups == ((1, ()),)
+
+
+# -- the closed-form signs against the diamond walk ----------------------------
+
+
+@pytest.mark.parametrize(
+    "n, k",
+    [(n, 3) for n in range(2, 7)] + [(n, 4) for n in range(2, 6)]
+    + [(2, 5), (3, 5), (2, 6), (3, 6), (2, 7), (3, 7)],
+)
+def test_closed_form_signs_satisfy_the_diamond_condition(n, k):
+    # the walk takes the listed sign of each cell's first facet, follows the
+    # diamond rule through the shared faces, and fails where a listed sign
+    # differs from the one it reaches.  Unsigned, it orients some cells
+    # differently from n = 4 on, so its own signs are compared by homology
+    layers, facets = _cells(n, k, labeled=False)
+    assert diamond_walk(layers, facets) == facets
+    walked = diamond_walk(layers, {t: [(s, rho) for s, rho, _ in own] for t, own in facets.items()})
+    complex_ = ChainComplex.from_cells(layers, lambda d, t: [(sign, s) for s, _, sign in walked[t]])
+    assert homology(complex_) == homology(cellular_q(n, k))
+
+
 @pytest.mark.parametrize("n, k, levels", [(2, 3, (1, 1)), (3, 2, (1,)), (3, 3, (2, 1))])
-def test_a_broken_facet_rule_is_caught_with_its_cell(monkeypatch, n, k, levels):
+def test_a_broken_facet_rule_is_caught_with_its_cell(n, k, levels):
     # dropping one facet leaves a face of the cell in a single facet
-    quasicat = importlib.import_module("operadkit.quasicat")
-    facets = quasicat._facets
-
-    def drop_last(t):
-        out = facets(t)
-        return out[:-1] if t == levels else out
-
-    monkeypatch.setattr(quasicat, "_facets", drop_last)
-    for cellular in (cellular_q, cellular_j):
-        with pytest.raises(InvariantBroken) as info:
-            cellular(n, k)
-        assert info.value.payload == {"cell": list(levels)}
-        assert info.value.message == "a face of a cell is not in exactly two facets"
+    layers, facets = _cells(n, k, labeled=False)
+    facets[levels] = facets[levels][:-1]
+    with pytest.raises(AssertionError, match=re.escape(f"exactly two facets: {levels}") + "$"):
+        diamond_walk(layers, facets)
 
 
 def test_facets_in_two_separate_rings_are_caught():
     # a 2-cell bounded by two disjoint bigons: every vertex is in two of its
     # facets, but the facets do not connect, so one ring would get no sign
-    quasicat = importlib.import_module("operadkit.quasicat")
     ident = (0, 1)
     rule = {
         "e": [("a", ident), ("b", ident)], "f": [("a", ident), ("b", ident)],
@@ -347,7 +369,38 @@ def test_facets_in_two_separate_rings_are_caught():
     }
     layers = [["a", "b", "c", "d"], ["e", "f", "g", "h"], ["t"]]
     facets = {t: rule.get(t, []) for layer in layers for t in layer}
+    with pytest.raises(AssertionError, match="the facets of a cell are not connected: t$"):
+        diamond_walk(layers, facets)
+
+
+@pytest.mark.parametrize("n, k, levels", [(2, 3, (1, 1)), (3, 2, (2,)), (3, 4, (1, 2, 1))])
+def test_a_flipped_sign_fails_the_diamond_walk(n, k, levels):
+    layers, facets = _cells(n, k, labeled=False)
+    s, rho, sign = facets[levels][-1]
+    facets[levels] = facets[levels][:-1] + [(s, rho, -sign)]
+    with pytest.raises(AssertionError, match=re.escape(f"signs of a cell disagree: {levels}") + "$"):
+        diamond_walk(layers, facets)
+
+
+@pytest.mark.parametrize(
+    "n, k, levels", [(2, 3, (1, 1)), (3, 2, (2,)), (3, 3, (2, 1)), (3, 4, (1, 2, 1))]
+)
+def test_a_flipped_sign_breaks_the_boundary_of_a_boundary(monkeypatch, n, k, levels):
+    # J is regular, so one flipped incidence of a cell of dimension >= 2
+    # leaves a codimension-2 face with a nonzero coefficient in dd; Q's
+    # 1-cells have zero boundary, so there a flip on a 2-cell can go unseen
+    quasicat = importlib.import_module("operadkit.quasicat")
+    facets = quasicat._facets
+
+    def flip_last(t):
+        out = facets(t)
+        if t != levels:
+            return out
+        s, rho, sign = out[-1]
+        return out[:-1] + [(s, rho, -sign)]
+
+    monkeypatch.setattr(quasicat, "_facets", flip_last)
     with pytest.raises(InvariantBroken) as info:
-        quasicat._signed_facets(layers, facets)
-    assert info.value.message == "the facets of a cell are not connected"
-    assert info.value.payload == {"cell": ["t"]}
+        cellular_j(n, k)
+    assert info.value.message == "boundary of a boundary does not vanish"
+    assert info.value.payload["dim"] == sum(levels)

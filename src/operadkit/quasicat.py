@@ -3,7 +3,10 @@
 Q_n(k) has the n-ordinals of arity k as objects and all quasibijections
 between them as morphisms.  The poset J_n(k) has labeled ordinals (T, pi)
 as elements, ordered by validity of the induced label map; forgetting
-labels is a free symmetric group quotient J_n(k)/S_k = Q_n(k).
+labels is a free symmetric group quotient J_n(k)/S_k = Q_n(k).  That order
+is the face order of Milgram's cells below, and build_j generates it from
+their facets alone (_facets); the label-map rule on every pair of labels
+is the oracle the tests compare it with (perfbench/reference.py).
 
 Both carry classifying spaces, and both are nerves: the nerve of Q
 (chains of composable non-identity morphisms) and the order complex of J,
@@ -244,20 +247,17 @@ class MilgramPoset:
 
 
 def build_j(n: int, k: int) -> MilgramPoset:
-    """Labeled n-ordinals of arity k ordered by label-map validity.
+    """Labeled n-ordinals of arity k, each above the cells it is a face of.
 
     (T, pi) lies above (S, rho) when relabeling positions through the
-    labels gives a valid map T -> S; coarser structures sit on top.  The
-    map is valid exactly when every pair of labels a < b passes: with
-    (order, level) the order of a and b and their level in T, and
-    likewise in S, the orders agree and the level in S is >= the one in
-    T, or they differ and it is >.  So each (pair, order, level) keeps the
-    bitmask of the elements showing it, ORed over the levels from there
-    up, and the mask below an element is the AND over the pairs of the
-    two suffixes it passes.  The element count n^(k-1) k! is predicted
-    first, one arity at a time so that any k is cheap: at the first
-    partial count whose square passes LIST_CAP, ResourceLimit is raised,
-    and at a count of 0 the empty poset is returned at once.
+    labels gives a valid map T -> S; coarser structures sit on top.  This
+    order is the face order of Milgram's cells, so it is the closure of the
+    facets: going down in dimension, each facet (S, rho) of (T, id) puts
+    (S, pi rho) above (T, pi) and above everything (T, pi) is above.  The
+    element count n^(k-1) k! is predicted first, one arity at a time so
+    that any k is cheap, and its square bounds the bits of the below masks:
+    at the first partial count whose square passes LIST_CAP, ResourceLimit
+    is raised, and at a count of 0 the empty poset is returned at once.
     """
     count_ordinals(n, 0)  # refuses a bad n before anything is multiplied
     size = 1
@@ -266,45 +266,17 @@ def build_j(n: int, k: int) -> MilgramPoset:
         within_cap(size * size, "too many ordered pairs of elements to test", n=n, k=k)
         if not size:
             return MilgramPoset(n, k, (), ())
-    elements = tuple(
-        (t, pi)
-        for t in enumerate_ordinals(n, k)
-        for pi in itertools.permutations(range(k))
-    )
-    pairs = list(itertools.combinations(range(k), 2))
-    # masks[q][order][level]; level n stays empty so level + 1 is in range
-    masks = [[[0] * (n + 1), [0] * (n + 1)] for _ in pairs]
-    values = []
-    for x, (t, pi) in enumerate(elements):
-        pos = invert(pi)
-        row = []
-        for q, (a, b) in enumerate(pairs):
-            pa, pb = pos[a], pos[b]
-            value = (0, t.rel(pa, pb)) if pa < pb else (1, t.rel(pb, pa))
-            masks[q][value[0]][value[1]] |= 1 << x
-            row.append(value)
-        values.append(row)
-    for by_order in masks:
-        for mask in by_order:
-            for level in range(n - 1, -1, -1):
-                mask[level] |= mask[level + 1]
-    everyone = (1 << len(elements)) - 1
-    below = []
-    for x, row in enumerate(values):
-        mask = everyone ^ (1 << x)
-        for (same, flipped), (order, level) in zip(masks, row):
-            if order:
-                same, flipped = flipped, same
-            mask &= same[level] | flipped[level + 1]
-        below.append(mask)
-    for i, mask in enumerate(below):
-        for j in _bits(mask):
-            if below[j] >> i & 1:
-                raise AntisymmetryViolation(
-                    "poset relation holds in both directions",
-                    left=list(elements[i][1]),
-                    right=list(elements[j][1]),
-                )
+    ordinals = list(enumerate_ordinals(n, k))
+    perms = list(itertools.permutations(range(k)))
+    elements = tuple((t, pi) for t in ordinals for pi in perms)
+    first = {t.levels: i * len(perms) for i, t in enumerate(ordinals)}
+    rank = {pi: i for i, pi in enumerate(perms)}
+    below = [0] * len(elements)
+    for t in sorted(first, key=sum, reverse=True):
+        for s, rho, _ in _facets(t):
+            for x, pi in enumerate(perms, first[t]):
+                y = first[s] + rank[tuple(pi[r] for r in rho)]
+                below[y] |= 1 << x | below[x]
     return MilgramPoset(n, k, elements, tuple(below))
 
 
@@ -399,19 +371,28 @@ def _cells(n: int, k: int, labeled: bool):
     bounds: cells times 2^k - 2 on their incidences, and cells times the
     (n-1)(k-1) + 1 dimensions, each of which gets its own layer, index and
     elimination.  At a count of 0 there are no layers at all.  At n = 1
-    every level is 0, so no node has a facet: Q_1(k) is a single cell,
-    whose k - 1 levels are the work, and the loop is skipped; the k!
-    cells of J_1(k) keep both bounds.  Then, as the facets are listed,
-    the face steps are summed: each face of each facet of a cell.  They
-    price listing the signed facets, each with its k labels, and the
-    dd = 0 check of from_cells, which walks them again for each of the k!
-    labelings of a cell of J.  The sum times k (times k! with labels) is
-    refused past the cap as soon as it passes it.
+    every level is 0, so no node has a facet, and neither bound applies:
+    Q_1(k) is a single cell, whose k - 1 levels are the work, and J_1(k)
+    is its k! labelings, counted one arity at a time, each with k labels
+    to store.  Otherwise, as the facets are listed, the face steps are
+    summed: each face of each facet of a cell.  They price listing the
+    signed facets, each with its k labels, and the dd = 0 check of
+    from_cells, which walks them again for each of the k! labelings of a
+    cell of J.  The sum times k (times k! with labels) is refused past the
+    cap as soon as it passes it.
     """
     count_ordinals(n, 0)  # refuses a bad n before anything is multiplied
-    if n == 1 and not labeled:
+    if n == 1:
         count_ordinals(n, k)  # refuses a bad k
-        within_cap(k - 1, "too many levels in the cellular complex", n=n, k=k)
+        if labeled:
+            cells = 1
+            for m in range(2, k + 1):
+                cells *= m
+                within_cap(
+                    cells * k, "too many labels in the cellular complex", n=n, k=k, cells=cells
+                )
+        else:
+            within_cap(k - 1, "too many levels in the cellular complex", n=n, k=k)
         levels = (0,) * (k - 1)
         return [[levels]], {levels: []}
     cells = 1

@@ -867,13 +867,14 @@ def test_category_commands_refuse_candidate_maps_past_the_cap(capsys, argv, n, k
 
 
 @pytest.mark.parametrize(
-    "category, n, k", [("Q", 2, 7), ("Q", 3, 6), ("J", 2, 6), ("Q", 1, 25), ("Q", 1, 1000)],
-    ids=["Q(2,7)", "Q(3,6)", "J(2,6)", "Q(1,25)", "Q(1,1000)"],
+    "category, n, k",
+    [("Q", 2, 7), ("Q", 3, 6), ("J", 2, 6), ("Q", 1, 25), ("Q", 1, 1000), ("J", 1, 9)],
+    ids=["Q(2,7)", "Q(3,6)", "J(2,6)", "Q(1,25)", "Q(1,1000)", "J(1,9)"],
 )
 def test_homology_answers_sizes_past_the_category_and_poset_budgets(capsys, category, n, k):
     # build-q and build-j refuse these sizes; homology counts Milgram's
     # cells, n^(k-1), times k! for J, and builds neither structure.  Q_1(k)
-    # is a single 0-cell with no facets
+    # is a single 0-cell with no facets, and J_1(k) its k! labelings
     argv = ["homology", "--n", str(n), "--k", str(k), "--category", category]
     code, out, _ = run_cli(argv, capsys)
     assert code == 0
@@ -897,16 +898,20 @@ def test_homology_answers_sizes_past_the_category_and_poset_budgets(capsys, cate
      ("J", 3, 6, "face steps", {"predicted": 16829280}),
      ("J", 7, 5, "face steps", {"predicted": 16781280}),
      ("Q", 1, 2**24 + 2, "levels", {"predicted": 2**24 + 1}),
-     ("Q", 1, 10**9, "levels", {"predicted": 10**9 - 1})],
+     ("Q", 1, 10**9, "levels", {"predicted": 10**9 - 1}),
+     ("J", 1, 10, "labels", {"cells": 3628800, "predicted": 36288000}),
+     ("J", 1, 10**9, "labels", {"cells": 2, "predicted": 2 * 10**9})],
     ids=["Q(2,13)", "J(2,7)", "Q(2^23,2)", "J(2^22,2)", "Q(4097,2)", "J(2897,2)",
-         "Q(2,12)", "Q(3,9)", "J(3,6)", "J(7,5)", "Q(1,2^24+2)", "Q(1,10^9)"],
+         "Q(2,12)", "Q(3,9)", "J(3,6)", "J(7,5)", "Q(1,2^24+2)", "Q(1,10^9)",
+         "J(1,10)", "J(1,10^9)"],
 )
 def test_homology_refuses_work_past_the_cap(capsys, category, n, k, counted, where):
     # cells times 2^k - 2 incidences, cells times the dimensions, and the
     # faces of the facets times k for Q and k! for J: J(2,6), Q(4096,2),
     # J(2896,2), Q(2,11), Q(3,8) and J(6,5) are answered.  The facets are
     # listed before face steps are refused, about 1 s for Q(3,9).  Q_1(k)
-    # has no facets, and its one cell's k - 1 levels are refused instead
+    # has no facets, and its one cell's k - 1 levels are refused instead;
+    # J_1(k) refuses its k! cells times their k labels, one arity at a time
     started = time.perf_counter()
     argv = ["homology", "--n", str(n), "--k", str(k), "--category", category]
     code, out, _ = run_cli(argv, capsys)

@@ -189,7 +189,7 @@ def test_label_map_reads_off_positions():
 
 
 def test_quotient_correspondence_small():
-    for n, k in [(1, 2), (2, 2), (3, 2), (2, 3)]:
+    for n, k in [(1, 2), (2, 2), (3, 2), (2, 3), (3, 3), (2, 4), (4, 3), (3, 4)]:
         p = build_j(n, k)
         c = build_q(n, k)
         checked = verify_quotient_correspondence(p, c)
@@ -288,8 +288,10 @@ def test_cellular_j_has_the_homology_of_the_order_complex(n, k):
     [(2, 2), (3, 2), (2, 3), (3, 3), (2, 4), (4, 3), (3, 4), (5, 3), (2, 5), (4, 4)],
 )
 def test_facets_are_the_covering_pairs_of_j(n, k):
-    # in a covering pair (i, j) of J, i is a facet of the cell j; the facets
-    # of (T, pi) are those of (T, id) with their labels read through pi
+    # build_j closes the facets, so its covering pairs are the facets only if
+    # no facet is also reached through a chain of others: the closure is
+    # graded.  The facets of (T, pi) are those of (T, id) with their labels
+    # read through pi; the all-pairs oracle checks the order itself
     p = build_j(n, k)
     index = {(t.levels, pi): i for i, (t, pi) in enumerate(p.elements)}
     pairs = [
@@ -350,12 +352,22 @@ def test_closed_form_signs_satisfy_the_diamond_condition(n, k):
 
 
 @pytest.mark.parametrize("n, k, levels", [(2, 3, (1, 1)), (3, 2, (1,)), (3, 3, (2, 1))])
-def test_a_broken_facet_rule_is_caught_with_its_cell(n, k, levels):
-    # dropping one facet leaves a face of the cell in a single facet
+def test_a_broken_facet_rule_is_caught_with_its_cell(monkeypatch, n, k, levels):
+    # dropping one facet leaves a face of the cell in a single facet, and
+    # takes a covering pair out of the poset that build_j closes
     layers, facets = _cells(n, k, labeled=False)
     facets[levels] = facets[levels][:-1]
     with pytest.raises(AssertionError, match=re.escape(f"exactly two facets: {levels}") + "$"):
         diamond_walk(layers, facets)
+    quasicat = importlib.import_module("operadkit.quasicat")
+    listed = quasicat._facets
+
+    def drop_last(t):
+        out = listed(t)
+        return out[:-1] if t == levels else out
+
+    monkeypatch.setattr(quasicat, "_facets", drop_last)
+    assert build_j(n, k).above != reference.j_relations(n, k)
 
 
 def test_facets_in_two_separate_rings_are_caught():

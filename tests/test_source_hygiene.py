@@ -153,3 +153,17 @@ def test_only_the_square_enumeration_takes_a_flavor_flag():
             if "braided" in {a.arg for a in params}:
                 takers.append(getattr(node, "name", "<lambda>"))
     assert takers == ["_squares"]
+
+
+def test_j_order_has_one_generator():
+    # build_j closes Milgram's facets; the label-map rule on pairs of labels
+    # is the oracle perfbench/reference.j_relations, which the tests compare
+    # build_j with
+    calls = [
+        node.lineno
+        for node in ast.walk(_tree(PACKAGE / "quasicat.py"))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "rel"
+    ]
+    assert calls == []

@@ -11,9 +11,11 @@ diagnostic).  Stdout is byte-identical across runs for the same command,
 arguments, and seed; wall-clock timing goes to stderr only.
 
 The report is written by ``_dumps``, which gives byte for byte what
-``json.dumps(report, indent=2, sort_keys=True, default=str)`` gives, but
-joins lists of ints and str-keyed dicts itself instead of running the
-stdlib's pure-Python indenting encoder over every value.
+``json.dumps(report, indent=2, sort_keys=True, default=str)`` gives, by
+three paths: an int grid, such as an operad's multiplication tables, is
+one ``%``-format; other lists and str-keyed dicts are joined with
+``str.join``; the rest goes to ``json.dumps``.  Empty lists and dicts are
+the literals ``[]`` and ``{}``.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import hashlib
 import json
 import sys
 import time
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _encode_str
 
 from .braids import BraidWord, braid_from_json, is_trivial
@@ -542,29 +545,57 @@ def _digest(argv, doc) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def _grid(rows, pad) -> str | None:
+    """``rows``, a non-empty list of lists, as one ``%``-format if it is an
+    int grid: its items equally long, non-empty lists, nested to any
+    depth, with every leaf of exact type int.  None for anything else."""
+    shape = [len(rows)]
+    level, kinds = rows, {list}
+    while kinds == {list}:
+        width = len(level[0])
+        if not all(map(width.__eq__, map(len, level))):
+            return None
+        shape.append(width)
+        level = list(chain.from_iterable(level))
+        kinds = set(map(type, level))
+    if kinds != {int}:
+        return None
+    layout = "%d"
+    for depth in reversed(range(len(shape))):
+        inner = pad + "  " * (depth + 1)
+        layout = f"[{inner}{(',' + inner).join([layout] * shape[depth])}{inner[:-2]}]"
+    return layout % tuple(level)
+
+
 def _dumps(value, pad="\n") -> str:
     """``json.dumps(value, indent=2, sort_keys=True, default=str)``, byte
     for byte, with ``pad`` (a newline and the indent of ``value``) opening
     each of its lines after the first.
 
-    Non-empty lists, str-keyed dicts, strs and ints are joined here, each
-    container by one ``str.join``; everything else, empty containers
-    included, goes to ``json.dumps`` (whose ``indent`` selects the stdlib's
-    pure-Python encoder), re-indented by replacing its newlines, which
-    encoded JSON holds nowhere else."""
+    Empty lists and dicts are the literals ``[]`` and ``{}``.  An int grid
+    (see ``_grid``) is one ``%``-format.  Other non-empty lists and
+    str-keyed dicts, strs and ints are joined here, each container by one
+    ``str.join``.  Everything else goes to ``json.dumps`` (whose ``indent``
+    selects the stdlib's pure-Python encoder), re-indented by replacing its
+    newlines, which encoded JSON holds nowhere else."""
     kind = type(value)
     if kind is str:
         return _encode_str(value)
     if kind is int:
         return int.__repr__(value)
+    if (kind is list or kind is dict) and not value:
+        return "[]" if kind is list else "{}"
     inner = pad + "  "
-    if kind is list and value:
-        if set(map(type, value)) == {int}:
+    if kind is list:
+        kinds = set(map(type, value))
+        if kinds == {list} and (grid := _grid(value, pad)) is not None:
+            return grid
+        if kinds == {int}:
             items = map(int.__repr__, value)
         else:
             items = [_dumps(v, inner) for v in value]
         return f"[{inner}{(',' + inner).join(items)}{pad}]"
-    if kind is dict and value and set(map(type, value)) == {str}:
+    if kind is dict and set(map(type, value)) == {str}:
         items = [
             f"{_encode_str(k)}: {_dumps(v, inner)}" for k, v in sorted(value.items())
         ]

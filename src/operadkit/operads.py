@@ -25,7 +25,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from operator import add
+from operator import add, ne
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .braids import BraidWord, braid_sum, cable, invert, q_section
@@ -494,9 +494,8 @@ def _mismatches(coll: FiniteCollection, keys, lhs, rhs, axiom, instance, failure
     decoded argument tuple as witness.  Returns the instance count."""
     if lhs != rhs:
         decodings = [coll.decoding(key) for key in keys]
-        for args, left, right in zip(itertools.product(*decodings), lhs, rhs):
-            if left != right:
-                failures.append(AxiomFailure(axiom, instance, args))
+        differing = itertools.compress(itertools.product(*decodings), map(ne, lhs, rhs))
+        failures.extend(AxiomFailure(axiom, instance, args) for args in differing)
     return len(lhs)
 
 

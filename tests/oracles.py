@@ -453,3 +453,17 @@ def diamond_walk(layers, facets):
             assert all(signs), f"the facets of a cell are not connected: {cell}"
             signed[cell] = [(s, rho, sign) for (s, rho, *_), sign in zip(own, signs)]
     return signed
+
+
+# -- the axiom checker's witnesses, by the plain loop ------------------------
+
+
+def differing_arguments(decodings, lhs, rhs):
+    """The argument tuples, in itertools.product order over ``decodings``,
+    at which the flat tables ``lhs`` and ``rhs`` differ: one pass that
+    zips every tuple against both sides."""
+    out = []
+    for args, left, right in zip(itertools.product(*decodings), lhs, rhs):
+        if left != right:
+            out.append(args)
+    return out

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -17,7 +18,7 @@ import reference
 
 from operadkit import zigzags
 from operadkit.braids import BraidWord
-from operadkit.cli import _build_parser, _dumps, main
+from operadkit.cli import _build_parser, _dumps, _grid, main
 from operadkit.errors import ResourceLimit, printable
 from operadkit.operads import (
     endomorphism_symmetric_operad,
@@ -1024,10 +1025,57 @@ def test_library_error_is_machine_readable(capsys, monkeypatch):
     assert rep["payload"]["error"] == "EQUAL_POINTS"
 
 
+# An int grid (equally long, non-empty lists nested to any depth, int
+# leaves) is written by one %-format.  A near-grid breaks the grid in one
+# place, and so leaves for the joins or the stdlib: one row shorter than
+# the others, an empty row, a leaf that is not an int, or a tuple row.  A
+# leaf past the int-to-str digit limit keeps the grid; both writers refuse
+# it.
+_HUGE = -(10**5000)
+_ODD_LEAVES = (
+    st.booleans() | st.floats() | st.text(max_size=3) | st.none() | st.just(_HUGE)
+)
+
+
+def _nest(flat, shape):
+    """The leaves ``flat`` as a grid of the given widths, outermost first."""
+    for width in reversed(shape[1:]):
+        flat = [flat[i : i + width] for i in range(0, len(flat), width)]
+    return flat
+
+
+@st.composite
+def _grids(draw, min_depth=1, min_rows=1):
+    shape = draw(st.lists(st.integers(1, 4), min_size=min_depth, max_size=4))
+    shape[0] = max(shape[0], min_rows)
+    size = math.prod(shape)
+    leaves = draw(st.lists(st.integers(-(2**70), 2**70), min_size=size, max_size=size))
+    return _nest(leaves, shape)
+
+
+@st.composite
+def _near_grids(draw):
+    # two or more rows at every depth, so that any one row can break it
+    grid = draw(_grids(min_depth=2, min_rows=2))
+    way = draw(st.sampled_from(("short", "empty", "leaf", "tuple", "int-keyed")))
+    if way == "int-keyed":
+        return {draw(st.integers(-9, 9)): grid}
+    holder, node = None, grid
+    while type(node[0]) is list and (way == "leaf" or not holder or draw(st.booleans())):
+        holder, index = node, draw(st.integers(0, len(node) - 1))
+        node = node[index]
+    if way == "leaf":
+        node[draw(st.integers(0, len(node) - 1))] = draw(_ODD_LEAVES)
+    else:
+        holder[index] = {"short": node[:-1], "empty": [], "tuple": tuple(node)}[way]
+    return grid
+
+
 # Leaves cover every branch of the stdlib encoder: huge ints (two past the
 # int-to-str digit limit, which both writers refuse), NaN, the infinities
 # and -0.0, control and non-ASCII text, and Fractions, which only
-# default=str can write.  Lists of ints and bools reach the all-int join.
+# default=str can write.  Lists of ints and bools reach the all-int join;
+# grids and near-grids reach the %-format and each way out of it.
 _LEAVES = (
     st.none()
     | st.booleans()
@@ -1038,6 +1086,8 @@ _LEAVES = (
     | st.text()
     | st.fractions()
     | st.lists(st.integers(-(2**70), 2**70) | st.booleans(), max_size=5)
+    | _grids()
+    | _near_grids()
 )
 _VALUES = st.recursive(
     _LEAVES,
@@ -1060,7 +1110,54 @@ def _written(write, value):
 @settings(max_examples=250, derandomize=True, deadline=None)
 @given(_VALUES)
 def test_report_writer_matches_indented_json_dumps(value):
-    def stdlib(v):
-        return json.dumps(v, indent=2, sort_keys=True, default=str)
+    assert _written(_dumps, value) == _written(_stdlib, value)
 
-    assert _written(_dumps, value) == _written(stdlib, value)
+
+def _stdlib(value):
+    return json.dumps(value, indent=2, sort_keys=True, default=str)
+
+
+# Each way into and out of the %-format, fixed, so that coverage does not
+# rest on what Hypothesis draws.  Each case names whether _dumps writes it
+# by _grid, which it tries on non-empty lists of lists only.
+_GRID_CASES = {
+    "grid-depth-2": ([[1, -2], [3, 2**70]], True),
+    "grid-depth-4": ([[[[1, 2]], [[3, 4]]], [[[5, 6]], [[7, 8]]]], True),
+    "grid-one-row": ([[0]], True),
+    "short-row": ([[1, 2], [3]], False),
+    "short-deep-row": ([[[1, 2], [3, 4]], [[5, 6], [7]]], False),
+    "long-row": ([[1], [2, 3]], False),
+    "empty-row": ([[1, 2], []], False),
+    "empty-deep-row": ([[[1], [2]], [[], [3]]], False),
+    "empty-first-row": ([[], [1]], False),
+    "bool-leaf": ([[1, True], [3, 4]], False),
+    "float-leaf": ([[1, 2], [3, 4.0]], False),
+    "str-leaf": ([["1", 2], [3, 4]], False),
+    "none-leaf": ([[1, 2], [3, None]], False),
+    "huge-leaf": ([[1, 2], [3, _HUGE]], None),  # a grid both writers refuse
+    "tuple-row": ([[1, 2], (3, 4)], False),
+    "tuple-deep-row": ([[[1, 2], (3, 4)]], False),
+    "mixed-depth": ([[1, 2], [[3], 4]], False),
+    "int-keyed-dict": ({1: [[1, 2], [3, 4]], 2: []}, None),
+    "str-keyed-dict": ({"b": [[1, 2], [3, 4]], "a": [], "c": {}}, None),
+    "tuple-grid": (((1, 2), (3, 4)), None),
+    "empty-list": ([], None),
+    "empty-dict": ({}, None),
+}
+
+
+@pytest.mark.parametrize("value, is_grid", _GRID_CASES.values(), ids=_GRID_CASES)
+def test_report_writer_grid_paths(value, is_grid):
+    assert _written(_dumps, value) == _written(_stdlib, value)
+    assert _written(_dumps, {"at": [value]}) == _written(_stdlib, {"at": [value]})
+    if is_grid is not None:
+        tried = type(value) is list and value and set(map(type, value)) == {list}
+        assert bool(tried and _grid(value, "\n") is not None) == is_grid
+
+
+@pytest.mark.parametrize("value", [[_HUGE], [[1], [_HUGE]], [[[_HUGE, 1]]]])
+def test_report_writer_refuses_ints_past_the_digit_limit(value):
+    with pytest.raises(ValueError):
+        _dumps(value)
+    with pytest.raises(ValueError):
+        _stdlib(value)

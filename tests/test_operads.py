@@ -1,9 +1,12 @@
 import functools
 import itertools
 import json
+import random
 
 import pytest
+from oracles import differing_arguments
 
+from operadkit import operads
 from operadkit.braids import BraidWord, braid_sum, invert, q_section
 from operadkit.errors import (
     BoundExceeded,
@@ -20,6 +23,7 @@ from operadkit.operads import (
     MIXED2,
     N_OPERAD,
     SYMMETRIC,
+    AxiomFailure,
     FiniteCollection,
     FiniteOperad,
     Flavor,
@@ -33,6 +37,7 @@ from operadkit.operads import (
     induced_action,
     is_locally_constant,
     is_quasisymmetric,
+    morphism_key,
     non_quasisymmetric_operad,
     operad_from_json,
     operad_to_json,
@@ -399,6 +404,55 @@ def test_fault_injection_breaks_unit_law():
     assert not report.passed
     bad = [f for f in report.failures if f.axiom == "unit-left"]
     assert bad and bad[0].witness == ((0, 1), (1, 0))
+
+
+def _corrupted(op, rng):
+    """``op`` with one entry of one of its memoised tables changed to
+    another element of the same carrier."""
+    sites = [s for s in op.tables if len(decoding(op, s.source)) > 1]
+    sigma = rng.choice(sorted(sites, key=morphism_key))
+    table = list(op.tables[sigma])
+    i = rng.randrange(len(table))
+    table[i] = rng.choice([v for v in range(len(decoding(op, sigma.source))) if v != table[i]])
+    tables = {**op.tables, sigma: table}
+    return FiniteOperad(op.collection, op.unit, op.bound, tables, op.supplier)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: endomorphism_symmetric_operad((0, 1), 2), lambda: orders_operad(3)],
+    ids=["end01-2", "orders-3"],
+)
+@pytest.mark.parametrize("flavor", [SYMMETRIC, BRAIDED, MIXED2], ids=str)
+def test_witnesses_come_in_the_zip_loop_order(monkeypatch, make, flavor):
+    # every call compares the checker's witnesses, in order, with the
+    # plain loop's; the report of a check that takes the loop's is the same
+    real = operads._mismatches
+
+    def by_zip_loop(coll, keys, lhs, rhs, axiom, instance, failures):
+        ours = []
+        assert real(coll, keys, lhs, rhs, axiom, instance, ours) == len(lhs)
+        decodings = [coll.decoding(key) for key in keys]
+        theirs = [
+            AxiomFailure(axiom, instance, args)
+            for args in differing_arguments(decodings, lhs, rhs)
+        ]
+        assert ours == theirs
+        failures += theirs
+        return len(lhs)
+
+    op = make()
+    assert check_operad_axioms(op).passed  # memoises every table
+    rng = random.Random(f"witness order {flavor}")
+    for _ in range(6):
+        broken = _corrupted(op, rng)
+        if flavor is not SYMMETRIC:
+            broken = reflavor(broken, flavor)
+        report = check_operad_axioms(broken)
+        assert not report.passed
+        with monkeypatch.context() as patched:
+            patched.setattr(operads, "_mismatches", by_zip_loop)
+            assert check_operad_axioms(broken) == report
 
 
 def test_corrupt_action_raises_invariant_broken():

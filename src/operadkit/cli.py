@@ -58,7 +58,6 @@ from .ordinal_maps import OrdinalMap, compose, factorize
 from .ordinals import count_ordinals, ordinal_from_json, to_tree, unrank
 from .quasicat import build_j, build_q, cellular_j, cellular_q, chain_counts, nerve_counts
 from .strata import (
-    StratumLabel,
     classify_stratum,
     configuration_from_json,
     degeneration_check,
@@ -103,13 +102,6 @@ class _Parser(argparse.ArgumentParser):
         raise _ArgError(message)
 
 
-class _Text:
-    """Sentinel for handlers that write text (DOT or trees) instead of JSON."""
-
-    def __init__(self, text: str):
-        self.text = text
-
-
 # -- small renderers ----------------------------------------------------
 
 
@@ -142,8 +134,8 @@ def _dot_quasi_category(c) -> str:
 
 def _dot_poset(p) -> str:
     lines = ["digraph J {"]
-    for idx, (t, labels) in enumerate(p.elements):
-        lines.append(f'  v{idx} [label="{list(t.levels)}|{list(labels)}"];')
+    for idx, e in enumerate(p.elements):
+        lines.append(f'  v{idx} [label="{label_key(e)}"];')
     for i, j in p.covering_pairs():
         lines.append(f"  v{i} -> v{j};")
     lines.append("}")
@@ -166,7 +158,7 @@ def _cmd_enumerate(args, doc):
             f"{args.offset + pos}: levels={list(t.levels)}  {_bracket_tree(t)}"
             for pos, t in enumerate(window)
         ]
-        return _Text("\n".join(lines) + ("\n" if lines else ""))
+        return "\n".join(lines) + ("\n" if lines else "")
     return {
         "n": args.n,
         "k": args.k,
@@ -219,14 +211,14 @@ def _cmd_factorize(args, doc):
 def _cmd_build_q(args, doc):
     c = build_q(args.n, args.k)
     if args.dot:
-        return _Text(_dot_quasi_category(c))
+        return _dot_quasi_category(c)
     return {**c.to_json(), "morphisms": c.morphism_count()}
 
 
 def _cmd_build_j(args, doc):
     p = build_j(args.n, args.k)
     if args.dot:
-        return _Text(_dot_poset(p))
+        return _dot_poset(p)
     return {**p.to_json(), "covering_pairs": [list(c) for c in p.covering_pairs()]}
 
 
@@ -323,8 +315,8 @@ def _cmd_artin_check(args, doc):
 _FLAVOR_NAMES = {"symmetric": SYMMETRIC, "braided": BRAIDED, "mixed2": MIXED2}
 
 
-def _flavor_from(args, doc=None):
-    name = None if doc is None else doc.get("flavor")
+def _flavor_from(args, doc):
+    name = doc.get("flavor")
     if not isinstance(name, str):
         name = args.flavor
     if name is None:
@@ -334,8 +326,7 @@ def _flavor_from(args, doc=None):
     if name in _FLAVOR_NAMES:
         return _FLAVOR_NAMES[name]
     if name == "n":
-        n = getattr(args, "n", None)
-        n = (doc or {}).get("n", n)
+        n = doc.get("n", getattr(args, "n", None))
         if n is None:
             raise UsageError(
                 {"error": "BAD_INPUT", "message": "flavor 'n' needs --n"}
@@ -425,11 +416,11 @@ def _cmd_verify_partition(args, doc):
 def _cmd_degeneration(args, doc):
     p = build_j(args.n, args.k)
     covers = p.covering_pairs()
-    labels = [StratumLabel(t, pi) for t, pi in p.elements]
     failures = []
     for i, j in covers:
-        if not degeneration_check(labels[i], labels[j]):
-            failures.append({"upper": labels[i].to_json(), "lower": labels[j].to_json()})
+        upper, lower = p.elements[i], p.elements[j]
+        if not degeneration_check(upper, lower):
+            failures.append({"upper": upper.to_json(), "lower": lower.to_json()})
     payload = {
         "n": args.n,
         "k": args.k,
@@ -444,9 +435,9 @@ def _cmd_degeneration(args, doc):
 # -- plumbing -------------------------------------------------------------
 
 
-def _add_nk(sub, n_default=None, k_default=None):
-    sub.add_argument("--n", type=int, default=n_default, required=n_default is None)
-    sub.add_argument("--k", type=int, default=k_default, required=k_default is None)
+def _add_nk(sub):
+    sub.add_argument("--n", type=int, required=True)
+    sub.add_argument("--k", type=int, required=True)
 
 
 @functools.cache
@@ -617,8 +608,8 @@ def main(argv=None) -> int:
             raise UsageError({"error": "USAGE", "message": str(e)})
         doc = _read_doc(args)
         result = args.handler(args, doc)
-        if isinstance(result, _Text):
-            text = result.text
+        if isinstance(result, str):
+            text = result
         else:
             payload = result
     except CommandFailed as e:

@@ -3,10 +3,12 @@
 Q_n(k) has the n-ordinals of arity k as objects and all quasibijections
 between them as morphisms.  The poset J_n(k) has labeled ordinals (T, pi)
 as elements, ordered by validity of the induced label map; forgetting
-labels is a free symmetric group quotient J_n(k)/S_k = Q_n(k).  That order
-is the face order of Milgram's cells below, and build_j generates it from
-their facets alone (_facets); the label-map rule on every pair of labels
-is the oracle the tests compare it with (perfbench/reference.py).
+labels is a free symmetric group quotient J_n(k)/S_k = Q_n(k).  Its
+elements are the labels of the Fox-Neuwirth strata, strata.StratumLabel.
+That order is the face order of Milgram's cells below, and build_j
+generates it from their facets alone (_facets), which are its covering
+pairs; the label-map rule on every pair of labels is the oracle the tests
+compare it with (perfbench/reference.py).
 
 Both carry classifying spaces, and both are nerves: the nerve of Q
 (chains of composable non-identity morphisms) and the order complex of J,
@@ -38,6 +40,7 @@ from .errors import (
 from .homology import ChainComplex
 from .ordinal_maps import enumerate_maps
 from .ordinals import NOrdinal, count_ordinals, enumerate_ordinals
+from .strata import StratumLabel
 
 
 def _bits(mask: int) -> list[int]:
@@ -204,8 +207,9 @@ def _nerve(heads: list, tables, max_dim: int | None, message: str, **where) -> C
 class MilgramPoset:
     n: int
     k: int
-    elements: tuple[tuple[NOrdinal, tuple[int, ...]], ...]
+    elements: tuple[StratumLabel, ...]
     below: tuple[int, ...]  # bit j of below[i]: element i strictly above element j
+    covers: tuple[tuple[int, int], ...]  # sorted (i, j): j a facet of i, nothing between
 
     @functools.cached_property
     def above(self) -> frozenset:
@@ -217,29 +221,19 @@ class MilgramPoset:
     def label_map(self, i: int, j: int) -> tuple[int, ...]:
         """Table sending positions of element i to positions of element j
         matching labels."""
-        (_, pi), (_, pj) = self.elements[i], self.elements[j]
-        inv = invert(pj)
-        return tuple(inv[lab] for lab in pi)
+        inv = invert(self.elements[j].labels)
+        return tuple(inv[lab] for lab in self.elements[i].labels)
 
     def covering_pairs(self) -> list[tuple[int, int]]:
         """Pairs (i, j) in sorted order with j below i and nothing
-        between: the mask below i less everything below its members."""
-        below = self.below
-        covers = []
-        for i, mask in enumerate(below):
-            deeper = 0
-            for j in _bits(mask):
-                deeper |= below[j]
-            covers.extend((i, j) for j in _bits(mask & ~deeper))
-        return covers
+        between: the facets that build_j closes."""
+        return list(self.covers)
 
     def to_json(self) -> dict:
         return {
             "n": self.n,
             "k": self.k,
-            "elements": [
-                {"ordinal": t.to_json(), "labels": list(pi)} for t, pi in self.elements
-            ],
+            "elements": [e.to_json() for e in self.elements],
             "relations": [
                 [i, j] for i, mask in enumerate(self.below) for j in _bits(mask)
             ],
@@ -247,17 +241,21 @@ class MilgramPoset:
 
 
 def build_j(n: int, k: int) -> MilgramPoset:
-    """Labeled n-ordinals of arity k, each above the cells it is a face of.
+    """Labeled n-ordinals of arity k, as StratumLabels, each above the cells
+    it is a face of.
 
     (T, pi) lies above (S, rho) when relabeling positions through the
     labels gives a valid map T -> S; coarser structures sit on top.  This
     order is the face order of Milgram's cells, so it is the closure of the
     facets: going down in dimension, each facet (S, rho) of (T, id) puts
     (S, pi rho) above (T, pi) and above everything (T, pi) is above.  The
-    element count n^(k-1) k! is predicted first, one arity at a time so
-    that any k is cheap, and its square bounds the bits of the below masks:
-    at the first partial count whose square passes LIST_CAP, ResourceLimit
-    is raised, and at a count of 0 the empty poset is returned at once.
+    face poset of a regular CW complex is graded by dimension, so these
+    facet pairs are exactly the covering pairs; they are kept, sorted, as
+    ``covers``.  The element count n^(k-1) k! is predicted first, one
+    arity at a time so that any k is cheap, and its square bounds the bits
+    of the below masks: at the first partial count whose square passes
+    LIST_CAP, ResourceLimit is raised, and at a count of 0 the empty poset
+    is returned at once.
     """
     count_ordinals(n, 0)  # refuses a bad n before anything is multiplied
     size = 1
@@ -265,19 +263,21 @@ def build_j(n: int, k: int) -> MilgramPoset:
         size *= m * n
         within_cap(size * size, "too many ordered pairs of elements to test", n=n, k=k)
         if not size:
-            return MilgramPoset(n, k, (), ())
+            return MilgramPoset(n, k, (), (), ())
     ordinals = list(enumerate_ordinals(n, k))
     perms = list(itertools.permutations(range(k)))
-    elements = tuple((t, pi) for t in ordinals for pi in perms)
+    elements = tuple(StratumLabel(t, pi) for t in ordinals for pi in perms)
     first = {t.levels: i * len(perms) for i, t in enumerate(ordinals)}
     rank = {pi: i for i, pi in enumerate(perms)}
     below = [0] * len(elements)
+    covers = []
     for t in sorted(first, key=sum, reverse=True):
         for s, rho, _ in _facets(t):
             for x, pi in enumerate(perms, first[t]):
                 y = first[s] + rank[tuple(pi[r] for r in rho)]
                 below[y] |= 1 << x | below[x]
-    return MilgramPoset(n, k, elements, tuple(below))
+                covers.append((y, x))
+    return MilgramPoset(n, k, elements, tuple(below), tuple(sorted(covers)))
 
 
 def _chain_counts(heads: list, max_dim: int | None, message: str, **where) -> list[int]:
@@ -335,11 +335,11 @@ def verify_quotient_correspondence(p: MilgramPoset, c: QuasiCategory) -> int:
     """
     obj_index = {obj: i for i, obj in enumerate(c.objects)}
     checked = 0
-    for i, (t, pi) in enumerate(p.elements):
-        ti = obj_index[t]
+    for i, e in enumerate(p.elements):
+        ti = obj_index[e.ordinal]
         reached: dict[int, set] = {}
         for j in _bits(p.below[i]):
-            reached.setdefault(obj_index[p.elements[j][0]], set()).add(p.label_map(i, j))
+            reached.setdefault(obj_index[p.elements[j].ordinal], set()).add(p.label_map(i, j))
         for si, s in enumerate(c.objects):
             hom = {
                 m.table
@@ -350,7 +350,7 @@ def verify_quotient_correspondence(p: MilgramPoset, c: QuasiCategory) -> int:
             if got != hom:
                 raise IsoCheckFailed(
                     "label maps below an element do not match the hom-set",
-                    element={"ordinal": t.to_json(), "labels": list(pi)},
+                    element=e.to_json(),
                     target=s.to_json(),
                     got=sorted(got),
                     expected=sorted(hom),

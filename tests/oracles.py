@@ -467,3 +467,21 @@ def differing_arguments(decodings, lhs, rhs):
         if left != right:
             out.append(args)
     return out
+
+
+# -- covering pairs of a closed order, by un-closing -------------------------
+
+
+def covers_from_masks(below):
+    """The pairs (i, j), in sorted order, with j below i and nothing
+    between, where bit j of the int below[i] says j is below i and the
+    masks are transitively closed: the mask below i less everything below
+    its members."""
+    covers = []
+    for i, mask in enumerate(below):
+        members = [j for j in range(mask.bit_length()) if mask >> j & 1]
+        deeper = 0
+        for j in members:
+            deeper |= below[j]
+        covers.extend((i, j) for j in members if not deeper >> j & 1)
+    return covers

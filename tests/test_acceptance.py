@@ -433,7 +433,7 @@ def test_criterion_12_strata_classification():
         for n in range(1, 4):
             for k in range(1, 4):
                 poset = build_j(n, k)
-                labels = [StratumLabel(o, labs) for o, labs in poset.elements]
+                labels = poset.elements
                 for i, j in poset.covering_pairs():
                     if not degeneration_check(labels[i], labels[j]):
                         failures.append(("cover", n, k, i, j))

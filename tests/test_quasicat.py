@@ -6,7 +6,7 @@ import re
 import pytest
 
 import reference
-from oracles import diamond_walk
+from oracles import covers_from_masks, diamond_walk
 
 from operadkit.errors import (
     LIST_CAP,
@@ -34,7 +34,6 @@ from operadkit.quasicat import (
     _arrows,
     _cells,
     _chain_counts,
-    _facets,
 )
 
 
@@ -67,7 +66,7 @@ def test_build_q_refuses_candidate_maps_past_the_cap(n, k, predicted):
 @pytest.mark.parametrize("k", [2, 3, 10**9])
 def test_an_empty_level_domain_builds_empty_structures_at_once(k):
     assert build_q(0, k) == QuasiCategory(0, k, (), {})
-    assert build_j(0, k) == MilgramPoset(0, k, (), ())
+    assert build_j(0, k) == MilgramPoset(0, k, (), (), ())
 
 
 def test_q22_shape():
@@ -181,7 +180,7 @@ def test_j22_is_a_square_cycle():
 
 def test_label_map_reads_off_positions():
     p = build_j(2, 2)
-    idx = {(t.levels, pi): i for i, (t, pi) in enumerate(p.elements)}
+    idx = {(e.ordinal.levels, e.labels): i for i, e in enumerate(p.elements)}
     i = idx[((0,), (1, 0))]
     j = idx[((1,), (0, 1))]
     assert (i, j) in p.above
@@ -223,7 +222,7 @@ def test_category_json_fields():
 def test_build_j_agrees_with_the_all_pairs_oracle(n, k):
     p = build_j(n, k)
     elements = reference.j_elements(n, k)
-    assert [(t.levels, pi) for t, pi in p.elements] == elements
+    assert [(e.ordinal.levels, e.labels) for e in p.elements] == elements
     relations = reference.j_relations(n, k)
     assert p.above == relations
     assert p.covering_pairs() == sorted(reference.covering_pairs(relations))
@@ -288,18 +287,12 @@ def test_cellular_j_has_the_homology_of_the_order_complex(n, k):
     [(2, 2), (3, 2), (2, 3), (3, 3), (2, 4), (4, 3), (3, 4), (5, 3), (2, 5), (4, 4)],
 )
 def test_facets_are_the_covering_pairs_of_j(n, k):
-    # build_j closes the facets, so its covering pairs are the facets only if
-    # no facet is also reached through a chain of others: the closure is
-    # graded.  The facets of (T, pi) are those of (T, id) with their labels
-    # read through pi; the all-pairs oracle checks the order itself
+    # build_j keeps the facets it closes as the covering pairs, which holds
+    # only if no facet is also reached through a chain of others: the
+    # closure is graded.  Un-closing the masks finds the covers a second
+    # way; the all-pairs oracle checks the order itself
     p = build_j(n, k)
-    index = {(t.levels, pi): i for i, (t, pi) in enumerate(p.elements)}
-    pairs = [
-        (index[(s, tuple(pi[x] for x in rho))], j)
-        for j, (t, pi) in enumerate(p.elements)
-        for s, rho, _ in _facets(t.levels)
-    ]
-    assert sorted(pairs) == p.covering_pairs()
+    assert p.covering_pairs() == covers_from_masks(p.below)
 
 
 @pytest.mark.parametrize("n, k", [(1, 3), (2, 3), (3, 3), (2, 4), (3, 2)])

@@ -167,3 +167,22 @@ def test_j_order_has_one_generator():
         and node.func.attr == "rel"
     ]
     assert calls == []
+
+
+def test_j_covers_come_from_the_facets():
+    # build_j keeps the facets it closes as J's covering pairs; un-closing
+    # the below masks again is the oracle oracles.covers_from_masks
+    poset = next(
+        node
+        for node in _tree(PACKAGE / "quasicat.py").body
+        if isinstance(node, ast.ClassDef) and node.name == "MilgramPoset"
+    )
+    method = next(
+        node
+        for node in poset.body
+        if isinstance(node, ast.FunctionDef) and node.name == "covering_pairs"
+    )
+    names = {
+        getattr(node, "attr", None) or getattr(node, "id", None) for node in ast.walk(method)
+    }
+    assert sorted(names & {"below", "_bits"}) == []

@@ -171,7 +171,7 @@ def test_degeneration_dimension_mismatch():
 def test_degeneration_agrees_with_poset():
     for n, k in [(1, 2), (2, 2), (1, 3), (2, 3)]:
         p = build_j(n, k)
-        labels = [StratumLabel(t, pi) for t, pi in p.elements]
+        labels = p.elements
         for i, j in itertools.product(range(len(labels)), repeat=2):
             if i == j:
                 continue
@@ -237,13 +237,13 @@ def test_classify_agrees_with_the_pairwise_route():
 
 def test_degeneration_agrees_with_the_fraction_walk():
     for n, k in [(1, 2), (2, 2), (1, 3), (2, 3)]:
-        labels = [StratumLabel(t, pi) for t, pi in build_j(n, k).elements]
+        labels = build_j(n, k).elements
         for upper, lower in itertools.permutations(labels, 2):
             expected = _degeneration_by_fraction_walk(upper, lower)
             assert degeneration_check(upper, lower) is expected, (upper, lower)
     for n, k in [(2, 4), (3, 3)]:
         p = build_j(n, k)
-        labels = [StratumLabel(t, pi) for t, pi in p.elements]
+        labels = p.elements
         for i, j in p.covering_pairs():
             expected = _degeneration_by_fraction_walk(labels[i], labels[j])
             assert degeneration_check(labels[i], labels[j]) is expected
@@ -258,7 +258,7 @@ def test_classifier_reports_collisions():
 
 def test_degeneration_walk_builds_no_objects(monkeypatch):
     p = build_j(2, 3)
-    labels = [StratumLabel(t, pi) for t, pi in p.elements]
+    labels = p.elements
     built = []
     for cls in (Configuration, StratumLabel, NOrdinal):
         def counting(self, _init=cls.__post_init__):

@@ -54,8 +54,8 @@ from .operads import (
     orders_operad,
     terminal_operad,
 )
-from .ordinal_maps import OrdinalMap, compose, factorize
-from .ordinals import count_ordinals, ordinal_from_json, to_tree, unrank
+from .ordinal_maps import OrdinalMap, compose, factorize, map_fields, map_from_json
+from .ordinals import count_ordinals, to_tree, unrank
 from .quasicat import build_j, build_q, cellular_j, cellular_q, chain_counts, nerve_counts
 from .strata import (
     classify_stratum,
@@ -168,25 +168,10 @@ def _cmd_enumerate(args, doc):
     }
 
 
-def _parse_map_fields(doc) -> tuple:
-    if not isinstance(doc, dict) or not {"source", "target", "f"} <= set(doc):
-        raise UsageError(
-            {
-                "error": "BAD_INPUT",
-                "message": "expected an object with 'source', 'target' and 'f'",
-            }
-        )
-    return (
-        ordinal_from_json(doc["source"]),
-        ordinal_from_json(doc["target"]),
-        tuple(decode(doc["f"], list, "f")),
-    )
-
-
 def _cmd_check_map(args, doc):
-    source, target, table = _parse_map_fields(doc)
+    fields = map_fields(doc)
     try:
-        m = OrdinalMap(source, target, table)
+        m = OrdinalMap(*fields)
     except WorkbenchError as e:
         raise CommandFailed({"error": e.code, "witness": e.to_json()})
     return {
@@ -197,8 +182,7 @@ def _cmd_check_map(args, doc):
 
 
 def _cmd_factorize(args, doc):
-    source, target, table = _parse_map_fields(doc)
-    m = OrdinalMap(source, target, table)
+    m = map_from_json(doc)
     fact = factorize(m)
     recomposed = compose(fact.nu, fact.pi)
     if recomposed.table != m.table:
@@ -315,23 +299,17 @@ def _cmd_artin_check(args, doc):
 _FLAVOR_NAMES = {"symmetric": SYMMETRIC, "braided": BRAIDED, "mixed2": MIXED2}
 
 
-def _flavor_from(args, doc):
+def _flavor_from(doc):
+    """The flavor a builtin document names, with its ``n`` for ``"n"``."""
     name = doc.get("flavor")
-    if not isinstance(name, str):
-        name = args.flavor
     if name is None:
         raise UsageError(
             {"error": "BAD_INPUT", "message": "a flavor is required here"}
         )
-    if name in _FLAVOR_NAMES:
-        return _FLAVOR_NAMES[name]
     if name == "n":
-        n = doc.get("n", getattr(args, "n", None))
-        if n is None:
-            raise UsageError(
-                {"error": "BAD_INPUT", "message": "flavor 'n' needs --n"}
-            )
-        return N_OPERAD(decode(n, int, "n"))
+        return N_OPERAD(decode(doc.get("n"), int, "n"))
+    if isinstance(name, str) and name in _FLAVOR_NAMES:
+        return _FLAVOR_NAMES[name]
     raise UsageError({"error": "BAD_INPUT", "message": f"unknown flavor {name!r}"})
 
 
@@ -345,10 +323,10 @@ def _load_operad(doc, args):
     if "builtin" not in doc:
         return operad_from_json(doc)
     name = doc["builtin"]
-    bound = doc.get("bound", getattr(args, "bound", None))
+    bound = doc.get("bound", args.bound)
     bound = None if bound is None else decode(bound, int, "bound")
     if name == "terminal":
-        return terminal_operad(_flavor_from(args, doc), 3 if bound is None else bound)
+        return terminal_operad(_flavor_from(doc), 3 if bound is None else bound)
     if name == "endomorphism":
         values = decode(doc.get("set", [0, 1]), list, "set")
         values = tuple(decode(v, (bool, int, float, str), "set element") for v in values)
@@ -485,10 +463,6 @@ def _build_parser() -> _Parser:
 
     sub = command("operad-check", _cmd_operad_check, payload=True)
     sub.add_argument("--bound", type=int, default=None)
-    sub.add_argument("--n", type=int, default=None)
-    sub.add_argument(
-        "--flavor", choices=("symmetric", "braided", "n", "mixed2"), default=None
-    )
 
     sub = command("desymmetrise", _cmd_desymmetrise, payload=True)
     sub.add_argument("--n", type=int, default=2)

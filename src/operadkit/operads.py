@@ -23,7 +23,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from operator import add, ne
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -53,7 +52,7 @@ from .ordinal_maps import (
     morphism_violation,
     restrict_map,
 )
-from .ordinals import NOrdinal, enumerate_ordinals, make_ordinal
+from .ordinals import NOrdinal, count_ordinals, enumerate_ordinals, make_ordinal
 from .zigzags import generator_span
 
 CARRIER_CAP = 100_000
@@ -402,20 +401,28 @@ def _candidates(objs: list[NOrdinal]) -> Iterator[tuple]:
                 yield t, s, table
 
 
-def _candidate_count(objs: list[NOrdinal]) -> int:
-    """How many candidates ``_candidates(objs)`` yields, from the arities."""
-    count = Counter(a.arity for a in objs)
-    return sum(count[a] * count[b] * a**b for a in count for b in count if a <= b)
+def _candidate_count(flavor: Flavor, bound: int) -> int:
+    """How many candidates ``_candidates`` yields within bound, from the
+    index ordinals per arity: b**a tables from each of arity a onto each of
+    arity b <= a.  Summed one source arity at a time through within_cap, so
+    it refuses at the first arity past LIST_CAP and lists no ordinal."""
+    n = _index_n(flavor)
+    total = 0
+    for a in range(1, bound + 1):
+        targets = sum(count_ordinals(n, b) * b**a for b in range(1, a + 1))
+        total += count_ordinals(n, a) * targets
+        within_cap(total, "too many candidate maps between index ordinals")
+    return total
 
 
 def _surjections(op: FiniteOperad, bound: int) -> dict[tuple, _Surjection]:
     """Every surjection between index ordinals within bound, by key: the
     morphisms whose tables the axioms quantify over, each derived once.
     Past LIST_CAP candidate tables it raises ResourceLimit before the
-    first one is tested."""
+    first index ordinal is listed."""
+    _candidate_count(op.flavor, bound)
     size = {key: len(elems) for key, elems in op.collection.carrier.items()}
     objs = _index_ordinals(op.flavor, bound)
-    within_cap(_candidate_count(objs), "too many candidate maps between index ordinals")
     out = {}
     for t, s, table in _candidates(objs):
         if len(set(table)) != s.arity or morphism_violation(t, s, table) is not None:
@@ -507,9 +514,10 @@ def check_operad_axioms(op: FiniteOperad, bound: int | None = None) -> AxiomRepo
 
     Every required surjection within bound must have a table; each one
     without is a ``coverage`` failure, and the instances that need it are
-    skipped.  Before any table is built, the longest list the check would
-    build is predicted from the carrier sizes; past LIST_CAP entries the
-    check raises ResourceLimit.  Associativity and both unit laws run for
+    skipped.  First the candidate maps are counted (``_candidate_count``),
+    and before any table is built, the longest list the check would
+    build is predicted from the carrier sizes; past LIST_CAP either
+    raises ResourceLimit.  Associativity and both unit laws run for
     all flavors.  The symmetric flavor adds the two equivariance
     identities in both presentations (whole-group reindexing and commuting
     squares with bijective verticals); the braided flavor checks
@@ -526,6 +534,7 @@ def check_operad_axioms(op: FiniteOperad, bound: int | None = None) -> AxiomRepo
         raise OutOfRange("bound must be at least 1", bound=bound)
     if bound > op.bound:
         raise BoundExceeded("check bound exceeds the operad bound", bound=bound)
+    _candidate_count(op.flavor, bound)
     validate_collection(op.collection)
     if op.unit not in op.carrier_of(_point(op.flavor)):
         raise InvariantBroken("unit element is not in the arity-one carrier")
@@ -942,9 +951,11 @@ def _check_square_eq2(op: FiniteOperad, squares: tuple, failures: list[AxiomFail
 
 
 def terminal_operad(flavor: Flavor, bound: int) -> FiniteOperad:
-    """All carriers are singletons, so every axiom holds on the nose."""
+    """All carriers are singletons, so every axiom holds on the nose.  The
+    candidate maps are priced (``_candidate_count``) before any is built."""
     if bound < 1:
         raise OutOfRange("bound must be at least 1", bound=bound)
+    _candidate_count(flavor, bound)
     ordinals = _index_ordinals(flavor, bound)
     carrier = {_carrier_key(flavor, a): ("*",) for a in ordinals}
     actions = {}
@@ -966,8 +977,9 @@ def endomorphism_symmetric_operad(x: Sequence, bound: int = 2) -> FiniteOperad:
     A function of arity k is its output tuple over the lex-ordered inputs
     X^k, and its index is that tuple's positions in X read as base-|X|
     digits, first input most significant; tables and actions are computed
-    on those digits.  Carrier sizes grow doubly exponentially, so the
-    bound is guarded.
+    on those digits.  Carrier sizes grow doubly exponentially, so they are
+    capped one arity at a time, and then the candidate maps are priced
+    (``_candidate_count``), before any carrier is built.
     """
     x = tuple(x)
     if len(x) < 1 or len(set(x)) != len(x):
@@ -975,11 +987,15 @@ def endomorphism_symmetric_operad(x: Sequence, bound: int = 2) -> FiniteOperad:
     if bound < 1:
         raise OutOfRange("bound must be at least 1", bound=bound)
     q = len(x)
-    if q ** (q**bound) > CARRIER_CAP:
-        raise ResourceLimit(
-            "endomorphism carrier would be too large",
-            size=q, bound=bound, cap=CARRIER_CAP,
-        )
+    size = q  # the arity-k carrier has q**(q**k) elements, size**q at k + 1
+    for _ in range(bound if q > 1 else 0):  # at q = 1 every carrier has one
+        size **= q
+        if size > CARRIER_CAP:
+            raise ResourceLimit(
+                "endomorphism carrier would be too large",
+                size=q, bound=bound, cap=CARRIER_CAP,
+            )
+    _candidate_count(SYMMETRIC, bound)
     inputs = {k: list(itertools.product(range(q), repeat=k)) for k in range(1, bound + 1)}
     carrier = {
         k - 1: tuple(itertools.product(x, repeat=q**k)) for k in range(1, bound + 1)
@@ -1032,10 +1048,12 @@ def orders_operad(bound: int = 3) -> FiniteOperad:
     """The symmetric operad of linear orders, one rank vector per element.
 
     Substitution nests the argument orders inside the bands cut out by the
-    top order; actions precompose rank vectors with transpositions.
+    top order; actions precompose rank vectors with transpositions.  The
+    candidate maps are priced (``_candidate_count``) before any is built.
     """
     if bound < 1:
         raise OutOfRange("bound must be at least 1", bound=bound)
+    _candidate_count(SYMMETRIC, bound)
     carrier = {
         k - 1: tuple(sorted(itertools.permutations(range(k))))
         for k in range(1, bound + 1)
@@ -1095,7 +1113,8 @@ def desymmetrise(sym: FiniteOperad, n: int, bound: int | None = None) -> FiniteO
     Every n-ordinal of arity k carries the symmetric operad's arity-k set;
     the multiplication at any valid surjection sorts the source stably by
     image, multiplies along the sorted order-preserving map, and lets the
-    sorting permutation act on the result.
+    sorting permutation act on the result.  The candidate maps between
+    n-ordinals are priced (``_candidate_count``) before any is listed.
     """
     if sym.flavor.kind != "symmetric":
         raise OutOfRange("expected a symmetric operad", flavor=str(sym.flavor))
@@ -1107,6 +1126,7 @@ def desymmetrise(sym: FiniteOperad, n: int, bound: int | None = None) -> FiniteO
             "requested bound exceeds the symmetric operad", bound=bound
         )
     flavor = N_OPERAD(n)
+    _candidate_count(flavor, bound)
     ordinals = _index_ordinals(flavor, bound)
     carrier = {a: sym.collection.decoding(a.arity - 1) for a in ordinals}
 

@@ -126,14 +126,20 @@ class OrdinalMap:
         return f"{list(self.table)}: {self.source} -> {self.target}"
 
 
-def map_from_json(obj: dict) -> OrdinalMap:
+def map_fields(obj) -> tuple[NOrdinal, NOrdinal, tuple]:
+    """The source, target and table of a map document, each decoded, with
+    the table not yet checked against the map conditions."""
     if not isinstance(obj, dict) or not {"source", "target", "f"} <= set(obj):
         raise OutOfRange("map object needs 'source', 'target' and 'f' fields", got=obj)
-    return OrdinalMap(
+    return (
         ordinal_from_json(obj["source"]),
         ordinal_from_json(obj["target"]),
         tuple(decode(obj["f"], list, "f")),
     )
+
+
+def map_from_json(obj) -> OrdinalMap:
+    return OrdinalMap(*map_fields(obj))
 
 
 def identity_map(a: NOrdinal) -> OrdinalMap:

@@ -188,8 +188,6 @@ def _nerve(heads: list, tables, max_dim: int | None, message: str, **where) -> C
         cells.append([path + (b,) for path in cells[-1] for b in after[path[-1]]])
 
     def face_list(d, path):
-        if d == 0:
-            return []
         if d == 1:
             i, j, _ = arrows[path[0]]
             return [(1, j), (-1, i)]

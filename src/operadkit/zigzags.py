@@ -432,7 +432,6 @@ def split_zigzag(z: ZigZag, blocks: Sequence[int] | None = None) -> SplitResult:
     for lo, hi in spans_of:
         block = range(lo, hi)
         positions = [p for p in range(k) if sigma.table[p] in block]
-        positions.sort()
         kappa.extend(positions)
         sigma_i = restrict_map(sigma, positions, block)
         eta_i = restrict_map(eta, positions, block)

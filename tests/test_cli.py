@@ -128,6 +128,7 @@ _SRC = str(Path(__file__).resolve().parents[1] / "src")
             "FAIL",
         ),
         (["enumerate", "--n", "2", "--k", "-1"], "", 2, "ERROR"),
+        (["desymmetrise", "-"], json.dumps({"builtin": "terminal", "bound": 2}), 2, "ERROR"),
     ],
 )
 def test_module_entry_point_exit_codes(argv, stdin_text, code, outcome):
@@ -241,6 +242,20 @@ def test_a_null_n_is_refused_and_inf_is_read(capsys, monkeypatch, command, doc):
     }
     code, out, _ = run_cli([command], capsys, monkeypatch, stdin_text=json.dumps(doc("inf")))
     assert code == 0, out
+
+
+@pytest.mark.parametrize("command", ["check-map", "factorize"])
+@pytest.mark.parametrize(
+    "doc",
+    [{"source": _map_doc(2)["source"], "target": _map_doc(2)["target"]}, [], "map"],
+    ids=["no f", "list", "string"],
+)
+def test_a_map_document_needs_its_three_fields(capsys, monkeypatch, command, doc):
+    code, out, _ = run_cli([command], capsys, monkeypatch, stdin_text=json.dumps(doc))
+    assert code == 2
+    diagnostic = report_of(out)["payload"]["diagnostic"]
+    assert diagnostic["code"] == "OUT_OF_RANGE"
+    assert diagnostic["message"] == "map object needs 'source', 'target' and 'f' fields"
 
 
 def test_factorize_command(capsys, monkeypatch):
@@ -549,8 +564,8 @@ def test_operad_check_refuses_lists_past_the_cap(capsys, monkeypatch):
 
 
 def test_operad_check_refuses_candidate_maps_past_the_cap(capsys, monkeypatch):
-    # terminal N_OPERAD(2) at bound 9: 256 index ordinals of arity 9, and
-    # 8^9 tables between each of them and each of the 128 of arity 8
+    # terminal N_OPERAD(2) at bound 9: the candidates are summed one source
+    # arity at a time, and the sum first passes the cap at arity 6
     doc = {"builtin": "terminal", "flavor": "n", "n": 2, "bound": 9}
     started = time.perf_counter()
     code, out, _ = run_cli(["operad-check", "-"], capsys, monkeypatch, json.dumps(doc))
@@ -558,8 +573,82 @@ def test_operad_check_refuses_candidate_maps_past_the_cap(capsys, monkeypatch):
     assert code == 2
     assert report_of(out)["payload"]["diagnostic"] == {
         "code": "RESOURCE_LIMIT", "message": "too many candidate maps between index ordinals",
-        "predicted": 30874249742431, "cap": 2**24,
+        "predicted": 57889183, "cap": 2**24,
     }
+
+
+@pytest.mark.parametrize(
+    "argv, doc, message",
+    [
+        (["operad-check"], {"builtin": "terminal", "flavor": "symmetric", "bound": 600},
+         "too many candidate maps between index ordinals"),
+        (["operad-check"], {"builtin": "terminal", "flavor": "symmetric", "bound": 1500},
+         "too many candidate maps between index ordinals"),
+        (["operad-check"], {"builtin": "orders", "bound": 10},
+         "too many candidate maps between index ordinals"),
+        (["operad-check"], {"builtin": "endomorphism", "set": [0], "bound": 1000},
+         "too many candidate maps between index ordinals"),
+        (["operad-check"], {"builtin": "endomorphism", "set": [0, 1], "bound": 28},
+         "endomorphism carrier would be too large"),
+        (["operad-check"], {"builtin": "terminal", "flavor": "n", "n": 2, "bound": 18},
+         "too many candidate maps between index ordinals"),
+        (["desymmetrise", "--n", "1000000", "--bound", "2"],
+         {"builtin": "endomorphism", "set": [0, 1]},
+         "too many candidate maps between index ordinals"),
+    ],
+    ids=["terminal-600", "terminal-1500", "orders-10", "end-0-1000", "end-01-28",
+         "terminal-n2-18", "desymmetrise-n-1000000"],
+)
+def test_operads_are_priced_before_they_are_built(capsys, monkeypatch, argv, doc, message):
+    started = time.perf_counter()
+    code, out, _ = run_cli([*argv, "-"], capsys, monkeypatch, json.dumps(doc))
+    assert time.perf_counter() - started < 2.0
+    assert code == 2
+    diagnostic = report_of(out)["payload"]["diagnostic"]
+    assert (diagnostic["code"], diagnostic["message"]) == ("RESOURCE_LIMIT", message)
+
+
+_TERMINAL = {"builtin": "terminal", "bound": 2}
+
+
+@pytest.mark.parametrize("command", ["operad-check", "desymmetrise"])
+@pytest.mark.parametrize(
+    "doc, diagnostic",
+    [
+        (_TERMINAL, {"error": "BAD_INPUT", "message": "a flavor is required here"}),
+        ({**_TERMINAL, "flavor": None},
+         {"error": "BAD_INPUT", "message": "a flavor is required here"}),
+        ({**_TERMINAL, "flavor": "n"}, {"error": "BAD_DOCUMENT", "field": "n"}),
+        ({**_TERMINAL, "flavor": "n", "n": "2"}, {"error": "BAD_DOCUMENT", "field": "n"}),
+        ({**_TERMINAL, "flavor": "cubical"},
+         {"error": "BAD_INPUT", "message": "unknown flavor 'cubical'"}),
+        ({**_TERMINAL, "flavor": 3}, {"error": "BAD_INPUT", "message": "unknown flavor 3"}),
+        ({**_TERMINAL, "flavor": ["symmetric"]},
+         {"error": "BAD_INPUT", "message": "unknown flavor ['symmetric']"}),
+    ],
+    ids=["no flavor", "null flavor", "n without n", "n text", "unknown flavor",
+         "int flavor", "list flavor"],
+)
+def test_a_builtin_names_its_flavor_in_its_document(capsys, monkeypatch, command, doc, diagnostic):
+    # desymmetrise's --n is the target n; it is never read as the builtin's
+    argv = [command, "-"] + (["--n", "2"] if command == "desymmetrise" else [])
+    code, out, err = run_cli(argv, capsys, monkeypatch, json.dumps(doc))
+    assert code == 2
+    payload = report_of(out)["payload"]
+    assert payload["error"] == diagnostic["error"]
+    if "field" in diagnostic:
+        assert payload["diagnostic"]["field"] == diagnostic["field"]
+    else:
+        assert payload["message"] == diagnostic["message"]
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", [["--flavor", "symmetric"], ["--n", "2"]])
+def test_operad_check_takes_no_flavor_flags(capsys, monkeypatch, flag):
+    doc = {**_TERMINAL, "flavor": "symmetric"}
+    code, out, _ = run_cli(["operad-check", *flag, "-"], capsys, monkeypatch, json.dumps(doc))
+    assert code == 2
+    assert report_of(out)["payload"]["error"] == "USAGE"
 
 
 def test_desymmetrise_refuses_documents_past_the_cap(capsys, monkeypatch):

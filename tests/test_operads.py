@@ -1,7 +1,9 @@
+import dataclasses
 import functools
 import itertools
 import json
 import random
+import time
 
 import pytest
 from oracles import differing_arguments
@@ -173,6 +175,51 @@ def test_endomorphism_resource_limit():
     assert info.value.code == "RESOURCE_LIMIT"
 
 
+@pytest.mark.parametrize("values, bound", [((0, 1), 5), ((0, 1), 28), ((0, 1, 2), 10**9)])
+def test_endomorphism_carrier_cap_is_decided_per_arity(values, bound):
+    # q**(q**bound) is never formed: End{0,1} at bound 28 has 2**(2**28)
+    # elements at its top arity
+    started = time.perf_counter()
+    with pytest.raises(ResourceLimit) as info:
+        endomorphism_symmetric_operad(values, bound)
+    assert time.perf_counter() - started < 2.0
+    assert info.value.to_json() == {
+        "code": "RESOURCE_LIMIT", "message": "endomorphism carrier would be too large",
+        "size": len(values), "bound": bound, "cap": 100_000,
+    }
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: terminal_operad(SYMMETRIC, 4000),
+        lambda: terminal_operad(N_OPERAD(2), 18),
+        lambda: orders_operad(10),
+        lambda: endomorphism_symmetric_operad((0,), 1000),
+        lambda: desymmetrise(endomorphism_symmetric_operad((0, 1), 2), 10**6, 2),
+    ],
+    ids=["terminal-4000", "terminal-n2-18", "orders-10", "end-0-1000", "desymmetrise-n-10^6"],
+)
+def test_builtins_are_priced_before_they_are_built(build):
+    started = time.perf_counter()
+    with pytest.raises(ResourceLimit) as info:
+        build()
+    assert time.perf_counter() - started < 2.0
+    assert info.value.message == "too many candidate maps between index ordinals"
+
+
+def test_the_check_counts_candidates_before_it_validates(monkeypatch):
+    op = dataclasses.replace(terminal_operad(SYMMETRIC, 3), bound=600)
+
+    def validate(collection):
+        pytest.fail("the generator images were validated before the count")
+
+    monkeypatch.setattr(operads, "validate_collection", validate)
+    with pytest.raises(ResourceLimit) as info:
+        check_operad_axioms(op)
+    assert info.value.message == "too many candidate maps between index ordinals"
+
+
 def test_orders_substitution_instance():
     # top order (1, 0) nests the second argument's order below the first
     op = orders_operad(3)
@@ -273,7 +320,7 @@ def test_candidate_maps_are_predicted_exactly(flavor, bound):
 
     objs = operads._index_ordinals(flavor, bound)
     enumerated = sum(1 for _ in operads._candidates(objs))
-    assert operads._candidate_count(objs) == enumerated
+    assert operads._candidate_count(flavor, bound) == enumerated
 
 
 @pytest.mark.parametrize(

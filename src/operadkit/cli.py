@@ -24,6 +24,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import sys
 import time
 from itertools import chain
@@ -37,7 +38,7 @@ from .errors import (
     OutOfRange,
     WorkbenchError,
     decode,
-    printable,
+    printable_by_log2,
     within_cap,
 )
 from .homology import homology
@@ -146,7 +147,10 @@ def _dot_poset(p) -> str:
 
 
 def _cmd_enumerate(args, doc):
-    count = printable(count_ordinals(args.n, args.k), "count")
+    n, k = args.n, args.k
+    count = printable_by_log2(
+        (k - 1) * math.log2(n) if min(n, k) > 1 else 0, lambda: count_ordinals(n, k), "count"
+    )
     if args.offset < 0 or (args.limit is not None and args.limit < 0):
         raise OutOfRange(
             "offset and limit must be non-negative", offset=args.offset, limit=args.limit

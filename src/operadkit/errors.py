@@ -7,8 +7,9 @@ structured payload; library users can catch the classes directly.
 
 from __future__ import annotations
 
+import math
 import sys
-from typing import Any
+from typing import Any, Callable
 
 
 class WorkbenchError(Exception):
@@ -170,12 +171,33 @@ def printable(value: int, what: str) -> int:
     raises ResourceLimit naming ``what``, its bit length and the digit
     limit, before any report is built.  The limit itself is left alone.
     """
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = _digit_limit()
     if limit and abs(value) >= 10**limit:
-        raise ResourceLimit(
-            "integer too long to print", field=what, bits=value.bit_length(), max_digits=limit
-        )
+        raise _too_long(what, value.bit_length(), limit)
     return value
+
+
+def printable_by_log2(log2: float, form: Callable[[], int], what: str) -> int:
+    """``printable(form(), what)``, decided first from ``log2``, the base-2
+    logarithm of the value's magnitude (0 for 0).
+
+    A value more than a few bits past the digit limit is refused from
+    ``log2`` alone, with floor(log2) + 1 as its bit length, and is never
+    formed: a power or factorial of millions of digits takes seconds to
+    form.  Nearer the limit ``form`` is called and ``printable`` decides.
+    """
+    limit = _digit_limit()
+    if limit and log2 > limit * math.log2(10) + 4:
+        raise _too_long(what, math.floor(log2) + 1, limit)
+    return printable(form(), what)
+
+
+def _digit_limit() -> int:
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _too_long(what: str, bits: int, limit: int) -> ResourceLimit:
+    return ResourceLimit("integer too long to print", field=what, bits=bits, max_digits=limit)
 
 
 class MissingTable(WorkbenchError):

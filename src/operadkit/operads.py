@@ -110,7 +110,15 @@ def _point(flavor: Flavor) -> NOrdinal:
 
 
 def _index_ordinals(flavor: Flavor, bound: int) -> list[NOrdinal]:
-    """Carrier index objects with arity between 1 and bound, in lex order."""
+    """Carrier index objects with arity between 1 and bound, in lex order.
+
+    The one gate on an operad's size: a bound below 1 raises OutOfRange,
+    and the candidate maps between them are priced (``_candidate_count``)
+    before any is listed.
+    """
+    if bound < 1:
+        raise OutOfRange("bound must be at least 1", bound=bound)
+    _candidate_count(flavor, bound)
     n = _index_n(flavor)
     return [a for k in range(1, bound + 1) for a in enumerate_ordinals(n, k)]
 
@@ -418,9 +426,8 @@ def _candidate_count(flavor: Flavor, bound: int) -> int:
 def _surjections(op: FiniteOperad, bound: int) -> dict[tuple, _Surjection]:
     """Every surjection between index ordinals within bound, by key: the
     morphisms whose tables the axioms quantify over, each derived once.
-    Past LIST_CAP candidate tables it raises ResourceLimit before the
-    first index ordinal is listed."""
-    _candidate_count(op.flavor, bound)
+    Past LIST_CAP candidate tables ``_index_ordinals`` raises ResourceLimit
+    before the first index ordinal is listed."""
     size = {key: len(elems) for key, elems in op.collection.carrier.items()}
     objs = _index_ordinals(op.flavor, bound)
     out = {}
@@ -514,19 +521,19 @@ def check_operad_axioms(op: FiniteOperad, bound: int | None = None) -> AxiomRepo
 
     Every required surjection within bound must have a table; each one
     without is a ``coverage`` failure, and the instances that need it are
-    skipped.  First the candidate maps are counted (``_candidate_count``),
-    and before any table is built, the longest list the check would
-    build is predicted from the carrier sizes; past LIST_CAP either
-    raises ResourceLimit.  Associativity and both unit laws run for
-    all flavors.  The symmetric flavor adds the two equivariance
-    identities in both presentations (whole-group reindexing and commuting
-    squares with bijective verticals); the braided flavor checks
+    skipped.  First the surjections are listed, which prices the
+    candidate maps (``_index_ordinals``), and before any table is built,
+    the longest list the check would build is predicted from the carrier
+    sizes; past LIST_CAP either raises ResourceLimit.  Associativity and
+    both unit laws run for all flavors.  The symmetric flavor adds the two
+    equivariance identities in both presentations (whole-group reindexing
+    and commuting squares with bijective verticals); the braided flavor checks
     equivariance on Artin generator words with cabled output braids; the
     mixed flavor checks the two square conditions over genuine 2-ordinal
     squares with quasibijection verticals.  Every flavor lifts a
     permutation to its positive braid word (``q_section``) and an inverse
-    to that braid inverted.  Generator images are validated first and
-    raise on failure.  Each surjection is keyed once per check, and the
+    to that braid inverted.  Generator images are validated before any
+    table is built and raise on failure.  Each surjection is keyed once per check, and the
     instances find composites and restrictions by key.
     """
     bound = op.bound if bound is None else bound
@@ -534,11 +541,10 @@ def check_operad_axioms(op: FiniteOperad, bound: int | None = None) -> AxiomRepo
         raise OutOfRange("bound must be at least 1", bound=bound)
     if bound > op.bound:
         raise BoundExceeded("check bound exceeds the operad bound", bound=bound)
-    _candidate_count(op.flavor, bound)
+    records = _surjections(op, bound)
     validate_collection(op.collection)
     if op.unit not in op.carrier_of(_point(op.flavor)):
         raise InvariantBroken("unit element is not in the arity-one carrier")
-    records = _surjections(op, bound)
     within_cap(_longest_list(records.values()), "an axiom check would build too long a list")
     covered = _covered(op, records)
     failures = [
@@ -952,10 +958,7 @@ def _check_square_eq2(op: FiniteOperad, squares: tuple, failures: list[AxiomFail
 
 def terminal_operad(flavor: Flavor, bound: int) -> FiniteOperad:
     """All carriers are singletons, so every axiom holds on the nose.  The
-    candidate maps are priced (``_candidate_count``) before any is built."""
-    if bound < 1:
-        raise OutOfRange("bound must be at least 1", bound=bound)
-    _candidate_count(flavor, bound)
+    carriers are listed through ``_index_ordinals``, which prices them."""
     ordinals = _index_ordinals(flavor, bound)
     carrier = {_carrier_key(flavor, a): ("*",) for a in ordinals}
     actions = {}
@@ -978,14 +981,12 @@ def endomorphism_symmetric_operad(x: Sequence, bound: int = 2) -> FiniteOperad:
     X^k, and its index is that tuple's positions in X read as base-|X|
     digits, first input most significant; tables and actions are computed
     on those digits.  Carrier sizes grow doubly exponentially, so they are
-    capped one arity at a time, and then the candidate maps are priced
-    (``_candidate_count``), before any carrier is built.
+    capped one arity at a time, and then the carriers are listed through
+    ``_index_ordinals``, which prices them, before any is built.
     """
     x = tuple(x)
     if len(x) < 1 or len(set(x)) != len(x):
         raise OutOfRange("need a nonempty set of distinct values")
-    if bound < 1:
-        raise OutOfRange("bound must be at least 1", bound=bound)
     q = len(x)
     size = q  # the arity-k carrier has q**(q**k) elements, size**q at k + 1
     for _ in range(bound if q > 1 else 0):  # at q = 1 every carrier has one
@@ -995,11 +996,9 @@ def endomorphism_symmetric_operad(x: Sequence, bound: int = 2) -> FiniteOperad:
                 "endomorphism carrier would be too large",
                 size=q, bound=bound, cap=CARRIER_CAP,
             )
-    _candidate_count(SYMMETRIC, bound)
-    inputs = {k: list(itertools.product(range(q), repeat=k)) for k in range(1, bound + 1)}
-    carrier = {
-        k - 1: tuple(itertools.product(x, repeat=q**k)) for k in range(1, bound + 1)
-    }
+    arities = [a.arity for a in _index_ordinals(SYMMETRIC, bound)]
+    inputs = {k: list(itertools.product(range(q), repeat=k)) for k in arities}
+    carrier = {k - 1: tuple(itertools.product(x, repeat=q**k)) for k in arities}
 
     def index_of(values: Iterable[int]) -> int:
         out = 0
@@ -1049,14 +1048,11 @@ def orders_operad(bound: int = 3) -> FiniteOperad:
 
     Substitution nests the argument orders inside the bands cut out by the
     top order; actions precompose rank vectors with transpositions.  The
-    candidate maps are priced (``_candidate_count``) before any is built.
+    carriers are listed through ``_index_ordinals``, which prices them.
     """
-    if bound < 1:
-        raise OutOfRange("bound must be at least 1", bound=bound)
-    _candidate_count(SYMMETRIC, bound)
     carrier = {
-        k - 1: tuple(sorted(itertools.permutations(range(k))))
-        for k in range(1, bound + 1)
+        a.arity - 1: tuple(sorted(itertools.permutations(range(a.arity))))
+        for a in _index_ordinals(SYMMETRIC, bound)
     }
     rank = {key: {a: i for i, a in enumerate(elems)} for key, elems in carrier.items()}
     actions = {}
@@ -1113,8 +1109,9 @@ def desymmetrise(sym: FiniteOperad, n: int, bound: int | None = None) -> FiniteO
     Every n-ordinal of arity k carries the symmetric operad's arity-k set;
     the multiplication at any valid surjection sorts the source stably by
     image, multiplies along the sorted order-preserving map, and lets the
-    sorting permutation act on the result.  The candidate maps between
-    n-ordinals are priced (``_candidate_count``) before any is listed.
+    sorting permutation act on the result.  The carriers are listed
+    through ``_index_ordinals``, which prices the candidate maps between
+    n-ordinals first.
     """
     if sym.flavor.kind != "symmetric":
         raise OutOfRange("expected a symmetric operad", flavor=str(sym.flavor))
@@ -1126,7 +1123,6 @@ def desymmetrise(sym: FiniteOperad, n: int, bound: int | None = None) -> FiniteO
             "requested bound exceeds the symmetric operad", bound=bound
         )
     flavor = N_OPERAD(n)
-    _candidate_count(flavor, bound)
     ordinals = _index_ordinals(flavor, bound)
     carrier = {a: sym.collection.decoding(a.arity - 1) for a in ordinals}
 

@@ -25,7 +25,7 @@ from .errors import (
     OutOfRange,
     ResourceLimit,
     decode,
-    printable,
+    printable_by_log2,
 )
 from .ordinals import NOrdinal, count_ordinals, make_ordinal, ordinal_from_json
 
@@ -244,7 +244,11 @@ def verify_partition(n: int, k: int, trials: int, seed: int = 0) -> PartitionRep
     """
     if n < 1 or k < 0 or trials < 0:
         raise OutOfRange("need n >= 1, k >= 0, trials >= 0", n=n, k=k, trials=trials)
-    universe = printable(count_ordinals(n, k) * math.factorial(k), "universe")
+    universe = printable_by_log2(
+        max(k - 1, 0) * math.log2(n) + math.lgamma(k + 1) / math.log(2),
+        lambda: count_ordinals(n, k) * math.factorial(k),
+        "universe",
+    )
     tally: dict[str, int] = {}
     for t in range(trials):
         rng = random.Random(f"{seed}:{t}")

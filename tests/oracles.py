@@ -370,6 +370,38 @@ def salvetti_complex(k):
     return cells, face_list
 
 
+# -- the bar complex of a symmetric group -----------------------------------
+
+
+def bar_complex(k, top, max_cells=20_000):
+    """Cells by dimension and face rule of the normalised bar complex of
+    S_k with trivial integer coefficients, through dimension top.
+
+    A d-cell [g_1|..|g_d] is a tuple of d permutations of range(k), none
+    the identity, so there are (k! - 1)^d of them; they are counted, and
+    held to max_cells, before any is listed.  The face rule is the usual
+    d[g_1|..|g_d] = [g_2|..|g_d] + sum_i (-1)^i [..|g_i g_(i+1)|..]
+    + (-1)^d [g_1|..|g_(d-1)], and a face that holds the identity is
+    dropped.  The complex computes H_i(S_k; Z) for i < top.
+    """
+    identity, *others = itertools.permutations(range(k))
+    counts = [len(others) ** d for d in range(top + 1)]
+    assert sum(counts) <= max_cells, counts
+    cells = [list(itertools.product(others, repeat=d)) for d in range(top + 1)]
+
+    def face_list(d, cell):
+        faces = [(1, cell[1:])]
+        for i in range(1, d):
+            g, h = cell[i - 1], cell[i]
+            merged = tuple(g[v] for v in h)
+            if merged != identity:
+                faces.append(((-1) ** i, cell[: i - 1] + (merged,) + cell[i + 1 :]))
+        faces.append(((-1) ** d, cell[:-1]))
+        return faces
+
+    return cells, face_list
+
+
 # -- strata by pairwise comparison, over Fractions -------------------------
 
 

@@ -19,7 +19,7 @@ import reference
 from operadkit import zigzags
 from operadkit.braids import BraidWord
 from operadkit.cli import _build_parser, _dumps, _grid, main
-from operadkit.errors import ResourceLimit, printable
+from operadkit.errors import ResourceLimit, printable, printable_by_log2
 from operadkit.operads import (
     endomorphism_symmetric_operad,
     operad_to_json,
@@ -705,6 +705,17 @@ def test_desymmetrise_refuses_a_bound_below_one(capsys, monkeypatch, bound, doc)
     assert payload["diagnostic"]["message"] == "bound must be at least 1"
 
 
+def test_operad_check_refuses_a_bundle_without_its_top_carrier(capsys, monkeypatch):
+    # orders(2) cut down to arity 1, though its bound still says 2
+    doc = operad_to_json(orders_operad(2))
+    doc.update(carriers={"1:": [[0]]}, actions={}, mult={"1:>1:|0": [[0]]})
+    code, out, _ = run_cli(["operad-check", "-"], capsys, monkeypatch, json.dumps(doc))
+    assert code == 2
+    assert report_of(out)["payload"]["diagnostic"] == {
+        "code": "BOUND_EXCEEDED", "message": "no carrier at this index", "key": "1",
+    }
+
+
 def _end_bundle() -> dict:
     return operad_to_json(endomorphism_symmetric_operad((0, 1), 2))
 
@@ -1052,12 +1063,19 @@ def test_nerve_refuses_cells_past_the_cap(capsys, category, n, k, message, dim, 
         (["enumerate", "--n", "2", "--k", "20000", "--limit", "0"], "count", 20000),
         (["verify-partition", "--n", "2", "--k", "20000", "--trials", "0"],
          "universe", 276908),
+        (["enumerate", "--n", "3", "--k", "100000000", "--limit", "0"], "count", 158496249),
+        (["verify-partition", "--n", "1", "--k", "1000000", "--trials", "0"],
+         "universe", 18488885),
     ],
-    ids=["enumerate", "verify-partition"],
+    ids=["enumerate", "verify-partition", "enumerate-3^(10^8-1)", "verify-partition-10^6!"],
 )
 def test_integers_too_long_to_print_are_refused(capsys, argv, field, bits):
-    # 2^19999 and 2^19999 * 20000! pass Python's 4300-digit int-to-str limit
+    # 2^19999 and 2^19999 * 20000! pass Python's 4300-digit int-to-str limit;
+    # 3^(10^8 - 1) took 142 s and 10^6! 10.7 s to form, so the refusal is
+    # decided from their bit counts without forming them
+    started = time.perf_counter()
     code, out, _ = run_cli(argv, capsys)
+    assert time.perf_counter() - started < 1.0
     assert code == 2
     diagnostic = report_of(out)["payload"]["diagnostic"]
     assert diagnostic["code"] == "RESOURCE_LIMIT"
@@ -1070,6 +1088,23 @@ def test_printable_stops_at_the_digit_limit():
     assert printable(-(10**limit - 1), "x") == -(10**limit - 1)
     with pytest.raises(ResourceLimit):
         printable(-(10**limit), "x")
+
+
+def test_printable_by_log2_forms_only_values_near_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    edge = limit * math.log2(10)
+
+    def never():
+        raise AssertionError("formed a value the bit count refuses")
+
+    with pytest.raises(ResourceLimit) as refused:
+        printable_by_log2(edge + 5, never, "x")
+    assert refused.value.payload["bits"] == math.floor(edge + 5) + 1
+    # within a few bits of the limit the value is formed and decided exactly
+    assert printable_by_log2(edge, lambda: 10**limit - 1, "x") == 10**limit - 1
+    with pytest.raises(ResourceLimit) as refused:
+        printable_by_log2(edge + 3, lambda: 8 * 10**limit, "x")
+    assert refused.value.payload["bits"] == (8 * 10**limit).bit_length()
 
 
 def test_parser_is_built_once():

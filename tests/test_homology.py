@@ -16,6 +16,7 @@ from operadkit.homology import (
 )
 from operadkit.quasicat import build_j, build_q, cellular_q, nerve, order_complex
 from oracles import (
+    bar_complex,
     determinant,
     determinantal_factors,
     mod2_betti,
@@ -286,6 +287,24 @@ def test_cellular_q_has_unordered_configuration_betti_and_mod2_homology(n, k):
     assert len(groups) == (n - 1) * (k - 1) + 1
     assert same_betti([rank for rank, _ in groups], q_betti(n, k))
     assert mod2_from_integral(groups) == mod2_betti(n, k)
+
+
+@pytest.mark.parametrize(
+    "n, k, groups",
+    [(7, 3, ((1, ()), (0, (2,)), (0, ()), (0, (6,)), (0, ()), (0, (2,)))),
+     (4, 4, ((1, ()), (0, (2,)), (0, (2,))))],
+    ids=["Q(7,3) through H5", "Q(4,4) through H2"],
+)
+def test_cellular_q_has_the_homology_of_the_symmetric_group_in_the_stable_range(
+    n, k, groups
+):
+    # Conf_k(R^n) is (n - 2)-connected (Fadell & Neuwirth 1962), so
+    # H_i(Q_n(k)) = H_i(S_k) for i < n - 1; the bar complex of S_k sees the
+    # Z/3 inside H_3(S_3) = Z/6, which the mod-2 oracle cannot
+    assert len(groups) == n - 1
+    bar = homology(ChainComplex.from_cells(*bar_complex(k, n - 1))).groups
+    assert bar[: n - 1] == groups
+    assert homology(cellular_q(n, k)).groups[: n - 1] == groups
 
 
 @pytest.mark.parametrize(

@@ -783,3 +783,102 @@ def test_validate_collection_names_the_broken_relation(g3, message, generators):
         validate_collection(coll)
     assert info.value.message == message
     assert info.value.payload == {"key": 3, "generators": generators, "witness": 0}
+
+
+@pytest.mark.parametrize(
+    "missing, composite",
+    [
+        # the composite of 3:0,0>2:0|0,0,1 and 2:0>1:|0,0
+        (OrdinalMap(line(3), line(1), (0, 0, 0)), True),
+        # 3:0,0>2:0|0,0,1 with its two slots swapped, and no composite
+        (OrdinalMap(line(3), line(2), (0, 1, 1)), False),
+    ],
+    ids=["associativity composite", "reindexing move"],
+)
+def test_a_missing_table_fails_the_check_and_skips_what_needs_it(
+    monkeypatch, missing, composite
+):
+    # a PASS never rests on a table that is not there: the instances that
+    # need it are skipped, and the report FAILs on its coverage
+    complete = operad_from_json(operad_to_json(orders_operad(3)))
+    partial = dataclasses.replace(
+        complete, tables={s: t for s, t in complete.tables.items() if s != missing}
+    )
+    skipped = []
+    instance = operads._associativity_instance
+
+    def recording(op, covered, sigma, omega, failures):
+        checked = instance(op, covered, sigma, omega, failures)
+        if checked == 0:
+            skipped.append((sigma.name, omega.name))
+        return checked
+
+    monkeypatch.setattr(operads, "_associativity_instance", recording)
+    full = check_operad_axioms(complete)
+    assert full.passed and skipped == []
+    report = check_operad_axioms(partial)
+    assert not report.passed
+    assert [(f.axiom, f.instance) for f in report.failures] == [
+        ("coverage", morphism_key(missing))
+    ]
+    assert report.checked < full.checked
+    assert bool(skipped) == composite
+    # the document leaves the missing table out
+    left_out = set(operad_to_json(complete)["mult"]) - set(operad_to_json(partial)["mult"])
+    assert left_out == {morphism_key(missing)}
+
+
+def test_a_desymmetrised_operad_has_no_tables_at_another_n():
+    op = desymmetrise(orders_operad(3), 2)
+    flat3 = make_ordinal(3, [0])
+    point3 = make_ordinal(3, [], arity=1)
+    assert op.table(OrdinalMap(flat3, point3, (0, 0))) is None
+    with pytest.raises(MissingTable) as info:
+        induced_action(op, identity_map(flat3))
+    assert info.value.payload == {"morphism": morphism_key(identity_map(flat3))}
+
+
+@pytest.mark.parametrize(
+    "run, message",
+    [
+        (lambda: validate_collection(
+            FiniteCollection(N_OPERAD(2), {point2(): ("e",)}, {(point2(), 1): [0]})
+        ), "n-operad collections store no actions"),
+        (lambda: validate_collection(FiniteCollection(BRAIDED, {1: (0, 1)}, {(1, 1): [1]})),
+         "action domain differs from the carrier"),
+        (lambda: validate_collection(FiniteCollection(BRAIDED, {1: (0, 1)}, {(1, 1): [1, 2]})),
+         "action leaves the carrier"),
+        (lambda: FiniteCollection(BRAIDED, {1: (0, 1)}, {(1, 1): [0, 0]}).action_of_word(1, [-1]),
+         "generator action is not invertible"),
+        (lambda: check_operad_axioms(dataclasses.replace(orders_operad(2), unit=1)),
+         "unit element is not in the arity-one carrier"),
+    ],
+    ids=["n-operad with actions", "action too short", "action leaves the carrier",
+         "inverse of a collapse", "unit outside the carrier"],
+)
+def test_broken_collections_and_units_are_refused(run, message):
+    with pytest.raises(InvariantBroken) as info:
+        run()
+    assert info.value.message == message
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: terminal_operad(SYMMETRIC, 0),
+        lambda: orders_operad(0),
+        lambda: endomorphism_symmetric_operad((0, 1), 0),
+        lambda: desymmetrise(orders_operad(2), 2, 0),
+        lambda: check_operad_axioms(orders_operad(2), 0),
+        lambda: is_quasisymmetric(desymmetrise(orders_operad(2), 2), 0),
+        lambda: operad_to_json(dataclasses.replace(orders_operad(2), bound=-1)),
+    ],
+    ids=["terminal", "orders", "endomorphism", "desymmetrise", "check", "quasisymmetry",
+         "document"],
+)
+def test_a_bound_below_one_is_refused_wherever_ordinals_are_listed(run):
+    # _index_ordinals refuses it; is_quasisymmetric used to answer True, and
+    # operad_to_json to write no carriers or to fail on a stored action
+    with pytest.raises(OutOfRange) as info:
+        run()
+    assert info.value.message == "bound must be at least 1"

@@ -1,5 +1,6 @@
 """The quasibijection category, the labeled poset, and their spaces."""
 
+import dataclasses
 import importlib
 import re
 
@@ -13,6 +14,7 @@ from operadkit.errors import (
     AntisymmetryViolation,
     EndoFound,
     InvariantBroken,
+    IsoCheckFailed,
     ResourceLimit,
     StrictnessRequired,
 )
@@ -409,3 +411,15 @@ def test_a_flipped_sign_breaks_the_boundary_of_a_boundary(monkeypatch, n, k, lev
         cellular_j(n, k)
     assert info.value.message == "boundary of a boundary does not vanish"
     assert info.value.payload["dim"] == sum(levels)
+
+
+def test_quotient_correspondence_names_a_missing_map():
+    p, c = build_j(2, 3), build_q(2, 3)
+    key, maps = next((key, maps) for key, maps in sorted(c.hom.items()) if key[0] != key[1])
+    broken = dataclasses.replace(c, hom={**c.hom, key: maps[1:]})
+    with pytest.raises(IsoCheckFailed) as info:
+        verify_quotient_correspondence(p, broken)
+    payload = info.value.payload
+    assert payload["target"] == c.objects[key[1]].to_json()
+    assert payload["expected"] == sorted(m.table for m in maps[1:])
+    assert set(payload["got"]) - set(payload["expected"]) == {maps[0].table}

@@ -186,3 +186,34 @@ def test_j_covers_come_from_the_facets():
         getattr(node, "attr", None) or getattr(node, "id", None) for node in ast.walk(method)
     }
     assert sorted(names & {"below", "_bits"}) == []
+
+
+def _functions_that(tree, predicate):
+    """Names of the top-level functions whose body holds a node that
+    satisfies predicate, in source order."""
+    return [
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and any(map(predicate, ast.walk(node)))
+    ]
+
+
+def test_only_the_index_ordinals_price_an_operad():
+    # _index_ordinals is the one gate on an operad's size: it refuses a bound
+    # below 1 and prices the candidate maps before it lists an ordinal, so a
+    # builtin is priced because it lists its carriers, not because it
+    # remembers a call; the check and desymmetrise keep their own bound test
+    # so that their other refusals do not come first
+    tree = _tree(PACKAGE / "operads.py")
+    counters = _functions_that(
+        tree,
+        lambda node: isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "_candidate_count",
+    )
+    assert counters == ["_index_ordinals"]
+    bound_tests = _functions_that(
+        tree,
+        lambda node: isinstance(node, ast.Constant)
+        and node.value == "bound must be at least 1",
+    )
+    assert bound_tests == ["_index_ordinals", "check_operad_axioms", "desymmetrise"]

@@ -148,14 +148,21 @@ def _dot_poset(p) -> str:
 
 def _cmd_enumerate(args, doc):
     n, k = args.n, args.k
-    count = printable_by_log2(
-        (k - 1) * math.log2(n) if min(n, k) > 1 else 0, lambda: count_ordinals(n, k), "count"
-    )
+    if min(n, k) <= 1:
+        log2 = 0
+    elif k.bit_length() <= 64:
+        log2 = (k - 1) * math.log2(n)
+    else:  # an int bound, which no float overflows: n^(k-1) >= 2^((k-1)(bits of n - 1))
+        log2 = (k - 1) * (n.bit_length() - 1)
+    count = printable_by_log2(log2, lambda: count_ordinals(n, k), "count")
     if args.offset < 0 or (args.limit is not None and args.limit < 0):
         raise OutOfRange(
             "offset and limit must be non-negative", offset=args.offset, limit=args.limit
         )
     stop = count if args.limit is None else min(args.offset + args.limit, count)
+    within_cap(
+        max(stop - args.offset, 0) * max(k - 1, 1), "too many ordinals to list", n=n, k=k
+    )
     window = [unrank(args.n, args.k, r) for r in range(args.offset, stop)]
     if args.tree:
         lines = [
@@ -517,7 +524,13 @@ def _digest(argv, doc) -> str:
 def _grid(rows, pad) -> str | None:
     """``rows``, a non-empty list of lists, as one ``%``-format if it is an
     int grid: its items equally long, non-empty lists, nested to any
-    depth, with every leaf of exact type int.  None for anything else."""
+    depth, with every leaf of exact type int.  None for anything else,
+    decided from the first leaf before anything is flattened."""
+    first = rows
+    while type(first) is list and first:
+        first = first[0]
+    if type(first) is not int:
+        return None
     shape = [len(rows)]
     level, kinds = rows, {list}
     while kinds == {list}:

@@ -177,9 +177,10 @@ def printable(value: int, what: str) -> int:
     return value
 
 
-def printable_by_log2(log2: float, form: Callable[[], int], what: str) -> int:
+def printable_by_log2(log2: float | int, form: Callable[[], int], what: str) -> int:
     """``printable(form(), what)``, decided first from ``log2``, the base-2
-    logarithm of the value's magnitude (0 for 0).
+    logarithm of the value's magnitude (0 for 0), or an int below it where
+    the value is too large for a float to hold its logarithm.
 
     A value more than a few bits past the digit limit is refused from
     ``log2`` alone, with floor(log2) + 1 as its bit length, and is never

@@ -6,9 +6,10 @@ regular CW cells of Q_n(k) and J_n(k) (``quasicat.cellular_q`` and
 ``cellular_j``).  Each boundary is stored as sparse columns, and the
 constructor checks that the boundary of a boundary vanishes.  Homology groups come out as a free rank
 plus invariant-factor torsion.  Invariant factors come from one sparse
-elimination: the +-1 pivots go first, each worth a factor 1, and the small
-residue they leave is reduced in the same columns by Euclid steps on
-least-magnitude pivots.
+elimination, whose one step (_clear_cross) clears a pivot's row and column:
+the +-1 pivots go first, each worth a factor 1, and the small residue they
+leave is reduced in the same columns by Euclid steps on least-magnitude
+pivots.
 """
 
 from __future__ import annotations
@@ -23,9 +24,8 @@ from .errors import InvariantBroken
 def _sparse_factors(columns) -> tuple[int, ...]:
     """Invariant factors of the matrix with these sparse columns.
 
-    Each +-1 entry is a pivot: column operations clear the rest of its row,
-    after which its row and column split off with a factor 1.  Sweeps visit
-    columns by ascending nonzero count and take the unit whose row is
+    Each +-1 entry is a pivot that splits off with a factor 1.  Sweeps
+    visit columns by ascending nonzero count and take the unit whose row is
     shortest, which keeps fill-in low.  What the units leave goes to
     _residue_factors, in the same columns.
     """
@@ -41,50 +41,24 @@ def _sparse_factors(columns) -> tuple[int, ...]:
         for j in sorted(cols, key=lambda j: len(cols[j])):
             col = cols.get(j)
             pivots = [r for r, v in col.items() if v in (1, -1)] if col else ()
-            if not pivots:
-                continue
-            p = min(pivots, key=lambda r: len(rows[r]))
-            del cols[j]
-            for r in col:
-                rows[r].discard(j)
-            for k in rows.pop(p):
-                other = cols[k]
-                q = other.pop(p) * col[p]
-                for r, v in col.items():
-                    if r == p:
-                        continue
-                    new = other.get(r, 0) - q * v
-                    if new:
-                        other[r] = new
-                        rows[r].add(k)
-                    else:
-                        del other[r]
-                        rows[r].discard(k)
-                if not other:
-                    del cols[k]
-            units += 1
-            swept = True
+            if pivots:
+                _split_off(cols, rows, j, min(pivots, key=lambda r: len(rows[r])))
+                units += 1
+                swept = True
     return (1,) * units + _residue_factors(cols, rows)
 
 
 def _residue_factors(cols: dict, rows: dict) -> tuple[int, ...]:
     """Invariant factors of sparse columns that hold no unit pivot.
 
-    Each round takes a least-magnitude entry as the pivot, clears its row
-    with integer column steps and then its column with row steps.  A
-    remainder left on the way is smaller than the pivot and becomes the
-    next one (Euclid).  Once its row and column are clear the pivot splits
-    off, and the split-off values become invariant factors by (gcd, lcm)
-    merging.  Starting each round from the least entry keeps the entries
-    small.  cols and rows are consumed.
+    Each round splits off a least-magnitude entry, which keeps the entries
+    small, and the split-off values become invariant factors by (gcd, lcm)
+    merging.  cols and rows are consumed.
     """
     found = []
     while cols:
         _, j, p = min((abs(v), j, r) for j, col in cols.items() for r, v in col.items())
-        while (remainder := _clear_cross(cols, rows, j, p)) is not None:
-            j, p = remainder
-        found.append(abs(cols.pop(j)[p]))
-        rows[p].discard(j)
+        found.append(_split_off(cols, rows, j, p))
     for i in range(len(found)):
         for k in range(i + 1, len(found)):
             a, b = found[i], found[k]
@@ -92,21 +66,39 @@ def _residue_factors(cols: dict, rows: dict) -> tuple[int, ...]:
     return tuple(found)
 
 
+def _split_off(cols, rows, j, p) -> int:
+    """Eliminate from the pivot cols[j][p]: run _clear_cross until it
+    leaves no remainder, then remove the pivot's column, whose other
+    entries row steps would clear, and return the pivot's magnitude.  A
+    remainder is smaller than its pivot and becomes the next one (Euclid);
+    a +-1 pivot leaves none."""
+    while (remainder := _clear_cross(cols, rows, j, p)) is not None:
+        j, p = remainder
+    col = cols.pop(j)
+    for r in col:
+        rows[r].discard(j)
+    return abs(col[p])
+
+
 def _clear_cross(cols, rows, j, p):
-    """Clear row p and then column j against the pivot cols[j][p].  Returns
+    """Clear row p against the pivot cols[j][p] with column steps, then
+    look for a row step that leaves a remainder in column j.  Returns
     (column, row) of the first non-zero remainder, or None once the pivot
-    is alone in its row and column."""
+    is alone in its row and divides the rest of its column, which row
+    steps would clear without touching any other column."""
     col = cols[j]
     pivot = col[p]
-    for k in [k for k in rows[p] if k != j]:
+    for k in rows[p] - {j}:
         other = cols[k]
         q = other[p] // pivot
+        if not q:
+            return k, p  # other[p] is already a remainder
         for r, v in col.items():
             new = other.get(r, 0) - q * v
             if new:
                 other[r] = new
                 rows[r].add(k)
-            elif r in other:
+            else:
                 del other[r]
                 rows[r].discard(k)
         if p in other:
@@ -114,12 +106,10 @@ def _clear_cross(cols, rows, j, p):
         if not other:
             del cols[k]
     # row p now holds the pivot alone, so a row step changes column j only
-    for r in [r for r in col if r != p]:
-        col[r] %= pivot
-        if col[r]:
+    for r, v in col.items():
+        if v % pivot:
+            col[r] = v % pivot
             return j, r
-        del col[r]
-        rows[r].discard(j)
     return None
 
 

@@ -26,6 +26,7 @@ from .errors import (
     ResourceLimit,
     decode,
     printable_by_log2,
+    within_cap,
 )
 from .ordinals import NOrdinal, count_ordinals, make_ordinal, ordinal_from_json
 
@@ -192,6 +193,8 @@ def sample_stratum(label: StratumLabel) -> Configuration:
     of earlier separations at level <= j, so consecutive points first
     differ exactly at their relation level.
     """
+    n, k = label.ordinal.n, len(label.labels)
+    within_cap(k * n, "too many coordinates to sample", n=n, k=k)
     return Configuration(label.ordinal.n, tuple(_sample_points(label)))
 
 
@@ -244,11 +247,14 @@ def verify_partition(n: int, k: int, trials: int, seed: int = 0) -> PartitionRep
     """
     if n < 1 or k < 0 or trials < 0:
         raise OutOfRange("need n >= 1, k >= 0, trials >= 0", n=n, k=k, trials=trials)
+    if k.bit_length() <= 64:
+        log2 = max(k - 1, 0) * math.log2(n) + math.lgamma(k + 1) / math.log(2)
+    else:  # an int bound, which no float overflows: k! >= 2^(k-1)
+        log2 = k - 1
     universe = printable_by_log2(
-        max(k - 1, 0) * math.log2(n) + math.lgamma(k + 1) / math.log(2),
-        lambda: count_ordinals(n, k) * math.factorial(k),
-        "universe",
+        log2, lambda: count_ordinals(n, k) * math.factorial(k), "universe"
     )
+    within_cap(trials * k * n, "too many coordinates to draw", n=n, k=k, trials=trials)
     tally: dict[str, int] = {}
     for t in range(trials):
         rng = random.Random(f"{seed}:{t}")

@@ -285,45 +285,31 @@ def artin_diagram_check(k: int, i: int, j: int) -> DiagramCertificate:
     if i == j:
         raise OutOfRange("relation needs two distinct generators", i=i, j=j)
 
-    def table(perm_pairs: dict) -> tuple[int, ...]:
-        t = list(range(k))
-        for a, b in perm_pairs.items():
-            t[a] = b
-        return tuple(t)
+    ident = tuple(range(k))
 
-    s = {"i": transposition(k, i), "j": transposition(k, j)}
-    vi, vj = generator_span(k, i), generator_span(k, j)
-
-    if abs(i - j) >= 2:
-        relation = "far-commutation"
-        lhs_stages = [vi * vj]
-        rhs_stages = [vj * vi]
-        lhs_final = _merge_generator_pair(vi, vj, s["j"], tuple(range(k)))
-        rhs_final = _merge_generator_pair(vj, vi, s["i"], tuple(range(k)))
-        lhs_stages.append(lhs_final)
-        rhs_stages.append(rhs_final)
-    elif j == i + 1:
-        relation = "braid"
-        lhs_stages = [vi * vj * vi]
-        rhs_stages = [vj * vi * vj]
-        # left side: merge the first two generator spans, then absorb the
-        # third through the identity leg of the result
-        x = table({i - 1: i, i: i + 1, i + 1: i - 1})
-        m_left = _merge_generator_pair(vi, vj, x, s["i"])
-        lhs_stages.append(m_left * vi)
+    def side(a: ZigZag, b: ZigZag, x, x2) -> list[ZigZag]:
+        # the product of the generator spans a and b (a b a for the braid
+        # relation), then its reduction by merges; x and x2 are the tables
+        # of the first merge's legs
+        if relation == "far-commutation":
+            return [a * b, _merge_generator_pair(a, b, x, x2)]
+        merged = _merge_generator_pair(a, b, x, x2)
         # the identity legs are forced: the back leg of the merged span is
         # the swap itself, so composing with the third generator cancels it
-        lhs_final = _merge_generator_pair(
-            m_left, vi, tuple(range(k)), tuple(range(k))
-        )
-        lhs_stages.append(lhs_final)
-        x2 = table({i - 1: i + 1, i: i - 1, i + 1: i})
-        m_right = _merge_generator_pair(vj, vi, x2, s["j"])
-        rhs_stages.append(m_right * vj)
-        rhs_final = _merge_generator_pair(
-            m_right, vj, tuple(range(k)), tuple(range(k))
-        )
-        rhs_stages.append(rhs_final)
+        return [a * b * a, merged * a, _merge_generator_pair(merged, a, ident, ident)]
+
+    si, sj = transposition(k, i), transposition(k, j)
+    vi, vj = generator_span(k, i), generator_span(k, j)
+    if abs(i - j) >= 2:
+        relation = "far-commutation"
+        lhs_stages = side(vi, vj, sj, ident)
+        rhs_stages = side(vj, vi, si, ident)
+    elif j == i + 1:
+        relation = "braid"
+        # first merge legs: the 3-cycles s_i s_j and s_j s_i of positions
+        # i - 1, i, i + 1, then the swap of the repeated generator
+        lhs_stages = side(vi, vj, tuple(si[c] for c in sj), si)
+        rhs_stages = side(vj, vi, tuple(sj[c] for c in si), sj)
     else:
         # j == i - 1: same relation written the other way round
         cert = artin_diagram_check(k, j, i)
@@ -331,7 +317,8 @@ def artin_diagram_check(k: int, i: int, j: int) -> DiagramCertificate:
             k, i, j, cert.relation, cert.rhs_stages, cert.lhs_stages, cert.final, cert.braid
         )
 
-    if lhs_final.to_json() != rhs_final.to_json():
+    lhs_final, rhs_final = lhs_stages[-1], rhs_stages[-1]
+    if lhs_final != rhs_final:
         raise DiagramBroken(
             "the two reductions end at different spans",
             left=lhs_final.to_json(),

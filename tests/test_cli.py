@@ -1066,21 +1066,70 @@ def test_nerve_refuses_cells_past_the_cap(capsys, category, n, k, message, dim, 
         (["enumerate", "--n", "3", "--k", "100000000", "--limit", "0"], "count", 158496249),
         (["verify-partition", "--n", "1", "--k", "1000000", "--trials", "0"],
          "universe", 18488885),
+        (["enumerate", "--n", "3", "--k", str(10**400), "--limit", "0"], "count", None),
+        (["enumerate", "--n", "2", "--k", str(10**400), "--limit", "0"], "count", None),
+        (["verify-partition", "--n", "2", "--k", str(10**400), "--trials", "0"],
+         "universe", None),
+        (["verify-partition", "--n", "1", "--k", str(10**400), "--trials", "0"],
+         "universe", None),
     ],
-    ids=["enumerate", "verify-partition", "enumerate-3^(10^8-1)", "verify-partition-10^6!"],
+    ids=["enumerate", "verify-partition", "enumerate-3^(10^8-1)", "verify-partition-10^6!",
+         "enumerate-3^(10^400-1)", "enumerate-2^(10^400-1)", "verify-partition-2,10^400",
+         "verify-partition-(10^400)!"],
 )
 def test_integers_too_long_to_print_are_refused(capsys, argv, field, bits):
     # 2^19999 and 2^19999 * 20000! pass Python's 4300-digit int-to-str limit;
     # 3^(10^8 - 1) took 142 s and 10^6! 10.7 s to form, so the refusal is
-    # decided from their bit counts without forming them
+    # decided from their bit counts without forming them.  At k = 10^400 not
+    # even the bit count fits a float, and bits is a lower bound (None here)
     started = time.perf_counter()
     code, out, _ = run_cli(argv, capsys)
     assert time.perf_counter() - started < 1.0
     assert code == 2
     diagnostic = report_of(out)["payload"]["diagnostic"]
     assert diagnostic["code"] == "RESOURCE_LIMIT"
-    assert (diagnostic["field"], diagnostic["bits"]) == (field, bits)
+    assert diagnostic["field"] == field
+    if bits is None:
+        assert diagnostic["bits"] > sys.get_int_max_str_digits() * math.log2(10)
+    else:
+        assert diagnostic["bits"] == bits
     assert diagnostic["max_digits"] == sys.get_int_max_str_digits()
+
+
+@pytest.mark.parametrize(
+    "argv, doc, message, where",
+    [
+        (["enumerate", "--n", "2", "--k", "40"], None, "too many ordinals to list",
+         {"n": 2, "k": 40}),
+        (["enumerate", "--n", "1", "--k", "100000000"], None, "too many ordinals to list",
+         {"n": 1, "k": 100000000}),
+        (["enumerate", "--n", "1", "--k", str(10**400)], None, "too many ordinals to list",
+         {"n": 1, "k": 10**400}),
+        (["sample"], {"ordinal": {"n": 10**30, "levels": [0]}, "labels": [1, 0]},
+         "too many coordinates to sample", {"n": 10**30, "k": 2}),
+        (["sample"], {"ordinal": {"n": 10**8, "levels": [0]}, "labels": [1, 0]},
+         "too many coordinates to sample", {"n": 10**8, "k": 2}),
+        (["verify-partition", "--n", "100000000", "--k", "3", "--trials", "1"], None,
+         "too many coordinates to draw", {"n": 10**8, "k": 3, "trials": 1}),
+        (["verify-partition", "--n", "3", "--k", "4", "--trials", "100000000"], None,
+         "too many coordinates to draw", {"n": 3, "k": 4, "trials": 10**8}),
+    ],
+    ids=["enumerate-2,40", "enumerate-1,10^8", "enumerate-1,10^400", "sample-n=10^30",
+         "sample-n=10^8", "verify-partition-n=10^8", "verify-partition-trials=10^8"],
+)
+def test_listings_are_priced_before_they_are_built(
+    capsys, monkeypatch, argv, doc, message, where
+):
+    # each ran past 10 s or died with an OverflowError traceback unpriced
+    started = time.perf_counter()
+    code, out, _ = run_cli(argv, capsys, monkeypatch, json.dumps(doc))
+    assert time.perf_counter() - started < 2.0
+    assert code == 2
+    diagnostic = report_of(out)["payload"]["diagnostic"]
+    assert diagnostic["code"] == "RESOURCE_LIMIT"
+    assert diagnostic["message"] == message
+    assert {key: diagnostic[key] for key in where} == where
+    assert diagnostic["predicted"] > diagnostic["cap"]
 
 
 def test_printable_stops_at_the_digit_limit():

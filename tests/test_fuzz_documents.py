@@ -3,15 +3,16 @@
 Hypothesis feeds the nine document-reading commands arbitrary JSON, and
 single-field mutations (one field replaced by arbitrary JSON, or deleted)
 of one valid document per command.  The eight flag-only commands run on a
-grid of small n and k, negative ones included.  Each input must give
-exactly one JSON run report on stdout, an exit code in {0, 1, 2} that
-matches its outcome, and no traceback.
+grid of small n and k, negative ones included, plus n = 10^400 and
+k = 10^400, past float range.  Each input must give exactly one JSON run
+report on stdout, an exit code in {0, 1, 2} that matches its outcome, and
+no traceback.
 
 Sizes stay small: integers are drawn from -4..8, every "bound" is at most
-3, and the flags stay at n <= 2 and k <= 3.  Inputs past a budget are
-refused, but some admitted ones are still slow (ROADMAP item 6):
-`artin-check --k 64` takes about 74 s and `verify-partition --k 1000000`
-about 12 s, so a larger grid would spend minutes on single cases.
+3, and apart from 10^400 the flags stay at n <= 2 and k <= 3.  Inputs past
+a budget are refused, but some admitted ones are still slow (ROADMAP item
+6): `artin-check --k 64` takes about 74 s, so a larger grid would spend
+minutes on single cases.
 """
 
 import contextlib
@@ -146,16 +147,22 @@ FLAG_COMMANDS = {
 }
 
 
+# besides the small grid, a value past float range for each flag
+HUGE = 10**400
+
+
 def _flag_runs():
-    for k in range(-1, 4):
+    for k in [*range(-1, 4), HUGE]:
         yield ["artin-check", "--k", str(k)]
-        for n in range(-1, 3):
+        for n in [*range(-1, 3), HUGE]:
             for command, extras in FLAG_COMMANDS.items():
                 for extra in extras:
                     yield [command, "--n", str(n), "--k", str(k), *extra]
 
 
-@pytest.mark.parametrize("argv", list(_flag_runs()), ids=" ".join)
+@pytest.mark.parametrize(
+    "argv", list(_flag_runs()), ids=lambda argv: " ".join(argv).replace(str(HUGE), "10^400")
+)
 def test_flag_only_commands_answer_with_one_report(argv):
     code, out, err = _run(argv)
     _assert_one_report(argv, code, out, err)

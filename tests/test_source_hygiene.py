@@ -217,3 +217,22 @@ def test_only_the_index_ordinals_price_an_operad():
         and node.value == "bound must be at least 1",
     )
     assert bound_tests == ["_index_ordinals", "check_operad_axioms", "desymmetrise"]
+
+
+def test_only_clear_cross_records_fill_in():
+    # the Smith normal form has one elimination step: every function of
+    # homology.py that adds a column to a row's index (rows[r].add) is it
+    tree = _tree(PACKAGE / "homology.py")
+    writers = {
+        func.name
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "add"
+        and isinstance(node.func.value, ast.Subscript)
+        and isinstance(node.func.value.value, ast.Name)
+        and node.func.value.value.id == "rows"
+    }
+    assert writers == {"_clear_cross"}

@@ -24,7 +24,6 @@ import argparse
 import functools
 import hashlib
 import json
-import math
 import sys
 import time
 from itertools import chain
@@ -56,7 +55,7 @@ from .operads import (
     terminal_operad,
 )
 from .ordinal_maps import OrdinalMap, compose, factorize, map_fields, map_from_json
-from .ordinals import count_ordinals, to_tree, unrank
+from .ordinals import count_log2, count_ordinals, to_tree, unrank
 from .quasicat import build_j, build_q, cellular_j, cellular_q, chain_counts, nerve_counts
 from .strata import (
     classify_stratum,
@@ -148,13 +147,7 @@ def _dot_poset(p) -> str:
 
 def _cmd_enumerate(args, doc):
     n, k = args.n, args.k
-    if min(n, k) <= 1:
-        log2 = 0
-    elif k.bit_length() <= 64:
-        log2 = (k - 1) * math.log2(n)
-    else:  # an int bound, which no float overflows: n^(k-1) >= 2^((k-1)(bits of n - 1))
-        log2 = (k - 1) * (n.bit_length() - 1)
-    count = printable_by_log2(log2, lambda: count_ordinals(n, k), "count")
+    count = printable_by_log2(count_log2(n, k), lambda: count_ordinals(n, k), "count")
     if args.offset < 0 or (args.limit is not None and args.limit < 0):
         raise OutOfRange(
             "offset and limit must be non-negative", offset=args.offset, limit=args.limit

@@ -4,12 +4,12 @@ Chain complexes are built from explicit cell lists and a face rule that
 gives each cell's signed faces: the simplices of a nerve, or Milgram's
 regular CW cells of Q_n(k) and J_n(k) (``quasicat.cellular_q`` and
 ``cellular_j``).  Each boundary is stored as sparse columns, and the
-constructor checks that the boundary of a boundary vanishes.  Homology groups come out as a free rank
-plus invariant-factor torsion.  Invariant factors come from one sparse
-elimination, whose one step (_clear_cross) clears a pivot's row and column:
-the +-1 pivots go first, each worth a factor 1, and the small residue they
-leave is reduced in the same columns by Euclid steps on least-magnitude
-pivots.
+constructor checks that the boundary of a boundary vanishes.  Homology
+groups come out as a free rank plus invariant-factor torsion, from one
+sparse elimination whose one step (_clear_cross) clears a pivot's row and
+column: the +-1 pivots go first, each worth a factor 1, and the small
+residue they leave is reduced in the same columns by Euclid steps on
+least-magnitude pivots.
 """
 
 from __future__ import annotations
@@ -39,10 +39,12 @@ def _sparse_factors(columns) -> tuple[int, ...]:
     while swept:
         swept = False
         for j in sorted(cols, key=lambda j: len(cols[j])):
-            col = cols.get(j)
-            pivots = [r for r, v in col.items() if v in (1, -1)] if col else ()
-            if pivots:
-                _split_off(cols, rows, j, min(pivots, key=lambda r: len(rows[r])))
+            p = None
+            for r, v in cols.get(j, {}).items():
+                if v in (1, -1) and (p is None or len(rows[r]) < len(rows[p])):
+                    p = r
+            if p is not None:
+                _split_off(cols, rows, j, p)
                 units += 1
                 swept = True
     return (1,) * units + _residue_factors(cols, rows)
@@ -67,11 +69,10 @@ def _residue_factors(cols: dict, rows: dict) -> tuple[int, ...]:
 
 
 def _split_off(cols, rows, j, p) -> int:
-    """Eliminate from the pivot cols[j][p]: run _clear_cross until it
-    leaves no remainder, then remove the pivot's column, whose other
-    entries row steps would clear, and return the pivot's magnitude.  A
-    remainder is smaller than its pivot and becomes the next one (Euclid);
-    a +-1 pivot leaves none."""
+    """Eliminate from the pivot cols[j][p]: run _clear_cross until no
+    remainder is left (each is smaller than its pivot, as in Euclid; a +-1
+    pivot leaves none), then remove the pivot's column, whose other entries
+    row steps would clear, and return the pivot's magnitude."""
     while (remainder := _clear_cross(cols, rows, j, p)) is not None:
         j, p = remainder
     col = cols.pop(j)
@@ -84,16 +85,17 @@ def _clear_cross(cols, rows, j, p):
     """Clear row p against the pivot cols[j][p] with column steps, then
     look for a row step that leaves a remainder in column j.  Returns
     (column, row) of the first non-zero remainder, or None once the pivot
-    is alone in its row and divides the rest of its column, which row
-    steps would clear without touching any other column."""
+    is alone in its row and divides the rest of its column."""
     col = cols[j]
-    pivot = col[p]
-    for k in rows[p] - {j}:
+    pivot = col.pop(p)  # until it goes back, col is what a column step subtracts
+    line = rows[p]
+    line.discard(j)  # and line the columns of row p still to clear
+    found = None
+    while line:
+        k = line.pop()
         other = cols[k]
-        q = other[p] // pivot
-        if not q:
-            return k, p  # other[p] is already a remainder
-        for r, v in col.items():
+        q, left = divmod(other.pop(p), pivot)
+        for r, v in col.items() if q else ():  # q == 0: other[p] is a remainder
             new = other.get(r, 0) - q * v
             if new:
                 other[r] = new
@@ -101,16 +103,23 @@ def _clear_cross(cols, rows, j, p):
             else:
                 del other[r]
                 rows[r].discard(k)
-        if p in other:
-            return k, p
+        if left:
+            other[p] = left
+            line.add(k)
+            found = k, p
+            break
         if not other:
             del cols[k]
-    # row p now holds the pivot alone, so a row step changes column j only
-    for r, v in col.items():
-        if v % pivot:
-            col[r] = v % pivot
-            return j, r
-    return None
+    else:
+        # row p now holds the pivot alone, so a row step changes column j only
+        for r, v in col.items():
+            if v % pivot:
+                col[r] = v % pivot
+                found = j, r
+                break
+    col[p] = pivot
+    line.add(j)
+    return found
 
 
 def invariant_factors(matrix) -> tuple[int, ...]:

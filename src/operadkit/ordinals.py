@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -287,6 +288,17 @@ def count_ordinals(n: int, k: int) -> int:
     if type(k) is not int or k < 0:
         raise OutOfRange("arity must be a non-negative integer", arity=k)
     return n ** max(k - 1, 0)
+
+
+def count_log2(n: int, k: int) -> float | int:
+    """log2 of count_ordinals(n, k), taken 0 where n or k is at most 1, as
+    printable_by_log2 reads it.  Past a 64-bit k no float holds it, and an
+    int below it stands in: n^(k-1) >= 2^((k-1)(bits of n - 1))."""
+    if min(n, k) <= 1:
+        return 0
+    if k.bit_length() <= 64:
+        return (k - 1) * math.log2(n)
+    return (k - 1) * (n.bit_length() - 1)
 
 
 def unrank(n: int, k: int, r: int) -> NOrdinal:

@@ -28,7 +28,7 @@ from .errors import (
     printable_by_log2,
     within_cap,
 )
-from .ordinals import NOrdinal, count_ordinals, make_ordinal, ordinal_from_json
+from .ordinals import NOrdinal, count_log2, count_ordinals, make_ordinal, ordinal_from_json
 
 
 def _exact(value) -> int | Fraction:
@@ -247,12 +247,11 @@ def verify_partition(n: int, k: int, trials: int, seed: int = 0) -> PartitionRep
     """
     if n < 1 or k < 0 or trials < 0:
         raise OutOfRange("need n >= 1, k >= 0, trials >= 0", n=n, k=k, trials=trials)
-    if k.bit_length() <= 64:
-        log2 = max(k - 1, 0) * math.log2(n) + math.lgamma(k + 1) / math.log(2)
-    else:  # an int bound, which no float overflows: k! >= 2^(k-1)
-        log2 = k - 1
+    # log2 of k!, or past where count_log2 leaves floats the int k! >= 2^(k-1)
+    fact_log2 = math.lgamma(k + 1) / math.log(2) if k.bit_length() <= 64 else k - 1
     universe = printable_by_log2(
-        log2, lambda: count_ordinals(n, k) * math.factorial(k), "universe"
+        count_log2(n, k) + fact_log2, lambda: count_ordinals(n, k) * math.factorial(k),
+        "universe",
     )
     within_cap(trials * k * n, "too many coordinates to draw", n=n, k=k, trials=trials)
     tally: dict[str, int] = {}

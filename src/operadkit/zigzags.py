@@ -287,29 +287,26 @@ def artin_diagram_check(k: int, i: int, j: int) -> DiagramCertificate:
 
     ident = tuple(range(k))
 
-    def side(a: ZigZag, b: ZigZag, x, x2) -> list[ZigZag]:
-        # the product of the generator spans a and b (a b a for the braid
-        # relation), then its reduction by merges; x and x2 are the tables
-        # of the first merge's legs
-        if relation == "far-commutation":
-            return [a * b, _merge_generator_pair(a, b, x, x2)]
+    def braid_side(a: ZigZag, b: ZigZag, x, x2) -> list[ZigZag]:
+        # a b a, then a and b merged along the leg tables x and x2, then the
+        # third generator absorbed; the identity legs are forced: the back
+        # leg of the merged span is the swap itself, so composing with the
+        # third generator cancels it
         merged = _merge_generator_pair(a, b, x, x2)
-        # the identity legs are forced: the back leg of the merged span is
-        # the swap itself, so composing with the third generator cancels it
         return [a * b * a, merged * a, _merge_generator_pair(merged, a, ident, ident)]
 
     si, sj = transposition(k, i), transposition(k, j)
     vi, vj = generator_span(k, i), generator_span(k, j)
     if abs(i - j) >= 2:
         relation = "far-commutation"
-        lhs_stages = side(vi, vj, sj, ident)
-        rhs_stages = side(vj, vi, si, ident)
+        lhs_stages = [vi * vj, _merge_generator_pair(vi, vj, sj, ident)]
+        rhs_stages = [vj * vi, _merge_generator_pair(vj, vi, si, ident)]
     elif j == i + 1:
         relation = "braid"
         # first merge legs: the 3-cycles s_i s_j and s_j s_i of positions
         # i - 1, i, i + 1, then the swap of the repeated generator
-        lhs_stages = side(vi, vj, tuple(si[c] for c in sj), si)
-        rhs_stages = side(vj, vi, tuple(sj[c] for c in si), sj)
+        lhs_stages = braid_side(vi, vj, tuple(si[c] for c in sj), si)
+        rhs_stages = braid_side(vj, vi, tuple(sj[c] for c in si), sj)
     else:
         # j == i - 1: same relation written the other way round
         cert = artin_diagram_check(k, j, i)

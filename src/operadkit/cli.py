@@ -486,6 +486,19 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object, refused if it names a key twice: json.loads would
+    keep the last value only, so the verdict would cover another document."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise UsageError({"error": "BAD_JSON", "message": f"repeated key {key!r}"})
+            seen.add(key)
+    return obj
+
+
 def _read_doc(args):
     path = getattr(args, "source", None)
     if path is None:
@@ -499,7 +512,7 @@ def _read_doc(args):
     except OSError as e:
         raise UsageError({"error": "NO_SUCH_FILE", "path": path, "message": str(e)})
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as e:
         raise UsageError({"error": "BAD_JSON", "message": str(e)})
 

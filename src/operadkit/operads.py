@@ -869,9 +869,9 @@ def _check_square_eq1(op: FiniteOperad, squares: tuple, failures: list[AxiomFail
     Horizontals are order-preserving surjections (of 2-ordinals in the
     mixed flavor), verticals are quasibijections (arbitrary bijections in
     the symmetric flavor), and the square must commute on tables.  Given
-    sigma and the verticals p and r, the second horizontal is forced to be
-    r^-1 . sigma . p, and the square exists when that is one of the
-    horizontals.
+    sigma and p, sigma2 = r^-1 . sigma . p is onto and order-preserving,
+    so r lists the values of sigma . p in order of first appearance; the
+    square exists when sigma2 is a horizontal and r is a vertical.
     """
     checked = 0
     by_arity, verticals, horizontals = squares
@@ -881,14 +881,14 @@ def _check_square_eq1(op: FiniteOperad, squares: tuple, failures: list[AxiomFail
                 for t2 in by_arity[t.arity]:
                     for p_table in verticals[(t2, t)]:
                         moved = [sigma.table[u] for u in p_table]
+                        r_table = tuple(dict.fromkeys(moved))
+                        table2 = tuple(r_table.index(v) for v in moved)
                         for s2 in by_arity[s.arity]:
-                            candidates = horizontals[t2][s2]
-                            for r_table in verticals[(s2, s)]:
-                                hit = candidates.get(tuple(r_table.index(v) for v in moved))
-                                if hit is not None:
-                                    checked += _square_eq1_instance(
-                                        op, sigma, line, *hit, p_table, r_table, failures
-                                    )
+                            hit = horizontals[t2][s2].get(table2)
+                            if hit is not None and r_table in verticals[(s2, s)]:
+                                checked += _square_eq1_instance(
+                                    op, sigma, line, *hit, p_table, r_table, failures
+                                )
     return checked
 
 
@@ -1428,11 +1428,19 @@ def _key_ints(text: str, key: str) -> tuple[int, ...]:
     return tuple(int(p) for p in parts)
 
 
-def _ordinal_from_key(flavor: Flavor, key: str) -> NOrdinal:
-    arity_text, _, levels_text = key.partition(":")
+def _ordinal_from_key(flavor: Flavor, text: str, key: str) -> NOrdinal:
+    """The index ordinal that one part of a key names."""
+    arity_text, _, levels_text = text.partition(":")
     if not arity_text.isdecimal():
         raise BadDocument("bad key", field=key)
     return make_ordinal(_index_n(flavor), _key_ints(levels_text, key), arity=int(arity_text))
+
+
+def _canonical(key: str, canonical: str) -> None:
+    """Refuse a key that the writer spells otherwise: two spellings of one
+    key would let the later entry silently replace the earlier one."""
+    if key != canonical:
+        raise BadDocument("key is not in canonical form", field=key, canonical=canonical)
 
 
 def _indices(values: list, what: str, size: int) -> list:
@@ -1459,7 +1467,9 @@ def operad_from_json(obj: dict) -> FiniteOperad:
     bound = decode(obj.get("bound"), int, "bound")
     carrier = {}
     for key_text, elems in decode(obj.get("carriers"), dict, "carriers").items():
-        key = _carrier_key(flavor, _ordinal_from_key(flavor, key_text))
+        a = _ordinal_from_key(flavor, key_text, key_text)
+        _canonical(key_text, ordinal_key(a))
+        key = _carrier_key(flavor, a)
         what = f"carrier {key_text}"
         elems = tuple(_freeze(x) for x in decode(elems, list, what))
         if len(set(elems)) != len(elems):
@@ -1472,22 +1482,29 @@ def operad_from_json(obj: dict) -> FiniteOperad:
 
     actions = {}
     for key_text, arr in decode(obj.get("actions", {}), dict, "actions").items():
+        if not flavor.uses_arity_keys:
+            raise BadDocument("an n-operad document carries no actions", field=key_text)
         ordinal_text, _, gen_text = key_text.rpartition("|")
-        a = _ordinal_from_key(flavor, ordinal_text)
-        size = size_at(a)
+        a = _ordinal_from_key(flavor, ordinal_text, key_text)
         if not gen_text.isdecimal():
             raise BadDocument("bad key", field=key_text)
+        i = int(gen_text)
+        _canonical(key_text, f"{ordinal_key(a)}|{i}")
+        if not 1 <= i < a.arity:
+            raise BadDocument("no such generator", field=key_text, generators=a.arity - 1)
+        size = size_at(a)
         what = f"action {key_text}"
-        actions[(_carrier_key(flavor, a), int(gen_text))] = _indices(
+        actions[(_carrier_key(flavor, a), i)] = _indices(
             decode(arr, list, what, size), what, size
         )
     tables = {}
     for m_key, nested in decode(obj.get("mult", {}), dict, "mult").items():
         src_text, _, rest = m_key.partition(">")
         tgt_text, _, table_text = rest.partition("|")
-        source = _ordinal_from_key(flavor, src_text)
-        target = _ordinal_from_key(flavor, tgt_text)
+        source = _ordinal_from_key(flavor, src_text, m_key)
+        target = _ordinal_from_key(flavor, tgt_text, m_key)
         sigma = OrdinalMap(source, target, _key_ints(table_text, m_key))
+        _canonical(m_key, morphism_key(sigma))
         level = [nested]
         for a in (target, *[fiber(sigma, t)[0] for t in range(target.arity)]):
             size = size_at(a)

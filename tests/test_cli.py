@@ -21,9 +21,11 @@ from operadkit.braids import BraidWord
 from operadkit.cli import _build_parser, _dumps, _grid, main
 from operadkit.errors import ResourceLimit, printable, printable_by_log2
 from operadkit.operads import (
+    N_OPERAD,
     endomorphism_symmetric_operad,
     operad_to_json,
     orders_operad,
+    terminal_operad,
 )
 from operadkit.ordinal_maps import OrdinalMap
 from operadkit.ordinals import make_ordinal
@@ -762,6 +764,22 @@ def _set(path, value):
     return edit
 
 
+def _respelled_table(doc):
+    # a corrupted table, and the good one again under a second spelling of
+    # its key, which would replace it
+    good = doc["mult"]["2:0>2:0|0,1"]
+    doc["mult"]["2:0>2:0|0,1"] = [[[0] * 4] * 4] * 16
+    doc["mult"]["2:0>2:0|00,1"] = good
+
+
+def _n_operad_action(doc):
+    # terminal N_OPERAD(2) at bound 2 with an action, which only the arity
+    # flavors carry
+    doc.clear()
+    doc.update(operad_to_json(terminal_operad(N_OPERAD(2), 2)))
+    doc["actions"]["2:0|1"] = [0]
+
+
 def _duplicate_carrier_element(doc):
     # orders(2) with its arity-2 carrier listing one order twice, and the
     # table that the duplicate would let pass
@@ -786,6 +804,15 @@ def _duplicate_carrier_element(doc):
         _duplicate_carrier_element,
         _set(["mult", "1:>1:|0", 1, 1], True),
         _set(["mult", "1:>1:|0", 1, 1], 1.0),
+        lambda doc: doc["carriers"].update({"2:00": doc["carriers"]["2:0"]}),
+        lambda doc: doc["carriers"].update({"\uff12:0": doc["carriers"]["2:0"]}),
+        _respelled_table,
+        lambda doc: doc["actions"].update({"2:0|0": doc["actions"]["2:0|1"]}),
+        lambda doc: doc["actions"].update({"2:0|7": doc["actions"]["2:0|1"]}),
+        _n_operad_action,
+        lambda doc: doc["carriers"].update({"x:0": doc["carriers"]["2:0"]}),
+        lambda doc: doc["carriers"].update({"2:x": doc["carriers"]["2:0"]}),
+        lambda doc: doc["actions"].update({"2:0|x": doc["actions"]["2:0|1"]}),
     ],
     ids=[
         "no carriers",
@@ -800,6 +827,15 @@ def _duplicate_carrier_element(doc):
         "duplicate carrier element",
         "table leaf true",
         "table leaf float",
+        "carrier key with a leading zero",
+        "carrier key with a fullwidth digit",
+        "table key with a leading zero",
+        "action of generator 0",
+        "action past the generators",
+        "action in an n-operad document",
+        "carrier arity not a number",
+        "carrier level not a number",
+        "action generator not a number",
     ],
 )
 def test_malformed_operad_documents_are_bad_input(capsys, monkeypatch, edit):
@@ -814,6 +850,33 @@ def test_malformed_operad_documents_are_bad_input(capsys, monkeypatch, edit):
         assert rep["outcome"] == "ERROR"
         assert rep["payload"]["error"] == "BAD_DOCUMENT"
         assert "Traceback" not in err
+
+
+def _operad_check(capsys, monkeypatch, doc, *flags):
+    code, out, err = run_cli(["operad-check", *flags], capsys, monkeypatch, json.dumps(doc))
+    assert "Traceback" not in err
+    return code, report_of(out)["payload"]
+
+
+def test_operad_check_bound_flag_checks_below_the_operad_bound(capsys, monkeypatch):
+    # orders(3) checks 341 instances; at --bound 2 it checks the 33 of
+    # orders(2), and a builtin with no bound of its own is built at the flag
+    orders3 = {"builtin": "orders", "bound": 3}
+    code, payload = _operad_check(capsys, monkeypatch, orders3)
+    assert (code, payload["bound"], payload["checked"]) == (0, 3, 341)
+    for doc in (orders3, {"builtin": "orders"}):
+        code, payload = _operad_check(capsys, monkeypatch, doc, "--bound", "2")
+        assert (code, payload["bound"], payload["checked"]) == (0, 2, 33), doc
+        assert payload["passed"] is True
+
+
+def test_operad_check_bound_flag_out_of_range_is_refused(capsys, monkeypatch):
+    orders3 = {"builtin": "orders", "bound": 3}
+    code, payload = _operad_check(capsys, monkeypatch, orders3, "--bound", "4")
+    assert (code, payload["error"]) == (2, "BOUND_EXCEEDED")
+    code, payload = _operad_check(capsys, monkeypatch, orders3, "--bound", "0")
+    assert (code, payload["error"]) == (2, "OUT_OF_RANGE")
+    assert payload["diagnostic"]["message"] == "bound must be at least 1"
 
 
 def test_bad_last_leaf_of_a_long_table_is_named(capsys, monkeypatch):
@@ -1168,10 +1231,25 @@ def test_unknown_command_is_usage_error(capsys):
     assert rep["payload"]["error"] == "USAGE"
 
 
+def _repeated_table_key() -> str:
+    # orders(2) with its one arity-2 table corrupted, and then the same key
+    # again holding the good table: json.loads alone would keep the good one
+    doc = operad_to_json(orders_operad(2))
+    good = doc["mult"]["2:0>2:0|0,1"]
+    doc["mult"]["2:0>2:0|0,1"] = [[[0]], [[0]]]
+    text = json.dumps(doc)  # "mult" is the last field, so text ends "}}"
+    return text[:-2] + f', "2:0>2:0|0,1": {json.dumps(good)}}}}}'
+
+
 def test_bad_json_is_usage_error(capsys, monkeypatch):
-    code, out, _ = run_cli(["braid"], capsys, monkeypatch, stdin_text="not json")
-    assert code == 2
-    assert report_of(out)["payload"]["error"] == "BAD_JSON"
+    for command, text in [
+        ("braid", "not json"),
+        ("operad-check", _repeated_table_key()),
+        ("braid", '{"strands": 3, "word": [1, -2], "word": []}'),
+    ]:
+        code, out, _ = run_cli([command], capsys, monkeypatch, stdin_text=text)
+        assert code == 2, text
+        assert report_of(out)["payload"]["error"] == "BAD_JSON", text
 
 
 def test_missing_file_is_usage_error(capsys):

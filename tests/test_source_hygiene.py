@@ -236,3 +236,27 @@ def test_only_clear_cross_records_fill_in():
         and node.func.value.value.id == "rows"
     }
     assert writers == {"_clear_cross"}
+
+
+def test_the_first_square_condition_reads_r_off_sigma_p():
+    # sigma2 = r^-1 . sigma . p is onto and order-preserving, so r is forced:
+    # the check loops over the verticals for p only, and r lists the values
+    # of sigma . p in order of first appearance
+    check = next(
+        node
+        for node in _tree(PACKAGE / "operads.py").body
+        if isinstance(node, ast.FunctionDef) and node.name == "_check_square_eq1"
+    )
+    loops = [
+        ast.unparse(node.target)
+        for node in ast.walk(check)
+        if isinstance(node, (ast.For, ast.comprehension))
+        and "verticals" in ast.unparse(node.iter)
+    ]
+    assert loops == ["p_table"]
+    r_values = [
+        ast.unparse(node.value)
+        for node in ast.walk(check)
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "r_table"
+    ]
+    assert r_values == ["tuple(dict.fromkeys(moved))"]

@@ -32,6 +32,7 @@ from .errors import (
     BadDocument,
     BoundExceeded,
     InvariantBroken,
+    LevelOutOfDomain,
     MissingTable,
     NotQuasibijection,
     NotQuasisymmetric,
@@ -341,6 +342,8 @@ class FiniteOperad:
     surjections within the bound.  ``mult`` is ``table`` that raises
     MissingTable instead of returning None.  ``quasi_actor``, when set,
     gives induced quasibijection actions without building their tables.
+    Equal tables may be one list shared between morphisms, so a table is
+    never changed in place: a fault is injected by storing a changed copy.
     Nothing is validated at construction, the check_* functions do that,
     which keeps fault injection possible.
     """
@@ -534,7 +537,9 @@ def check_operad_axioms(op: FiniteOperad, bound: int | None = None) -> AxiomRepo
     permutation to its positive braid word (``q_section``) and an inverse
     to that braid inverted.  Generator images are validated before any
     table is built and raise on failure.  Each surjection is keyed once per check, and the
-    instances find composites and restrictions by key.
+    instances find composites and restrictions by key.  An associativity
+    instance whose tables, by identity, and sizes repeat one that matched
+    is not compared again, but ``checked`` counts every instance.
     """
     bound = op.bound if bound is None else bound
     if bound < 1:
@@ -628,20 +633,10 @@ def _associativity_instance(
     right side gathers each composite row at offsets that substitute the
     fiber arguments into the restricted tables, which do not depend on a.
     """
-    image = sigma.morphism.table
-    joined = tuple(omega.morphism.table[v] for v in image)
-    composite = covered.get(_key(sigma.morphism.source, omega.morphism.target, joined))
-    if composite is None:
+    found = _instance_tables(covered, sigma, omega)
+    if found is None:
         return 0
-    mu_parts = []
-    for sources, positions, source, target in zip(
-        composite.blocks, omega.blocks, composite.fibers, omega.fibers
-    ):
-        local = tuple(positions.index(image[t]) for t in sources)
-        part = covered.get(_key(source, target, local))
-        if part is None:
-            return 0
-        mu_parts.append(part.table)
+    composite, mu_parts = found
     f_sizes = sigma.sizes[1:]
     width = math.prod(f_sizes)
     comp_sizes = composite.sizes[1:]
@@ -672,14 +667,67 @@ def _associativity_instance(
     return _mismatches(op.collection, keys, lhs, rhs, "associativity", instance, failures)
 
 
+def _instance_tables(covered: dict, sigma: _Surjection, omega: _Surjection):
+    """The composite's record and the restrictions' tables of the
+    associativity instance (sigma, omega), or None if one has no table."""
+    image = sigma.morphism.table
+    joined = tuple(omega.morphism.table[v] for v in image)
+    composite = covered.get(_key(sigma.morphism.source, omega.morphism.target, joined))
+    if composite is None:
+        return None
+    mu_parts = []
+    for sources, positions, source, target in zip(
+        composite.blocks, omega.blocks, composite.fibers, omega.fibers
+    ):
+        local = tuple(positions.index(image[t]) for t in sources)
+        part = covered.get(_key(source, target, local))
+        if part is None:
+            return None
+        mu_parts.append(part.table)
+    return composite, mu_parts
+
+
 def _check_associativity(op: FiniteOperad, covered: dict, failures: list) -> int:
+    """Every associativity instance (sigma, omega) with omega from sigma's
+    target, each counted in full.
+
+    Equal tables may be one list (``operad_from_json`` and
+    ``desymmetrise`` share them).  Both sides of an instance are fixed by
+    its inputs: the tables of sigma, omega, the composite and the
+    restrictions, by identity, and the sizes and blocks that lay them
+    out.  An instance whose inputs match one already compared without a
+    mismatch compares the same lists, so it only adds its entry count.
+    Two instances can match only if sigma's or omega's table belongs to
+    more than one record, so only those are remembered, for this call.
+    """
     by_source: dict[NOrdinal, list[_Surjection]] = {}
+    owners: dict[int, int] = {}
     for rec in covered.values():
         by_source.setdefault(rec.morphism.source, []).append(rec)
+        owners[id(rec.table)] = owners.get(id(rec.table), 0) + 1
+    shared = {table for table, count in owners.items() if count > 1}
+    passed: dict[tuple, int] = {}
     checked = 0
     for sigma in covered.values():
+        sigma_shared = id(sigma.table) in shared
         for omega in by_source.get(sigma.morphism.target, ()):
-            checked += _associativity_instance(op, covered, sigma, omega, failures)
+            found = None
+            if sigma_shared or id(omega.table) in shared:
+                found = _instance_tables(covered, sigma, omega)
+            if found is None:
+                checked += _associativity_instance(op, covered, sigma, omega, failures)
+                continue
+            composite, mu_parts = found
+            tables = (sigma.table, omega.table, composite.table, *mu_parts)
+            inputs = (*map(id, tables), sigma.sizes, omega.blocks, composite.sizes)
+            if inputs in passed:
+                checked += passed[inputs]
+                continue
+            before = len(failures)
+            count = _associativity_instance(op, covered, sigma, omega, failures)
+            if len(failures) == before:
+                passed[inputs] = count
+            checked += count
     return checked
 
 
@@ -1109,9 +1157,10 @@ def desymmetrise(sym: FiniteOperad, n: int, bound: int | None = None) -> FiniteO
     Every n-ordinal of arity k carries the symmetric operad's arity-k set;
     the multiplication at any valid surjection sorts the source stably by
     image, multiplies along the sorted order-preserving map, and lets the
-    sorting permutation act on the result.  The carriers are listed
-    through ``_index_ordinals``, which prices the candidate maps between
-    n-ordinals first.
+    sorting permutation act on the result.  That table depends on the
+    underlying map alone, so the maps with one underlying map share one
+    list.  The carriers are listed through ``_index_ordinals``, which
+    prices the candidate maps between n-ordinals first.
     """
     if sym.flavor.kind != "symmetric":
         raise OutOfRange("expected a symmetric operad", flavor=str(sym.flavor))
@@ -1133,13 +1182,18 @@ def desymmetrise(sym: FiniteOperad, n: int, bound: int | None = None) -> FiniteO
         word = _lift_word(tuple(order), False)
         return sym.collection.action_of_word(total - 1, word)
 
+    pulled: dict[tuple[int, ...], list[int]] = {}
+
     def supplier(sigma: OrdinalMap) -> list[int] | None:
         if sigma.source.n != n:
             return None
-        ordered = tuple(sorted(sigma.table))
-        base = sym.mult(OrdinalMap(_line(len(ordered)), _line(sigma.target.arity), ordered))
-        action = unsort(sigma)
-        return [action[v] for v in base]
+        found = pulled.get(sigma.table)
+        if found is None:
+            ordered = tuple(sorted(sigma.table))
+            line = OrdinalMap(_line(len(ordered)), _line(sigma.target.arity), ordered)
+            action = unsort(sigma)
+            found = pulled[sigma.table] = [action[v] for v in sym.mult(line)]
+        return found
 
     def quasi_actor(sigma: OrdinalMap) -> list[int]:
         # A quasibijection sorts to the identity line map, and inserting
@@ -1429,11 +1483,20 @@ def _key_ints(text: str, key: str) -> tuple[int, ...]:
 
 
 def _ordinal_from_key(flavor: Flavor, text: str, key: str) -> NOrdinal:
-    """The index ordinal that one part of a key names."""
+    """The index ordinal that one part of a key names.  A part that names
+    none, by an arity below 1, a level outside the flavor's domain or a
+    level count other than arity - 1, is a malformed key."""
     arity_text, _, levels_text = text.partition(":")
     if not arity_text.isdecimal():
         raise BadDocument("bad key", field=key)
-    return make_ordinal(_index_n(flavor), _key_ints(levels_text, key), arity=int(arity_text))
+    levels = _key_ints(levels_text, key)
+    try:
+        a = make_ordinal(_index_n(flavor), levels, arity=int(arity_text))
+    except (OutOfRange, LevelOutOfDomain):
+        a = None
+    if a is None or a.arity < 1:
+        raise BadDocument("key names no index ordinal", field=key)
+    return a
 
 
 def _canonical(key: str, canonical: str) -> None:
@@ -1453,12 +1516,25 @@ def _indices(values: list, what: str, size: int) -> list:
     return [decode(v, int, what, size) for v in values]
 
 
+def _flattened(level: list, what: str, size: int) -> list:
+    """The nodes of one nesting level joined, if each is a list of
+    ``size`` entries.
+
+    The level is checked at once; only one that fails is read again node
+    by node, so that ``decode`` names its first bad node."""
+    if set(map(type, level)) == {list} and set(map(len, level)) == {size}:
+        return list(itertools.chain.from_iterable(level))
+    return [x for node in level for x in decode(node, list, what, size)]
+
+
 def operad_from_json(obj: dict) -> FiniteOperad:
     """Read an operad bundle; malformed fields raise BadDocument.
 
     Each carrier list becomes a decode tuple and must not name an element
-    twice; actions and table leaves must be indices into their carriers,
-    and tables are flattened level by level into their mixed radix.
+    twice; a key must name an index ordinal of the flavor, in the spelling
+    ``operad_to_json`` writes; actions and table leaves must be indices
+    into their carriers, and tables are flattened level by level into
+    their mixed radix.  Equal tables are read as one list.
     """
     if not isinstance(obj, dict) or "flavor" not in obj:
         raise OutOfRange("operad bundle needs a 'flavor' field")
@@ -1498,6 +1574,7 @@ def operad_from_json(obj: dict) -> FiniteOperad:
             decode(arr, list, what, size), what, size
         )
     tables = {}
+    interned: dict[tuple[int, ...], list[int]] = {}
     for m_key, nested in decode(obj.get("mult", {}), dict, "mult").items():
         src_text, _, rest = m_key.partition(">")
         tgt_text, _, table_text = rest.partition("|")
@@ -1508,9 +1585,9 @@ def operad_from_json(obj: dict) -> FiniteOperad:
         level = [nested]
         for a in (target, *[fiber(sigma, t)[0] for t in range(target.arity)]):
             size = size_at(a)
-            level = [x for node in level for x in decode(node, list, m_key, size)]
-        size = size_at(source)
-        tables[sigma] = _indices(level, m_key, size)
+            level = _flattened(level, m_key, size)
+        table = _indices(level, m_key, size_at(source))
+        tables[sigma] = interned.setdefault(tuple(table), table)
     unit = decode(obj.get("unit"), int, "unit", size_at(_point(flavor)))
     coll = FiniteCollection(flavor, carrier, actions)
     return FiniteOperad(coll, unit, bound, tables)

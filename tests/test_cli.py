@@ -688,6 +688,23 @@ def test_desymmetrise_emits_checkable_operad(capsys, monkeypatch, tmp_path):
     assert report_of(out)["payload"]["passed"] is True
 
 
+def test_desymmetrised_end_at_bound_three_pipes_into_a_pass(capsys, monkeypatch):
+    # the check of desymmetrised End{0,1} at bound 3, piped in-process:
+    # it compares each distinct associativity instance once and still
+    # counts every instance in full
+    doc = {"builtin": "endomorphism", "set": [0, 1], "bound": 3}
+    code, out, _ = run_cli(
+        ["desymmetrise", "--n", "2", "--bound", "3", "-"],
+        capsys, monkeypatch, stdin_text=json.dumps(doc),
+    )
+    assert code == 0
+    code, out, err = run_cli(["operad-check", "-"], capsys, monkeypatch, stdin_text=out)
+    assert "Traceback" not in err
+    report = report_of(out)
+    assert (code, report["outcome"]) == (0, "PASS")
+    assert (report["payload"]["passed"], report["payload"]["checked"]) == (True, 56425096)
+
+
 @pytest.mark.parametrize(
     "bound, doc",
     [
@@ -813,6 +830,11 @@ def _duplicate_carrier_element(doc):
         lambda doc: doc["carriers"].update({"x:0": doc["carriers"]["2:0"]}),
         lambda doc: doc["carriers"].update({"2:x": doc["carriers"]["2:0"]}),
         lambda doc: doc["actions"].update({"2:0|x": doc["actions"]["2:0|1"]}),
+        lambda doc: doc["carriers"].update({"2:1": doc["carriers"]["2:0"]}),
+        lambda doc: doc["carriers"].update({"1:0": doc["carriers"]["1:"]}),
+        lambda doc: doc["carriers"].update({"2:": doc["carriers"]["2:0"]}),
+        lambda doc: doc["carriers"].update({"0:": doc["carriers"]["1:"]}),
+        lambda doc: doc["mult"].update({"2:1>1:|0,0": doc["mult"]["2:0>1:|0,0"]}),
     ],
     ids=[
         "no carriers",
@@ -836,6 +858,11 @@ def _duplicate_carrier_element(doc):
         "carrier arity not a number",
         "carrier level not a number",
         "action generator not a number",
+        "carrier level outside the domain",
+        "carrier with a level past its arity",
+        "carrier short of a level",
+        "carrier of arity zero",
+        "table source level outside the domain",
     ],
 )
 def test_malformed_operad_documents_are_bad_input(capsys, monkeypatch, edit):
@@ -856,6 +883,26 @@ def _operad_check(capsys, monkeypatch, doc, *flags):
     code, out, err = run_cli(["operad-check", *flags], capsys, monkeypatch, json.dumps(doc))
     assert "Traceback" not in err
     return code, report_of(out)["payload"]
+
+
+@pytest.mark.parametrize(
+    "kind, key, like",
+    [
+        ("carriers", "2:1", "2:0"),
+        ("carriers", "1:0", "1:"),
+        ("carriers", "2:", "2:0"),
+        ("carriers", "0:", "1:"),
+        ("mult", "2:1>1:|0,0", "2:0>1:|0,0"),
+    ],
+)
+def test_a_key_that_names_no_index_ordinal_is_named(capsys, monkeypatch, kind, key, like):
+    doc = _end_bundle()
+    doc[kind][key] = doc[kind][like]
+    code, payload = _operad_check(capsys, monkeypatch, doc)
+    assert code == 2
+    assert payload["diagnostic"] == {
+        "code": "BAD_DOCUMENT", "message": "key names no index ordinal", "field": key,
+    }
 
 
 def test_operad_check_bound_flag_checks_below_the_operad_bound(capsys, monkeypatch):

@@ -828,6 +828,92 @@ def test_a_missing_table_fails_the_check_and_skips_what_needs_it(
     assert left_out == {morphism_key(missing)}
 
 
+def _corrupted_desymmetrised():
+    """The corrupted desymmetrised 3-operad whose report is pinned in
+    test_pinned_reports: three tables replaced, each with one entry changed."""
+    op = desymmetrise(endomorphism_symmetric_operad((0, 1), 2), 3, 2)
+    point = make_ordinal(3, (), arity=1)
+    pair = [make_ordinal(3, (p,)) for p in range(3)]
+    for sigma, at, value in [
+        (OrdinalMap(pair[1], point, (0, 0)), 5, 9),
+        (OrdinalMap(pair[0], pair[2], (1, 0)), 3, 12),
+        (OrdinalMap(pair[2], pair[2], (0, 1)), 40, 1),
+    ]:
+        table = list(op.mult(sigma))
+        table[at] = value
+        op.tables[sigma] = table
+    return op
+
+
+def _associativity_comparisons(monkeypatch) -> list:
+    """Records the instance name of every associativity comparison."""
+    compared = []
+    real = operads._mismatches
+
+    def recording(coll, keys, lhs, rhs, axiom, instance, failures):
+        if axiom == "associativity":
+            compared.append(instance)
+        return real(coll, keys, lhs, rhs, axiom, instance, failures)
+
+    monkeypatch.setattr(operads, "_mismatches", recording)
+    return compared
+
+
+@pytest.mark.parametrize(
+    "make, comparisons",
+    [
+        (lambda: operad_from_json(operad_to_json(terminal_operad(N_OPERAD(2), 3))), (17, 197)),
+        (lambda: operad_from_json(operad_to_json(endomorphism_symmetric_operad((0, 1), 2))),
+         (4, 4)),
+        (lambda: operad_from_json(operad_to_json(orders_operad(3))), (13, 13)),
+        (lambda: desymmetrise(endomorphism_symmetric_operad((0, 1), 2), 2), (7, 13)),
+        (lambda: desymmetrise(endomorphism_symmetric_operad((0, 1), 2), 3), (8, 32)),
+        (_corrupted_desymmetrised, (23, 32)),
+    ],
+    ids=["terminal n=2", "End{0,1}", "orders", "desymmetrised n=2", "desymmetrised n=3",
+         "corrupted desymmetrised n=3"],
+)
+def test_shared_tables_give_the_report_of_private_copies(monkeypatch, make, comparisons):
+    # an instance is skipped only when one with the same tables, by
+    # identity, and the same sizes was compared and matched; the report,
+    # counts and witnesses included, is the one of the same operad with
+    # every table a private copy.  The documents read back share their
+    # equal tables, and the corrupted operad compares every failing
+    # instance
+    compared = _associativity_comparisons(monkeypatch)
+    op = make()
+    report = check_operad_axioms(op)
+    shared = len(compared)
+    private = dataclasses.replace(
+        op, tables={s: list(t) for s, t in op.tables.items()}, supplier=None
+    )
+    assert report.to_json() == check_operad_axioms(private).to_json()
+    assert (shared, len(compared) - shared) == comparisons
+
+
+def test_equal_tables_are_one_list():
+    # the maps with one underlying map carry one table, in a desymmetrised
+    # operad and in its document read back; other tables stay apart
+    pair = [make_ordinal(2, (p,)) for p in range(2)]
+    point = make_ordinal(2, (), arity=1)
+    de = desymmetrise(endomorphism_symmetric_operad((0, 1), 2), 2)
+    back = operad_from_json(operad_to_json(de))
+    for op in (de, back):
+        first, second = (op.table(OrdinalMap(a, point, (0, 0))) for a in pair)
+        assert first is second
+        assert op.table(identity_map(pair[0])) is op.table(identity_map(pair[1]))
+        assert op.table(identity_map(pair[0])) is not first
+
+
+def test_desymmetrised_n8_document_compares_eight_instances(monkeypatch):
+    # its 417 associativity instances repeat 8 distinct ones: each is
+    # compared once, and every instance is still counted in full
+    compared = _associativity_comparisons(monkeypatch)
+    doc = operad_to_json(desymmetrise(endomorphism_symmetric_operad((0, 1), 2), 8, 2))
+    report = check_operad_axioms(operad_from_json(doc))
+    assert (report.passed, report.checked, len(compared)) == (True, 1476936, 8)
+
+
 def test_a_desymmetrised_operad_has_no_tables_at_another_n():
     op = desymmetrise(orders_operad(3), 2)
     flat3 = make_ordinal(3, [0])

@@ -1516,17 +1516,6 @@ def _indices(values: list, what: str, size: int) -> list:
     return [decode(v, int, what, size) for v in values]
 
 
-def _flattened(level: list, what: str, size: int) -> list:
-    """The nodes of one nesting level joined, if each is a list of
-    ``size`` entries.
-
-    The level is checked at once; only one that fails is read again node
-    by node, so that ``decode`` names its first bad node."""
-    if set(map(type, level)) == {list} and set(map(len, level)) == {size}:
-        return list(itertools.chain.from_iterable(level))
-    return [x for node in level for x in decode(node, list, what, size)]
-
-
 def operad_from_json(obj: dict) -> FiniteOperad:
     """Read an operad bundle; malformed fields raise BadDocument.
 
@@ -1585,7 +1574,7 @@ def operad_from_json(obj: dict) -> FiniteOperad:
         level = [nested]
         for a in (target, *[fiber(sigma, t)[0] for t in range(target.arity)]):
             size = size_at(a)
-            level = _flattened(level, m_key, size)
+            level = [x for node in level for x in decode(node, list, m_key, size)]
         table = _indices(level, m_key, size_at(source))
         tables[sigma] = interned.setdefault(tuple(table), table)
     unit = decode(obj.get("unit"), int, "unit", size_at(_point(flavor)))

@@ -1,16 +1,17 @@
 """The traced layer self share of one benchmark workload in two checkouts.
 
-    python3 tools/traced_share.py --parent DIR --change DIR --workload W
-        [--seed S] [--seconds S] [--pairs N]
+    python3 tools/traced_share.py --parent DIR --change DIR --workload W [--pairs N]
 
 Runs ``perfbench/run.py --trace 1`` from the root of each checkout, N
-times each, alternating parent then change, so that the drift of a shared
-host falls on both sides alike.  For each run it prints a line with the
-pair number, the side, the layer self share (the layers' self time over
-the traced wall, as run.py prints it), the ``failed`` count and run.py's
-first ``FAILED`` line, if any: perfbench fails a traced pass whose layer
-self share is under 0.95.  Then it prints the median share of each side.
-It only runs perfbench, and changes nothing in either checkout.
+times each (10 by default), alternating parent then change, so that the
+drift of a shared host falls on both sides alike.  Every run uses seed 3
+and the ``run_seconds`` of this checkout's BENCHMARK.json.  For each run
+it prints a line with the pair number, the side, the layer self share
+(the layers' self time over the traced wall, as run.py prints it), the
+``failed`` count and run.py's first ``FAILED`` line, if any: perfbench
+fails a traced pass whose layer self share is under 0.95.  Then it prints
+the median share of each side.  It only runs perfbench, and changes
+nothing in either checkout.
 """
 
 from __future__ import annotations
@@ -23,14 +24,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parents[1]
+SEED = 3
 SHARE = re.compile(r"layer self share (\d+(?:\.\d+)?)")
 
 
-def traced_run(root: Path, workload: str, seed: int, seconds: float) -> tuple:
+def traced_run(root: Path, workload: str, seconds: float) -> tuple:
     """(share or None, failed count or None, first FAILED line or "") of
     one traced run in the checkout at root."""
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
          "--seconds", str(seconds), "--trace", "1"],
         cwd=root, capture_output=True, text=True,
     )
@@ -53,16 +56,15 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--seed", type=int, default=3)
-    parser.add_argument("--seconds", type=float, default=40.0)
     parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args(argv)
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
 
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     shares: dict[str, list[float]] = {side: [] for side in sides}
     for pair in range(1, args.pairs + 1):
         for side, root in sides.items():
-            share, failed, problem = traced_run(root, args.workload, args.seed, args.seconds)
+            share, failed, problem = traced_run(root, args.workload, seconds)
             if share is not None:
                 shares[side].append(share)
             shown = "-" if share is None else f"{share:.4f}"

@@ -13,14 +13,9 @@ from .ordinals import (
     NOrdinal,
     count_ordinals,
     enumerate_ordinals,
-    from_relations,
-    from_tree,
     make_ordinal,
     ordinal_from_json,
     ordinal_sum,
-    suspend_horizontal,
-    suspend_infinite,
-    suspend_vertical,
     to_tree,
     unrank,
 )
@@ -33,14 +28,12 @@ from .ordinal_maps import (
     fiber,
     identity_map,
     induced,
-    invert,
     map_from_json,
     morphism_violation,
     restrict_map,
 )
 from .braids import (
     BraidWord,
-    block_permutation,
     block_transposition,
     braid_equal,
     braid_from_json,
@@ -57,8 +50,6 @@ from .homology import (
     HomologyResult,
     connected_components,
     homology,
-    invariant_factors,
-    matrix_rank,
 )
 from .quasicat import (
     MilgramPoset,
@@ -70,7 +61,6 @@ from .quasicat import (
     cellular_q,
     nerve,
     order_complex,
-    verify_quotient_correspondence,
 )
 from .zigzags import (
     DiagramCertificate,
@@ -94,7 +84,6 @@ from .strata import (
     classify_stratum,
     configuration_from_json,
     degeneration_check,
-    direction_class,
     label_key,
     random_configuration,
     sample_stratum,

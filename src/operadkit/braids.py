@@ -293,24 +293,6 @@ def block_transposition(a: int, b: int) -> tuple[int, ...]:
     return tuple(range(b, b + a)) + tuple(range(b))
 
 
-def block_permutation(rho: Sequence[int], mult: Sequence[int]) -> tuple[int, ...]:
-    """Permutation of sum(mult) points moving the i-th block, of width
-    mult[i], to the rho[i]-th block slot, order-preserving on blocks."""
-    if len(rho) != len(mult):
-        raise LengthMismatch(
-            "multiplicity list length must match the permutation",
-            perm=len(rho),
-            mult=len(mult),
-        )
-    if any(m < 0 for m in mult):
-        raise OutOfRange("multiplicities must be non-negative", mult=list(mult))
-    image = []
-    for i, m in enumerate(mult):
-        offset = sum(mult[j] for j in range(len(mult)) if rho[j] < rho[i])
-        image.extend(offset + r for r in range(m))
-    return tuple(image)
-
-
 def cable(b: BraidWord, mult: Sequence[int]) -> BraidWord:
     """Replace the i-th strand by mult[i] parallel strands.
 

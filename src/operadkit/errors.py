@@ -30,33 +30,12 @@ class LevelOutOfDomain(WorkbenchError):
     code = "LEVEL_OUT_OF_DOMAIN"
 
 
-class AxiomViolation(WorkbenchError):
-    code = "AXIOM_VIOLATION"
-
-    def __init__(self, message: str, axiom: str, witness: tuple, **payload: Any):
-        super().__init__(message, axiom=axiom, witness=list(witness), **payload)
-        self.axiom = axiom
-        self.witness = witness
-
-
-class MissingPair(WorkbenchError):
-    code = "MISSING_PAIR"
-
-
-class SameElement(WorkbenchError):
-    code = "SAME_ELEMENT"
-
-
 class OutOfRange(WorkbenchError):
     code = "OUT_OF_RANGE"
 
 
 class DomainMismatch(WorkbenchError):
     code = "DOMAIN_MISMATCH"
-
-
-class TargetTooSmall(WorkbenchError):
-    code = "TARGET_TOO_SMALL"
 
 
 class ResourceLimit(WorkbenchError):
@@ -85,10 +64,6 @@ class InvariantBroken(WorkbenchError):
 
 class AntisymmetryViolation(WorkbenchError):
     code = "ANTISYMMETRY_VIOLATION"
-
-
-class IsoCheckFailed(WorkbenchError):
-    code = "ISO_CHECK_FAILED"
 
 
 class EndoFound(WorkbenchError):

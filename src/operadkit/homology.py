@@ -122,19 +122,6 @@ def _clear_cross(cols, rows, j, p):
     return found
 
 
-def invariant_factors(matrix) -> tuple[int, ...]:
-    """Non-zero diagonal of the Smith normal form, each entry dividing the
-    next, from the sparse elimination of _sparse_factors."""
-    width = len(matrix[0]) if matrix else 0
-    return _sparse_factors(
-        [{i: row[j] for i, row in enumerate(matrix) if row[j]} for j in range(width)]
-    )
-
-
-def matrix_rank(matrix) -> int:
-    return len(invariant_factors(matrix))
-
-
 @dataclass(frozen=True)
 class ChainComplex:
     """Finite chain complex of free abelian groups with chosen cell bases."""

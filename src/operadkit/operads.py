@@ -341,7 +341,11 @@ class FiniteOperad:
     which it then stores, or else None.  The supplier is asked only for
     surjections within the bound.  ``mult`` is ``table`` that raises
     MissingTable instead of returning None.  ``quasi_actor``, when set,
-    gives induced quasibijection actions without building their tables.
+    gives induced quasibijection actions without building their tables;
+    ``induced_action`` asks it only where no table is stored.  It is a
+    shortcut that assumes a unit law: ``desymmetrise``'s reads the action
+    of the sorting permutation, which equals unit insertion only if the
+    symmetric operad's unit-right law holds.
     Equal tables may be one list shared between morphisms, so a table is
     never changed in place: a fault is injected by storing a changed copy.
     Nothing is validated at construction, the check_* functions do that,
@@ -488,15 +492,6 @@ class AxiomReport:
             "failures": [f.to_json() for f in self.failures],
         }
 
-    def __str__(self) -> str:
-        if self.passed:
-            return f"pass ({self.checked} instances)"
-        head = self.failures[0]
-        return (
-            f"FAIL ({len(self.failures)} failures / {self.checked} instances), "
-            f"first: {head.axiom} at {head.instance}"
-        )
-
 
 def _report(failures: list[AxiomFailure], checked: int) -> AxiomReport:
     ordered = tuple(
@@ -622,21 +617,23 @@ def _check_units(op: FiniteOperad, covered: dict, bound: int, failures: list) ->
 
 
 def _associativity_instance(
-    op: FiniteOperad, covered: dict, sigma: _Surjection, omega: _Surjection, failures: list
+    op: FiniteOperad,
+    sigma: _Surjection,
+    omega: _Surjection,
+    composite: _Surjection,
+    mu_parts: list,
+    failures: list,
 ) -> int:
     """mu_sigma . mu_omega against mu_{omega . sigma} with fiber restrictions.
 
-    The composite and the restrictions of sigma, whose sources are the
-    composite's fibers, are looked up by key; the instance is skipped if
-    one has no table.  Both sides are flat lists over (a, b_0, .., f_0, ..):
-    the left side puts the sigma row of each omega entry in place, the
-    right side gathers each composite row at offsets that substitute the
-    fiber arguments into the restricted tables, which do not depend on a.
+    ``composite`` and ``mu_parts`` are what ``_instance_tables`` finds: the
+    composite's record and the tables of the restrictions of sigma, whose
+    sources are the composite's fibers.  Both sides are flat lists over
+    (a, b_0, .., f_0, ..): the left side puts the sigma row of each omega
+    entry in place, the right side gathers each composite row at offsets
+    that substitute the fiber arguments into the restricted tables, which
+    do not depend on a.
     """
-    found = _instance_tables(covered, sigma, omega)
-    if found is None:
-        return 0
-    composite, mu_parts = found
     f_sizes = sigma.sizes[1:]
     width = math.prod(f_sizes)
     comp_sizes = composite.sizes[1:]
@@ -689,7 +686,9 @@ def _instance_tables(covered: dict, sigma: _Surjection, omega: _Surjection):
 
 def _check_associativity(op: FiniteOperad, covered: dict, failures: list) -> int:
     """Every associativity instance (sigma, omega) with omega from sigma's
-    target, each counted in full.
+    target, each counted in full.  Its tables are looked up once, by
+    ``_instance_tables``, and an instance whose composite or a restriction
+    has no table is skipped.
 
     Equal tables may be one list (``operad_from_json`` and
     ``desymmetrise`` share them).  Both sides of an instance are fixed by
@@ -711,11 +710,11 @@ def _check_associativity(op: FiniteOperad, covered: dict, failures: list) -> int
     for sigma in covered.values():
         sigma_shared = id(sigma.table) in shared
         for omega in by_source.get(sigma.morphism.target, ()):
-            found = None
-            if sigma_shared or id(omega.table) in shared:
-                found = _instance_tables(covered, sigma, omega)
+            found = _instance_tables(covered, sigma, omega)
             if found is None:
-                checked += _associativity_instance(op, covered, sigma, omega, failures)
+                continue
+            if not (sigma_shared or id(omega.table) in shared):
+                checked += _associativity_instance(op, sigma, omega, *found, failures)
                 continue
             composite, mu_parts = found
             tables = (sigma.table, omega.table, composite.table, *mu_parts)
@@ -724,7 +723,7 @@ def _check_associativity(op: FiniteOperad, covered: dict, failures: list) -> int
                 checked += passed[inputs]
                 continue
             before = len(failures)
-            count = _associativity_instance(op, covered, sigma, omega, failures)
+            count = _associativity_instance(op, sigma, omega, *found, failures)
             if len(failures) == before:
                 passed[inputs] = count
             checked += count
@@ -1242,7 +1241,10 @@ def induced_action(op: FiniteOperad, sigma: OrdinalMap) -> list[int]:
     """Action of a quasibijection by unit insertion, target to source.
 
     Entry a is the index in the source carrier of the image of target
-    element a.
+    element a.  A stored table is read first; without one, the operad's
+    ``quasi_actor`` answers if it has one, and else the supplier's table
+    is read.  The ``quasi_actor`` shortcut agrees with unit insertion only
+    where the unit law it assumes holds (see FiniteOperad).
     """
     if not sigma.is_quasibijection:
         raise NotQuasibijection("induced actions exist for quasibijections only")
@@ -1250,7 +1252,7 @@ def induced_action(op: FiniteOperad, sigma: OrdinalMap) -> list[int]:
         raise BoundExceeded(
             "quasibijection lies outside the operad bound", arity=sigma.source.arity
         )
-    if op.quasi_actor is not None:
+    if op.quasi_actor is not None and op.tables.get(sigma) is None:
         return list(op.quasi_actor(sigma))
     return op.mult(sigma)[_unit_entries(op, sigma.source.arity)]
 

@@ -19,12 +19,11 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .braids import invert as invert_image
+from .braids import invert
 from .errors import (
     ComposeMismatch,
     DomainMismatch,
     NotAMorphism,
-    NotQuasibijection,
     OutOfRange,
     decode,
 )
@@ -87,9 +86,6 @@ class OrdinalMap:
                 images=[self.table[i], self.table[j]],
                 level=self.source.rel(i, j),
             )
-
-    def __call__(self, i: int) -> int:
-        return self.table[i]
 
     # -- classification -------------------------------------------------
 
@@ -155,15 +151,6 @@ def compose(late: OrdinalMap, early: OrdinalMap) -> OrdinalMap:
             middle_right=late.source.to_json(),
         )
     return OrdinalMap(early.source, late.target, tuple(late.table[v] for v in early.table))
-
-
-def invert(sigma: OrdinalMap) -> OrdinalMap:
-    """Inverse of a quasibijection.  Raises NotAMorphism when the inverse
-    table fails the map conditions, which happens whenever sigma strictly
-    raises some level."""
-    if not sigma.is_quasibijection:
-        raise NotQuasibijection("only quasibijections can be inverted")
-    return OrdinalMap(sigma.target, sigma.source, invert_image(sigma.table))
 
 
 # -- induced structures ------------------------------------------------
@@ -269,7 +256,7 @@ def factorize(sigma: OrdinalMap) -> Factorization:
     f = sigma.table
     k = sigma.source.arity
     order = sorted(range(k), key=lambda p: (f[p], p))
-    rank = invert_image(order)
+    rank = invert(order)
 
     n = sigma.source.n
     top = 0 if n is None else n - 1

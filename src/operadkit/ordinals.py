@@ -18,17 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .errors import (
-    AxiomViolation,
-    DomainMismatch,
-    LevelOutOfDomain,
-    MalformedTree,
-    MissingPair,
-    OutOfRange,
-    SameElement,
-    TargetTooSmall,
-    decode,
-)
+from .errors import DomainMismatch, LevelOutOfDomain, MalformedTree, OutOfRange, decode
 
 
 def _check_n(n) -> None:
@@ -92,15 +82,6 @@ class NOrdinal:
         if not 0 <= a < self.arity:
             raise OutOfRange("position outside the underlying set", position=a, arity=self.arity)
 
-    def relation_of(self, a: int, b: int) -> int:
-        """Level p such that min(a,b) <_p max(a,b)."""
-        self.check_position(a)
-        self.check_position(b)
-        if a == b:
-            raise SameElement("no relation between an element and itself", position=a)
-        lo, hi = (a, b) if a < b else (b, a)
-        return min(self.levels[lo:hi])
-
     def relations(self) -> Iterator[tuple[int, int, int]]:
         """Yield (a, b, p) for every a < b, meaning a <_p b."""
         for a, row in enumerate(self._rel):
@@ -122,7 +103,7 @@ class NOrdinal:
         return tuple(rows)
 
     def rel(self, a: int, b: int) -> int:
-        """Unchecked fast form of relation_of for a < b."""
+        """The level p with a <_p b, for positions a < b (unchecked)."""
         return self._rel[a][b - a - 1]
 
     # -- serialisation ------------------------------------------------
@@ -156,76 +137,7 @@ def ordinal_from_json(obj: dict) -> NOrdinal:
     return make_ordinal(obj["n"], decode(obj["levels"], list, "levels"), arity=arity)
 
 
-# -- construction from an explicit relation table -----------------------
-
-
-def from_relations(n, labels: Sequence, table: dict) -> tuple[NOrdinal, tuple]:
-    """Reconstruct an ordinal from relations over an arbitrary label set.
-
-    ``table`` maps ordered pairs (a, b) of labels to levels, read as
-    a <_p b.  Validates the three ordinal axioms, raising AxiomViolation
-    with the lexicographically first witness, then returns the ordinal in
-    position order together with the label order.
-    """
-    n = _parse_n(n)
-    labels = tuple(labels)
-    index = {lab: i for i, lab in enumerate(labels)}
-    if len(index) != len(labels):
-        raise SameElement("duplicate label in underlying set", labels=list(labels))
-
-    for (a, b), p in table.items():
-        if a not in index or b not in index:
-            raise OutOfRange("relation mentions an unknown label", pair=[a, b])
-        if a == b:
-            raise SameElement("relation relates an element to itself", label=a)
-        if not _in_domain(n, p):
-            raise LevelOutOfDomain(f"level {p} outside the domain", level=p, pair=[a, b])
-
-    k = len(labels)
-    directed = {}
-    for i in range(k):
-        for j in range(i + 1, k):
-            a, b = labels[i], labels[j]
-            fwd, bwd = (a, b) in table, (b, a) in table
-            if fwd and bwd:
-                raise AxiomViolation(
-                    f"pair ({a}, {b}) is related in both directions",
-                    axiom="unique-relation",
-                    witness=(a, b),
-                )
-            if not fwd and not bwd:
-                raise MissingPair(f"pair ({a}, {b}) is unrelated", pair=[a, b])
-            if fwd:
-                directed[(a, b)] = table[(a, b)]
-            else:
-                directed[(b, a)] = table[(b, a)]
-
-    def before(a, b):
-        return (a, b) in directed
-
-    for a, b, c in itertools.permutations(labels, 3):
-        if before(a, b) and before(b, c):
-            need = min(directed[(a, b)], directed[(b, c)])
-            if not before(a, c):
-                raise AxiomViolation(
-                    f"{a} < {b} < {c} but {c} < {a}: relation cycle",
-                    axiom="transitivity",
-                    witness=(a, b, c),
-                )
-            if directed[(a, c)] != need:
-                raise AxiomViolation(
-                    f"levels of {a} < {b} < {c} force level {need} on ({a}, {c}), "
-                    f"got {directed[(a, c)]}",
-                    axiom="transitivity",
-                    witness=(a, b, c),
-                )
-
-    order = sorted(labels, key=functools.cmp_to_key(lambda a, b: -1 if before(a, b) else 1))
-    levels = tuple(directed[(order[i], order[i + 1])] for i in range(k - 1))
-    return NOrdinal(n, k, levels), tuple(order)
-
-
-# -- sums and suspensions -----------------------------------------------
+# -- sums ---------------------------------------------------------------
 
 
 def ordinal_sum(a: NOrdinal, b: NOrdinal) -> NOrdinal:
@@ -243,32 +155,6 @@ def ordinal_sum(a: NOrdinal, b: NOrdinal) -> NOrdinal:
     if b.arity == 0:
         return a
     return NOrdinal(a.n, a.arity + b.arity, a.levels + (0,) + b.levels)
-
-
-def suspend_vertical(a: NOrdinal, n: int) -> NOrdinal:
-    """Reindex an m-ordinal as an n-ordinal by shifting all levels up by n - m."""
-    if a.n is None:
-        raise DomainMismatch("vertical suspension applies to finite-level ordinals")
-    if n < a.n:
-        raise TargetTooSmall("cannot suspend downwards", source=a.n, target=n)
-    shift = n - a.n
-    return NOrdinal(n, a.arity, tuple(lv + shift for lv in a.levels))
-
-
-def suspend_horizontal(a: NOrdinal, n: int) -> NOrdinal:
-    """Reindex an m-ordinal as an n-ordinal keeping every level as it is."""
-    if a.n is None:
-        raise DomainMismatch("horizontal suspension applies to finite-level ordinals")
-    if n < a.n:
-        raise TargetTooSmall("cannot suspend downwards", source=a.n, target=n)
-    return NOrdinal(n, a.arity, a.levels)
-
-
-def suspend_infinite(a: NOrdinal) -> NOrdinal:
-    """Send an n-ordinal to the infinite-level ordinal, top level landing on 0."""
-    if a.n is None:
-        return a
-    return NOrdinal(None, a.arity, tuple(lv - a.n + 1 for lv in a.levels))
 
 
 # -- enumeration --------------------------------------------------------
@@ -344,40 +230,3 @@ def to_tree(a: NOrdinal):
     if a.arity == 0:
         return []
     return build(0, a.arity, 0)
-
-
-def from_tree(n, tree) -> NOrdinal:
-    """Decode a nested list of depth n back into an n-ordinal."""
-    n = _parse_n(n)
-    if n is None:
-        raise MalformedTree("tree form is only defined over finite level domains")
-    if n < 1:
-        raise MalformedTree("tree form needs at least one level", n=n)
-    if tree == []:
-        return NOrdinal(n, 0, ())
-
-    leaves: list[int] = []
-    levels: list[int] = []
-
-    def walk(node, depth: int) -> None:
-        if depth == n:
-            if not isinstance(node, int) or isinstance(node, bool):
-                raise MalformedTree(f"expected a leaf at depth {n}", got=node)
-            if leaves:
-                levels.append(pending[0])
-            leaves.append(node)
-            return
-        if not isinstance(node, list) or not node:
-            raise MalformedTree(
-                f"expected a non-empty list at depth {depth}", got=node
-            )
-        for i, child in enumerate(node):
-            if i > 0:
-                pending[0] = depth
-            walk(child, depth + 1)
-
-    pending = [0]
-    walk(tree, 0)
-    if leaves != list(range(len(leaves))):
-        raise MalformedTree("leaves must read 0..k-1 left to right", leaves=leaves)
-    return NOrdinal(n, len(leaves), tuple(levels))

@@ -29,11 +29,9 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .braids import invert
 from .errors import (
     AntisymmetryViolation,
     EndoFound,
-    IsoCheckFailed,
     StrictnessRequired,
     within_cap,
 )
@@ -216,12 +214,6 @@ class MilgramPoset:
             (i, j) for i, mask in enumerate(self.below) for j in _bits(mask)
         )
 
-    def label_map(self, i: int, j: int) -> tuple[int, ...]:
-        """Table sending positions of element i to positions of element j
-        matching labels."""
-        inv = invert(self.elements[j].labels)
-        return tuple(inv[lab] for lab in self.elements[i].labels)
-
     def covering_pairs(self) -> list[tuple[int, int]]:
         """Pairs (i, j) in sorted order with j below i and nothing
         between: the facets that build_j closes."""
@@ -321,40 +313,6 @@ def order_complex(p: MilgramPoset, max_dim: int | None = None) -> ChainComplex:
     """
     below = [_bits(mask) for mask in p.below]
     return _nerve(below, itertools.repeat(()), max_dim, _CHAINS, n=p.n, k=p.k)
-
-
-def verify_quotient_correspondence(p: MilgramPoset, c: QuasiCategory) -> int:
-    """Check that forgetting labels identifies J/S_k with Q.
-
-    For every element X = (T, pi) and object S, the elements below X with
-    underlying ordinal S must correspond one to one with hom(T, S), the
-    bijection reading off the label map.  Returns the number of relation
-    pairs checked.  Raises IsoCheckFailed on any mismatch.
-    """
-    obj_index = {obj: i for i, obj in enumerate(c.objects)}
-    checked = 0
-    for i, e in enumerate(p.elements):
-        ti = obj_index[e.ordinal]
-        reached: dict[int, set] = {}
-        for j in _bits(p.below[i]):
-            reached.setdefault(obj_index[p.elements[j].ordinal], set()).add(p.label_map(i, j))
-        for si, s in enumerate(c.objects):
-            hom = {
-                m.table
-                for m in c.hom.get((ti, si), ())
-                if not (ti == si and m.is_identity)
-            }
-            got = reached.get(si, set())
-            if got != hom:
-                raise IsoCheckFailed(
-                    "label maps below an element do not match the hom-set",
-                    element=e.to_json(),
-                    target=s.to_json(),
-                    got=sorted(got),
-                    expected=sorted(hom),
-                )
-            checked += len(got)
-    return checked
 
 
 # -- Milgram's cells ------------------------------------------------------------

@@ -127,21 +127,6 @@ def stratum_from_json(obj: dict) -> StratumLabel:
     )
 
 
-def direction_class(x: Sequence, y: Sequence) -> tuple[int, int]:
-    """First coordinate where two points differ, with the sign of y - x
-    there.  The count of leading equal coordinates is the relation level."""
-    x = tuple(_exact(c) for c in x)
-    y = tuple(_exact(c) for c in y)
-    if len(x) != len(y):
-        raise DimensionMismatch(
-            "points live in different dimensions", left=len(x), right=len(y)
-        )
-    for p, (a, b) in enumerate(zip(x, y)):
-        if a != b:
-            return p, (1 if b > a else -1)
-    raise EqualPoints("direction class of a point with itself", point=[str(c) for c in x])
-
-
 def _classify(points: Sequence[Sequence]) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """(levels, labels) of the stratum of the points, or None when two
     coincide.

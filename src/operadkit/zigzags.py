@@ -251,18 +251,6 @@ class DiagramCertificate:
     final: ZigZag
     braid: BraidWord
 
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "i": self.i,
-            "j": self.j,
-            "relation": self.relation,
-            "lhs_stages": [z.to_json() for z in self.lhs_stages],
-            "rhs_stages": [z.to_json() for z in self.rhs_stages],
-            "final": self.final.to_json(),
-            "braid": self.braid.to_json(),
-        }
-
 
 def _merge_generator_pair(first: ZigZag, second: ZigZag, x_table, x2_table) -> ZigZag:
     sharp = _sharp(first.strands)

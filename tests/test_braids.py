@@ -210,8 +210,12 @@ def test_long_words_are_decided_in_seconds(kind, strands):
     assert time.perf_counter() - start < 3.0
 
 
-def test_block_transposition():
+def test_block_transposition_and_permutation():
     assert block_transposition(2, 1) == (1, 2, 0)
+    assert block_permutation((1, 0), [2, 1]) == (1, 2, 0)
+    assert block_permutation([0, 1], [2, 1]) == (0, 1, 2)
+    rho = (2, 0, 1)
+    assert block_permutation(rho, [1, 2, 0]) == (2, 0, 1)
 
 
 def test_cable_widths_and_permutation():

@@ -579,6 +579,29 @@ def test_induced_action_reads_a_stored_table_first():
     assert induced_action(op, twist) == [0, 1]
 
 
+@pytest.mark.parametrize(
+    "sym, n, bound",
+    [(orders_operad(3), 2, 3), (orders_operad(3), 3, 3),
+     (endomorphism_symmetric_operad((0, 1), 3), 2, 3)],
+    ids=["orders n=2", "orders n=3", "End{0,1} n=2"],
+)
+def test_the_quasi_actor_shortcut_agrees_with_unit_insertion(sym, n, bound):
+    # on a symmetric operad whose unit law holds, the sorting permutation's
+    # action is the one unit insertion reads off the supplied tables
+    op = desymmetrise(sym, n, bound)
+    plain = dataclasses.replace(op, quasi_actor=None)
+    quasibijections = [
+        sigma
+        for k in range(1, bound + 1)
+        for t in enumerate_ordinals(n, k)
+        for s in enumerate_ordinals(n, k)
+        for sigma in enumerate_maps(t, s, kind="quasi")
+    ]
+    assert quasibijections
+    for sigma in quasibijections:
+        assert induced_action(op, sigma) == induced_action(plain, sigma), sigma
+
+
 def test_induced_action_errors():
     op = desymmetrise(orders_operad(3), 2, 2)
     with pytest.raises(NotQuasibijection):
@@ -900,6 +923,32 @@ def test_shared_tables_give_the_report_of_private_copies(monkeypatch, make, comp
     )
     assert report.to_json() == check_operad_axioms(private).to_json()
     assert (shared, len(compared) - shared) == comparisons
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: desymmetrise(endomorphism_symmetric_operad((0, 1), 2), 2),
+        lambda: desymmetrise(endomorphism_symmetric_operad((0, 1), 2), 3),
+        _corrupted_desymmetrised,
+    ],
+    ids=["desymmetrised n=2", "desymmetrised n=3", "corrupted desymmetrised n=3"],
+)
+def test_each_associativity_instance_is_looked_up_once(monkeypatch, make):
+    # the tables of an instance are found once, whether the instance is
+    # compared or skipped as a repeat of one with shared tables
+    looked_up = []
+    lookup = operads._instance_tables
+
+    def recording(covered, sigma, omega):
+        looked_up.append((sigma.name, omega.name))
+        return lookup(covered, sigma, omega)
+
+    monkeypatch.setattr(operads, "_instance_tables", recording)
+    compared = _associativity_comparisons(monkeypatch)
+    check_operad_axioms(make())
+    assert len(compared) > 0
+    assert len(looked_up) == len(set(looked_up))
 
 
 def test_equal_tables_are_one_list():

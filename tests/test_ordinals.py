@@ -147,6 +147,21 @@ def test_infinite_sum_keeps_level_zero_gap():
     assert ordinal_sum(a, b).levels == (-1, 0, 0)
 
 
+def test_from_relations_recovers_levels_and_order():
+    # the ordinal [0,1,1] presented over scrambled labels b,a,d,c
+    table = {
+        ("b", "a"): 0,
+        ("b", "d"): 0,
+        ("b", "c"): 0,
+        ("a", "d"): 1,
+        ("a", "c"): 1,
+        ("d", "c"): 1,
+    }
+    levels, order = from_relations(2, ["a", "b", "c", "d"], table)
+    assert order == ("b", "a", "d", "c")
+    assert levels == (0, 1, 1)
+
+
 def test_from_relations_round_trips_enumeration():
     for n in (1, 2, 3):
         for k in (0, 1, 2, 3, 4):
@@ -157,6 +172,23 @@ def test_from_relations_round_trips_enumeration():
                 assert order == tuple(range(k))
 
 
+def test_from_relations_axiom_violations():
+    # the reference the strata tests read tables through refuses every
+    # table that breaks an ordinal axiom
+    for labels, table in [
+        ([0, 1, 2], {(0, 1): 0, (1, 2): 0}),  # a missing pair
+        ([0, 1], {(0, 1): 0, (1, 0): 1}),  # related both ways
+        ([0, 1, 2], {(0, 1): 0, (1, 2): 0, (2, 0): 0}),  # a cycle
+        # wrong composite level: 0 <_1 1 <_0 2 forces 0 <_0 2
+        ([0, 1, 2], {(0, 1): 1, (1, 2): 0, (0, 2): 1}),
+        ([0, 1], {(0, 0): 1, (0, 1): 0}),  # an element related to itself
+        ([0, 1], {(0, 1): 5}),  # a level outside 0..n-1
+        ([0, 1], {(0, 7): 1}),  # a label outside the list
+    ]:
+        with pytest.raises(AssertionError):
+            from_relations(2, labels, table)
+
+
 def test_tree_round_trip():
     a = make_ordinal(2, [0, 1, 1])
     assert to_tree(a) == [[0], [1, 2, 3]]
@@ -164,8 +196,14 @@ def test_tree_round_trip():
     assert to_tree(b) == [0, 1, 2]
     c = make_ordinal(3, [2, 0])
     assert to_tree(c) == [[[0, 1]], [[2]]]
+
+
+def test_malformed_trees():
+    # the tree form needs a finite level domain with at least one level
     with pytest.raises(MalformedTree):
         to_tree(make_ordinal("inf", [0]))
+    with pytest.raises(MalformedTree):
+        to_tree(make_ordinal(0, [], arity=1))
 
 
 def test_json_round_trip():

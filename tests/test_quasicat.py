@@ -7,7 +7,7 @@ import re
 import pytest
 
 import reference
-from oracles import covers_from_masks, diamond_walk, quotient_correspondence
+from oracles import covers_from_masks, diamond_walk, label_map, quotient_correspondence
 
 from operadkit.errors import (
     LIST_CAP,
@@ -176,6 +176,15 @@ def test_j22_is_a_square_cycle():
     complex_ = order_complex(p)
     assert [len(layer) for layer in complex_.cells] == [4, 4]
     assert homology(complex_).groups == ((1, ()), (1, ()))
+
+
+def test_label_map_reads_off_positions():
+    p = build_j(2, 2)
+    idx = {(e.ordinal.levels, e.labels): i for i, e in enumerate(p.elements)}
+    i = idx[((0,), (1, 0))]
+    j = idx[((1,), (0, 1))]
+    assert (i, j) in p.above
+    assert label_map(p.elements[i], p.elements[j]) == (1, 0)
 
 
 def test_quotient_correspondence_small():

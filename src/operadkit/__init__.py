@@ -100,6 +100,7 @@ from .operads import (
     FiniteCollection,
     FiniteOperad,
     Flavor,
+    Grid,
     N_OPERAD,
     action_is_bijection,
     all_factorizations,
@@ -112,6 +113,7 @@ from .operads import (
     is_locally_constant,
     is_quasisymmetric,
     non_quasisymmetric_operad,
+    operad_document,
     operad_from_json,
     operad_to_json,
     orders_operad,

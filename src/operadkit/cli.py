@@ -15,7 +15,9 @@ The report is written by ``_dumps``, which gives byte for byte what
 three paths: an int grid, such as an operad's multiplication tables, is
 one ``%``-format; other lists and str-keyed dicts are joined with
 ``str.join``; the rest goes to ``json.dumps``.  Empty lists and dicts are
-the literals ``[]`` and ``{}``.
+the literals ``[]`` and ``{}``.  An operad table reaches the writer as a
+``Grid``, its flat list and shape, and is written as its nested lists
+straight from the flat list.
 """
 
 from __future__ import annotations
@@ -46,11 +48,12 @@ from .operads import (
     MIXED2,
     N_OPERAD,
     SYMMETRIC,
+    Grid,
     check_operad_axioms,
     desymmetrise,
     endomorphism_symmetric_operad,
+    operad_document,
     operad_from_json,
-    operad_to_json,
     orders_operad,
     terminal_operad,
 )
@@ -356,7 +359,7 @@ def _cmd_operad_check(args, doc):
 def _cmd_desymmetrise(args, doc):
     op = _load_operad(doc, args)
     de = desymmetrise(op, args.n, args.bound)
-    return operad_to_json(de)
+    return operad_document(de)
 
 
 def _cmd_classify(args, doc):
@@ -527,6 +530,17 @@ def _digest(argv, doc) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def _layout(shape, pad) -> str:
+    """The ``%``-format of an int grid of this shape, every dimension
+    non-empty, as ``json.dumps`` indents it with ``pad`` opening each line
+    after the first: one ``%d`` per entry, in row-major order."""
+    layout = "%d"
+    for depth in reversed(range(len(shape))):
+        inner = pad + "  " * (depth + 1)
+        layout = f"[{inner}{(',' + inner).join([layout] * shape[depth])}{inner[:-2]}]"
+    return layout
+
+
 def _grid(rows, pad) -> str | None:
     """``rows``, a non-empty list of lists, as one ``%``-format if it is an
     int grid: its items equally long, non-empty lists, nested to any
@@ -548,21 +562,20 @@ def _grid(rows, pad) -> str | None:
         kinds = set(map(type, level))
     if kinds != {int}:
         return None
-    layout = "%d"
-    for depth in reversed(range(len(shape))):
-        inner = pad + "  " * (depth + 1)
-        layout = f"[{inner}{(',' + inner).join([layout] * shape[depth])}{inner[:-2]}]"
-    return layout % tuple(level)
+    return _layout(shape, pad) % tuple(level)
 
 
 def _dumps(value, pad="\n") -> str:
     """``json.dumps(value, indent=2, sort_keys=True, default=str)``, byte
     for byte, with ``pad`` (a newline and the indent of ``value``) opening
-    each of its lines after the first.
+    each of its lines after the first, and a Grid written as the nested
+    lists that ``Grid.nested`` gives.
 
     Empty lists and dicts are the literals ``[]`` and ``{}``.  An int grid
-    (see ``_grid``) is one ``%``-format.  Other non-empty lists and
-    str-keyed dicts, strs and ints are joined here, each container by one
+    (see ``_grid``), and a Grid with no empty dimension, is one
+    ``%``-format (see ``_layout``); a Grid with an empty dimension is
+    written from its nested lists.  Other non-empty lists and str-keyed
+    dicts, strs and ints are joined here, each container by one
     ``str.join``.  Everything else goes to ``json.dumps`` (whose ``indent``
     selects the stdlib's pure-Python encoder), re-indented by replacing its
     newlines, which encoded JSON holds nowhere else."""
@@ -588,6 +601,10 @@ def _dumps(value, pad="\n") -> str:
             f"{_encode_str(k)}: {_dumps(v, inner)}" for k, v in sorted(value.items())
         ]
         return f"{{{inner}{(',' + inner).join(items)}{pad}}}"
+    if kind is Grid:
+        if all(value.shape):
+            return _layout(value.shape, pad) % tuple(value.flat)
+        return _dumps(value.nested(), pad)
     return json.dumps(value, indent=2, sort_keys=True, default=str).replace("\n", pad)
 
 

@@ -164,9 +164,6 @@ class ChainComplex:
     def dimension(self) -> int:
         return len(self.cells) - 1
 
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** d * len(layer) for d, layer in enumerate(self.cells))
-
 
 def _assert_zero_product(outer, inner, d):
     # outer: C_{d-1} -> C_{d-2}, inner: C_d -> C_{d-1}, both sparse columns

@@ -25,7 +25,7 @@ import itertools
 import math
 from dataclasses import dataclass, field, replace
 from operator import add, ne
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .braids import BraidWord, braid_sum, cable, invert, q_section
 from .errors import (
@@ -343,9 +343,12 @@ class FiniteOperad:
     MissingTable instead of returning None.  ``quasi_actor``, when set,
     gives induced quasibijection actions without building their tables;
     ``induced_action`` asks it only where no table is stored.  It is a
-    shortcut that assumes a unit law: ``desymmetrise``'s reads the action
+    shortcut that rests on a unit law: ``desymmetrise``'s reads the action
     of the sorting permutation, which equals unit insertion only if the
-    symmetric operad's unit-right law holds.
+    symmetric operad's unit-right law holds, so it reads that law in each
+    arity's stored identity-line table first and raises InvariantBroken
+    where it fails.  A table only a supplier would build is not built for
+    this: the suppliers of the builtin constructors keep the law.
     Equal tables may be one list shared between morphisms, so a table is
     never changed in place: a fault is injected by storing a changed copy.
     Nothing is validated at construction, the check_* functions do that,
@@ -1194,17 +1197,34 @@ def desymmetrise(sym: FiniteOperad, n: int, bound: int | None = None) -> FiniteO
             found = pulled[sigma.table] = [action[v] for v in sym.mult(line)]
         return found
 
+    unit_right: set[int] = set()  # arities whose unit-right law was read
+
     def quasi_actor(sigma: OrdinalMap) -> list[int]:
         # A quasibijection sorts to the identity line map, and inserting
         # units along it returns the element unchanged, so the induced
         # action is exactly the symmetric action of the sorting
         # permutation.  This avoids materialising the full table, whose
-        # size grows with the arity-one carrier raised to the arity.
-        if sigma.source.arity > bound or sigma.source.n != n:
+        # size grows with the arity-one carrier raised to the arity.  The
+        # unit-right law it rests on is read once per arity from the
+        # symmetric operad's stored table at the identity line, never built
+        # here: a supplied table is the constructor's, which keeps the law.
+        arity = sigma.source.arity
+        if arity > bound or sigma.source.n != n:
             raise MissingTable(
                 "no multiplication table for this morphism",
                 morphism=morphism_key(sigma),
             )
+        stored = sym.tables.get(identity_map(_line(arity)))
+        if arity not in unit_right and stored is not None:
+            units = stored[_unit_entries(sym, arity)]
+            wrong = next((a for a, v in enumerate(units) if v != a), None)
+            if wrong is not None:
+                raise InvariantBroken(
+                    "the unit-right law fails, so the sorting action is not unit insertion",
+                    arity=arity,
+                    element=_thaw(sym.collection.decoding(arity - 1)[wrong]),
+                )
+            unit_right.add(arity)
         return unsort(sigma)
 
     coll = FiniteCollection(flavor, carrier, {})
@@ -1244,7 +1264,8 @@ def induced_action(op: FiniteOperad, sigma: OrdinalMap) -> list[int]:
     element a.  A stored table is read first; without one, the operad's
     ``quasi_actor`` answers if it has one, and else the supplier's table
     is read.  The ``quasi_actor`` shortcut agrees with unit insertion only
-    where the unit law it assumes holds (see FiniteOperad).
+    where the unit law it rests on holds, and raises where it fails (see
+    FiniteOperad).
     """
     if not sigma.is_quasibijection:
         raise NotQuasibijection("induced actions exist for quasibijections only")
@@ -1434,14 +1455,38 @@ def _freeze(x):
     return x
 
 
-def operad_to_json(op: FiniteOperad) -> dict:
-    """Serialize carriers, actions and every table at a required surjection.
+class Grid(NamedTuple):
+    """An int table as its flat list and its shape: ``flat`` holds the
+    product of ``shape`` ints in row-major order, outermost dimension
+    first.  The report writer writes a Grid as the nested lists that
+    ``nested`` returns, byte for byte, without building them."""
 
-    Carriers are their decode tuples; actions are their index lists;
-    tables are their flat lists nested by the mixed radix, outermost
-    dimension the target carrier.  Before any table is built, the number
-    of table entries is predicted from the carrier sizes; past LIST_CAP
-    entries the document is refused with ResourceLimit.
+    flat: Sequence[int]
+    shape: tuple[int, ...]
+
+    def nested(self) -> list:
+        """The flat list cut into nested lists by the shape, innermost
+        dimension first; a dimension of length 0 nests as empty lists."""
+        rows = self.flat
+        for depth in range(len(self.shape) - 1, 0, -1):
+            width = self.shape[depth]
+            count = math.prod(self.shape[:depth])
+            rows = [rows[i * width : (i + 1) * width] for i in range(count)]
+        return rows
+
+
+def operad_document(op: FiniteOperad) -> dict:
+    """The bundle ``operad_to_json`` gives, with each table held flat.
+
+    Carriers are their decode tuples; actions are their index lists; the
+    table at each required surjection is a Grid of its flat list, shaped
+    by the carrier sizes of the target and then of each fiber.  Before any
+    table is built, the number of table entries is predicted from the
+    carrier sizes; past LIST_CAP entries the document is refused with
+    ResourceLimit.  This is not yet JSON: ``json.dumps`` would write each
+    Grid as a [flat, shape] pair, which ``operad_from_json`` cannot read.
+    Only the CLI's report writer writes a Grid as its nested lists;
+    ``operad_to_json`` is the JSON form.
     """
     flavor = op.flavor
     coll = op.collection
@@ -1459,12 +1504,9 @@ def operad_to_json(op: FiniteOperad) -> dict:
     )
     mult = {}
     for rec in sorted(records, key=lambda rec: rec.name):
-        nested = op.table(rec.morphism)
-        if nested is None:
-            continue
-        for size in reversed(rec.sizes[1:]):
-            nested = _chunks(nested, size)
-        mult[rec.name] = nested
+        table = op.table(rec.morphism)
+        if table is not None:
+            mult[rec.name] = Grid(table, rec.sizes)
     return {
         "flavor": flavor.kind,
         "n": flavor.n,
@@ -1474,6 +1516,19 @@ def operad_to_json(op: FiniteOperad) -> dict:
         "actions": actions,
         "mult": mult,
     }
+
+
+def operad_to_json(op: FiniteOperad) -> dict:
+    """Serialize carriers, actions and every table at a required surjection.
+
+    This is ``operad_document`` with each table's Grid nested: a table is
+    its flat list nested by the mixed radix, outermost dimension the target
+    carrier, as ``operad_from_json`` reads it.  Past LIST_CAP table
+    entries the document is refused with ResourceLimit.
+    """
+    doc = operad_document(op)
+    doc["mult"] = {name: grid.nested() for name, grid in doc["mult"].items()}
+    return doc
 
 
 def _key_ints(text: str, key: str) -> tuple[int, ...]:

@@ -92,12 +92,6 @@ class ZigZag:
     def strands(self) -> int:
         return self.start.arity
 
-    def reverse(self) -> "ZigZag":
-        flipped = tuple(
-            ("back" if d == "fwd" else "fwd", m) for d, m in reversed(self.legs)
-        )
-        return ZigZag(flipped)
-
     def __mul__(self, other: "ZigZag") -> "ZigZag":
         if self.end != other.start:
             raise EndpointMismatch(

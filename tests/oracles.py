@@ -60,6 +60,11 @@ def count_all_structures(n, k):
     return count
 
 
+def euler_characteristic(cells):
+    """The alternating sum of the cell counts, dimension 0 first."""
+    return sum((-1) ** d * len(layer) for d, layer in enumerate(cells))
+
+
 # -- invariant factors of integer matrices ----------------------------------
 
 

@@ -17,6 +17,7 @@ from oracles import (
     bar_complex,
     determinant,
     determinantal_factors,
+    euler_characteristic,
     mod2_betti,
     mod2_from_integral,
     salvetti_complex,
@@ -105,7 +106,7 @@ def test_circle_homology():
     h = homology(c)
     assert h.groups == ((1, ()), (1, ()))
     assert str(h) == "H0 = Z, H1 = Z"
-    assert c.euler_characteristic() == 0
+    assert euler_characteristic(c.cells) == 0
     assert connected_components(c) == 1
 
 
@@ -139,7 +140,7 @@ def test_torus_homology():
     c = ChainComplex.from_cells([["v"], ["a", "b", "c"], ["U", "L"]], face_list)
     h = homology(c)
     assert h.groups == ((1, ()), (2, ()), (1, ()))
-    assert c.euler_characteristic() == 0
+    assert euler_characteristic(c.cells) == 0
 
 
 def test_projective_plane_homology():
@@ -161,7 +162,7 @@ def test_projective_plane_homology():
     h = homology(c)
     assert h.groups == ((1, ()), (0, (2,)), (0, ()))
     assert str(h) == "H0 = Z, H1 = Z/2, H2 = 0"
-    assert c.euler_characteristic() == 1
+    assert euler_characteristic(c.cells) == 1
 
 
 def test_boundary_squared_must_vanish():

@@ -587,7 +587,9 @@ def test_induced_action_reads_a_stored_table_first():
 )
 def test_the_quasi_actor_shortcut_agrees_with_unit_insertion(sym, n, bound):
     # on a symmetric operad whose unit law holds, the sorting permutation's
-    # action is the one unit insertion reads off the supplied tables
+    # action is the one unit insertion reads off the supplied tables; unit
+    # insertion goes first, so the shortcut finds the identity-line tables
+    # stored and reads the law in them
     op = desymmetrise(sym, n, bound)
     plain = dataclasses.replace(op, quasi_actor=None)
     quasibijections = [
@@ -599,7 +601,29 @@ def test_the_quasi_actor_shortcut_agrees_with_unit_insertion(sym, n, bound):
     ]
     assert quasibijections
     for sigma in quasibijections:
-        assert induced_action(op, sigma) == induced_action(plain, sigma), sigma
+        assert induced_action(plain, sigma) == induced_action(op, sigma), sigma
+
+
+def test_the_quasi_actor_shortcut_refuses_a_broken_unit_right_law():
+    # orders(3) with the unit-right results of a = 0 and a = 1 swapped at
+    # the identity of the 2-element line: the sorting permutation's action
+    # and unit insertion part ways, so the shortcut reads the law first
+    sym = orders_operad(3)
+    line = identity_map(make_ordinal(1, (0,)))
+    assert sym.mult(line) == [0, 1]  # one arity-one element: all unit-right entries
+    sym.tables[line] = [1, 0]
+    assert not check_operad_axioms(sym).passed
+    op = desymmetrise(sym, 2)
+    assert induced_action(op, identity_map(point2())) == [0]
+    with pytest.raises(InvariantBroken) as info:
+        induced_action(op, OrdinalMap(flat2(), sharp2(), (1, 0)))
+    assert info.value.payload == {"arity": 2, "element": [0, 1]}
+    with pytest.raises(InvariantBroken):
+        is_quasisymmetric(desymmetrise(sym, 2))
+    # the law is read only where the table is stored: none is built for it
+    sym = orders_operad(3)
+    assert induced_action(desymmetrise(sym, 2), OrdinalMap(flat2(), sharp2(), (1, 0))) == [1, 0]
+    assert sym.tables == {}
 
 
 def test_induced_action_errors():

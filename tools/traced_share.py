@@ -17,14 +17,13 @@ nothing in either checkout.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import statistics
-import subprocess
 import sys
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
+from bench_record import last_json, run_py, run_seconds
+
 SEED = 3
 SHARE = re.compile(r"layer self share (\d+(?:\.\d+)?)")
 
@@ -32,18 +31,10 @@ SHARE = re.compile(r"layer self share (\d+(?:\.\d+)?)")
 def traced_run(root: Path, workload: str, seconds: float) -> tuple:
     """(share or None, failed count or None, first FAILED line or "") of
     one traced run in the checkout at root."""
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
-         "--seconds", str(seconds), "--trace", "1"],
-        cwd=root, capture_output=True, text=True,
-    )
+    proc = run_py(root, workload, SEED, seconds, trace=True)
     found = SHARE.search(proc.stdout)
     share = float(found.group(1)) if found else None
-    lines = proc.stdout.strip().splitlines()
-    try:
-        failed = json.loads(lines[-1])["failed"]
-    except (IndexError, ValueError, KeyError, TypeError):
-        failed = None
+    failed = (last_json(proc.stdout) or {}).get("failed")
     problem = next((l for l in proc.stderr.splitlines() if l.startswith("FAILED")), "")
     if proc.returncode != 0 and not problem:
         problem = f"run.py exited with code {proc.returncode}"
@@ -58,7 +49,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args(argv)
-    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    seconds = run_seconds()
 
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     shares: dict[str, list[float]] = {side: [] for side in sides}

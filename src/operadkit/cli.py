@@ -565,7 +565,7 @@ def _grid(rows, pad) -> str | None:
     return _layout(shape, pad) % tuple(level)
 
 
-def _dumps(value, pad="\n") -> str:
+def _dumps(value, pad="\n", texts=None) -> str:
     """``json.dumps(value, indent=2, sort_keys=True, default=str)``, byte
     for byte, with ``pad`` (a newline and the indent of ``value``) opening
     each of its lines after the first, and a Grid written as the nested
@@ -576,9 +576,14 @@ def _dumps(value, pad="\n") -> str:
     ``%``-format (see ``_layout``); a Grid with an empty dimension is
     written from its nested lists.  Other non-empty lists and str-keyed
     dicts, strs and ints are joined here, each container by one
-    ``str.join``.  Everything else goes to ``json.dumps`` (whose ``indent``
-    selects the stdlib's pure-Python encoder), re-indented by replacing its
-    newlines, which encoded JSON holds nowhere else."""
+    ``str.join``.  A tuple is written as the list of its items, once per
+    indent: ``texts`` keeps its text by ``id`` for the rest of the
+    top-level call, which creates it, so a carrier element that a report
+    names in many witnesses is formatted once.  Every tuple written is
+    part of ``value``, so no id is reused while ``texts`` lives.
+    Everything else goes to ``json.dumps`` (whose ``indent`` selects the
+    stdlib's pure-Python encoder), re-indented by replacing its newlines,
+    which encoded JSON holds nowhere else."""
     kind = type(value)
     if kind is str:
         return _encode_str(value)
@@ -586,6 +591,8 @@ def _dumps(value, pad="\n") -> str:
         return int.__repr__(value)
     if (kind is list or kind is dict) and not value:
         return "[]" if kind is list else "{}"
+    if texts is None:
+        texts = {}
     inner = pad + "  "
     if kind is list:
         kinds = set(map(type, value))
@@ -594,13 +601,20 @@ def _dumps(value, pad="\n") -> str:
         if kinds == {int}:
             items = map(int.__repr__, value)
         else:
-            items = [_dumps(v, inner) for v in value]
+            items = [_dumps(v, inner, texts) for v in value]
         return f"[{inner}{(',' + inner).join(items)}{pad}]"
     if kind is dict and set(map(type, value)) == {str}:
         items = [
-            f"{_encode_str(k)}: {_dumps(v, inner)}" for k, v in sorted(value.items())
+            f"{_encode_str(k)}: {_dumps(v, inner, texts)}"
+            for k, v in sorted(value.items())
         ]
         return f"{{{inner}{(',' + inner).join(items)}{pad}}}"
+    if kind is tuple:
+        key = (id(value), pad)
+        text = texts.get(key)
+        if text is None:
+            text = texts[key] = _dumps(list(value), pad, texts)
+        return text
     if kind is Grid:
         if all(value.shape):
             return _layout(value.shape, pad) % tuple(value.flat)

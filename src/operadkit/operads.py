@@ -478,7 +478,7 @@ class AxiomFailure:
         return {
             "axiom": self.axiom,
             "instance": self.instance,
-            "witness": _thaw(self.witness),
+            "witness": list(self.witness),
         }
 
 
@@ -489,6 +489,11 @@ class AxiomReport:
     checked: int
 
     def to_json(self) -> dict:
+        """The report as JSON values, except that a witness lists the
+        carriers' own decode values, shared by every failure that names
+        them: a tuple stands where the document has a list.  ``json.dumps``
+        writes a tuple as an array, and the CLI's writer formats each
+        element once per report."""
         return {
             "passed": self.passed,
             "checked": self.checked,
@@ -555,6 +560,9 @@ def check_operad_axioms(op: FiniteOperad, bound: int | None = None) -> AxiomRepo
         for key, rec in records.items()
         if key not in covered
     ]
+    # a table with no entries has an empty carrier in its target or a
+    # fiber, so every instance it enters compares empty lists
+    covered = {key: rec for key, rec in covered.items() if rec.table}
     checked = 0
     checked += _check_units(op, covered, bound, failures)
     checked += _check_associativity(op, covered, failures)
@@ -1573,6 +1581,16 @@ def _indices(values: list, what: str, size: int) -> list:
     return [decode(v, int, what, size) for v in values]
 
 
+def _level(nodes: list, what: str, size: int) -> list:
+    """The items of ``nodes`` in order, if each is a list of ``size`` items.
+
+    The level is checked at once; only one that fails is read again node
+    by node, so that ``decode`` names its first bad node."""
+    if set(map(type, nodes)) <= {list} and set(map(len, nodes)) <= {size}:
+        return list(itertools.chain.from_iterable(nodes))
+    return [x for node in nodes for x in decode(node, list, what, size)]
+
+
 def operad_from_json(obj: dict) -> FiniteOperad:
     """Read an operad bundle; malformed fields raise BadDocument.
 
@@ -1630,8 +1648,7 @@ def operad_from_json(obj: dict) -> FiniteOperad:
         _canonical(m_key, morphism_key(sigma))
         level = [nested]
         for a in (target, *[fiber(sigma, t)[0] for t in range(target.arity)]):
-            size = size_at(a)
-            level = [x for node in level for x in decode(node, list, m_key, size)]
+            level = _level(level, m_key, size_at(a))
         table = _indices(level, m_key, size_at(source))
         tables[sigma] = interned.setdefault(tuple(table), table)
     unit = decode(obj.get("unit"), int, "unit", size_at(_point(flavor)))

@@ -118,6 +118,14 @@ def test_enumerate_rejects_negative_inputs(capsys, flags):
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 
+# a symmetric bundle whose arity-2 carrier is empty: its tables have a
+# dimension of length 0, and every instance through them is vacuous
+_EMPTY_CARRIER_DOC = {
+    "flavor": "symmetric", "n": None, "bound": 2, "unit": 0,
+    "carriers": {"1:": ["e"], "2:0": []}, "actions": {"2:0|1": []},
+    "mult": {"1:>1:|0": [[0]], "2:0>1:|0,0": [[]], "2:0>2:0|0,1": []},
+}
+
 
 @pytest.mark.parametrize(
     "argv, stdin_text, code, outcome",
@@ -135,6 +143,7 @@ _SRC = str(Path(__file__).resolve().parents[1] / "src")
         ),
         (["enumerate", "--n", "2", "--k", "-1"], "", 2, "ERROR"),
         (["desymmetrise", "-"], json.dumps({"builtin": "terminal", "bound": 2}), 2, "ERROR"),
+        (["operad-check", "-"], json.dumps(_EMPTY_CARRIER_DOC), 0, "PASS"),
     ],
 )
 def test_module_entry_point_exit_codes(argv, stdin_text, code, outcome):
@@ -1483,11 +1492,8 @@ def test_operad_to_json_is_the_document_with_its_grids_nested(make):
 def test_desymmetrise_writes_tables_of_an_empty_carrier(capsys, monkeypatch):
     # an empty arity-2 carrier gives tables with a dimension of length 0;
     # they are written as empty lists, as json.dumps writes their nesting
-    doc = {"flavor": "symmetric", "n": None, "bound": 2, "unit": 0,
-           "carriers": {"1:": ["e"], "2:0": []}, "actions": {"2:0|1": []},
-           "mult": {"1:>1:|0": [[0]], "2:0>1:|0,0": [[]], "2:0>2:0|0,1": []}}
     code, out, err = run_cli(["desymmetrise", "--n", "2", "-"], capsys, monkeypatch,
-                             stdin_text=json.dumps(doc))
+                             stdin_text=json.dumps(_EMPTY_CARRIER_DOC))
     assert "Traceback" not in err
     report = report_of(out)
     assert (code, report["outcome"]) == (0, "PASS")
@@ -1535,3 +1541,48 @@ def test_report_writer_refuses_ints_past_the_digit_limit(value):
         _dumps(value)
     with pytest.raises(ValueError):
         _stdlib(value)
+
+
+class _Counted:
+    # a leaf that only default=str writes, counting how often it is written
+    def __init__(self):
+        self.written = 0
+
+    def __str__(self):
+        self.written += 1
+        return "counted"
+
+
+def test_report_writer_formats_each_tuple_once_per_write():
+    # a carrier element named in 300 witnesses is formatted once per write
+    # and indent; the stdlib formats it at every occurrence
+    leaf = _Counted()
+    first, second = (leaf, 1), (0, (leaf, 2))
+    report = {"failures": [{"witness": [first, second]} for _ in range(300)],
+              "first": first}
+    expected = _stdlib(report)
+    assert leaf.written == 601
+    leaf.written = 0
+    assert _dumps(report) == expected
+    assert leaf.written == 3
+    # the next write formats each element again
+    assert _dumps(report) == expected
+    assert leaf.written == 6
+
+
+def test_report_writer_keeps_no_text_after_a_write_that_raises():
+    leaf = _Counted()
+    element = (leaf,)
+    with pytest.raises(ValueError):
+        _dumps({"a": [element], "b": [_HUGE]})
+    assert leaf.written == 1
+    assert _dumps({"a": [element]}) == '{\n  "a": [\n    [\n      "counted"\n    ]\n  ]\n}'
+    assert leaf.written == 2
+
+
+def test_report_writer_keeps_no_text_between_writes():
+    # each report's tuples are freed before the next is built, so later
+    # tuples may take their ids; no write may read an earlier one's text
+    for i in range(50):
+        report = {"witness": [tuple(range(i, i + 3)), (str(i),), ()]}
+        assert _dumps(report) == _stdlib(report)

@@ -267,6 +267,31 @@ def test_operad_check_of_end_bundles_is_pinned(capsys, monkeypatch, doc, code, d
 
 
 @pytest.mark.parametrize(
+    "doc, failures",
+    [
+        (lambda: _end_bundle_with([(("mult", "1:>1:|0", 0, 0), 2)]), 309),
+        (lambda: operad_to_json(reflavor(_corrupted_orders(), SYMMETRIC)), 42),
+        (lambda: operad_to_json(reflavor(_corrupted_orders(), BRAIDED)), 24),
+        (lambda: operad_to_json(reflavor(_corrupted_orders(), MIXED2)), 54),
+    ],
+    ids=["End{0,1} unit table", "orders symmetric", "orders braided", "orders mixed2"],
+)
+def test_fail_reports_are_written_as_json_dumps_writes_them(capsys, monkeypatch, doc,
+                                                            failures):
+    """The writer formats each carrier element of a FAIL report once, where
+    the stdlib formats it in every witness; the bytes must not differ."""
+    bundle = doc()
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(bundle)))
+    assert main(["operad-check"]) == 1
+    out = capsys.readouterr().out
+    report = json.loads(out)
+    assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    expected = check_operad_axioms(operad_from_json(bundle)).to_json()
+    assert len(expected["failures"]) == failures
+    assert json.dumps(report["payload"]["failures"]) == json.dumps(expected["failures"])
+
+
+@pytest.mark.parametrize(
     "n, checked, digest",
     [
         (2, 3663, "4e6a9b09d1c72718feca743108246116a985b3f2de0f160a26acaf572beb8cc2"),

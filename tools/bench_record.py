@@ -1,25 +1,29 @@
-"""Untraced benchmark runs in two checkouts, recorded in BENCH_<label>.json.
+"""Benchmark runs in two checkouts, recorded in BENCH_<label>.json.
 
     python3 tools/bench_record.py --parent DIR --change DIR --workload W
-        --pairs N --seed S --label L [--out DIR]
+        --pairs N --seed S --label L [--trace] [--out DIR]
 
-Runs ``perfbench/run.py --trace 0`` from the root of each checkout, N pairs
-of runs for each workload and seed, with the ``run_seconds`` of this
-checkout's BENCHMARK.json.  The side that runs first alternates from one
-pair to the next (parent first in odd pairs, change first in even ones),
-so that the drift of a shared host falls on both sides alike.
-``--workload`` and ``--seed`` may be given more than once.  One line per
-run is printed as it ends.
+Runs ``perfbench/run.py`` from the root of each checkout, N pairs of runs
+for each workload and seed, with the ``run_seconds`` of this checkout's
+BENCHMARK.json: untraced (``--trace 0``), or traced (``--trace 1``) with
+``--trace``.  The side that runs first alternates from one pair to the
+next (parent first in odd pairs, change first in even ones), so that the
+drift of a shared host falls on both sides alike.  ``--workload`` and
+``--seed`` may be given more than once.  One line per run is printed as
+it ends.
 
-The file keeps each run's last JSON line (run.py's result) with its exit
-code, and records both checkouts (git commit, whether the tree had
+The file keeps each run's last JSON line (run.py's result, which holds
+the ``failed`` count) with its exit code.  A traced run also keeps its
+layer self share: the layers' self time over the traced wall, as run.py
+prints it; perfbench fails a traced pass whose share is under 0.95.  The
+file records both checkouts (git commit, whether the tree had
 uncommitted changes, and a sha256 over the files under ``src/``),
 ``os.cpu_count()``, the Python version and, per workload, seed and
-metric, the medians of both sides, the parent's quartiles and the number
-of pairs in which the change read lower.  An existing file is refused
-before anything runs, and the file is created exclusively, so a record is
-never overwritten.  The tool only runs perfbench, and changes nothing in
-either checkout.
+metric (the layer self share among them), the medians of both sides, the
+parent's quartiles and the number of pairs in which the change read
+lower.  An existing file is refused before anything runs, and the file
+is created exclusively, so a record is never overwritten.  The tool only
+runs perfbench, and changes nothing in either checkout.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import hashlib
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -38,6 +43,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
+SHARE = re.compile(r"layer self share (\d+(?:\.\d+)?)")
 
 
 def run_seconds() -> float:
@@ -64,13 +70,17 @@ def last_json(stdout: str) -> dict | None:
         return None
 
 
-def untraced_run(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced run.py run in the checkout at root: its exit code, its
-    clock seconds and its result."""
+def bench_run(root: Path, workload: str, seed: int, seconds: float, trace: bool) -> dict:
+    """One run.py run in the checkout at root: its exit code, its clock
+    seconds and its result, and if traced its layer self share."""
     start = time.perf_counter()
-    proc = run_py(root, workload, seed, seconds)
-    return {"exit_code": proc.returncode, "clock_s": time.perf_counter() - start,
-            "result": last_json(proc.stdout)}
+    proc = run_py(root, workload, seed, seconds, trace)
+    run = {"exit_code": proc.returncode, "clock_s": time.perf_counter() - start,
+           "result": last_json(proc.stdout)}
+    if trace:
+        found = SHARE.search(proc.stdout)
+        run["layer_share"] = float(found.group(1)) if found else None
+    return run
 
 
 def checkout(root: Path) -> dict:
@@ -94,10 +104,13 @@ def summary(runs: list[dict]) -> list[dict]:
     quartiles and how many complete pairs read lower on the change."""
     values: dict[tuple, dict] = {}
     for run in runs:
-        metrics = (run["result"] or {}).get("metrics", {})
-        for name, metric in metrics.items():
+        metrics = {name: metric["value"]
+                   for name, metric in (run["result"] or {}).get("metrics", {}).items()}
+        if run.get("layer_share") is not None:
+            metrics["layer_share"] = run["layer_share"]
+        for name, value in metrics.items():
             key = (run["workload"], run["seed"], name)
-            values.setdefault(key, {}).setdefault(run["pair"], {})[run["side"]] = metric["value"]
+            values.setdefault(key, {}).setdefault(run["pair"], {})[run["side"]] = value
     out = []
     for (workload, seed, name), pairs in values.items():
         both = [p for p in pairs.values() if len(p) == 2]
@@ -125,6 +138,7 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed", type=int, action="append", required=True)
     parser.add_argument("--label", required=True)
+    parser.add_argument("--trace", action="store_true")
     parser.add_argument("--out", type=Path, default=ROOT)
     args = parser.parse_args(argv)
     path = args.out / f"BENCH_{args.label}.json"
@@ -139,13 +153,17 @@ def main(argv=None) -> int:
             for pair in range(1, args.pairs + 1):
                 order = SIDES if pair % 2 else SIDES[::-1]
                 for side in order:
-                    run = untraced_run(roots[side], workload, seed, seconds)
+                    run = bench_run(roots[side], workload, seed, seconds, args.trace)
                     runs.append({"workload": workload, "seed": seed, "pair": pair,
                                  "side": side, **run})
                     result = run["result"] or {}
-                    wall = result.get("metrics", {}).get("cal_wall_s", {}).get("value")
-                    shown = "-" if wall is None else f"{wall:.4f}"
-                    print(f"{workload}\tseed {seed}\t{pair}\t{side}\tcal_wall_s {shown}\t"
+                    if args.trace:
+                        name, value = "layer_share", run["layer_share"]
+                    else:
+                        name = "cal_wall_s"
+                        value = result.get("metrics", {}).get(name, {}).get("value")
+                    shown = "-" if value is None else f"{value:.4f}"
+                    print(f"{workload}\tseed {seed}\t{pair}\t{side}\t{name} {shown}\t"
                           f"exit {run['exit_code']}\tfailed {result.get('failed')}", flush=True)
     record = {
         "label": args.label,
@@ -153,6 +171,7 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
         "run_seconds": seconds,
+        "trace": args.trace,
         "checkouts": {side: checkout(root) for side, root in roots.items()},
         "runs": runs,
         "summary": summary(runs),

@@ -10,14 +10,16 @@ the input or usage was invalid (the payload carries a machine-readable
 diagnostic).  Stdout is byte-identical across runs for the same command,
 arguments, and seed; wall-clock timing goes to stderr only.
 
-The report is written by ``_dumps``, which gives byte for byte what
-``json.dumps(report, indent=2, sort_keys=True, default=str)`` gives, by
-three paths: an int grid, such as an operad's multiplication tables, is
-one ``%``-format; other lists and str-keyed dicts are joined with
-``str.join``; the rest goes to ``json.dumps``.  Empty lists and dicts are
-the literals ``[]`` and ``{}``.  An operad table reaches the writer as a
-``Grid``, its flat list and shape, and is written as its nested lists
-straight from the flat list.
+The report is written by ``_put``, which gives byte for byte what
+``json.dumps(report, indent=2, sort_keys=True, default=str)`` gives, as a
+list of pieces, by three paths: an int grid, such as an operad's
+multiplication tables, is one ``%``-format; other lists and str-keyed
+dicts append their brackets, separators and items as pieces; the rest
+goes to ``json.dumps``.  Empty lists and dicts are the literals ``[]`` and
+``{}``.  An operad table reaches the writer as a ``Grid``, its flat list
+and shape, and is written as its nested lists straight from the flat
+list.  The whole report is formatted before its first piece is written,
+so stdout gets a report completely or not at all.
 """
 
 from __future__ import annotations
@@ -565,61 +567,77 @@ def _grid(rows, pad) -> str | None:
     return _layout(shape, pad) % tuple(level)
 
 
-def _dumps(value, pad="\n", texts=None) -> str:
-    """``json.dumps(value, indent=2, sort_keys=True, default=str)``, byte
-    for byte, with ``pad`` (a newline and the indent of ``value``) opening
+def _put(value, out, pad, texts) -> None:
+    """Append to ``out`` the pieces of
+    ``json.dumps(value, indent=2, sort_keys=True, default=str)``, byte for
+    byte, with ``pad`` (a newline and the indent of ``value``) opening
     each of its lines after the first, and a Grid written as the nested
     lists that ``Grid.nested`` gives.
 
-    Empty lists and dicts are the literals ``[]`` and ``{}``.  An int grid
-    (see ``_grid``), and a Grid with no empty dimension, is one
-    ``%``-format (see ``_layout``); a Grid with an empty dimension is
-    written from its nested lists.  Other non-empty lists and str-keyed
-    dicts, strs and ints are joined here, each container by one
-    ``str.join``.  A tuple is written as the list of its items, once per
-    indent: ``texts`` keeps its text by ``id`` for the rest of the
-    top-level call, which creates it, so a carrier element that a report
+    A str, an int, an empty list or dict (the literals ``[]`` and ``{}``),
+    a list of ints, an int grid (see ``_grid``) and a Grid with no empty
+    dimension are one piece each, the last two one ``%``-format (see
+    ``_layout``); a Grid with an empty dimension is written from its
+    nested lists.  Other non-empty lists and str-keyed dicts append their
+    opening bracket with the first item's separator, each item, and their
+    closing bracket, with no join over their items.  A tuple is written as
+    the list of its items, once per indent: ``texts`` keeps its text by
+    ``id`` for the rest of one report, so a carrier element that a report
     names in many witnesses is formatted once.  Every tuple written is
-    part of ``value``, so no id is reused while ``texts`` lives.
+    part of the report, so no id is reused while ``texts`` lives.
     Everything else goes to ``json.dumps`` (whose ``indent`` selects the
     stdlib's pure-Python encoder), re-indented by replacing its newlines,
     which encoded JSON holds nowhere else."""
     kind = type(value)
     if kind is str:
-        return _encode_str(value)
-    if kind is int:
-        return int.__repr__(value)
-    if (kind is list or kind is dict) and not value:
-        return "[]" if kind is list else "{}"
-    if texts is None:
-        texts = {}
-    inner = pad + "  "
-    if kind is list:
+        out.append(_encode_str(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif (kind is list or kind is dict) and not value:
+        out.append("[]" if kind is list else "{}")
+    elif kind is list:
+        inner = pad + "  "
         kinds = set(map(type, value))
         if kinds == {list} and (grid := _grid(value, pad)) is not None:
-            return grid
-        if kinds == {int}:
-            items = map(int.__repr__, value)
+            out.append(grid)
+        elif kinds == {int}:
+            out.append(f"[{inner}{(',' + inner).join(map(int.__repr__, value))}{pad}]")
         else:
-            items = [_dumps(v, inner, texts) for v in value]
-        return f"[{inner}{(',' + inner).join(items)}{pad}]"
-    if kind is dict and set(map(type, value)) == {str}:
-        items = [
-            f"{_encode_str(k)}: {_dumps(v, inner, texts)}"
-            for k, v in sorted(value.items())
-        ]
-        return f"{{{inner}{(',' + inner).join(items)}{pad}}}"
-    if kind is tuple:
+            sep = "[" + inner
+            for v in value:
+                out.append(sep)
+                _put(v, out, inner, texts)
+                sep = "," + inner
+            out.append(pad + "]")
+    elif kind is dict and set(map(type, value)) == {str}:
+        inner = pad + "  "
+        sep = "{" + inner
+        for k, v in sorted(value.items()):
+            out.append(f"{sep}{_encode_str(k)}: ")
+            _put(v, out, inner, texts)
+            sep = "," + inner
+        out.append(pad + "}")
+    elif kind is tuple:
         key = (id(value), pad)
         text = texts.get(key)
         if text is None:
             text = texts[key] = _dumps(list(value), pad, texts)
-        return text
-    if kind is Grid:
+        out.append(text)
+    elif kind is Grid:
         if all(value.shape):
-            return _layout(value.shape, pad) % tuple(value.flat)
-        return _dumps(value.nested(), pad)
-    return json.dumps(value, indent=2, sort_keys=True, default=str).replace("\n", pad)
+            out.append(_layout(value.shape, pad) % tuple(value.flat))
+        else:
+            _put(value.nested(), out, pad, texts)
+    else:
+        out.append(json.dumps(value, indent=2, sort_keys=True, default=str).replace("\n", pad))
+
+
+def _dumps(value, pad="\n", texts=None) -> str:
+    """The pieces that ``_put`` appends for ``value``, joined; ``texts``
+    is the memo of the report it belongs to, a new one by default."""
+    out = []
+    _put(value, out, pad, {} if texts is None else texts)
+    return "".join(out)
 
 
 def main(argv=None) -> int:
@@ -657,7 +675,12 @@ def main(argv=None) -> int:
             "outcome": outcome,
             "payload": payload,
         }
-        sys.stdout.write(_dumps(report) + "\n")
+        pieces = []
+        _put(report, pieces, "\n", {})
+        pieces.append("\n")
+        write = sys.stdout.write
+        for piece in pieces:
+            write(piece)
     wall_ms = (time.perf_counter() - started) * 1000.0
     print(f"wall_ms={wall_ms:.1f}", file=sys.stderr)
     return exit_code

@@ -1484,9 +1484,11 @@ class Grid(NamedTuple):
 
 
 def operad_document(op: FiniteOperad) -> dict:
-    """The bundle ``operad_to_json`` gives, with each table held flat.
+    """The bundle ``operad_to_json`` gives, with each table held flat and
+    each carrier element held by reference.
 
-    Carriers are their decode tuples; actions are their index lists; the
+    Carriers are lists of the carriers' own decode values, a composite
+    element as its decode tuple; actions are their index lists; the
     table at each required surjection is a Grid of its flat list, shaped
     by the carrier sizes of the target and then of each fiber.  Before any
     table is built, the number of table entries is predicted from the
@@ -1501,7 +1503,7 @@ def operad_document(op: FiniteOperad) -> dict:
     keys = {
         _carrier_key(flavor, a): ordinal_key(a) for a in op.index_ordinals()
     }
-    carriers = {keys[key]: [_thaw(x) for x in coll.decoding(key)] for key in keys}
+    carriers = {keys[key]: list(coll.decoding(key)) for key in keys}
     actions = {
         f"{keys[key]}|{i}": list(image)
         for (key, i), image in sorted(coll.actions.items(), key=lambda kv: kv[0])
@@ -1529,12 +1531,16 @@ def operad_document(op: FiniteOperad) -> dict:
 def operad_to_json(op: FiniteOperad) -> dict:
     """Serialize carriers, actions and every table at a required surjection.
 
-    This is ``operad_document`` with each table's Grid nested: a table is
+    This is ``operad_document`` with its carriers' decode tuples thawed
+    into lists and each table's Grid nested: a table is
     its flat list nested by the mixed radix, outermost dimension the target
     carrier, as ``operad_from_json`` reads it.  Past LIST_CAP table
     entries the document is refused with ResourceLimit.
     """
     doc = operad_document(op)
+    doc["carriers"] = {
+        key: [_thaw(x) for x in elems] for key, elems in doc["carriers"].items()
+    }
     doc["mult"] = {name: grid.nested() for name, grid in doc["mult"].items()}
     return doc
 

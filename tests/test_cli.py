@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import reference
 
-from operadkit import zigzags
+from operadkit import cli, zigzags
 from operadkit.braids import BraidWord
 from operadkit.cli import _build_parser, _dumps, _grid, main
 from operadkit.errors import ResourceLimit, printable, printable_by_log2
@@ -1482,10 +1482,16 @@ def test_report_writer_writes_a_grid_as_its_nested_lists(shape, pad):
     ids=["terminal-n2-3", "orders-3", "End{0,1}-2", "desymmetrised-n3-2"],
 )
 def test_operad_to_json_is_the_document_with_its_grids_nested(make):
-    doc = operad_document(make())
+    # the document holds the carriers' own decode values and flat tables;
+    # operad_to_json thaws the one and nests the other, so it is plain JSON
+    op = make()
+    doc = operad_document(op)
     assert {type(grid) for grid in doc["mult"].values()} == {Grid}
-    nested = {**doc, "mult": {name: grid.nested() for name, grid in doc["mult"].items()}}
-    assert operad_to_json(make()) == nested
+    own = {id(x) for elems in op.collection.carrier.values() for x in elems}
+    assert all(id(x) in own for elems in doc["carriers"].values() for x in elems)
+    nested = {**doc, "carriers": json.loads(json.dumps(doc["carriers"])),
+              "mult": {name: grid.nested() for name, grid in doc["mult"].items()}}
+    assert operad_to_json(op) == nested
     assert _dumps(doc) == _stdlib(nested)
 
 
@@ -1503,22 +1509,22 @@ def test_desymmetrise_writes_tables_of_an_empty_carrier(capsys, monkeypatch):
 
 
 class _CharCount:
-    # a stdout that keeps only the number of characters written to it
+    # a stdout that has only write, and keeps only the number of
+    # characters written to it
     chars = 0
 
     def write(self, text):
         self.chars += len(text)
         return len(text)
 
-    def flush(self):
-        pass
-
 
 def test_desymmetrise_peaks_below_a_small_multiple_of_its_output(monkeypatch, tmp_path):
     # the largest report: desymmetrised End{0,1} at n = 2, bound 3 writes
-    # 9.1 MiB; its tables go to the writer flat, never as nested lists.
-    # Measured peak over characters written: 3.14-3.19 flat and 4.09-4.14
-    # with nested tables, under CPython 3.10, 3.11, 3.12 and 3.13
+    # 9.1 MiB; its tables go to the writer flat, never as nested lists,
+    # and the report to stdout as pieces, never as one string.  Measured
+    # peak over characters written: 1.213, 1.202, 1.199 and 1.245 under
+    # CPython 3.10, 3.11, 3.12 and 3.13.  A writer that joins the report
+    # into one string reads 3.14-3.19, and one given nested tables 4.09-4.14
     path = tmp_path / "end3.json"
     path.write_text(json.dumps({"builtin": "endomorphism", "set": [0, 1], "bound": 3}))
     sink = _CharCount()
@@ -1532,7 +1538,22 @@ def test_desymmetrise_peaks_below_a_small_multiple_of_its_output(monkeypatch, tm
         tracemalloc.stop()
     assert code == 0
     assert sink.chars > 9_000_000
-    assert peak < 3.5 * sink.chars
+    assert peak < 1.5 * sink.chars
+
+
+def test_a_report_the_writer_refuses_leaves_stdout_empty(monkeypatch):
+    # the report is formatted in full before its first piece is written:
+    # an int past the digit limit, sorted after a long field, raises from
+    # main with nothing on stdout
+    monkeypatch.setattr(cli, "_cmd_degeneration",
+                        lambda args, doc: {"a": "x" * 10_000, "rank": _HUGE})
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    sink = _CharCount()
+    monkeypatch.setattr(sys, "stdout", sink)
+    monkeypatch.setattr(sys, "stderr", io.StringIO())
+    with pytest.raises(ValueError):
+        main(["degeneration", "--n", "2", "--k", "2"])
+    assert sink.chars == 0
 
 
 @pytest.mark.parametrize("value", [[_HUGE], [[1], [_HUGE]], [[[_HUGE, 1]]]])

@@ -18,7 +18,11 @@ dicts append their brackets, separators and items as pieces; the rest
 goes to ``json.dumps``.  Empty lists and dicts are the literals ``[]`` and
 ``{}``.  An operad table reaches the writer as a ``Grid``, its flat list
 and shape, and is written as its nested lists straight from the flat
-list.  The whole report is formatted before its first piece is written,
+list.  For one report the writer keeps, in its memo ``texts``, each
+tuple's text and each key set's sorted, encoded keys, so the carrier
+elements and the records of a FAIL report's hundreds of witnesses are
+formatted and sorted once; nothing is kept from one report to the next.
+The whole report is formatted before its first piece is written,
 so stdout gets a report completely or not at all.
 """
 
@@ -584,12 +588,20 @@ def _put(value, out, pad, texts) -> None:
     the list of its items, once per indent: ``texts`` keeps its text by
     ``id`` for the rest of one report, so a carrier element that a report
     names in many witnesses is formatted once.  Every tuple written is
-    part of the report, so no id is reused while ``texts`` lives.
+    part of the report, so no id is reused while ``texts`` lives.  A
+    dict's keys are sorted and encoded once per report, indent and key
+    set (see ``_heads``).
     Everything else goes to ``json.dumps`` (whose ``indent`` selects the
     stdlib's pure-Python encoder), re-indented by replacing its newlines,
     which encoded JSON holds nowhere else."""
     kind = type(value)
-    if kind is str:
+    if kind is tuple:
+        key = (id(value), pad)
+        text = texts.get(key)
+        if text is None:
+            text = texts[key] = _dumps(list(value), pad, texts)
+        out.append(text)
+    elif kind is str:
         out.append(_encode_str(value))
     elif kind is int:
         out.append(int.__repr__(value))
@@ -603,26 +615,18 @@ def _put(value, out, pad, texts) -> None:
         elif kinds == {int}:
             out.append(f"[{inner}{(',' + inner).join(map(int.__repr__, value))}{pad}]")
         else:
-            sep = "[" + inner
+            sep, comma = "[" + inner, "," + inner
             for v in value:
                 out.append(sep)
                 _put(v, out, inner, texts)
-                sep = "," + inner
+                sep = comma
             out.append(pad + "]")
-    elif kind is dict and set(map(type, value)) == {str}:
+    elif kind is dict and (heads := _heads(value, pad, texts)):
         inner = pad + "  "
-        sep = "{" + inner
-        for k, v in sorted(value.items()):
-            out.append(f"{sep}{_encode_str(k)}: ")
-            _put(v, out, inner, texts)
-            sep = "," + inner
+        for head, k in heads:
+            out.append(head)
+            _put(value[k], out, inner, texts)
         out.append(pad + "}")
-    elif kind is tuple:
-        key = (id(value), pad)
-        text = texts.get(key)
-        if text is None:
-            text = texts[key] = _dumps(list(value), pad, texts)
-        out.append(text)
     elif kind is Grid:
         if all(value.shape):
             out.append(_layout(value.shape, pad) % tuple(value.flat))
@@ -630,6 +634,26 @@ def _put(value, out, pad, texts) -> None:
             _put(value.nested(), out, pad, texts)
     else:
         out.append(json.dumps(value, indent=2, sort_keys=True, default=str).replace("\n", pad))
+
+
+def _heads(value: dict, pad, texts) -> list:
+    """The keys of a non-empty dict in sorted order, each with the piece
+    that opens its item: the separator, the key encoded and ``": "``; or
+    no keys when a key is not a str.  ``texts`` keeps them for the rest of
+    one report by the keys in insertion order and ``pad``, so the dicts of
+    one key set, such as a report's failure records, sort and encode their
+    keys once."""
+    memo = (tuple(value), pad)
+    heads = texts.get(memo)
+    if heads is None:
+        heads = texts[memo] = []
+        if set(map(type, value)) == {str}:
+            inner = pad + "  "
+            sep = "{" + inner
+            for k in sorted(value):
+                heads.append((f"{sep}{_encode_str(k)}: ", k))
+                sep = "," + inner
+    return heads
 
 
 def _dumps(value, pad="\n", texts=None) -> str:

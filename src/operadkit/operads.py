@@ -468,8 +468,13 @@ def _covered(op: FiniteOperad, records: dict) -> dict[tuple, _Surjection]:
 # -- axiom reports -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AxiomFailure:
+class AxiomFailure(NamedTuple):
+    """One failed instance of an axiom: the axiom's name, the instance's
+    name (the surjections, and the permutations or braid words, it reads)
+    and the witness, a tuple of the carriers' own decode values (``()``
+    for a ``coverage`` failure, which names a missing table).  A named
+    tuple, since one wrong table entry can give hundreds of failures."""
+
     axiom: str
     instance: str
     witness: tuple
@@ -502,9 +507,24 @@ class AxiomReport:
 
 
 def _report(failures: list[AxiomFailure], checked: int) -> AxiomReport:
-    ordered = tuple(
-        sorted(failures, key=lambda f: (f.axiom, f.instance, repr(f.witness)))
-    )
+    """The failures sorted by (axiom, instance, ``repr(witness)``).  Each
+    witness's repr is put together from its elements' reprs, each taken
+    once per report and kept by ``id``: the failures hold every element
+    until they are sorted, so no id is reused meanwhile."""
+    reprs = {}
+
+    def text(element):
+        found = reprs.get(id(element))
+        if found is None:
+            found = reprs[id(element)] = repr(element)
+        return found
+
+    def order(failure):
+        axiom, instance, witness = failure
+        inside = ", ".join(map(text, witness))
+        return axiom, instance, f"({inside},)" if len(witness) == 1 else f"({inside})"
+
+    ordered = tuple(sorted(failures, key=order))
     return AxiomReport(not ordered, ordered, checked)
 
 

@@ -12,7 +12,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -1391,13 +1391,28 @@ _LEAVES = (
     | _grids()
     | _near_grids()
 )
+
+
+@st.composite
+def _same_key_dicts(draw, values):
+    # str-keyed dicts of one key set, each in its own insertion order, as a
+    # report's failure records are, and maybe a dict with a non-str key
+    keys = draw(st.lists(st.text(max_size=3), min_size=1, max_size=4, unique=True))
+    dicts = [{k: draw(values) for k in draw(st.permutations(keys))}
+             for _ in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        dicts.insert(draw(st.integers(0, len(dicts))), {draw(st.integers(-9, 9)): draw(values)})
+    return dicts
+
+
 _VALUES = st.recursive(
     _LEAVES,
     lambda inner: st.lists(inner, max_size=4)
     | st.lists(inner, max_size=3).map(tuple)
     | st.dictionaries(st.text(max_size=5), inner, max_size=4)
     | st.dictionaries(st.integers(-9, 9), inner, max_size=3)
-    | st.dictionaries(st.text(max_size=2) | st.integers(-2, 2), inner, max_size=3),
+    | st.dictionaries(st.text(max_size=2) | st.integers(-2, 2), inner, max_size=3)
+    | _same_key_dicts(inner),
     max_leaves=12,
 )
 
@@ -1409,7 +1424,15 @@ def _written(write, value):
         return type(e)
 
 
+# one key set in several insertion orders at depths 1 to 3, beside two
+# dicts whose keys are not strs and compare equal (1 and True)
+_RECORDS = [{"b": 1, "a": [2], "é\n": {}}, {"é\n": 3, "b": (4,), "a": "x"},
+            {1: "int"}, {True: "bool"}, {"a": 5, "é\n": 6, "b": 7}]
+
+
 @settings(max_examples=250, derandomize=True, deadline=None)
+@example(_RECORDS)
+@example({"payload": {"failures": _RECORDS, "first": _RECORDS[0]}, "at": [[_RECORDS]]})
 @given(_VALUES)
 def test_report_writer_matches_indented_json_dumps(value):
     assert _written(_dumps, value) == _written(_stdlib, value)
@@ -1589,6 +1612,23 @@ def test_report_writer_formats_each_tuple_once_per_write():
     # the next write formats each element again
     assert _dumps(report) == expected
     assert leaf.written == 6
+
+
+def test_report_writer_sorts_and_encodes_each_key_set_once_per_write(monkeypatch):
+    # 300 failure records share one key set: the writer encodes each key
+    # once per write and indent, and each value at every occurrence
+    encoded = []
+    monkeypatch.setattr(cli, "_encode_str", lambda s: encoded.append(s) or json.dumps(s))
+    records = [{"witness": [], "instance": "2:0>1:|0,0", "axiom": "associativity"}
+               for _ in range(300)]
+    report = {"failures": records, "payload": {"failures": records[:1]}}
+    assert _dumps(report) == _stdlib(report)
+    keys = ("axiom", "instance", "witness")
+    assert [encoded.count(k) for k in keys] == [2, 2, 2]
+    assert encoded.count("associativity") == 301
+    encoded.clear()
+    assert _dumps(report) == _stdlib(report)
+    assert [encoded.count(k) for k in keys] == [2, 2, 2]
 
 
 def test_report_writer_keeps_no_text_after_a_write_that_raises():

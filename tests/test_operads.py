@@ -502,6 +502,30 @@ def test_witnesses_come_in_the_zip_loop_order(monkeypatch, make, flavor):
             assert check_operad_axioms(broken) == report
 
 
+def test_report_orders_failures_by_the_repr_of_their_witnesses():
+    # _report puts each witness's repr together from its elements' reprs;
+    # the order must be that of repr(witness) itself, and stable among
+    # witnesses with one repr (equal values held by distinct tuples)
+    first, second = tuple([0, 1]), tuple([0, 1])
+    assert first is not second
+    elements = [9, 10, -1, "a'b", 'a"b', "\\", "\n", "é", (9,), (10,), (), first, second]
+    witnesses = [(), *((x,) for x in elements)]
+    witnesses += [(x, y) for x in elements for y in elements[:6]]
+    witnesses += [(9, 10, 9), ((9, 10), 9), (first, second, first)]
+    failures = [
+        AxiomFailure(axiom, instance, witness)
+        for axiom in ("associativity", "unit-left")
+        for instance in ("2:0>1:|0,0", "2:1>1:|0,0")
+        for witness in witnesses
+    ]
+    random.Random("report order").shuffle(failures)
+    report = operads._report(failures, 7)
+    expected = sorted(failures, key=lambda f: (f.axiom, f.instance, repr(f.witness)))
+    assert list(map(id, report.failures)) == list(map(id, expected))
+    assert (report.passed, report.checked) == (False, 7)
+    assert operads._report([], 3) == operads.AxiomReport(True, (), 3)
+
+
 def test_corrupt_action_raises_invariant_broken():
     op = orders_operad(2)
     actions = dict(op.collection.actions)

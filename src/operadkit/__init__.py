@@ -110,7 +110,6 @@ from .operads import (
     endomorphism_symmetric_operad,
     extend_multiplication,
     induced_action,
-    is_locally_constant,
     is_quasisymmetric,
     non_quasisymmetric_operad,
     operad_document,

@@ -274,14 +274,14 @@ def is_trivial(b: BraidWord, limit: int | None = None) -> bool:
     return _reduce_handles(word, limit)
 
 
-def braid_equal(a: BraidWord, b: BraidWord, limit: int | None = None) -> bool:
+def braid_equal(a: BraidWord, b: BraidWord) -> bool:
     if a.strands != b.strands:
         raise StrandMismatch(
             "cannot compare braids on different strand counts",
             left=a.strands,
             right=b.strands,
         )
-    return is_trivial(a * b.inverse(), limit=limit)
+    return is_trivial(a * b.inverse())
 
 
 # -- cabling --------------------------------------------------------------

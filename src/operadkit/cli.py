@@ -145,7 +145,7 @@ def _dot_poset(p) -> str:
     lines = ["digraph J {"]
     for idx, e in enumerate(p.elements):
         lines.append(f'  v{idx} [label="{label_key(e)}"];')
-    for i, j in p.covering_pairs():
+    for i, j in p.covers:
         lines.append(f"  v{i} -> v{j};")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -216,7 +216,7 @@ def _cmd_build_j(args, doc):
     p = build_j(args.n, args.k)
     if args.dot:
         return _dot_poset(p)
-    return {**p.to_json(), "covering_pairs": [list(c) for c in p.covering_pairs()]}
+    return {**p.to_json(), "covering_pairs": [list(c) for c in p.covers]}
 
 
 def _cmd_nerve(args, doc):
@@ -406,16 +406,15 @@ def _cmd_verify_partition(args, doc):
 
 def _cmd_degeneration(args, doc):
     p = build_j(args.n, args.k)
-    covers = p.covering_pairs()
     failures = []
-    for i, j in covers:
+    for i, j in p.covers:
         upper, lower = p.elements[i], p.elements[j]
         if not degeneration_check(upper, lower):
             failures.append({"upper": upper.to_json(), "lower": lower.to_json()})
     payload = {
         "n": args.n,
         "k": args.k,
-        "covering_pairs": len(covers),
+        "covering_pairs": len(p.covers),
         "failures": failures,
     }
     if failures:
@@ -537,13 +536,14 @@ def _digest(argv, doc) -> str:
 
 
 def _layout(shape, pad) -> str:
-    """The ``%``-format of an int grid of this shape, every dimension
-    non-empty, as ``json.dumps`` indents it with ``pad`` opening each line
-    after the first: one ``%d`` per entry, in row-major order."""
+    """The ``%``-format of an int grid of this shape, as ``json.dumps``
+    indents it with ``pad`` opening each line after the first: one ``%d``
+    per entry, in row-major order, and a dimension of length 0 as ``[]``."""
     layout = "%d"
     for depth in reversed(range(len(shape))):
         inner = pad + "  " * (depth + 1)
-        layout = f"[{inner}{(',' + inner).join([layout] * shape[depth])}{inner[:-2]}]"
+        row = ("," + inner).join([layout] * shape[depth])
+        layout = f"[{inner}{row}{inner[:-2]}]" if row else "[]"
     return layout
 
 
@@ -579,18 +579,17 @@ def _put(value, out, pad, texts) -> None:
     lists that ``Grid.nested`` gives.
 
     A str, an int, an empty list or dict (the literals ``[]`` and ``{}``),
-    a list of ints, an int grid (see ``_grid``) and a Grid with no empty
-    dimension are one piece each, the last two one ``%``-format (see
-    ``_layout``); a Grid with an empty dimension is written from its
-    nested lists.  Other non-empty lists and str-keyed dicts append their
-    opening bracket with the first item's separator, each item, and their
-    closing bracket, with no join over their items.  A tuple is written as
-    the list of its items, once per indent: ``texts`` keeps its text by
-    ``id`` for the rest of one report, so a carrier element that a report
-    names in many witnesses is formatted once.  Every tuple written is
-    part of the report, so no id is reused while ``texts`` lives.  A
-    dict's keys are sorted and encoded once per report, indent and key
-    set (see ``_heads``).
+    a list of ints, an int grid (see ``_grid``) and a Grid are one piece
+    each, the last two one ``%``-format (see ``_layout``).  Other
+    non-empty lists and str-keyed dicts append their opening bracket with
+    the first item's separator, each item, and their closing bracket, with
+    no join over their items.  A tuple is written as the list of its
+    items, once per indent: ``texts`` keeps its text by ``id`` for the
+    rest of one report, so a carrier element that a report names in many
+    witnesses is formatted once.  Every tuple written is part of the
+    report, so no id is reused while ``texts`` lives.  A dict's keys are
+    sorted and encoded once per report, indent and key set (see
+    ``_heads``).
     Everything else goes to ``json.dumps`` (whose ``indent`` selects the
     stdlib's pure-Python encoder), re-indented by replacing its newlines,
     which encoded JSON holds nowhere else."""
@@ -628,10 +627,7 @@ def _put(value, out, pad, texts) -> None:
             _put(value[k], out, inner, texts)
         out.append(pad + "}")
     elif kind is Grid:
-        if all(value.shape):
-            out.append(_layout(value.shape, pad) % tuple(value.flat))
-        else:
-            _put(value.nested(), out, pad, texts)
+        out.append(_layout(value.shape, pad) % tuple(value.flat))
     else:
         out.append(json.dumps(value, indent=2, sort_keys=True, default=str).replace("\n", pad))
 

@@ -1250,7 +1250,7 @@ def desymmetrise(sym: FiniteOperad, n: int, bound: int | None = None) -> FiniteO
                 raise InvariantBroken(
                     "the unit-right law fails, so the sorting action is not unit insertion",
                     arity=arity,
-                    element=_thaw(sym.collection.decoding(arity - 1)[wrong]),
+                    element=sym.collection.decoding(arity - 1)[wrong],
                 )
             unit_right.add(arity)
         return unsort(sigma)
@@ -1306,40 +1306,29 @@ def induced_action(op: FiniteOperad, sigma: OrdinalMap) -> list[int]:
     return op.mult(sigma)[_unit_entries(op, sigma.source.arity)]
 
 
-def _quasibijections(op: FiniteOperad, bound: int) -> Iterator[OrdinalMap]:
-    objs = op.index_ordinals(bound)
-    for s in objs:
-        for t in objs:
-            if t.arity != s.arity:
-                continue
-            yield from enumerate_maps(t, s, kind="quasi")
-
-
-def is_locally_constant(
-    op: FiniteOperad, we_predicate: Callable[[list], bool], bound: int | None = None
-) -> bool:
-    """Whether every induced quasibijection action is a weak equivalence.
-
-    The predicate receives the action as an index list, as
-    ``induced_action`` returns it.  With the bijection predicate this is
-    exactly quasisymmetry.
-    """
-    bound = op.bound if bound is None else bound
-    if bound > op.bound:
-        raise BoundExceeded("check bound exceeds the operad bound", bound=bound)
-    for sigma in _quasibijections(op, bound):
-        if not we_predicate(induced_action(op, sigma)):
-            return False
-    return True
-
-
 def action_is_bijection(action: Sequence[int]) -> bool:
     return len(set(action)) == len(action)
 
 
 def is_quasisymmetric(op: FiniteOperad, bound: int | None = None) -> bool:
-    """Whether all induced quasibijection actions within bound are bijections."""
-    return is_locally_constant(op, action_is_bijection, bound)
+    """Whether every quasibijection within bound acts by a bijection.
+
+    This is the paper's local constancy for operads of finite sets: a
+    weak equivalence of finite sets is a bijection, so the operad is
+    locally constant exactly when each induced action (``induced_action``)
+    is one.
+    """
+    bound = op.bound if bound is None else bound
+    if bound > op.bound:
+        raise BoundExceeded("check bound exceeds the operad bound", bound=bound)
+    objs = op.index_ordinals(bound)
+    return all(
+        action_is_bijection(induced_action(op, sigma))
+        for s in objs
+        for t in objs
+        if t.arity == s.arity
+        for sigma in enumerate_maps(t, s, kind="quasi")
+    )
 
 
 # -- multiplication extension along factorizations ----------------------------
@@ -1436,7 +1425,8 @@ def braided_action_from_quasisymmetric(op: FiniteOperad, k: int) -> BraidedActio
     Each Artin generator acts on the carrier of the level-zero arity-k
     2-ordinal through the generator span: forward leg action composed with
     the inverted backward leg action.  Far commutation and the braid
-    relation are verified; a failure raises RelationFailed with a witness.
+    relation are verified; a failure raises RelationFailed whose witness
+    is the carrier element it moves wrongly, as its decode value.
     """
     if op.flavor.kind != "n-operad" or op.flavor.n != 2:
         raise OutOfRange("braided actions need a 2-operad", flavor=str(op.flavor))
@@ -1460,7 +1450,7 @@ def braided_action_from_quasisymmetric(op: FiniteOperad, k: int) -> BraidedActio
     if broken is not None:
         relation, (i, j), witness = broken
         raise RelationFailed(
-            f"{relation}({i},{j})", strands=k, witness=_thaw(elems[witness])
+            f"{relation}({i},{j})", strands=k, witness=elems[witness]
         )
     relations = [f"{relation}({i},{j})" for relation, i, j in _artin_relations(k)]
     return BraidedActions(k, elems, tuple(actions), tuple(relations))

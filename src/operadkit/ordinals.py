@@ -82,12 +82,6 @@ class NOrdinal:
         if not 0 <= a < self.arity:
             raise OutOfRange("position outside the underlying set", position=a, arity=self.arity)
 
-    def relations(self) -> Iterator[tuple[int, int, int]]:
-        """Yield (a, b, p) for every a < b, meaning a <_p b."""
-        for a, row in enumerate(self._rel):
-            for b, p in enumerate(row, a + 1):
-                yield (a, b, p)
-
     @functools.cached_property
     def _rel(self) -> tuple[tuple[int, ...], ...]:
         """rel[a][b - a - 1] = level between a and b, for a < b."""

@@ -214,11 +214,6 @@ class MilgramPoset:
             (i, j) for i, mask in enumerate(self.below) for j in _bits(mask)
         )
 
-    def covering_pairs(self) -> list[tuple[int, int]]:
-        """Pairs (i, j) in sorted order with j below i and nothing
-        between: the facets that build_j closes."""
-        return list(self.covers)
-
     def to_json(self) -> dict:
         return {
             "n": self.n,
@@ -294,10 +289,10 @@ def _chain_counts(heads: list, max_dim: int | None, message: str, **where) -> li
 _CHAINS = "too many chains in the order complex"
 
 
-def chain_counts(p: MilgramPoset, max_dim: int | None = None) -> list[int]:
+def chain_counts(p: MilgramPoset) -> list[int]:
     """The number of strict chains x_0 > ... > x_d of the poset for each
-    dimension d up to max_dim, from the below masks alone."""
-    return _chain_counts([_bits(mask) for mask in p.below], max_dim, _CHAINS, n=p.n, k=p.k)
+    dimension d, from the below masks alone."""
+    return _chain_counts([_bits(mask) for mask in p.below], None, _CHAINS, n=p.n, k=p.k)
 
 
 def order_complex(p: MilgramPoset, max_dim: int | None = None) -> ChainComplex:

@@ -207,20 +207,24 @@ def label_key(label: StratumLabel) -> str:
     return f"{list(label.ordinal.levels)}|{list(label.labels)}"
 
 
-def random_configuration(rng, n: int, k: int, max_attempts: int = 1000) -> Configuration:
+_DRAWS = 1000  # draws of k points before random_configuration gives up
+
+
+def random_configuration(rng, n: int, k: int) -> Configuration:
     """Uniform points on a small integer grid, rejecting coincidences.
 
     The grid is kept coarse on purpose: ties in leading coordinates are
-    what populate the deeper strata.
+    what populate the deeper strata.  After ``_DRAWS`` draws with a
+    coincidence, ResourceLimit is raised.
     """
-    for _ in range(max_attempts):
+    for _ in range(_DRAWS):
         pts = tuple(
             tuple(rng.randint(0, k) for _ in range(n)) for _ in range(k)
         )
         if len(set(pts)) == k:
             return Configuration(n, pts)
     raise ResourceLimit(
-        "could not draw pairwise distinct points", attempts=max_attempts, n=n, k=k
+        "could not draw pairwise distinct points", attempts=_DRAWS, n=n, k=k
     )
 
 

@@ -1,5 +1,6 @@
 """End-to-end tests for the batch command line interface."""
 
+import dataclasses
 import hashlib
 import io
 import json
@@ -20,7 +21,7 @@ import reference
 from operadkit import cli, zigzags
 from operadkit.braids import BraidWord
 from operadkit.cli import _build_parser, _dumps, _grid, main
-from operadkit.errors import ResourceLimit, printable, printable_by_log2
+from operadkit.errors import DiagramBroken, ResourceLimit, printable, printable_by_log2
 from operadkit.operads import (
     N_OPERAD,
     Grid,
@@ -33,6 +34,7 @@ from operadkit.operads import (
 )
 from operadkit.ordinal_maps import OrdinalMap
 from operadkit.ordinals import make_ordinal
+from operadkit.strata import stratum_from_json
 from operadkit.zigzags import ZigZag
 
 
@@ -1045,6 +1047,79 @@ def test_degeneration_command(capsys):
     payload = report_of(out)["payload"]
     assert payload["covering_pairs"] == 4
     assert payload["failures"] == []
+
+
+# The cross-checks that a correct library always passes: each FAIL branch
+# is reached by replacing the checked function in operadkit.cli
+
+
+def _failed(argv, capsys, monkeypatch=None, stdin_text=None) -> dict:
+    code, out, _ = run_cli(argv, capsys, monkeypatch, stdin_text)
+    assert code == 1
+    rep = report_of(out)
+    assert rep["outcome"] == "FAIL"
+    return rep["payload"]
+
+
+def test_factorize_fails_when_the_factors_do_not_recompose(capsys, monkeypatch):
+    doc = {
+        "source": {"n": 2, "levels": [0, 1, 0]},
+        "target": {"n": 2, "levels": [1]},
+        "f": [1, 0, 1, 1],
+    }
+    monkeypatch.setattr(cli, "compose", lambda nu, pi: pi)
+    payload = _failed(["factorize"], capsys, monkeypatch, json.dumps(doc))
+    assert payload["error"] == "COMPOSE_MISMATCH"
+    assert sorted(payload) == ["error", "witness"]
+    assert sorted(payload["witness"]) == ["middle", "nu", "pi"]
+
+
+def test_artin_check_fails_on_a_broken_diagram(capsys, monkeypatch):
+    def broken(k, i, j):
+        raise DiagramBroken("legs disagree", stage=0)
+
+    monkeypatch.setattr(cli, "artin_diagram_check", broken)
+    payload = _failed(["artin-check", "--k", "3"], capsys)
+    assert payload == {
+        "error": "DIAGRAM_BROKEN",
+        "i": 1,
+        "j": 2,
+        "witness": {"code": "DIAGRAM_BROKEN", "message": "legs disagree", "stage": 0},
+    }
+
+
+def test_sample_fails_when_the_sample_classifies_elsewhere(capsys, monkeypatch):
+    label = {"ordinal": {"n": 2, "levels": [0, 1]}, "labels": [2, 0, 1]}
+    other = {"ordinal": {"n": 2, "levels": [1, 0]}, "labels": [0, 1, 2]}
+    monkeypatch.setattr(cli, "classify_stratum", lambda config: stratum_from_json(other))
+    payload = _failed(["sample"], capsys, monkeypatch, json.dumps(label))
+    assert payload["error"] == "ROUNDTRIP_MISMATCH"
+    witness = payload["witness"]
+    assert sorted(witness) == ["classified", "configuration", "label"]
+    assert witness["label"]["labels"] == label["labels"]
+    assert witness["classified"]["labels"] == other["labels"]
+
+
+def test_verify_partition_fails_when_more_strata_are_seen_than_exist(capsys, monkeypatch):
+    real = cli.verify_partition
+
+    def overflowing(n, k, trials, seed):
+        report = real(n, k, trials, seed)
+        return dataclasses.replace(report, observed=report.universe + 1)
+
+    monkeypatch.setattr(cli, "verify_partition", overflowing)
+    argv = ["verify-partition", "--n", "2", "--k", "3", "--trials", "20"]
+    payload = _failed(argv, capsys)
+    assert payload["error"] == "PARTITION_OVERFLOW"
+    assert payload["observed"] == payload["universe"] + 1 == 25
+    assert sorted(payload) == ["error", "k", "n", "observed", "tally", "trials", "universe"]
+
+
+def test_degeneration_fails_with_every_broken_cover(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "degeneration_check", lambda upper, lower: False)
+    payload = _failed(["degeneration", "--n", "2", "--k", "2"], capsys)
+    assert payload["covering_pairs"] == len(payload["failures"]) == 4
+    assert all(sorted(f) == ["lower", "upper"] for f in payload["failures"])
 
 
 @pytest.mark.parametrize(

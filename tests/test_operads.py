@@ -37,7 +37,6 @@ from operadkit.operads import (
     endomorphism_symmetric_operad,
     extend_multiplication,
     induced_action,
-    is_locally_constant,
     is_quasisymmetric,
     morphism_key,
     non_quasisymmetric_operad,
@@ -49,7 +48,14 @@ from operadkit.operads import (
     validate_collection,
 )
 from operadkit.operads import _carrier_key
-from operadkit.ordinal_maps import OrdinalMap, compose, enumerate_maps, fiber, identity_map
+from operadkit.ordinal_maps import (
+    OrdinalMap,
+    compose,
+    enumerate_maps,
+    fiber,
+    identity_map,
+    morphism_violation,
+)
 from operadkit.ordinals import enumerate_ordinals, make_ordinal
 from operadkit.quasicat import build_q, nerve
 from operadkit.zigzags import generator_span
@@ -641,7 +647,7 @@ def test_the_quasi_actor_shortcut_refuses_a_broken_unit_right_law():
     assert induced_action(op, identity_map(point2())) == [0]
     with pytest.raises(InvariantBroken) as info:
         induced_action(op, OrdinalMap(flat2(), sharp2(), (1, 0)))
-    assert info.value.payload == {"arity": 2, "element": [0, 1]}
+    assert info.value.payload == {"arity": 2, "element": (0, 1)}
     with pytest.raises(InvariantBroken):
         is_quasisymmetric(desymmetrise(sym, 2))
     # the law is read only where the table is stored: none is built for it
@@ -666,18 +672,33 @@ def test_counterexample_fails_quasisymmetry_only():
     assert not is_quasisymmetric(op)
     witness = induced_action(op, OrdinalMap(flat2(), sharp2(), (1, 0)))
     assert len(set(witness)) == 1
+    with pytest.raises(BoundExceeded) as info:
+        is_quasisymmetric(op, op.bound + 1)
+    assert info.value.payload == {"bound": 3}
 
 
 def test_locally_constant_matches_quasisymmetry():
+    # local constancy read off its definition: every permutation table
+    # between index ordinals of one arity that is a morphism is a
+    # quasibijection, and each must act by a bijection
+    def locally_constant(op):
+        objs = op.index_ordinals()
+        for s, t in itertools.product(objs, repeat=2):
+            tables = itertools.permutations(range(s.arity)) if s.arity == t.arity else ()
+            for table in tables:
+                if morphism_violation(s, t, table) is None:
+                    action = induced_action(op, OrdinalMap(s, t, table))
+                    if len(set(action)) != len(action):
+                        return False
+        return True
+
     ops = [
         desymmetrise(endomorphism_symmetric_operad((0, 1), 2), 2),
         desymmetrise(orders_operad(3), 2),
         non_quasisymmetric_operad(),
     ]
-    for op in ops:
-        assert is_locally_constant(op, action_is_bijection) == is_quasisymmetric(op)
-    # a weaker equivalence notion can accept the counterexample
-    assert is_locally_constant(ops[2], lambda action: True)
+    assert [locally_constant(op) for op in ops] == [True, True, False]
+    assert [is_quasisymmetric(op) for op in ops] == [True, True, False]
 
 
 def test_extension_agrees_with_stored_tables():

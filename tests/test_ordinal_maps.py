@@ -111,6 +111,13 @@ def test_order_preserving_matches_monotone():
     assert all(t == tuple(sorted(t)) for t in tables)
 
 
+def test_enumeration_refuses_an_unknown_kind():
+    s = make_ordinal(2, [0, 1])
+    with pytest.raises(OutOfRange) as info:
+        next(enumerate_maps(s, s, "bijective"))
+    assert info.value.payload == {"kind": "bijective"}
+
+
 def test_induced_and_fibers():
     t = make_ordinal(2, [1, 0])
     assert induced(t, [0, 2]).levels == (0,)

@@ -161,7 +161,7 @@ def test_j32_is_an_octahedron():
     assert [len(layer) for layer in complex_.cells] == [6, 12, 8]
     assert homology(complex_).groups == ((1, ()), (0, ()), (1, ()))
     # every covering pair steps one layer down
-    assert len(p.covering_pairs()) == 8
+    assert len(p.covers) == 8
 
 
 def test_j23_homology():
@@ -225,7 +225,7 @@ def test_build_j_agrees_with_the_all_pairs_oracle(n, k):
     assert [(e.ordinal.levels, e.labels) for e in p.elements] == elements
     relations = reference.j_relations(n, k)
     assert p.above == relations
-    assert p.covering_pairs() == sorted(reference.covering_pairs(relations))
+    assert list(p.covers) == sorted(reference.covering_pairs(relations))
     assert p.to_json()["relations"] == sorted(list(r) for r in relations)
 
 
@@ -234,7 +234,7 @@ def test_chain_counts_predict_the_built_cells(n, k):
     p = build_j(n, k)
     cells = [len(layer) for layer in order_complex(p).cells]
     assert chain_counts(p) == cells
-    assert chain_counts(p, max_dim=2) == cells[:3]
+    assert [len(layer) for layer in order_complex(p, max_dim=2).cells] == cells[:3]
 
 
 @pytest.mark.parametrize(
@@ -292,7 +292,7 @@ def test_facets_are_the_covering_pairs_of_j(n, k):
     # closure is graded.  Un-closing the masks finds the covers a second
     # way; the all-pairs oracle checks the order itself
     p = build_j(n, k)
-    assert p.covering_pairs() == covers_from_masks(p.below)
+    assert list(p.covers) == covers_from_masks(p.below)
 
 
 @pytest.mark.parametrize("n, k", [(1, 3), (2, 3), (3, 3), (2, 4), (3, 2)])

@@ -170,20 +170,32 @@ def test_j_order_has_one_generator():
 
 
 def test_j_covers_come_from_the_facets():
-    # build_j keeps the facets it closes as J's covering pairs; un-closing
-    # the below masks again is the oracle oracles.covers_from_masks
-    poset = next(
+    # build_j keeps the facets it closes as J's covering pairs: it appends
+    # to covers only inside its loop over _facets, and reads no below mask
+    # to do it; un-closing the below masks again is the oracle
+    # oracles.covers_from_masks
+    build = next(
         node
         for node in _tree(PACKAGE / "quasicat.py").body
-        if isinstance(node, ast.ClassDef) and node.name == "MilgramPoset"
+        if isinstance(node, ast.FunctionDef) and node.name == "build_j"
     )
-    method = next(
+    appends = [
         node
-        for node in poset.body
-        if isinstance(node, ast.FunctionDef) and node.name == "covering_pairs"
-    )
+        for node in ast.walk(build)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "covers.append"
+    ]
+    in_facet_loops = [
+        node
+        for loop in ast.walk(build)
+        if isinstance(loop, ast.For) and "_facets" in ast.unparse(loop.iter)
+        for node in ast.walk(loop)
+        if node in appends
+    ]
+    assert appends and in_facet_loops == appends
     names = {
-        getattr(node, "attr", None) or getattr(node, "id", None) for node in ast.walk(method)
+        getattr(node, "attr", None) or getattr(node, "id", None)
+        for call in appends
+        for node in ast.walk(call)
     }
     assert sorted(names & {"below", "_bits"}) == []
 
@@ -322,9 +334,10 @@ def test_every_public_method_is_reached():
     # a public method or property of a package class (dunders aside) is read
     # as an attribute by code of the package other than its own body, and
     # its class is named by code of the package other than the class itself
-    # and the listed entry points; or it is listed above.  Names are
-    # matched, not types, so a read of a name that several classes define
-    # (to_json) reaches each of them
+    # and the listed entry points; or it is listed above.  A self.<name>
+    # read inside class D reaches D's member only; any other read is
+    # matched by name, not type, so a name that several classes define
+    # (to_json) is reached in each of them
     methods, attributes, names = [], {}, {}
     for path in MODULES:
         for node in _tree(path).body:
@@ -339,13 +352,84 @@ def test_every_public_method_is_reached():
             for unit, owner in units:
                 for sub in ast.walk(unit):
                     if isinstance(sub, ast.Attribute):
-                        attributes.setdefault(sub.attr, set()).add(owner)
+                        on_self = getattr(sub.value, "id", None) == "self"
+                        target = owner[0] if on_self and owner[1] else None
+                        attributes.setdefault(sub.attr, set()).add((owner, target))
                     elif isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
                         names.setdefault(sub.id, set()).add(owner[0])
     unreached = [
         f"{cls}.{name}"
         for cls, name in sorted(methods)
         if not names.get(cls, set()) - {cls, *LIBRARY_ENTRY_POINTS}
-        or not attributes.get(name, set()) - {(cls, name)}
+        or not any(
+            reader != (cls, name) and target in (None, cls)
+            for reader, target in attributes.get(name, ())
+        )
     ]
     assert unreached == sorted(UNREACHED_METHODS)
+
+
+# The optional parameters that no package call passes, each kept for its
+# reason; the listed entry points and unreached methods keep theirs too
+UNPASSED_PARAMETERS = {
+    "main.argv": "perfbench, tools/stdout_digests.py and the tests run the CLI in-process",
+    "is_trivial.limit": "the tests drive the handle-reduction budget, and no "
+    "test-sized word exhausts it at the default",
+}
+
+
+def _optional_parameters(func, bound):
+    """The parameters of a def that have a default, each as (name, position),
+    the position counted in a call's positional arguments (None for a
+    keyword-only one); ``bound`` drops the self or cls of a method."""
+    args = func.args
+    positional = args.posonlyargs + args.args
+    if bound:
+        positional = positional[1:]
+    first = len(positional) - len(args.defaults)
+    yield from ((a.arg, at) for at, a in enumerate(positional) if at >= first)
+    yield from (
+        (a.arg, None)
+        for a, default in zip(args.kwonlyargs, args.kw_defaults)
+        if default is not None
+    )
+
+
+def _passes(call, name, at):
+    """Whether a call passes the parameter ``name`` at position ``at``: by
+    keyword, by a ``**`` or ``*`` argument, or in its positional arguments."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return at is not None
+    return at is not None and len(call.args) > at
+
+
+def test_every_optional_parameter_is_passed():
+    # an optional parameter of a public function or method (dunders aside)
+    # is passed, by position or keyword, at some call of that name in code
+    # of the package other than the def's own body; or its def is a listed
+    # entry point or unreached method, or the parameter is listed above
+    defs, calls = [], []
+    for path in MODULES:
+        for node in _tree(path).body:
+            units = [(node, getattr(node, "name", None))]
+            if isinstance(node, ast.ClassDef):
+                units = [(sub, f"{node.name}.{getattr(sub, 'name', '')}") for sub in node.body]
+            for unit, owner in units:
+                if isinstance(unit, ast.FunctionDef) and not unit.name.startswith("_"):
+                    defs.append((owner, unit, "." in owner))
+                calls += [(owner, sub) for sub in ast.walk(unit) if isinstance(sub, ast.Call)]
+    unpassed = [
+        f"{owner}.{name}"
+        for owner, func, bound in defs
+        if owner not in LIBRARY_ENTRY_POINTS and owner not in UNREACHED_METHODS
+        for name, at in _optional_parameters(func, bound)
+        if not any(
+            caller != owner
+            and getattr(call.func, "attr", getattr(call.func, "id", None)) == func.name
+            and _passes(call, name, at)
+            for caller, call in calls
+        )
+    ]
+    assert sorted(unpassed) == sorted(UNPASSED_PARAMETERS)

@@ -13,6 +13,7 @@ from operadkit.errors import (
 from operadkit.ordinals import NOrdinal, enumerate_ordinals, make_ordinal
 from operadkit.quasicat import build_j
 from operadkit.strata import (
+    _DRAWS,
     Configuration,
     StratumLabel,
     _classify,
@@ -130,11 +131,17 @@ def test_verify_partition_covers_all_strata():
 
 def test_random_configuration_resource_limit():
     class Stuck:
+        calls = 0
+
         def randint(self, a, b):
+            self.calls += 1
             return 0
 
-    with pytest.raises(ResourceLimit):
-        random_configuration(Stuck(), 2, 2, max_attempts=17)
+    stuck = Stuck()
+    with pytest.raises(ResourceLimit) as caught:
+        random_configuration(stuck, 2, 2)
+    assert caught.value.to_json()["attempts"] == _DRAWS
+    assert stuck.calls == _DRAWS * 2 * 2
     c = random_configuration(random.Random(3), 2, 3)
     assert c.arity == 3
 
@@ -232,7 +239,7 @@ def test_degeneration_agrees_with_the_fraction_walk():
     for n, k in [(2, 4), (3, 3)]:
         p = build_j(n, k)
         labels = p.elements
-        for i, j in p.covering_pairs():
+        for i, j in p.covers:
             expected = _degeneration_by_fraction_walk(labels[i], labels[j])
             assert degeneration_check(labels[i], labels[j]) is expected
 
@@ -253,6 +260,6 @@ def test_degeneration_walk_builds_no_objects(monkeypatch):
             built.append(type(self).__name__)
             _init(self)
         monkeypatch.setattr(cls, "__post_init__", counting)
-    for i, j in p.covering_pairs():
+    for i, j in p.covers:
         assert degeneration_check(labels[i], labels[j])
     assert built == []

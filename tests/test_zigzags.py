@@ -117,6 +117,20 @@ def test_merge_preserves_class():
         merge_spans(vi, vj, x, bad)
 
 
+def test_products_and_merges_refuse_mismatched_endpoints():
+    # a product needs the second zigzag to start where the first ends, and
+    # a merge needs the two spans to share their inner object
+    gen = generator_span(3, 1)
+    s = sharp(3)
+    other = span(identity_map(s), identity_map(s))
+    with pytest.raises(EndpointMismatch) as info:
+        gen * other
+    assert info.value.payload == {"left": flat(3).to_json(), "right": s.to_json()}
+    with pytest.raises(EndpointMismatch) as info:
+        merge_spans(gen, other, identity_map(s), identity_map(s))
+    assert info.value.payload == {"left": flat(3).to_json(), "right": s.to_json()}
+
+
 def test_pushforward_preserves_class():
     z = generator_span(3, 1)
     mid = z.legs[0][1].target

@@ -84,6 +84,7 @@ from .strata import (
     classify_stratum,
     configuration_from_json,
     degeneration_check,
+    degeneration_failures,
     label_key,
     random_configuration,
     sample_stratum,

@@ -69,7 +69,7 @@ from .quasicat import build_j, build_q, cellular_j, cellular_q, chain_counts, ne
 from .strata import (
     classify_stratum,
     configuration_from_json,
-    degeneration_check,
+    degeneration_failures,
     label_key,
     sample_stratum,
     stratum_from_json,
@@ -406,11 +406,10 @@ def _cmd_verify_partition(args, doc):
 
 def _cmd_degeneration(args, doc):
     p = build_j(args.n, args.k)
-    failures = []
-    for i, j in p.covers:
-        upper, lower = p.elements[i], p.elements[j]
-        if not degeneration_check(upper, lower):
-            failures.append({"upper": upper.to_json(), "lower": lower.to_json()})
+    failures = [
+        {"upper": p.elements[i].to_json(), "lower": p.elements[j].to_json()}
+        for i, j in degeneration_failures(p.elements, p.covers)
+    ]
     payload = {
         "n": args.n,
         "k": args.k,

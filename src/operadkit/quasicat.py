@@ -24,7 +24,7 @@ ordinal, and S_k acts freely on it, so Q_n(k) gets one cell per n-ordinal
 
 from __future__ import annotations
 
-import functools
+import collections.abc
 import itertools
 import math
 from dataclasses import dataclass
@@ -199,6 +199,35 @@ def _nerve(heads: list, tables, max_dim: int | None, message: str, **where) -> C
     return ChainComplex.from_cells(cells[: len(counts)], face_list)
 
 
+class _Relations(collections.abc.Set):
+    """The pairs (i, j) with bit j of below[i] set, read from the masks:
+    the size from their bit counts, membership by a bit test, and the
+    pairs in order of i, then j."""
+
+    __slots__ = ("_below",)
+
+    def __init__(self, below: tuple[int, ...]):
+        self._below = below
+
+    def __len__(self) -> int:
+        return sum(mask.bit_count() for mask in self._below)
+
+    def __contains__(self, pair) -> bool:
+        if not isinstance(pair, tuple) or len(pair) != 2:
+            return False
+        i, j = pair
+        return (
+            isinstance(i, int)
+            and isinstance(j, int)
+            and 0 <= i < len(self._below)
+            and j >= 0
+            and self._below[i] >> j & 1 == 1
+        )
+
+    def __iter__(self):
+        return ((i, j) for i, mask in enumerate(self._below) for j in _bits(mask))
+
+
 @dataclass(frozen=True)
 class MilgramPoset:
     n: int
@@ -207,12 +236,11 @@ class MilgramPoset:
     below: tuple[int, ...]  # bit j of below[i]: element i strictly above element j
     covers: tuple[tuple[int, int], ...]  # sorted (i, j): j a facet of i, nothing between
 
-    @functools.cached_property
-    def above(self) -> frozenset:
-        """Pairs (i, j) with element i strictly above element j."""
-        return frozenset(
-            (i, j) for i, mask in enumerate(self.below) for j in _bits(mask)
-        )
+    @property
+    def above(self) -> _Relations:
+        """Pairs (i, j) with element i strictly above element j, as a
+        read-only set over the below masks."""
+        return _Relations(self.below)
 
     def to_json(self) -> dict:
         return {

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -252,43 +253,78 @@ def verify_partition(n: int, k: int, trials: int, seed: int = 0) -> PartitionRep
     return PartitionReport(n, k, trials, universe, len(tally), tally)
 
 
+def _evidence(label: StratumLabel) -> tuple[tuple, list[tuple] | None, list[tuple] | None]:
+    """The (levels, labels) of the label, its sample points, and those
+    points scaled by 2^7 - 1; None in place of both when the sample does
+    not classify back into the label."""
+    want = (label.ordinal.levels, label.labels)
+    points = _sample_points(label)
+    if _classify(points) != want:
+        return want, None, None
+    return want, points, [tuple((2**7 - 1) * a for a in p) for p in points]
+
+
+def degeneration_failures(
+    elements: Sequence[StratumLabel], covers: Sequence[tuple[int, int]]
+) -> list[tuple[int, int]]:
+    """The pairs (i, j) of covers, in their order, for which the numeric
+    evidence that elements[j] lies in the closure of elements[i] fails.
+
+    The evidence walks the straight segment from a lower sample point to an
+    upper sample point and checks that its points at t = 1, 1/2, .., 1/128
+    lie in the upper stratum.  A stratum is an intersection of hyperplanes
+    (consecutive sorted points agree below their level) and open
+    half-spaces (they increase at it), so it is convex: the 8 points lie
+    in it exactly when the two ends, t = 1 and t = 1/128, do.  The end
+    t = 1 is the upper sample itself, so each element that a cover reads
+    is sampled, and its sample classified back into it, once; a cover
+    reading an element whose sample fails fails.  Each cover then
+    classifies its end t = 1/128, scaled by 2^7 as the integer point
+    2^7 * low + (high - low); scaling by a positive number keeps a
+    configuration in its stratum.  Each sample is kept scaled by 2^7 - 1
+    as well, so a cover only adds its upper sample to its lower one.
+    Plain integer tuples are classified with the classifier of
+    classify_stratum and compared with the upper (levels, labels); no
+    configuration or label is built along the way.  This is a falsifier
+    on convex cells, not a proof: a cover fails when an end leaves the
+    upper stratum, two points collide there, or its two elements are
+    equal.  Elements that no cover reads are not sampled.  A cover whose
+    elements differ in dimension or number of points raises
+    DimensionMismatch before anything is sampled.
+    """
+    for i, j in covers:
+        upper, lower = elements[i], elements[j]
+        if (
+            upper.ordinal.n != lower.ordinal.n
+            or upper.ordinal.arity != lower.ordinal.arity
+        ):
+            raise DimensionMismatch(
+                "strata must share the dimension and the number of points",
+                upper=upper.to_json(),
+                lower=lower.to_json(),
+            )
+    evidence = {x: _evidence(elements[x]) for x in {x for cover in covers for x in cover}}
+    failed = []
+    for i, j in covers:
+        want, high, _ = evidence[i]
+        key, _, lifted = evidence[j]
+        if high is None or lifted is None or want == key:
+            failed.append((i, j))
+            continue
+        # the end t = 1/128 scaled by 2^7: (2^7 - 1) * low + high
+        end = [tuple(map(operator.add, p, q)) for p, q in zip(lifted, high)]
+        if _classify(end) != want:
+            failed.append((i, j))
+    return failed
+
+
 def degeneration_check(upper: StratumLabel, lower: StratumLabel) -> bool:
     """Numeric evidence that the lower stratum lies in the closure of the
-    upper one: walk the straight segment from a lower sample point to an
-    upper sample point and check that its points at t = 1, 1/2, .., 1/128
-    lie in the upper stratum.
+    upper one: degeneration_failures on the one cover (upper, lower).
 
-    A stratum is an intersection of hyperplanes (consecutive sorted points
-    agree below their level) and open half-spaces (they increase at it),
-    so it is convex: the 8 points lie in it exactly when the two ends,
-    t = 1 and t = 1/128, do.  Only those two are classified.  The point at
-    t = 2^-s is classified scaled by 2^s, as the integer point
-    2^s * low + (high - low); scaling by a positive number keeps a
-    configuration in its stratum.  Each end classifies plain integer
-    tuples with the classifier of classify_stratum and compares the result
-    with the upper (levels, labels); no configuration or label is built
-    along the way.  This is a falsifier on convex cells, not a proof; it
-    returns False when an end leaves the upper stratum or two points
-    collide there.
+    Both elements are sampled and self-checked, and the cover gets its one
+    classification at s = 7; False when an end leaves the upper stratum,
+    two points collide there, or the strata are equal.  Strata that differ
+    in dimension or number of points raise DimensionMismatch.
     """
-    if (
-        upper.ordinal.n != lower.ordinal.n
-        or upper.ordinal.arity != lower.ordinal.arity
-    ):
-        raise DimensionMismatch(
-            "strata must share the dimension and the number of points",
-            upper=upper.to_json(),
-            lower=lower.to_json(),
-        )
-    if upper == lower:
-        return False
-    low = _sample_points(lower)
-    high = _sample_points(upper)
-    if _classify(low) != (lower.ordinal.levels, lower.labels):
-        return False
-    want = (upper.ordinal.levels, upper.labels)
-    for scale in (1, 2**7):
-        pts = [tuple(scale * a + b - a for a, b in zip(p, q)) for p, q in zip(low, high)]
-        if _classify(pts) != want:
-            return False
-    return True
+    return not degeneration_failures((upper, lower), ((0, 1),))

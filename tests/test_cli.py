@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import reference
 
-from operadkit import cli, zigzags
+from operadkit import cli, strata, zigzags
 from operadkit.braids import BraidWord
 from operadkit.cli import _build_parser, _dumps, _grid, main
 from operadkit.errors import DiagramBroken, ResourceLimit, printable, printable_by_log2
@@ -34,6 +34,7 @@ from operadkit.operads import (
 )
 from operadkit.ordinal_maps import OrdinalMap
 from operadkit.ordinals import make_ordinal
+from operadkit.quasicat import build_j
 from operadkit.strata import stratum_from_json
 from operadkit.zigzags import ZigZag
 
@@ -1116,10 +1117,32 @@ def test_verify_partition_fails_when_more_strata_are_seen_than_exist(capsys, mon
 
 
 def test_degeneration_fails_with_every_broken_cover(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "degeneration_check", lambda upper, lower: False)
+    monkeypatch.setattr(cli, "degeneration_failures", lambda elements, covers: list(covers))
     payload = _failed(["degeneration", "--n", "2", "--k", "2"], capsys)
     assert payload["covering_pairs"] == len(payload["failures"]) == 4
     assert all(sorted(f) == ["lower", "upper"] for f in payload["failures"])
+
+
+def test_degeneration_fails_with_the_covers_of_a_broken_sample(capsys, monkeypatch):
+    # one element's sample collides: the covers that read it, as upper or
+    # as lower, fail, in cover order, and no other cover does
+    p = build_j(2, 3)
+    uppers = {i for i, _ in p.covers}
+    x = next(j for _, j in p.covers if j in uppers)
+    real = strata._sample_points
+
+    def colliding(label):
+        points = real(label)
+        return [points[0]] * len(points) if label == p.elements[x] else points
+
+    monkeypatch.setattr(strata, "_sample_points", colliding)
+    payload = _failed(["degeneration", "--n", "2", "--k", "3"], capsys)
+    broken = [(i, j) for i, j in p.covers if x in (i, j)]
+    assert payload["covering_pairs"] == len(p.covers)
+    assert payload["failures"] == [
+        {"upper": p.elements[i].to_json(), "lower": p.elements[j].to_json()} for i, j in broken
+    ]
+    assert any(i == x for i, _ in broken) and any(j == x for _, j in broken)
 
 
 @pytest.mark.parametrize(

@@ -829,6 +829,10 @@ def test_braided_action_argument_errors():
     op = desymmetrise(orders_operad(3), 2)
     with pytest.raises(BoundExceeded):
         braided_action_from_quasisymmetric(op, 4)
+    for k in (0, -1):
+        with pytest.raises(OutOfRange) as info:
+            braided_action_from_quasisymmetric(op, k)
+        assert info.value.payload == {"strands": k}
     with pytest.raises(NotQuasisymmetric):
         braided_action_from_quasisymmetric(non_quasisymmetric_operad(), 2)
 

@@ -195,3 +195,15 @@ def test_factorization_json():
     obj = factorize(sigma).to_json()
     assert set(obj) == {"pi", "middle", "nu"}
     assert obj["middle"]["levels"] == [1, 1]
+
+
+def test_restriction_refuses_a_repeated_position():
+    # a repeated position on either side would induce a sub-ordinal with a
+    # point listed twice
+    sigma = identity_map(make_ordinal(2, [0, 1]))
+    with pytest.raises(OutOfRange) as info:
+        restrict_map(sigma, [1, 0, 1], [0, 1])
+    assert info.value.payload == {"positions": [0, 1, 1]}
+    with pytest.raises(OutOfRange) as info:
+        restrict_map(sigma, [0], [0, 0])
+    assert info.value.payload == {"positions": [0, 0]}

@@ -15,6 +15,16 @@ from operadkit.ordinals import (
 from oracles import count_all_structures, count_ascending_structures, from_relations
 
 
+def test_check_position_refuses_positions_outside_the_underlying_set():
+    a = make_ordinal(2, [0, 1])
+    for p in range(3):
+        a.check_position(p)
+    for p in (-1, 3):
+        with pytest.raises(OutOfRange) as info:
+            a.check_position(p)
+        assert info.value.payload == {"position": p, "arity": 3}
+
+
 def test_relation_table_of_a_2_ordinal():
     a = make_ordinal(2, [0, 1, 1])
     relations = [(x, y, a.rel(x, y)) for x in range(a.arity) for y in range(x + 1, a.arity)]

@@ -195,6 +195,30 @@ def test_quotient_correspondence_small():
         assert checked == len(p.above)
 
 
+@pytest.mark.parametrize("n, k", [(2, 4), (3, 3), (2, 0)])
+def test_above_is_a_set_view_of_the_below_masks(monkeypatch, n, k):
+    p = build_j(n, k)
+    size = len(p.elements)
+    built = frozenset(
+        (i, j) for i, mask in enumerate(p.below) for j in range(size) if mask >> j & 1
+    )
+    assert p.above == built and built == p.above and set(p.above) == built
+    assert list(p.above) == sorted(built)
+    assert len(p.above) == len(p.to_json()["relations"]) == len(built)
+    assert all(pair in p.above for pair in built)
+    outside = [(size, 0), (0, size), (-1, 0), (0, -1), (-size, 0), (0, 1, 2), [0, 1], 0]
+    outside += [(i - size, j) for i, j in built] + [(i, j - size) for i, j in built]
+    outside += [(i, j + size) for i, j in built]
+    assert not any(pair in p.above for pair in outside)
+    quasicat = importlib.import_module("operadkit.quasicat")
+
+    def refused(mask):
+        raise AssertionError("len lists bits")
+
+    monkeypatch.setattr(quasicat, "_bits", refused)
+    assert len(p.above) == len(built)
+
+
 def test_order_complex_truncation():
     p = build_j(2, 3)
     complex_ = order_complex(p, max_dim=1)

@@ -11,6 +11,7 @@ from operadkit.errors import (
     ResourceLimit,
 )
 from operadkit.ordinals import NOrdinal, enumerate_ordinals, make_ordinal
+from operadkit import strata
 from operadkit.quasicat import build_j
 from operadkit.strata import (
     _DRAWS,
@@ -20,6 +21,7 @@ from operadkit.strata import (
     classify_stratum,
     configuration_from_json,
     degeneration_check,
+    degeneration_failures,
     label_key,
     random_configuration,
     sample_stratum,
@@ -161,6 +163,10 @@ def test_degeneration_dimension_mismatch():
     b = StratumLabel(make_ordinal(3, [0]), (0, 1))
     with pytest.raises(DimensionMismatch):
         degeneration_check(a, b)
+    # refused before a sample with 10^400 coordinates a point is made
+    huge = StratumLabel(make_ordinal(10**400, [0]), (0, 1))
+    with pytest.raises(DimensionMismatch):
+        degeneration_check(huge, a)
 
 
 def test_degeneration_agrees_with_poset():
@@ -177,6 +183,53 @@ def test_degeneration_agrees_with_poset():
                 labels[i],
                 labels[j],
             )
+
+
+def test_degeneration_failures_are_the_failed_one_cover_checks():
+    # every ordered pair of J(2,3), itself included, as a cover
+    labels = build_j(2, 3).elements
+    pairs = list(itertools.product(range(len(labels)), repeat=2))
+    expected = [(i, j) for i, j in pairs if not degeneration_check(labels[i], labels[j])]
+    assert degeneration_failures(labels, pairs) == expected
+
+
+def _collide(points):
+    return [points[0]] * len(points)
+
+
+def _swap_first_two(points):
+    # a sample of another stratum: the first two labels trade places
+    return [points[1], points[0], *points[2:]]
+
+
+@pytest.mark.parametrize("spoil", [_collide, _swap_first_two], ids=["collide", "elsewhere"])
+def test_an_element_whose_sample_fails_fails_every_cover_that_reads_it(monkeypatch, spoil):
+    p = build_j(2, 3)
+    uppers = {i for i, _ in p.covers}
+    x = next(j for _, j in p.covers if j in uppers)  # read as upper and as lower
+    real = strata._sample_points
+
+    def spoiled(label):
+        points = real(label)
+        return spoil(points) if label == p.elements[x] else points
+
+    monkeypatch.setattr(strata, "_sample_points", spoiled)
+    failed = degeneration_failures(p.elements, p.covers)
+    assert failed == [cover for cover in p.covers if x in cover]
+    assert x in {i for i, _ in failed} and x in {j for _, j in failed}
+
+
+def test_only_the_elements_that_covers_read_are_sampled(monkeypatch):
+    p = build_j(2, 3)
+    real = strata._sample_points
+    sampled = []
+    monkeypatch.setattr(strata, "_sample_points", lambda label: sampled.append(label) or real(label))
+    i, j = p.covers[0]
+    assert degeneration_failures(p.elements, [(i, j), (i, j)]) == []
+    assert sorted(sampled, key=p.elements.index) == [p.elements[i], p.elements[j]]
+    sampled.clear()
+    assert degeneration_failures(p.elements, []) == []
+    assert sampled == []
 
 
 def test_label_key_is_stable():

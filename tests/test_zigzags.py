@@ -131,6 +131,21 @@ def test_products_and_merges_refuse_mismatched_endpoints():
     assert info.value.payload == {"left": flat(3).to_json(), "right": s.to_json()}
 
 
+def test_span_moves_refuse_a_zigzag_that_is_not_a_span():
+    # pushforward and merge_spans take a span (fwd, back); a (back, fwd)
+    # zigzag or a longer one is refused before any leg is composed
+    cospan = wedge(3, (1, 2, 0), (0, 1, 2))
+    gen = generator_span(3, 1)
+    ident = identity_map(sharp(3))
+    for z in (cospan, gen * gen):
+        with pytest.raises(OutOfRange):
+            pushforward(z, ident)
+        with pytest.raises(OutOfRange):
+            merge_spans(gen, z, ident, ident)
+        with pytest.raises(OutOfRange):
+            merge_spans(z, gen, ident, ident)
+
+
 def test_pushforward_preserves_class():
     z = generator_span(3, 1)
     mid = z.legs[0][1].target
@@ -223,6 +238,9 @@ def test_split_with_prescribed_blocks():
         split_zigzag(z, blocks=[1, 3])
     with pytest.raises(NotBlockDecomposable):
         split_zigzag(z, blocks=[2, 1])
+    with pytest.raises(OutOfRange) as info:
+        split_zigzag(z, blocks=[-1, 5])
+    assert info.value.payload == {"size": -1}
 
 
 def test_split_shape_errors():

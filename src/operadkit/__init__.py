@@ -83,7 +83,6 @@ from .strata import (
     StratumLabel,
     classify_stratum,
     configuration_from_json,
-    degeneration_check,
     degeneration_failures,
     label_key,
     random_configuration,

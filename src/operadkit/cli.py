@@ -12,18 +12,21 @@ arguments, and seed; wall-clock timing goes to stderr only.
 
 The report is written by ``_put``, which gives byte for byte what
 ``json.dumps(report, indent=2, sort_keys=True, default=str)`` gives, as a
-list of pieces, by three paths: an int grid, such as an operad's
-multiplication tables, is one ``%``-format; other lists and str-keyed
-dicts append their brackets, separators and items as pieces; the rest
-goes to ``json.dumps``.  Empty lists and dicts are the literals ``[]`` and
-``{}``.  An operad table reaches the writer as a ``Grid``, its flat list
-and shape, and is written as its nested lists straight from the flat
-list.  For one report the writer keeps, in its memo ``texts``, each
-tuple's text and each key set's sorted, encoded keys, so the carrier
-elements and the records of a FAIL report's hundreds of witnesses are
-formatted and sorted once; nothing is kept from one report to the next.
-The whole report is formatted before its first piece is written,
-so stdout gets a report completely or not at all.
+list of pieces, by three paths: a ``Grid`` (an int table held as its
+flat list and shape, such as an operad's multiplication tables or
+``build-j``'s relations and covering pairs) is one ``%``-format, written
+as its nested lists straight from the flat list; other lists and
+str-keyed dicts append their brackets, separators and items as pieces,
+a list of ints as one piece; the rest goes to ``json.dumps``.  Empty
+lists and dicts are the literals ``[]`` and ``{}``.  A Grid is the only
+way an int table reaches the writer as one piece: nested lists, such as
+``split``'s ``blocks``, take the general path.  For one report the
+writer keeps, in its memo ``texts``, each tuple's text and each key
+set's sorted, encoded keys, so the carrier elements and the records of a
+FAIL report's hundreds of witnesses are formatted and sorted once;
+nothing is kept from one report to the next.  The whole report is
+formatted before its first piece is written, so stdout gets a report
+completely or not at all.
 """
 
 from __future__ import annotations
@@ -151,6 +154,11 @@ def _dot_poset(p) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _pairs(pairs) -> Grid:
+    """A sequence of pairs of ints as a Grid of shape (len(pairs), 2)."""
+    return Grid(tuple(chain.from_iterable(pairs)), (len(pairs), 2))
+
+
 # -- command handlers ----------------------------------------------------
 
 
@@ -216,7 +224,9 @@ def _cmd_build_j(args, doc):
     p = build_j(args.n, args.k)
     if args.dot:
         return _dot_poset(p)
-    return {**p.to_json(), "covering_pairs": [list(c) for c in p.covers]}
+    # flatten to_json's relations rather than walk the below masks twice
+    out = p.to_json()
+    return {**out, "relations": _pairs(out["relations"]), "covering_pairs": _pairs(p.covers)}
 
 
 def _cmd_nerve(args, doc):
@@ -546,30 +556,6 @@ def _layout(shape, pad) -> str:
     return layout
 
 
-def _grid(rows, pad) -> str | None:
-    """``rows``, a non-empty list of lists, as one ``%``-format if it is an
-    int grid: its items equally long, non-empty lists, nested to any
-    depth, with every leaf of exact type int.  None for anything else,
-    decided from the first leaf before anything is flattened."""
-    first = rows
-    while type(first) is list and first:
-        first = first[0]
-    if type(first) is not int:
-        return None
-    shape = [len(rows)]
-    level, kinds = rows, {list}
-    while kinds == {list}:
-        width = len(level[0])
-        if not all(map(width.__eq__, map(len, level))):
-            return None
-        shape.append(width)
-        level = list(chain.from_iterable(level))
-        kinds = set(map(type, level))
-    if kinds != {int}:
-        return None
-    return _layout(shape, pad) % tuple(level)
-
-
 def _put(value, out, pad, texts) -> None:
     """Append to ``out`` the pieces of
     ``json.dumps(value, indent=2, sort_keys=True, default=str)``, byte for
@@ -578,12 +564,12 @@ def _put(value, out, pad, texts) -> None:
     lists that ``Grid.nested`` gives.
 
     A str, an int, an empty list or dict (the literals ``[]`` and ``{}``),
-    a list of ints, an int grid (see ``_grid``) and a Grid are one piece
-    each, the last two one ``%``-format (see ``_layout``).  Other
-    non-empty lists and str-keyed dicts append their opening bracket with
-    the first item's separator, each item, and their closing bracket, with
-    no join over their items.  A tuple is written as the list of its
-    items, once per indent: ``texts`` keeps its text by ``id`` for the
+    a list of ints and a Grid are one piece each, the last one
+    ``%``-format (see ``_layout``).  Other non-empty lists (nested lists
+    of ints among them) and str-keyed dicts append their opening bracket
+    with the first item's separator, each item, and their closing
+    bracket, with no join over their items.  A tuple is written as the
+    list of its items, once per indent: ``texts`` keeps its text by ``id`` for the
     rest of one report, so a carrier element that a report names in many
     witnesses is formatted once.  Every tuple written is part of the
     report, so no id is reused while ``texts`` lives.  A dict's keys are
@@ -607,10 +593,7 @@ def _put(value, out, pad, texts) -> None:
         out.append("[]" if kind is list else "{}")
     elif kind is list:
         inner = pad + "  "
-        kinds = set(map(type, value))
-        if kinds == {list} and (grid := _grid(value, pad)) is not None:
-            out.append(grid)
-        elif kinds == {int}:
+        if set(map(type, value)) == {int}:
             out.append(f"[{inner}{(',' + inner).join(map(int.__repr__, value))}{pad}]")
         else:
             sep, comma = "[" + inner, "," + inner

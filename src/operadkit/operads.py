@@ -50,7 +50,6 @@ from .ordinal_maps import (
     fiber,
     identity_map,
     induced,
-    morphism_violation,
     restrict_map,
 )
 from .ordinals import NOrdinal, count_ordinals, enumerate_ordinals, make_ordinal
@@ -410,20 +409,12 @@ def _key(source: NOrdinal, target: NOrdinal, table: tuple[int, ...]) -> tuple:
     return source.levels, target.arity, target.levels, table
 
 
-def _candidates(objs: list[NOrdinal]) -> Iterator[tuple]:
-    """(t, s, table) for every table from t onto no longer s among objs, in
-    product order: the candidates among which the surjections are found."""
-    for t, s in itertools.product(objs, repeat=2):
-        if s.arity <= t.arity:
-            for table in itertools.product(range(s.arity), repeat=t.arity):
-                yield t, s, table
-
-
 def _candidate_count(flavor: Flavor, bound: int) -> int:
-    """How many candidates ``_candidates`` yields within bound, from the
-    index ordinals per arity: b**a tables from each of arity a onto each of
-    arity b <= a.  Summed one source arity at a time through within_cap, so
-    it refuses at the first arity past LIST_CAP and lists no ordinal."""
+    """How many product tables ``_surjections`` walks within bound through
+    ``enumerate_maps(t, s, "onto")``, from the index ordinals per arity:
+    b**a tables from each of arity a onto each of arity b <= a.  Summed one
+    source arity at a time through within_cap, so it refuses at the first
+    arity past LIST_CAP and lists no ordinal."""
     n = _index_n(flavor)
     total = 0
     for a in range(1, bound + 1):
@@ -436,23 +427,24 @@ def _candidate_count(flavor: Flavor, bound: int) -> int:
 def _surjections(op: FiniteOperad, bound: int) -> dict[tuple, _Surjection]:
     """Every surjection between index ordinals within bound, by key: the
     morphisms whose tables the axioms quantify over, each derived once.
-    Past LIST_CAP candidate tables ``_index_ordinals`` raises ResourceLimit
-    before the first index ordinal is listed."""
+    Each ordered pair of index ordinals gives its surjections, in product
+    order, through ``enumerate_maps(t, s, "onto")``.  Past LIST_CAP
+    candidate tables ``_index_ordinals`` raises ResourceLimit before the
+    first index ordinal is listed."""
     size = {key: len(elems) for key, elems in op.collection.carrier.items()}
     objs = _index_ordinals(op.flavor, bound)
     out = {}
-    for t, s, table in _candidates(objs):
-        if len(set(table)) != s.arity or morphism_violation(t, s, table) is not None:
-            continue
-        sigma = OrdinalMap(t, s, table)
-        blocks = tuple(
-            tuple(i for i, v in enumerate(table) if v == j) for j in range(s.arity)
-        )
-        fibers = tuple(induced(t, block) for block in blocks)
-        keys = tuple(_carrier_key(op.flavor, a) for a in (s, *fibers))
-        sizes = tuple(size.get(key, 0) for key in keys)
-        rec = _Surjection(sigma, morphism_key(sigma), blocks, fibers, keys, sizes)
-        out[_key(t, s, table)] = rec
+    for t, s in itertools.product(objs, repeat=2):
+        for sigma in enumerate_maps(t, s, "onto"):
+            table = sigma.table
+            blocks = tuple(
+                tuple(i for i, v in enumerate(table) if v == j) for j in range(s.arity)
+            )
+            fibers = tuple(induced(t, block) for block in blocks)
+            keys = tuple(_carrier_key(op.flavor, a) for a in (s, *fibers))
+            sizes = tuple(size.get(key, 0) for key in keys)
+            rec = _Surjection(sigma, morphism_key(sigma), blocks, fibers, keys, sizes)
+            out[_key(t, s, table)] = rec
     return out
 
 
@@ -1338,17 +1330,16 @@ def all_factorizations(
     sigma: OrdinalMap, n: int
 ) -> Iterator[tuple[OrdinalMap, OrdinalMap]]:
     """Every splitting of sigma as an order-preserving map after a
-    quasibijection, over all middle n-ordinals of the same arity."""
-    total = sigma.source.arity
-    for mid in enumerate_ordinals(n, total):
+    quasibijection, over all middle n-ordinals of the same arity: each
+    quasibijection pi onto a middle ordinal, with the nu it forces when
+    that is one of the order-preserving maps that ``enumerate_maps``
+    lists from the middle ordinal to the target."""
+    for mid in enumerate_ordinals(n, sigma.source.arity):
+        order = {nu.table: nu for nu in enumerate_maps(mid, sigma.target, kind="order")}
         for pi in enumerate_maps(sigma.source, mid, kind="quasi"):
-            inv = invert(pi.table)
-            nu_table = tuple(sigma.table[p] for p in inv)
-            if any(nu_table[r] > nu_table[r + 1] for r in range(total - 1)):
-                continue
-            if morphism_violation(mid, sigma.target, nu_table) is not None:
-                continue
-            yield pi, OrdinalMap(mid, sigma.target, nu_table)
+            nu = order.get(tuple(sigma.table[p] for p in invert(pi.table)))
+            if nu is not None:
+                yield pi, nu
 
 
 def extend_multiplication(

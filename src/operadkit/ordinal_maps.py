@@ -205,11 +205,16 @@ def restrict_map(
 def enumerate_maps(
     source: NOrdinal, target: NOrdinal, kind: str = "all"
 ) -> Iterator[OrdinalMap]:
-    """All valid maps source -> target in lexicographic table order.
+    """All valid maps source -> target in lexicographic table order: the
+    one listing of maps between ordinals.
 
-    kind: "all", "quasi" (bijections) or "order" (order-preserving).
+    kind: "all", "onto" (surjections), "quasi" (bijections) or "order"
+    (order-preserving).  "onto" and "quasi" return at once when no map of
+    their kind can exist.  "all" and "onto" walk the m**k product tables
+    of an m-ary target; "onto" tests the map conditions on the surjective
+    ones only.
     """
-    if kind not in ("all", "quasi", "order"):
+    if kind not in ("all", "onto", "quasi", "order"):
         raise OutOfRange("unknown map kind", kind=kind)
     k, m = source.arity, target.arity
     if kind == "quasi":
@@ -218,6 +223,12 @@ def enumerate_maps(
         candidates = itertools.permutations(range(m))
     elif kind == "order":
         candidates = itertools.combinations_with_replacement(range(m), k)
+    elif kind == "onto":
+        if m > k:
+            return
+        candidates = (
+            t for t in itertools.product(range(m), repeat=k) if len(set(t)) == m
+        )
     else:
         candidates = itertools.product(range(m), repeat=k)
     for table in candidates:

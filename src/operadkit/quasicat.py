@@ -247,9 +247,7 @@ class MilgramPoset:
             "n": self.n,
             "k": self.k,
             "elements": [e.to_json() for e in self.elements],
-            "relations": [
-                [i, j] for i, mask in enumerate(self.below) for j in _bits(mask)
-            ],
+            "relations": [list(pair) for pair in self.above],
         }
 
 

@@ -317,14 +317,3 @@ def degeneration_failures(
             failed.append((i, j))
     return failed
 
-
-def degeneration_check(upper: StratumLabel, lower: StratumLabel) -> bool:
-    """Numeric evidence that the lower stratum lies in the closure of the
-    upper one: degeneration_failures on the one cover (upper, lower).
-
-    Both elements are sampled and self-checked, and the cover gets its one
-    classification at s = 7; False when an end leaves the upper stratum,
-    two points collide there, or the strata are equal.  Strata that differ
-    in dimension or number of points raise DimensionMismatch.
-    """
-    return not degeneration_failures((upper, lower), ((0, 1),))

@@ -9,6 +9,8 @@ import platform
 import subprocess
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -40,8 +42,8 @@ def test_bench_record_layout_and_refusal(tmp_path, monkeypatch):
     monkeypatch.setattr(tool, "bench_run", fake_run)
     _checkouts(tmp_path)
     argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
-            "--workload", "shapes", "--workload", "complexes", "--pairs", "2",
-            "--seed", "3", "--label", "t", "--out", str(tmp_path)]
+            "--run", "shapes:3", "--run", "complexes:1", "--pairs", "2",
+            "--label", "t", "--out", str(tmp_path)]
     assert tool.main(argv) == 0
 
     path = tmp_path / "BENCH_t.json"
@@ -55,12 +57,13 @@ def test_bench_record_layout_and_refusal(tmp_path, monkeypatch):
     parent, change = record["checkouts"]["parent"], record["checkouts"]["change"]
     assert set(parent) == {"commit", "dirty", "src_sha256"}
     assert parent["src_sha256"] != change["src_sha256"]
-    # the side that goes first alternates from pair to pair
+    # each --run in the order given, its own seed with each workload, and
+    # the side that goes first alternating from pair to pair
     assert [(r["workload"], r["seed"], r["pair"], r["side"]) for r in record["runs"]] == [
         ("shapes", 3, 1, "parent"), ("shapes", 3, 1, "change"),
         ("shapes", 3, 2, "change"), ("shapes", 3, 2, "parent"),
-        ("complexes", 3, 1, "parent"), ("complexes", 3, 1, "change"),
-        ("complexes", 3, 2, "change"), ("complexes", 3, 2, "parent"),
+        ("complexes", 1, 1, "parent"), ("complexes", 1, 1, "change"),
+        ("complexes", 1, 2, "change"), ("complexes", 1, 2, "parent"),
     ]
     assert all(c[3] == seconds for c in calls)
     assert record["runs"][0]["result"]["metrics"]["cal_wall_s"]["value"] == 2.01
@@ -97,7 +100,7 @@ def test_bench_record_traced_runs_keep_the_layer_share(tmp_path, monkeypatch):
     monkeypatch.setattr(tool, "run_py", fake_run_py)
     _checkouts(tmp_path)
     argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
-            "--workload", "shapes", "--pairs", "2", "--seed", "3", "--label", "t",
+            "--run", "shapes:3", "--pairs", "2", "--label", "t",
             "--out", str(tmp_path), "--trace"]
     assert tool.main(argv) == 0
 
@@ -112,3 +115,17 @@ def test_bench_record_traced_runs_keep_the_layer_share(tmp_path, monkeypatch):
     assert (share["parent_median"], share["change_median"], share["change_lower"]) == (
         0.95165, 0.95105, 1)
     assert {s["metric"] for s in record["summary"]} == {"layer_share", "operads.self_s"}
+
+
+def test_bench_record_refuses_a_run_that_is_not_workload_and_seed(tmp_path, monkeypatch, capsys):
+    tool = _tool()
+    monkeypatch.setattr(tool, "bench_run", lambda *a: pytest.fail("a run was started"))
+    _checkouts(tmp_path)
+    for bad in ("shapes", "shapes:", ":3", "shapes:x", "shapes:-1"):
+        argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+                "--run", bad, "--pairs", "1", "--label", "t", "--out", str(tmp_path)]
+        with pytest.raises(SystemExit) as info:
+            tool.main(argv)
+        assert info.value.code == 2
+        assert "expected WORKLOAD:SEED" in capsys.readouterr().err
+    assert not (tmp_path / "BENCH_t.json").exists()

@@ -132,6 +132,13 @@ def test_endomorphism_carrier_sizes():
     assert len(single.carrier_of(line(2))) == 1
 
 
+@pytest.mark.parametrize("values", [(), (0, 1, 0)], ids=["empty", "repeated"])
+def test_endomorphism_needs_a_nonempty_set_of_distinct_values(values):
+    with pytest.raises(OutOfRange) as info:
+        endomorphism_symmetric_operad(values, 2)
+    assert info.value.message == "need a nonempty set of distinct values"
+
+
 def test_endomorphism_substitution_instance():
     # negation after xor: value tables over lexicographic binary inputs
     op = endomorphism_symmetric_operad((0, 1), 2)
@@ -256,6 +263,10 @@ def test_braided_and_mixed_pullbacks_pass():
     assert check_operad_axioms(reflavor(end, MIXED2)).passed
     with pytest.raises(OutOfRange):
         reflavor(terminal_operad(BRAIDED, 2), BRAIDED)
+    # an n-operad is keyed by ordinals, not arities
+    with pytest.raises(OutOfRange) as info:
+        reflavor(orders_operad(3), N_OPERAD(2))
+    assert info.value.payload == {"flavor": str(N_OPERAD(2))}
 
 
 @pytest.mark.parametrize(
@@ -321,12 +332,18 @@ def test_longest_list_is_predicted_exactly(monkeypatch, make):
     [(SYMMETRIC, 5), (N_OPERAD(1), 4), (N_OPERAD(2), 2), (N_OPERAD(2), 4), (N_OPERAD(3), 3)],
 )
 def test_candidate_maps_are_predicted_exactly(flavor, bound):
-    # the prediction behind the surjection budget counts the tables tested
+    # the prediction behind the surjection budget counts the product tables
+    # that enumerate_maps(t, s, "onto") walks: every table from each index
+    # ordinal t onto each s no longer than t
     from operadkit import operads
 
     objs = operads._index_ordinals(flavor, bound)
-    enumerated = sum(1 for _ in operads._candidates(objs))
-    assert operads._candidate_count(flavor, bound) == enumerated
+    walked = sum(
+        sum(1 for _ in itertools.product(range(s.arity), repeat=t.arity))
+        for t, s in itertools.product(objs, repeat=2)
+        if s.arity <= t.arity
+    )
+    assert operads._candidate_count(flavor, bound) == walked
 
 
 @pytest.mark.parametrize(
@@ -546,6 +563,14 @@ def test_corrupt_action_raises_invariant_broken():
     braided = FiniteCollection(BRAIDED, op.collection.carrier, actions)
     with pytest.raises(InvariantBroken):
         check_operad_axioms(FiniteOperad(braided, op.unit, 2, {}, op.supplier))
+
+
+def test_a_generator_without_a_stored_action_is_missing():
+    coll = orders_operad(2).collection
+    assert coll.generator_action(1, 1) == [1, 0]
+    with pytest.raises(MissingTable) as info:
+        coll.generator_action(1, 2)  # arity 2 has the one generator 1
+    assert info.value.payload == {"key": "1", "generator": 2}
 
 
 def test_desymmetrise_endomorphism():
@@ -768,6 +793,10 @@ def test_extension_argument_errors():
         )
     with pytest.raises(OutOfRange):
         extend_multiplication(orders_operad(2), OrdinalMap(line(2), line(1), (0, 0)))
+    # a surjection from arity 4 lies past the operad's bound of 3
+    with pytest.raises(BoundExceeded) as info:
+        extend_multiplication(op, OrdinalMap(make_ordinal(2, [0, 0, 0]), point2(), (0,) * 4))
+    assert info.value.message == "morphism lies outside the operad bound"
 
 
 def test_braided_action_is_input_swap():

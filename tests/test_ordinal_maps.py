@@ -118,6 +118,34 @@ def test_enumeration_refuses_an_unknown_kind():
     assert info.value.payload == {"kind": "bijective"}
 
 
+def test_onto_lists_the_surjective_maps():
+    for s in enumerate_ordinals(2, 3):
+        for m in range(1, 4):
+            for t in enumerate_ordinals(2, m):
+                onto = list(enumerate_maps(s, t, "onto"))
+                assert onto == [f for f in enumerate_maps(s, t) if f.is_surjective]
+                if m == 3:
+                    assert onto == list(enumerate_maps(s, t, "quasi"))
+
+
+@pytest.mark.parametrize(
+    "source, target, kind",
+    [
+        (make_ordinal(2, [0, 1]), make_ordinal(2, [0]), "quasi"),
+        (make_ordinal(2, [0]), make_ordinal(2, [1, 0]), "quasi"),
+        (make_ordinal(2, [0]), make_ordinal(2, [1, 0]), "onto"),
+    ],
+    ids=["quasi-shorter", "quasi-longer", "onto-longer"],
+)
+def test_no_map_of_the_kind_lists_no_table(monkeypatch, source, target, kind):
+    # a kind of which no map exists returns before any table is made: with
+    # no itertools to draw tables from, the listing is still empty
+    from operadkit import ordinal_maps
+
+    monkeypatch.setattr(ordinal_maps, "itertools", None)
+    assert list(enumerate_maps(source, target, kind)) == []
+
+
 def test_induced_and_fibers():
     t = make_ordinal(2, [1, 0])
     assert induced(t, [0, 2]).levels == (0,)

@@ -207,6 +207,9 @@ def test_tree_round_trip():
     assert to_tree(b) == [0, 1, 2]
     c = make_ordinal(3, [2, 0])
     assert to_tree(c) == [[[0, 1]], [[2]]]
+    # the empty ordinal is the empty tree at every depth
+    for n in (1, 3):
+        assert to_tree(make_ordinal(n, [], arity=0)) == []
 
 
 def test_malformed_trees():

@@ -274,6 +274,38 @@ def test_the_first_square_condition_reads_r_off_sigma_p():
     assert r_values == ["tuple(dict.fromkeys(moved))"]
 
 
+def _owned_units(tree):
+    """Each top-level statement of a module with its name, and each
+    statement of a top-level class with its name as ``Class.name``."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            yield from ((sub, f"{node.name}.{getattr(sub, 'name', '')}") for sub in node.body)
+        else:
+            yield node, getattr(node, "name", None)
+
+
+def test_only_the_map_constructor_and_the_lister_test_map_conditions():
+    # enumerate_maps is the one listing of maps between ordinals and
+    # OrdinalMap the one constructor: no other code of the package reads
+    # morphism_violation, so a caller that wants maps of some kind lists
+    # them rather than filtering tables of its own
+    readers = [
+        f"{path.name}:{owner}"
+        for path in MODULES
+        for unit, owner in _owned_units(_tree(path))
+        if any(
+            isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+            and sub.id == "morphism_violation"
+            or isinstance(sub, ast.Attribute) and sub.attr == "morphism_violation"
+            for sub in ast.walk(unit)
+        )
+    ]
+    assert sorted(readers) == [
+        "ordinal_maps.py:OrdinalMap.__post_init__",
+        "ordinal_maps.py:enumerate_maps",
+    ]
+
+
 # The public functions that no code of the package names, each kept as a
 # library entry point for one of three reasons
 LIBRARY_ENTRY_POINTS = (
@@ -282,7 +314,6 @@ LIBRARY_ENTRY_POINTS = (
     "braided_action_from_quasisymmetric",
     "connected_components",
     "crossing_sums",
-    "degeneration_check",
     "extend_multiplication",
     "is_quasisymmetric",
     # inputs of verdicts that ROADMAP.md plans: a braided operad that is
@@ -326,8 +357,6 @@ def test_every_public_function_is_reached():
 # each kept for its reason
 UNREACHED_METHODS = {
     "_Parser.error": "argparse calls it on a usage error",
-    "MilgramPoset.above": "perfbench/tracing.py counts quasicat.poset_relations as its "
-    "len, which the view reads from the bit counts of the below masks",
     "BraidedActions.to_json": "the report of the braided-action verdict that ROADMAP.md plans",
 }
 
@@ -414,14 +443,10 @@ def test_every_optional_parameter_is_passed():
     # entry point or unreached method, or the parameter is listed above
     defs, calls = [], []
     for path in MODULES:
-        for node in _tree(path).body:
-            units = [(node, getattr(node, "name", None))]
-            if isinstance(node, ast.ClassDef):
-                units = [(sub, f"{node.name}.{getattr(sub, 'name', '')}") for sub in node.body]
-            for unit, owner in units:
-                if isinstance(unit, ast.FunctionDef) and not unit.name.startswith("_"):
-                    defs.append((owner, unit, "." in owner))
-                calls += [(owner, sub) for sub in ast.walk(unit) if isinstance(sub, ast.Call)]
+        for unit, owner in _owned_units(_tree(path)):
+            if isinstance(unit, ast.FunctionDef) and not unit.name.startswith("_"):
+                defs.append((owner, unit, "." in owner))
+            calls += [(owner, sub) for sub in ast.walk(unit) if isinstance(sub, ast.Call)]
     unpassed = [
         f"{owner}.{name}"
         for owner, func, bound in defs

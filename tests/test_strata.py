@@ -20,7 +20,6 @@ from operadkit.strata import (
     _classify,
     classify_stratum,
     configuration_from_json,
-    degeneration_check,
     degeneration_failures,
     label_key,
     random_configuration,
@@ -41,6 +40,15 @@ def test_configuration_invariants():
         Configuration(2, ((0, 0), (1,)))
     c = Configuration(2, (("1/2", "3"), (0, 0)))
     assert c.points[0] == (Fraction(1, 2), Fraction(3))
+    # a coordinate that is no integer, Fraction or 'p/q' string, and a
+    # negative dimension, are refused
+    for odd in (0.5, None, (1,)):
+        with pytest.raises(OutOfRange) as info:
+            Configuration(2, ((0, odd), (1, 1)))
+        assert info.value.payload == {"got": repr(odd)}
+    with pytest.raises(OutOfRange) as info:
+        Configuration(-1, ())
+    assert info.value.payload == {"dim": -1}
 
 
 def test_configuration_keeps_exact_numbers():
@@ -94,6 +102,9 @@ def test_stratum_label_validation():
         StratumLabel(t, (0, 1))  # wrong length
     with pytest.raises(OutOfRange):
         StratumLabel(t, (0, 1, 1))
+    with pytest.raises(OutOfRange) as info:
+        StratumLabel(make_ordinal("inf", [-2, 0]), (0, 1, 2))  # no finite level domain
+    assert info.value.message == "strata live over a finite level domain"
     lab = StratumLabel(t, (2, 0, 1))
     assert stratum_from_json(lab.to_json()) == lab
 
@@ -153,43 +164,37 @@ def test_degeneration_two_points():
     t1 = make_ordinal(2, [1])
     upper = StratumLabel(t0, (0, 1))
     lower = StratumLabel(t1, (0, 1))
-    assert degeneration_check(upper, lower) is True
-    assert degeneration_check(lower, upper) is False
-    assert degeneration_check(upper, upper) is False
+    # the cover upper > lower holds; the reversed cover and a loop fail
+    assert degeneration_failures([upper, lower], [(0, 1), (1, 0), (0, 0)]) == [(1, 0), (0, 0)]
 
 
 def test_degeneration_dimension_mismatch():
     a = StratumLabel(make_ordinal(2, [0]), (0, 1))
     b = StratumLabel(make_ordinal(3, [0]), (0, 1))
     with pytest.raises(DimensionMismatch):
-        degeneration_check(a, b)
+        degeneration_failures([a, b], [(0, 1)])
     # refused before a sample with 10^400 coordinates a point is made
     huge = StratumLabel(make_ordinal(10**400, [0]), (0, 1))
     with pytest.raises(DimensionMismatch):
-        degeneration_check(huge, a)
+        degeneration_failures([huge, a], [(0, 1)])
 
 
 def test_degeneration_agrees_with_poset():
     for n, k in [(1, 2), (2, 2), (1, 3), (2, 3)]:
         p = build_j(n, k)
-        labels = p.elements
-        for i, j in itertools.product(range(len(labels)), repeat=2):
-            if i == j:
-                continue
-            expected = (i, j) in p.above
-            assert degeneration_check(labels[i], labels[j]) is expected, (
-                n,
-                k,
-                labels[i],
-                labels[j],
-            )
+        pairs = list(itertools.permutations(range(len(p.elements)), 2))
+        failed = degeneration_failures(p.elements, pairs)
+        assert failed == [pair for pair in pairs if pair not in p.above], (n, k)
 
 
-def test_degeneration_failures_are_the_failed_one_cover_checks():
-    # every ordered pair of J(2,3), itself included, as a cover
+def test_degeneration_failures_are_the_pairs_the_fraction_walk_rejects():
+    # every ordered pair of J(2,3), itself included, as a cover of one call,
+    # so that the covers share each element's sample and self-check
     labels = build_j(2, 3).elements
     pairs = list(itertools.product(range(len(labels)), repeat=2))
-    expected = [(i, j) for i, j in pairs if not degeneration_check(labels[i], labels[j])]
+    expected = [
+        (i, j) for i, j in pairs if not _degeneration_by_fraction_walk(labels[i], labels[j])
+    ]
     assert degeneration_failures(labels, pairs) == expected
 
 
@@ -245,7 +250,8 @@ def _classify_by_relations(dim, points):
 
 
 def _degeneration_by_fraction_walk(upper, lower):
-    """degeneration_check with the unscaled point low + t (high - low)."""
+    """Whether the cover (upper, lower) passes, as degeneration_failures
+    decides it, with the unscaled point low + t (high - low)."""
     if upper == lower:
         return False
     low, high = sample_stratum(lower), sample_stratum(upper)
@@ -286,15 +292,18 @@ def test_classify_agrees_with_the_pairwise_route():
 def test_degeneration_agrees_with_the_fraction_walk():
     for n, k in [(1, 2), (2, 2), (1, 3), (2, 3)]:
         labels = build_j(n, k).elements
+        # each pair a call of its own, so that no sample is shared
         for upper, lower in itertools.permutations(labels, 2):
             expected = _degeneration_by_fraction_walk(upper, lower)
-            assert degeneration_check(upper, lower) is expected, (upper, lower)
+            failed = degeneration_failures([upper, lower], [(0, 1)])
+            assert (failed == []) is expected, (upper, lower)
     for n, k in [(2, 4), (3, 3)]:
         p = build_j(n, k)
         labels = p.elements
-        for i, j in p.covers:
-            expected = _degeneration_by_fraction_walk(labels[i], labels[j])
-            assert degeneration_check(labels[i], labels[j]) is expected
+        expected = [
+            (i, j) for i, j in p.covers if not _degeneration_by_fraction_walk(labels[i], labels[j])
+        ]
+        assert degeneration_failures(labels, p.covers) == expected
 
 
 def test_classifier_reports_collisions():
@@ -313,6 +322,5 @@ def test_degeneration_walk_builds_no_objects(monkeypatch):
             built.append(type(self).__name__)
             _init(self)
         monkeypatch.setattr(cls, "__post_init__", counting)
-    for i, j in p.covers:
-        assert degeneration_check(labels[i], labels[j])
+    assert degeneration_failures(labels, p.covers) == []
     assert built == []

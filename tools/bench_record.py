@@ -1,16 +1,16 @@
 """Benchmark runs in two checkouts, recorded in BENCH_<label>.json.
 
-    python3 tools/bench_record.py --parent DIR --change DIR --workload W
-        --pairs N --seed S --label L [--trace] [--out DIR]
+    python3 tools/bench_record.py --parent DIR --change DIR
+        --run WORKLOAD:SEED [--run WORKLOAD:SEED ...] --pairs N --label L
+        [--trace] [--out DIR]
 
 Runs ``perfbench/run.py`` from the root of each checkout, N pairs of runs
-for each workload and seed, with the ``run_seconds`` of this checkout's
-BENCHMARK.json: untraced (``--trace 0``), or traced (``--trace 1``) with
-``--trace``.  The side that runs first alternates from one pair to the
-next (parent first in odd pairs, change first in even ones), so that the
-drift of a shared host falls on both sides alike.  ``--workload`` and
-``--seed`` may be given more than once.  One line per run is printed as
-it ends.
+for each ``--run`` (a workload and a seed), in the order given, with the
+``run_seconds`` of this checkout's BENCHMARK.json: untraced
+(``--trace 0``), or traced (``--trace 1``) with ``--trace``.  The side
+that runs first alternates from one pair to the next (parent first in
+odd pairs, change first in even ones), so that the drift of a shared
+host falls on both sides alike.  One line per run is printed as it ends.
 
 The file keeps each run's last JSON line (run.py's result, which holds
 the ``failed`` count) with its exit code.  A traced run also keeps its
@@ -99,6 +99,14 @@ def checkout(root: Path) -> dict:
             "src_sha256": digest.hexdigest()}
 
 
+def workload_seed(text: str) -> tuple[str, int]:
+    """A ``--run`` value, WORKLOAD:SEED, as (workload, seed)."""
+    workload, _, seed = text.rpartition(":")
+    if not workload or not seed.isdigit():
+        raise argparse.ArgumentTypeError(f"expected WORKLOAD:SEED, got {text!r}")
+    return workload, int(seed)
+
+
 def summary(runs: list[dict]) -> list[dict]:
     """Per workload, seed and metric: both sides' medians, the parent's
     quartiles and how many complete pairs read lower on the change."""
@@ -134,9 +142,9 @@ def main(argv=None) -> int:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
-    parser.add_argument("--workload", action="append", required=True)
+    parser.add_argument("--run", type=workload_seed, action="append", required=True,
+                        metavar="WORKLOAD:SEED")
     parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seed", type=int, action="append", required=True)
     parser.add_argument("--label", required=True)
     parser.add_argument("--trace", action="store_true")
     parser.add_argument("--out", type=Path, default=ROOT)
@@ -148,23 +156,22 @@ def main(argv=None) -> int:
     seconds = run_seconds()
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     runs = []
-    for seed in args.seed:
-        for workload in args.workload:
-            for pair in range(1, args.pairs + 1):
-                order = SIDES if pair % 2 else SIDES[::-1]
-                for side in order:
-                    run = bench_run(roots[side], workload, seed, seconds, args.trace)
-                    runs.append({"workload": workload, "seed": seed, "pair": pair,
-                                 "side": side, **run})
-                    result = run["result"] or {}
-                    if args.trace:
-                        name, value = "layer_share", run["layer_share"]
-                    else:
-                        name = "cal_wall_s"
-                        value = result.get("metrics", {}).get(name, {}).get("value")
-                    shown = "-" if value is None else f"{value:.4f}"
-                    print(f"{workload}\tseed {seed}\t{pair}\t{side}\t{name} {shown}\t"
-                          f"exit {run['exit_code']}\tfailed {result.get('failed')}", flush=True)
+    for workload, seed in args.run:
+        for pair in range(1, args.pairs + 1):
+            order = SIDES if pair % 2 else SIDES[::-1]
+            for side in order:
+                run = bench_run(roots[side], workload, seed, seconds, args.trace)
+                runs.append({"workload": workload, "seed": seed, "pair": pair,
+                             "side": side, **run})
+                result = run["result"] or {}
+                if args.trace:
+                    name, value = "layer_share", run["layer_share"]
+                else:
+                    name = "cal_wall_s"
+                    value = result.get("metrics", {}).get(name, {}).get("value")
+                shown = "-" if value is None else f"{value:.4f}"
+                print(f"{workload}\tseed {seed}\t{pair}\t{side}\t{name} {shown}\t"
+                      f"exit {run['exit_code']}\tfailed {result.get('failed')}", flush=True)
     record = {
         "label": args.label,
         "created": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
